@@ -20,8 +20,9 @@ detail (§3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, ClassVar, Dict, Iterator, Optional, Tuple
 
 from ..errors import JobspecError
 
@@ -53,6 +54,8 @@ class ResourceRequest:
     count_max: Optional[int] = None
     requires: Optional[str] = None
     with_: Tuple["ResourceRequest", ...] = ()
+    #: ``requires`` compiled at construction (None when unconstrained)
+    predicate: ClassVar[Optional[Callable[[object], bool]]] = None
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -71,16 +74,17 @@ class ResourceRequest:
                 "moldable counts go on resources inside the slot, not on it"
             )
         if self.requires is not None:
-            # Validate the constraint expression eagerly so malformed
+            # Compile the constraint expression eagerly so malformed
             # jobspecs fail at construction, not at match time.
             from ..resource.expr import ExpressionError, compile_expression
 
             try:
-                compile_expression(self.requires)
+                compiled = compile_expression(self.requires)
             except ExpressionError as exc:
                 raise JobspecError(
                     f"{self.type}: invalid requires expression: {exc}"
                 ) from exc
+            object.__setattr__(self, "predicate", compiled)
 
     @property
     def is_slot(self) -> bool:
@@ -108,6 +112,35 @@ class ResourceRequest:
             return self.exclusive
         return inherited or self.is_slot
 
+    # Derived once per request and kept on the instance (the fields are
+    # frozen, so they cannot go stale): the matcher asks for them on every
+    # attempt and a backlogged queue retries the same jobspec every cycle.
+    @cached_property
+    def unit_demand(self) -> Dict[str, int]:
+        """Quantity per type one instance of this request needs beneath it
+        (itself excluded) — what an interior pruning filter is asked for."""
+        demand: Dict[str, int] = {}
+        for child in self.with_:
+            _accumulate(child, 1, demand)
+        return demand
+
+    @cached_property
+    def scaled_children(self) -> Tuple["ResourceRequest", ...]:
+        """Children with counts multiplied by this request's count: a slot
+        is a grouping shape matched as that many of each child (§4.2)."""
+        return tuple(
+            replace(
+                child,
+                count=child.count * self.count,
+                count_max=(
+                    None
+                    if child.count_max is None
+                    else child.count_max * self.count
+                ),
+            )
+            for child in self.with_
+        )
+
     def to_dict(self) -> dict:
         """Serialise back to the canonical YAML-ready form."""
         out: dict = {"type": self.type, "count": self.count}
@@ -124,6 +157,19 @@ class ResourceRequest:
         if self.with_:
             out["with"] = [child.to_dict() for child in self.with_]
         return out
+
+
+def _accumulate(
+    request: ResourceRequest, multiplier: int, totals: Dict[str, int]
+) -> None:
+    """Add ``request``'s subtree to ``totals``; counts multiply down the
+    tree and slots multiply their children but add nothing themselves."""
+    if not request.is_slot:
+        totals[request.type] = (
+            totals.get(request.type, 0) + multiplier * request.count
+        )
+    for child in request.with_:
+        _accumulate(child, multiplier * request.count, totals)
 
 
 @dataclass(frozen=True)
@@ -171,27 +217,26 @@ class Jobspec:
         for root in self.resources:
             yield from root.walk()
 
+    @cached_property
+    def total_demand(self) -> Dict[str, int]:
+        """:meth:`totals`, computed once; shared, so read-only."""
+        totals: Dict[str, int] = {}
+        for root in self.resources:
+            _accumulate(root, 1, totals)
+        return totals
+
     def totals(self) -> Dict[str, int]:
         """Aggregate requested quantity per resource type.
 
         Counts multiply down the tree (``rack:2 with node:3`` totals 6
         nodes); slots multiply their children but contribute nothing
-        themselves.  These totals are the *explicit lower bound* the root
-        pruning filter checks before attempting a full match (§3.4).
+        themselves; moldable ranges count their minimum.  No match can use
+        less, so the traverser holds these totals against the containment
+        root's pruning filter before walking anything: ``allocate`` fails
+        at once when the window cannot cover them, and
+        ``allocate_orelse_reserve`` skips to the first time it can (§3.4).
         """
-        totals: Dict[str, int] = {}
-
-        def accumulate(request: ResourceRequest, multiplier: int) -> None:
-            if not request.is_slot:
-                totals[request.type] = (
-                    totals.get(request.type, 0) + multiplier * request.count
-                )
-            for child in request.with_:
-                accumulate(child, multiplier * request.count)
-
-        for root in self.resources:
-            accumulate(root, 1)
-        return totals
+        return dict(self.total_demand)
 
     def to_dict(self) -> dict:
         """Serialise to the canonical YAML-ready dict form."""

@@ -23,10 +23,7 @@ selected paths only — the filters are never recomputed from scratch.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import functools
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (
     AllocationNotFoundError,
@@ -46,21 +43,25 @@ if False:  # pragma: no cover - annotation-only imports
 __all__ = ["Traverser", "Candidate", "exclusive_top_selections", "sdfu_charges"]
 
 
+def _ancestor_paths(path: str) -> Iterator[str]:
+    """Every proper ancestor's path of ``path``, nearest first."""
+    cut = path.rfind("/")
+    while cut >= 0:
+        yield path[:cut]
+        cut = path.rfind("/", 0, cut)
+
+
 def exclusive_top_selections(
     selections: List[Selection], subsystem: str
 ) -> List[Selection]:
     """Exclusive selections not nested under another exclusive selection."""
     exclusive = [s for s in selections if s.exclusive and not s.passthrough]
-    paths = [s.vertex.path(subsystem) for s in exclusive]
-    tops = []
-    for sel, path in zip(exclusive, paths):
-        nested = any(
-            other is not sel and path.startswith(other_path + "/")
-            for other, other_path in zip(exclusive, paths)
-        )
-        if not nested:
-            tops.append(sel)
-    return tops
+    held = {s.vertex.path(subsystem) for s in exclusive}
+    return [
+        s
+        for s in exclusive
+        if held.isdisjoint(_ancestor_paths(s.vertex.path(subsystem)))
+    ]
 
 
 def sdfu_charges(
@@ -74,7 +75,9 @@ def sdfu_charges(
     filter spans in.  Shared by SDFU at booking time and by the repair
     engine, which re-derives what the filters *should* hold from the
     allocation table alone.  Counts may include non-positive entries; the
-    booking side filters those out.
+    booking side filters those out.  Linear in the selections: nesting is
+    found by looking each selection's own ancestor paths up in a set, never
+    by comparing selections pairwise.
     """
     prune_types = set(graph.prune_types)
     updates: Dict[int, Dict[str, int]] = {}
@@ -85,7 +88,7 @@ def sdfu_charges(
     # walk; cache the filtered ancestor list per vertex for this call.
     anc_cache: Dict[int, List[ResourceVertex]] = {}
 
-    def charge(vertex: ResourceVertex, counts: Dict[str, int]) -> None:
+    def charge(vertex: ResourceVertex, rtype: str, qty: int) -> None:
         ancs = anc_cache.get(vertex.uniq_id)
         if ancs is None:
             ancs = [
@@ -95,33 +98,37 @@ def sdfu_charges(
             ]
             anc_cache[vertex.uniq_id] = ancs
         for anc in ancs:
-            filters = anc.prune_filters
             bucket = updates.setdefault(anc.uniq_id, {})
-            for rtype, qty in counts.items():
-                if filters.tracks(rtype):
-                    bucket[rtype] = bucket.get(rtype, 0) + qty
+            if anc.prune_filters.tracks(rtype):
+                bucket[rtype] = bucket.get(rtype, 0) + qty
 
     explicit = [s for s in selections if not s.passthrough and s.amount]
     for sel in explicit:
         if sel.type in prune_types:
-            charge(sel.vertex, {sel.type: sel.amount})
+            charge(sel.vertex, sel.type, sel.amount)
     # Exclusive subtree extras: a top-level exclusive hold consumes its
     # whole subtree, so charge subtree totals minus explicit bookings.
-    for sel in exclusive_top_selections(selections, subsystem):
+    tops = exclusive_top_selections(selections, subsystem)
+    below: Dict[str, Dict[str, int]] = {
+        sel.vertex.path(subsystem): {} for sel in tops
+    }
+    if below:
+        for sel in explicit:
+            for path in _ancestor_paths(sel.vertex.path(subsystem)):
+                booked = below.get(path)
+                if booked is not None:
+                    booked[sel.type] = booked.get(sel.type, 0) + sel.amount
+    for sel in tops:
         vertex = sel.vertex
-        prefix = vertex.path(subsystem) + "/"
         extras = {
             t: n
             for t, n in graph.subtree_totals(vertex, subsystem).items()
             if t in prune_types
         }
         extras[vertex.type] = extras.get(vertex.type, 0) - vertex.size
-        for other in explicit:
-            if other.vertex is vertex:
-                continue
-            if other.vertex.path(subsystem).startswith(prefix):
-                if other.type in extras:
-                    extras[other.type] -= other.amount
+        for rtype, amount in below[vertex.path(subsystem)].items():
+            if rtype in extras:
+                extras[rtype] -= amount
         extras = {t: n for t, n in extras.items() if n > 0}
         if not extras:
             continue
@@ -131,7 +138,8 @@ def sdfu_charges(
             for rtype, qty in extras.items():
                 if own.tracks(rtype):
                     bucket[rtype] = bucket.get(rtype, 0) + qty
-        charge(vertex, extras)
+        for rtype, qty in extras.items():
+            charge(vertex, rtype, qty)
     return updates
 
 
@@ -179,13 +187,6 @@ def _tracked_slice(
         tracked = {t: n for t, n in demand.items() if n and filters.tracks(t)}
         cache[key] = tracked
     return tracked
-
-
-@functools.lru_cache(maxsize=256)
-def _compiled_requires(expression: str):
-    from ..resource.expr import compile_expression
-
-    return compile_expression(expression)
 
 
 class Candidate:
@@ -417,51 +418,46 @@ class Traverser:
         self, jobspec: Jobspec, now: int
     ) -> Optional[Allocation]:
         duration = jobspec.duration
-        totals = jobspec.totals()
+        totals = jobspec.total_demand
         # Availability only changes at scheduled points, so the earliest
         # feasible start is `now` or a later event: an allocation completing,
         # or any state change visible in a root pruning filter (which also
-        # covers outage windows booked by CapacitySchedule).  Root filters
-        # additionally *jump* the candidate time forward with the paper's
-        # PlannerMultiAvailTimeFirst: times whose aggregate availability
-        # cannot cover the request totals are skipped wholesale (§3.4, §4.1).
+        # covers outage windows booked by CapacitySchedule).  A single root's
+        # filter additionally *jumps* the candidate time forward with the
+        # paper's PlannerMultiAvailTimeFirst: times whose aggregate
+        # availability cannot cover the request totals are skipped wholesale
+        # (§3.4, §4.1); several roots each see only part of the machine.
         why = self.obs.why
         horizon = self.graph.plan_end - duration
         if now > horizon:
             if why.enabled:
                 why.fail("horizon", now=now, horizon=horizon)
             return None
-        prefilters = [
-            (root.prune_filters, {
-                t: n for t, n in totals.items() if root.prune_filters.tracks(t)
-            })
+        root_filters = [
+            root.prune_filters
             for root in self.graph.roots(self.subsystem)
             if root.prune_filters is not None
         ]
+        bound = self._bounding_root()
+        filters = None if bound is None else bound.prune_filters
         candidate = now
         for _ in range(self.max_reserve_iters):
             self._c_reserve.inc()
             if self.budget is not None:
                 self.budget.charge(1)
-            # Advance to the first aggregate-feasible time per every filter.
-            stable = False
-            while not stable:
-                stable = True
-                for filters, tracked in prefilters:
-                    if not tracked:
-                        continue
-                    t = filters.avail_time_first(tracked, duration, candidate)
-                    if t is None:
-                        self._c_failed.inc()
-                        if why.enabled:
-                            why.fail(
-                                "planner_time", after=candidate,
-                                types=",".join(sorted(tracked)),
-                            )
-                        return None
-                    if t > candidate:
-                        candidate = t
-                        stable = False
+            if filters is not None:
+                # Advance to the first aggregate-feasible time.
+                t = filters.avail_time_first(totals, duration, candidate)
+                if t is None:
+                    self._c_failed.inc()
+                    if why.enabled:
+                        tracked = sorted(r for r in totals if filters.tracks(r))
+                        why.fail(
+                            "planner_time", after=candidate,
+                            types=",".join(tracked),
+                        )
+                    return None
+                candidate = t
             if candidate > horizon:
                 self._c_failed.inc()
                 if why.enabled:
@@ -481,8 +477,8 @@ class Traverser:
                 for a in self.allocations.values()
                 if candidate < a.end <= horizon
             ]
-            for filters, _ in prefilters:
-                t = filters.next_event_time(candidate)
+            for root_filter in root_filters:
+                t = root_filter.next_event_time(candidate)
                 if t is not None and t <= horizon:
                     events.append(t)
             if not events:
@@ -576,22 +572,51 @@ class Traverser:
     # ------------------------------------------------------------------
     # matching
     # ------------------------------------------------------------------
+    def _bounding_root(self) -> Optional[ResourceVertex]:
+        """The containment root whose pruning filter bounds what the whole
+        machine has free, or None: no filter installed, or several roots,
+        each of whose filters sees only its own part."""
+        roots = self.graph.roots(self.subsystem)
+        if len(roots) == 1 and roots[0].prune_filters is not None:
+            return roots[0]
+        return None
+
     def _match_at(
         self, at: Optional[int], duration: int, jobspec: Jobspec
     ) -> Optional[List[Selection]]:
         """Match the whole jobspec at time ``at`` (None = capacity mode)."""
-        if at is not None and at + duration > self.graph.plan_end:
+        if at is not None:
             why = self.obs.why
-            if why.enabled:
-                why.fail(
-                    "horizon", at=at, duration=duration,
-                    plan_end=self.graph.plan_end,
-                )
-            return None
+            if at + duration > self.graph.plan_end:
+                if why.enabled:
+                    why.fail(
+                        "horizon", at=at, duration=duration,
+                        plan_end=self.graph.plan_end,
+                    )
+                return None
+            root = self._bounding_root() if self.prune else None
+            if root is not None:
+                # Root-aggregate gate (§3.4): no selection uses less than
+                # the jobspec's totals, so when the root filter cannot cover
+                # them over the window the walk below would only rediscover
+                # that, one subtree at a time.
+                if not root.prune_filters.avail_during(
+                    at, duration, jobspec.total_demand
+                ):
+                    self._c_filter_hits.inc()
+                    if why.enabled:
+                        # What the walk reports when it is cut at the root.
+                        first = jobspec.resources[0]
+                        if first.is_slot:
+                            first = first.with_[0]
+                        why.prune("filter", root.type, root.name)
+                        why.fail("no_candidates", type=first.type, under="")
+                    return None
+                self._c_filter_misses.inc()
         tentative = _Tentative()
         out: List[Selection] = []
         ok = self._match_requests(
-            None, list(jobspec.resources), at, duration, False, tentative, out
+            None, jobspec.resources, at, duration, False, tentative, out
         )
         if ok:
             self._c_matched.inc()
@@ -601,7 +626,7 @@ class Traverser:
     def _match_requests(
         self,
         parent: Optional[ResourceVertex],
-        requests: List[ResourceRequest],
+        requests: Sequence[ResourceRequest],
         at: Optional[int],
         duration: int,
         exclusive_ctx: bool,
@@ -612,16 +637,7 @@ class Traverser:
             if request.is_slot:
                 # A slot is a grouping shape: its children are matched with
                 # multiplied counts and forced exclusivity (paper §4.2).
-                for child in request.with_:
-                    scaled = replace(
-                        child,
-                        count=child.count * request.count,
-                        count_max=(
-                            None
-                            if child.count_max is None
-                            else child.count_max * request.count
-                        ),
-                    )
+                for scaled in request.scaled_children:
                     if not self._match_one(
                         parent, scaled, at, duration, True, tentative, out
                     ):
@@ -643,7 +659,7 @@ class Traverser:
         out: List[Selection],
     ) -> bool:
         exclusive = request.effective_exclusive(exclusive_ctx)
-        demand = self._unit_demand(request)
+        demand = request.unit_demand
         why = self.obs.why
         pre = why.mark() if why.enabled else 0
         candidates = self._collect(parent, request, at, duration, tentative, demand)
@@ -743,10 +759,9 @@ class Traverser:
         Fluxion's one-pass DFS)."""
         needed = request.max_count
         # demand is fixed for the whole fill, so feasibility checks across
-        # candidates share one tracked-slice cache; _match_requests only
-        # iterates its request list, so one copy serves every candidate.
+        # candidates share one tracked-slice cache.
         tracked_cache: Dict[Tuple[str, ...], Dict[str, int]] = {}
-        children = list(request.with_)
+        children = request.with_
         if self.policy.needs_full_feasible:
             feasible = [
                 c
@@ -812,11 +827,7 @@ class Traverser:
         """Gather candidate vertices of ``request.type`` reachable from
         ``parent`` (or the subsystem roots), pruning infeasible subtrees."""
         rtype = request.type
-        predicate = (
-            _compiled_requires(request.requires)
-            if request.requires is not None
-            else None
-        )
+        predicate = request.predicate
         graph = self.graph
         if parent is None:
             frontier = [(root, ()) for root in graph.roots(self.subsystem)]
@@ -980,21 +991,6 @@ class Traverser:
             return X_LIMIT
         return vertex.xplans.avail_resources_during(at, duration)
 
-    @staticmethod
-    def _unit_demand(request: ResourceRequest) -> Dict[str, int]:
-        """Per-instance subtree demand of ``request`` (excluding itself)."""
-        demand: Dict[str, int] = {}
-
-        def accumulate(req: ResourceRequest, multiplier: int) -> None:
-            if not req.is_slot:
-                demand[req.type] = demand.get(req.type, 0) + multiplier * req.count
-            for child in req.with_:
-                accumulate(child, multiplier * req.count)
-
-        for child in request.with_:
-            accumulate(child, 1)
-        return demand
-
     # ------------------------------------------------------------------
     # booking and SDFU
     # ------------------------------------------------------------------
@@ -1055,7 +1051,3 @@ class Traverser:
             booked += 1
         if booked:
             self._c_sdfu_updates.inc(booked)
-
-    def _exclusive_tops(self, selections: List[Selection]) -> List[Selection]:
-        """Exclusive selections not nested under another exclusive selection."""
-        return exclusive_top_selections(selections, self.subsystem)

@@ -278,8 +278,7 @@ def restore_simulator(
         sim.traverser.stats = dict(doc["traverser_stats"])
 
     for record in doc["jobs"]:
-        job = Job.from_record(record, allocations)
-        sim.jobs[job.job_id] = job
+        sim._register(Job.from_record(record, allocations))
     sim._next_job_id = int(doc["next_job_id"])
     sim.queue_policy.import_state(config["queue_state"], sim.jobs)
 

@@ -633,35 +633,19 @@ class OverloadController:
 
     def _depth(self) -> int:
         """Schedulable pending-queue depth (deferred jobs excluded)."""
-        from ..sched.job import JobState
-
-        sim = self.sim
-        assert sim is not None
-        return sum(
-            1
-            for j in sim.jobs.values()
-            if j.state in (JobState.PENDING, JobState.RESERVED)
-            and j.submit_time <= sim.now
-            and j.job_id not in self.deferred
-        )
+        assert self.sim is not None
+        return len(self.sim._pending_jobs())
 
     def _shed_victim(
         self, priority: int, exclude_id: Optional[int]
     ) -> Optional["Job"]:
         """Lowest-priority queued job strictly below ``priority`` (ties:
         youngest loses), or None when nothing outranked exists."""
-        from ..sched.job import JobState
-
-        sim = self.sim
-        assert sim is not None
+        assert self.sim is not None
         candidates = [
             j
-            for j in sim.jobs.values()
-            if j.state in (JobState.PENDING, JobState.RESERVED)
-            and j.submit_time <= sim.now
-            and j.job_id not in self.deferred
-            and j.job_id != exclude_id
-            and j.priority < priority
+            for j in self.sim._pending_jobs()
+            if j.job_id != exclude_id and j.priority < priority
         ]
         if not candidates:
             return None

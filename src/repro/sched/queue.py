@@ -128,18 +128,6 @@ class QueuePolicy:
         return budget is not None and budget.cycle_exhausted
 
     @staticmethod
-    def _timed_match(job: Job, call, *args, **kwargs):
-        """Deprecated: time a single traverser verb into job.sched_time.
-
-        Kept for API compatibility; :meth:`_attempt` supersedes it because
-        it scopes the *whole* attempt (reservation cancels included).
-        """
-        with WallTimer() as timer:
-            result = call(*args, **kwargs)
-        job.sched_time += timer.elapsed
-        return result
-
-    @staticmethod
     def _attach(job: Job, alloc, now: int) -> None:
         job.allocations.append(alloc)
         job.transition(JobState.RUNNING if alloc.at <= now else JobState.RESERVED)

@@ -43,6 +43,8 @@ from .queue import QueuePolicy, make_queue_policy
 __all__ = ["ClusterSimulator", "SimulationReport"]
 
 _SUBMIT, _START, _END, _FAIL, _REPAIR, _WALLTIME = 0, 1, 2, 3, 4, 5
+#: states in which a job waits in the queue (RUNNING and beyond never return)
+_QUEUED = (JobState.PENDING, JobState.RESERVED)
 
 
 @dataclass
@@ -376,6 +378,11 @@ class ClusterSimulator:
         )
         self.queue_policy.obs = self.obs
         self.jobs: Dict[int, Job] = {}
+        #: (submit_time, job_id) heap of jobs not yet due, and the due jobs
+        #: last seen queued, in job-id order: a cycle reads these, never
+        #: every job ever submitted (see :meth:`_queued_jobs`)
+        self._future: List[Tuple[int, int]] = []
+        self._queue: List[Job] = []
         self.now = graph.plan_start
         self._events: List[tuple] = []  # (time, kind, seq, ref, data)
         self._event_seq = 0
@@ -495,7 +502,7 @@ class ClusterSimulator:
             actual_duration=actual_duration,
         )
         self._next_job_id += 1
-        self.jobs[job.job_id] = job
+        self._register(job)
         self._push(submit_time, _SUBMIT, job.job_id)
         self.event_log.append((submit_time, "submit", job.job_id))
         return job
@@ -851,17 +858,33 @@ class ClusterSimulator:
         else:
             self._on_walltime(self.jobs[ref], data)
 
+    def _register(self, job: Job) -> None:
+        """Add ``job`` to the job table; it joins the queue once due."""
+        self.jobs[job.job_id] = job
+        heapq.heappush(self._future, (job.submit_time, job.job_id))
+
+    def _queued_jobs(self) -> List[Job]:
+        """Jobs due by now that were queued at the end of the last cycle, in
+        job-id order.  Some may have left the queue since (started,
+        canceled); :meth:`_run_cycle` drops those when it is done."""
+        future, queue = self._future, self._queue
+        if future and future[0][0] <= self.now:
+            while future and future[0][0] <= self.now:
+                queue.append(self.jobs[heapq.heappop(future)[1]])
+            queue.sort(key=lambda j: j.job_id)
+        return queue
+
     def _pending_jobs(self) -> List[Job]:
+        """Schedulable jobs in attempt order: priority, then submission."""
         deferred = self.overload.deferred if self.overload is not None else ()
-        return [
-            j
-            for j in sorted(
-                self.jobs.values(), key=lambda j: (-j.priority, j.job_id)
-            )
-            if j.state in (JobState.PENDING, JobState.RESERVED)
-            and j.submit_time <= self.now
-            and j.job_id not in deferred
-        ]
+        return sorted(
+            (
+                j
+                for j in self._queued_jobs()
+                if j.state in _QUEUED and j.job_id not in deferred
+            ),
+            key=lambda j: (-j.priority, j.job_id),
+        )
 
     def _on_submit(self, job: Job) -> None:
         if job.state is not JobState.PENDING:
@@ -1083,7 +1106,9 @@ class ClusterSimulator:
         else:
             self.queue_policy.cycle(pending, self.traverser, self.now)
         self._crashpoint("cycle.booked")
-        for job in self.jobs.values():
+        # Only a job that was queued can have been given an allocation.
+        queued = self._queued_jobs()
+        for job in queued:
             alloc = job.allocation
             if alloc is None or alloc.alloc_id in self._started_allocs:
                 continue
@@ -1098,6 +1123,7 @@ class ClusterSimulator:
                 self._push(
                     self._finish_time(job), _END, job.job_id, alloc.alloc_id
                 )
+        self._queue = [j for j in queued if j.state in _QUEUED]
         if self.auditor is not None:
             self.auditor.check(self)
         self._crashpoint("cycle.post")

@@ -355,6 +355,34 @@ class TestMultiRootAndPassthrough:
             if s.passthrough
         )
 
+    def test_two_roots_reserve_agrees_with_allocate(self):
+        """Each root filter sees only its own rack, so neither may be asked
+        for the whole request: a 3-node job fits across two 2-node racks."""
+
+        def two_racks():
+            g = ResourceGraph(0, 10_000)
+            for _ in range(2):
+                rack = g.add_vertex("rack")
+                for _ in range(2):
+                    g.add_edge(rack, g.add_vertex("node"))
+            g.install_pruning_filters(["node"])
+            assert len(g.roots()) == 2
+            return g
+
+        job = nodes_jobspec(3, duration=100)
+        now = Traverser(two_racks()).allocate(job, at=0)
+        assert now is not None and len(now.nodes()) == 3
+        t = Traverser(two_racks())
+        first = t.allocate_orelse_reserve(job, now=0)
+        assert first is not None and not first.reserved
+        assert {n.name for n in first.nodes()} == {n.name for n in now.nodes()}
+        # One node is left: the next 3-node job waits for the first to end.
+        second = t.allocate_orelse_reserve(job, now=0)
+        assert second is not None and second.reserved and second.at == 100
+        assert t.allocate(nodes_jobspec(2, duration=10), at=0) is None
+        t.remove_all()
+        assert_pristine(t.graph)
+
     def test_rlite_excludes_passthrough(self):
         g = build_cluster()
         t = Traverser(g)

@@ -216,3 +216,111 @@ def test_property_simulation_invariants(trace, queue):
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
             assert e1 <= s2
     assert_pristine(graph)
+
+
+def _random_jobspec(rng, shape):
+    """One request of every shape the root-aggregate gate has to bound."""
+    from repro.jobspec import Jobspec, ResourceRequest, pool_jobspec, slot
+
+    nodes = shape["racks"] * shape["nodes_per_rack"]
+    duration = rng.randint(1, 300)
+    kind = rng.choice(
+        ["nodes", "shared", "moldable-nodes", "moldable-cores", "pool",
+         "requires", "racks"]
+    )
+    if kind == "nodes":
+        return nodes_jobspec(rng.randint(1, nodes + 1), duration=duration)
+    if kind == "shared":  # non-exclusive nodes, exclusive cores inside
+        return simple_node_jobspec(
+            cores=rng.randint(1, shape["cores"] + 1),
+            memory=rng.choice([0, 0, 4, 20]) if shape["memory_pools"] else 0,
+            gpus=rng.randint(0, shape["gpus"]),
+            nodes=rng.randint(1, 2),
+            duration=duration,
+            node_exclusive=rng.random() < 0.2,
+        )
+    if kind == "moldable-nodes":
+        low = rng.randint(1, nodes)
+        request = ResourceRequest(
+            type="node", count=low, count_max=low + rng.randint(1, 3)
+        )
+        return Jobspec(resources=(slot(1, request),), duration=duration)
+    if kind == "moldable-cores":
+        low = rng.randint(1, shape["cores"])
+        cores = ResourceRequest(
+            type="core", count=low, count_max=low + rng.randint(1, 4)
+        )
+        node = ResourceRequest(type="node", count=1, with_=(slot(1, cores),))
+        return Jobspec(resources=(node,), duration=duration)
+    if kind == "pool" and shape["memory_pools"]:
+        return pool_jobspec(
+            "memory", rng.randint(1, 40), within=rng.choice([None, "node"]),
+            duration=duration,
+        )
+    if kind == "racks":
+        # Shared racks only: an *exclusive* rack over a node in an outage
+        # window double-charges the filters and _sdfu raises (ROADMAP 5).
+        rack = ResourceRequest(
+            type="rack", count=rng.randint(1, shape["racks"]),
+            with_=(slot(1, ResourceRequest(type="node", count=1)),),
+        )
+        return Jobspec(resources=(rack,), duration=duration)
+    request = ResourceRequest(
+        type="node", count=rng.randint(1, 3),
+        requires=f"perf_class<={rng.randint(1, 3)}",
+    )
+    return Jobspec(resources=(slot(1, request),), duration=duration)
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_property_gated_allocate_equals_unfiltered(seed):
+    """``allocate`` behind the root-aggregate gate (and every other filter)
+    selects exactly what ``Traverser(prune=False)`` selects, or fails exactly
+    when it fails — on loaded graphs with drained vertices and outage
+    windows, at start times inside and outside them."""
+    from repro.sched import CapacitySchedule
+
+    rng = random.Random(seed)
+    shape = dict(
+        racks=rng.randint(1, 3), nodes_per_rack=rng.randint(1, 3),
+        cores=rng.randint(2, 5), gpus=rng.randint(0, 1),
+        memory_pools=rng.randint(0, 2),
+    )
+    prune_types = rng.choice(
+        [("core", "node", "memory", "gpu"), ("node",), ("core", "memory")]
+    )
+    policy = rng.choice(["first", "low", "high", "locality"])
+    drained = rng.sample(range(20), rng.randint(0, 2))
+    outages = [  # disjoint windows: overlapping outages refuse to book
+        (rng.randrange(20), start + rng.randint(0, 100), rng.randint(20, 150))
+        for start in rng.sample([0, 300], rng.randint(0, 2))
+    ]
+    sides = []
+    for prune in (True, False):
+        graph = tiny_cluster(plan_end=1000, prune_types=prune_types, **shape)
+        holders = sorted(
+            graph.find(type="node") + graph.find(type="rack"),
+            key=lambda v: v.name,
+        )
+        for index, node in enumerate(graph.find(type="node")):
+            node.properties["perf_class"] = index % 3 + 1
+        for index in drained:
+            graph.mark_down(holders[index % len(holders)])
+        capacity = CapacitySchedule(graph)
+        for index, start, length in outages:
+            capacity.add_outage(holders[index % len(holders)], start, length)
+        sides.append(Traverser(graph, policy=policy, prune=prune))
+    for _ in range(rng.randint(1, 14)):
+        jobspec = _random_jobspec(rng, shape)
+        at = rng.choice([0, 0, rng.randint(0, 400), rng.randint(600, 1000)])
+        gated, plain = (t.allocate(jobspec, at=at) for t in sides)
+        assert (gated is None) == (plain is None), (jobspec.summary(), at)
+        if gated is not None:
+            assert [
+                (s.vertex.name, s.amount, s.exclusive, s.passthrough)
+                for s in gated.selections
+            ] == [
+                (s.vertex.name, s.amount, s.exclusive, s.passthrough)
+                for s in plain.selections
+            ], (jobspec.summary(), at)

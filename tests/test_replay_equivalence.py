@@ -1,0 +1,161 @@
+"""Replay-equivalence corpus: seeded scenarios with pinned decision digests.
+
+A change that claims to preserve behaviour must leave every digest below
+byte-identical; a change that moves one must say which decisions moved and
+why.  Each scenario is reduced to the SHA-256 of its ``event_log`` and of its
+final :func:`~repro.recovery.diff.state_fingerprint` (planner spans, filter
+aggregates, allocations, jobs, pending events — no wall-clock fields).
+
+The digests were generated at commit 1ac0481 (before the root-aggregate gate,
+the linear ``sdfu_charges`` and the incremental pending queue).  To print the
+table for the current tree::
+
+    PYTHONPATH=src python tests/test_replay_equivalence.py
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro import (
+    ClusterSimulator,
+    FaultInjector,
+    FaultModel,
+    RetryPolicy,
+    nodes_jobspec,
+    simple_node_jobspec,
+    tiny_cluster,
+)
+from repro.grug import build_lod, quartz
+from repro.recovery.diff import state_fingerprint
+from repro.workloads import synthetic_trace
+
+
+def node_lod(queue):
+    """Backlogged whole-node trace on a 96-node quartz slice."""
+    sim = ClusterSimulator(quartz(6, 16), "first", queue=queue)
+    for job in synthetic_trace(
+        n_jobs=60, seed=31, max_nodes=48, min_duration=200,
+        max_duration=6000, arrival_spread=3000,
+    ):
+        sim.submit(job.to_jobspec(), at=job.submit_time)
+    return sim
+
+
+def med_lod(queue):
+    """Core/memory/burst-buffer jobs on a Med-LOD system (Fig 6a shape)."""
+    sim = ClusterSimulator(build_lod("med", 2, 4), "low", queue=queue)
+    for job in synthetic_trace(
+        n_jobs=50, seed=32, max_nodes=8, min_duration=100,
+        max_duration=3000, arrival_spread=1500,
+    ):
+        sim.submit(
+            simple_node_jobspec(
+                cores=4 + 4 * (job.job_index % 6),
+                memory=4 * (job.job_index % 3),
+                ssds=job.job_index % 2,
+                nodes=min(job.nnodes, 3),
+                duration=job.duration,
+            ),
+            at=job.submit_time,
+        )
+    return sim
+
+
+def faulty(queue):
+    """Node faults, retries with backoff and checkpoints, five priorities."""
+    sim = ClusterSimulator(
+        tiny_cluster(2, 8, cores=4, gpus=0, memory_pools=0),
+        "low",
+        queue=queue,
+        retry_policy=RetryPolicy(
+            max_retries=4, backoff_base=60, jitter=0.25,
+            checkpoint_period=300, seed=5,
+        ),
+    )
+    for job in synthetic_trace(
+        n_jobs=60, seed=33, max_nodes=8, min_duration=200,
+        max_duration=3000, arrival_spread=4000,
+    ):
+        sim.submit(
+            nodes_jobspec(job.nnodes, duration=job.duration),
+            at=job.submit_time,
+            priority=job.job_index % 5,
+            actual_duration=(
+                job.duration * 3 // 2 if job.job_index % 11 == 0 else None
+            ),
+        )
+    FaultInjector(
+        {"node": FaultModel(mtbf=15_000, mttr=500)}, horizon=9000, seed=34
+    ).install(sim)
+    return sim
+
+
+SCENARIOS = {
+    f"{build.__name__}-{queue}": (build, queue)
+    for build in (node_lod, med_lod, faulty)
+    for queue in ("fcfs", "easy", "conservative")
+}
+
+#: scenario -> (event_log sha256, state_fingerprint sha256)
+PINNED = {
+    "faulty-conservative": (
+        "5583ff332b7e339d5023b705b92a41ca8438a4f43fa2c1c195cb6e401eeefd16",
+        "feef7a5ce66993c3ce17d7c0e4fbf767998603e99524c4e4c5f7cc062d220df9",
+    ),
+    "faulty-easy": (
+        "f3138dbdeb364c84ffd8bdc1199da081a61ee9b66a7d3818fd1471da8157cc99",
+        "841ad74cc117a5188d5264d032feeaad1ba65e1f9c83da1e1569e26752bec0a9",
+    ),
+    "faulty-fcfs": (
+        "7d0d7f5bb11d42048b0ebde0e6f1a4017e94d27de5b3edcec7ad945e40adc486",
+        "a321c1a42c1c433ed9b162c77645a609fea1f92bf974dd402e141525cd406bbf",
+    ),
+    "med_lod-conservative": (
+        "77cd8c179b4e36efd76b7cabea438684a4bc8b7b6f106b47470b5074780020b4",
+        "f9a5934fa90ec904a5a59230390b9759fc744d3f9098c426b386a092ea1ed542",
+    ),
+    "med_lod-easy": (
+        "bfe491cb00ab062bbdd0b4af433a8242c6b627ae366d593b647c8d459ce41acd",
+        "b62dedd82c369717b1e845bc9cf64f0997e19e437206daa27290cf1632f37916",
+    ),
+    "med_lod-fcfs": (
+        "31f6cd7265abca9f50cfdc488b9ac07689a1b403d1f3415a98e0de48c753beeb",
+        "f8ae1a10dc4c4314288a0e0cf287827590032ff16fd433cc1f0bebe7415f4d3e",
+    ),
+    "node_lod-conservative": (
+        "7dcbc99d003e2235bf26ea37dc7c00972500823a0f9830735a177d27a844bf5b",
+        "49c1709d71bcb18377943f278d8a7786d2e4ce32af18e00cbd4a29e8e35b2be9",
+    ),
+    "node_lod-easy": (
+        "95010250124202ff7a6bb91b42356c081533e8dd0e45da8f5e1a109b668a775e",
+        "ab2acf9684881a32b3e6af02e8c5aedb2c77e4edcf2a7ee1d1231209023269a7",
+    ),
+    "node_lod-fcfs": (
+        "f9158bff48f71c7fefe3c7c96af53cf25bbee3c0f9aefd15e694c5dc9991bece",
+        "b8e57ab4c0d68e7b45df58795858d2abb7d834b8f061555e4cd62cc1e863274f",
+    ),
+}
+
+
+def digests(name):
+    build, queue = SCENARIOS[name]
+    sim = build(queue)
+    sim.run()
+    assert len(sim.event_log) > 100, "scenario too small to pin anything"
+    state = json.dumps(state_fingerprint(sim), sort_keys=True, default=str)
+    return (
+        hashlib.sha256(repr(sim.event_log).encode()).hexdigest(),
+        hashlib.sha256(state.encode()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_decisions_match_pinned_digests(name):
+    assert digests(name) == PINNED[name]
+
+
+if __name__ == "__main__":
+    for scenario in sorted(SCENARIOS):
+        print(f'    "{scenario}": {digests(scenario)!r},')
