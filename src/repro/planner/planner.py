@@ -8,7 +8,8 @@ is captured by *scheduled points*.  Two balanced trees index the points:
 * the SP tree (by time) answers "how much is available at time t?" and
   "is the request satisfiable throughout a window?" in ``O(log N)``;
 * the ET tree (by remaining resource, min-time augmented) answers "what is
-  the earliest time the request fits?" in ``O(log N)`` via Algorithm 1.
+  the earliest time the request fits?" in ``O(log N)`` via Algorithm 1; it
+  exists once that question has been asked (most planners never are).
 
 The Planner is the building block for per-vertex state tracking, pruning
 filters (through :class:`~repro.planner.multi.PlannerMulti`) and
@@ -74,10 +75,10 @@ class Planner:
         self.plan_start = plan_start
         self.plan_end = plan_end
         self.resource_type = resource_type
-        # The trees and base point are created lazily on the first add_span:
+        # The SP tree and base point are created lazily on the first add_span:
         # resource graphs hold two Planners per vertex and most vertices are
         # never touched, so an empty Planner stays a tiny shell and answers
-        # queries directly from `total`.
+        # queries directly from `total`.  The ET tree waits for _build_et.
         self._sp: Optional[SPTree] = None
         self._et: Optional[ETTree] = None
         self._spans: Dict[int, Span] = {}
@@ -85,15 +86,38 @@ class Planner:
         self._base_point: Optional[ScheduledPoint] = None
 
     def _ensure_trees(self) -> None:
-        """Materialise the SP/ET trees and the permanent base point."""
+        """Materialise the SP tree and the permanent base point."""
         if self._sp is not None:
             return
         self._sp = SPTree()
-        self._et = ETTree()
         # Permanent base point: the state from plan_start until the first span.
         self._base_point = ScheduledPoint(self.plan_start, 0, self.total, ref_count=1)
         self._sp.insert(self._base_point)
-        self._et.insert(self._base_point)
+
+    def _build_et(self) -> ETTree:
+        """Index the SP tree's points by remaining resource.  find_earliest
+        depends on the point set alone (points are unique in time), so a tree
+        built late answers as one maintained from the first span."""
+        et = ETTree()
+        for point in self._sp:
+            et.insert(point)
+        return et
+
+    def _shift(self, start: int, end: int, delta: int) -> None:
+        """Charge ``delta`` units (negative: release) to every scheduled point
+        in ``[start, end)``, re-keying the ET tree where there is one."""
+        if not delta:
+            return
+        et = self._et
+        # Lazy iteration is safe: the loop adjusts point values and the ET
+        # tree only; the SP tree being iterated is never restructured.
+        for point in self._sp.iter_range(start, end):
+            if et is not None:
+                et.remove(point)
+            point.in_use += delta
+            point.remaining -= delta
+            if et is not None:
+                et.insert(point)
 
     # ------------------------------------------------------------------
     # introspection
@@ -217,14 +241,17 @@ class Planner:
         # earliest fit starts either exactly at `at` or at a later point.
         if self.avail_during(at, duration, request):
             return at
+        et = self._et
+        if et is None:
+            et = self._et = self._build_et()
         stash: List[ScheduledPoint] = []
         result: Optional[int] = None
         try:
             while True:
-                point = self._et.find_earliest(request)
+                point = et.find_earliest(request)
                 if point is None:
                     break
-                self._et.remove(point)
+                et.remove(point)
                 stash.append(point)
                 if point.time <= at:
                     continue
@@ -235,7 +262,7 @@ class Planner:
                     break
         finally:
             for point in stash:
-                self._et.insert(point)
+                et.insert(point)
         if obs.enabled:
             obs.metrics.histogram(
                 "planner.stash_points",
@@ -295,14 +322,7 @@ class Planner:
         end_point = self._get_or_create_point(end)
         start_point.ref_count += 1
         end_point.ref_count += 1
-        if request:
-            # Lazy iteration is safe: the loop adjusts point values and the
-            # ET tree only; the SP tree being iterated is never restructured.
-            for point in self._sp.iter_range(start, end):
-                self._et.remove(point)
-                point.in_use += request
-                point.remaining -= request
-                self._et.insert(point)
+        self._shift(start, end, request)
         if span_id is None:
             span_id = self._next_span_id
             self._next_span_id += 1
@@ -314,12 +334,7 @@ class Planner:
     def rem_span(self, span_id: int) -> Span:
         """Release the span with ``span_id`` and return it."""
         span = self.get_span(span_id)
-        if span.request:
-            for point in self._sp.iter_range(span.start, span.end):
-                self._et.remove(point)
-                point.in_use -= span.request
-                point.remaining += span.request
-                self._et.insert(point)
+        self._shift(span.start, span.end, -span.request)
         self._release_point(span.start)
         self._release_point(span.end)
         del self._spans[span_id]
@@ -344,32 +359,21 @@ class Planner:
             raise PlannerError(
                 f"new end {new_end} exceeds horizon end {self.plan_end}"
             )
-        request = span.request
-        if new_end > span.end:
-            # Extension: the added segment must have the request available.
-            if not self.avail_during(span.end, new_end - span.end, request):
-                raise PlannerError(
-                    f"extension [{span.end},{new_end}) unavailable"
-                    f" ({self.resource_type or 'resource'})"
-                )
-            new_point = self._get_or_create_point(new_end)
-            new_point.ref_count += 1
-            if request:
-                for point in self._sp.iter_range(span.end, new_end):
-                    self._et.remove(point)
-                    point.in_use += request
-                    point.remaining -= request
-                    self._et.insert(point)
+        extending = new_end > span.end
+        # Extension: the added segment must have the request available.
+        if extending and not self.avail_during(
+            span.end, new_end - span.end, span.request
+        ):
+            raise PlannerError(
+                f"extension [{span.end},{new_end}) unavailable"
+                f" ({self.resource_type or 'resource'})"
+            )
+        self._get_or_create_point(new_end).ref_count += 1
+        if extending:
+            self._shift(span.end, new_end, span.request)
         else:
             # Truncation: release the tail [new_end, old_end).
-            new_point = self._get_or_create_point(new_end)
-            new_point.ref_count += 1
-            if request:
-                for point in self._sp.iter_range(new_end, span.end):
-                    self._et.remove(point)
-                    point.in_use -= request
-                    point.remaining += request
-                    self._et.insert(point)
+            self._shift(new_end, span.end, -span.request)
         self._release_point(span.end)
         updated = span.replace(end=new_end)
         self._spans[span_id] = updated
@@ -397,16 +401,7 @@ class Planner:
         collide with ids seen before it.  Returns the span count re-booked.
         """
         if spans is None:
-            records = [
-                {
-                    "id": span.span_id,
-                    "start": span.start,
-                    "end": span.end,
-                    "request": span.request,
-                    "metadata": dict(span.metadata),
-                }
-                for span in self._spans.values()
-            ]
+            records = self.export_state()["spans"]
         else:
             records = [dict(record) for record in spans]
         next_id = self._next_span_id
@@ -511,10 +506,11 @@ class Planner:
                         f"cannot shrink to {new_total}: {point.in_use} in use"
                         f" at t={point.time}"
                     )
-        for point in list(self._sp):
-            self._et.remove(point)
+        for point in self._sp:
             point.remaining += delta
-            self._et.insert(point)
+        # Every key moved: drop the ET tree, the next earliest-time question
+        # rebuilds it in the one pass re-keying it here would have cost.
+        self._et = None
         self.total = new_total
 
     # ------------------------------------------------------------------
@@ -547,7 +543,8 @@ class Planner:
         assert governing is not None
         point = ScheduledPoint(time, governing.in_use, governing.remaining)
         self._sp.insert(point)
-        self._et.insert(point)
+        if self._et is not None:
+            self._et.insert(point)
         return point
 
     def _release_point(self, time: int) -> None:
@@ -556,7 +553,8 @@ class Planner:
         point.ref_count -= 1
         if point.ref_count == 0 and point is not self._base_point:
             self._sp.remove(point)
-            self._et.remove(point)
+            if self._et is not None:
+                self._et.remove(point)
 
     def check_invariants(self) -> None:
         """Verify tree invariants and point-state consistency (test support)."""
@@ -564,7 +562,9 @@ class Planner:
             assert not self._spans
             return
         self._sp.check_invariants()
-        self._et.check_invariants()
+        # No ET tree yet: the one avail_time_first would build must hold.
+        et = self._et if self._et is not None else self._build_et()
+        et.check_invariants()
         points = list(self._sp)
         assert points and points[0] is self._base_point
         # Recompute in_use at each point from the active spans.
@@ -579,7 +579,7 @@ class Planner:
             )
             assert point.remaining == self.total - point.in_use
             assert 0 <= point.in_use <= self.total
-        assert len(self._sp) == len(self._et)
+        assert len(self._sp) == len(et)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -361,13 +361,14 @@ class RBTree:
         self.root.red = _BLACK
 
     def _delete_fixup(self, x: RBNode) -> None:
+        left_rotate, right_rotate = self._left_rotate, self._right_rotate
         while x is not self.root and not x.red:
             if x is x.parent.left:
                 w = x.parent.right
                 if w.red:
                     w.red = _BLACK
                     x.parent.red = _RED
-                    self._left_rotate(x.parent)
+                    left_rotate(x.parent)
                     w = x.parent.right
                 if not w.left.red and not w.right.red:
                     w.red = _RED
@@ -376,19 +377,19 @@ class RBTree:
                     if not w.right.red:
                         w.left.red = _BLACK
                         w.red = _RED
-                        self._right_rotate(w)
+                        right_rotate(w)
                         w = x.parent.right
                     w.red = x.parent.red
                     x.parent.red = _BLACK
                     w.right.red = _BLACK
-                    self._left_rotate(x.parent)
+                    left_rotate(x.parent)
                     x = self.root
             else:
                 w = x.parent.left
                 if w.red:
                     w.red = _BLACK
                     x.parent.red = _RED
-                    self._right_rotate(x.parent)
+                    right_rotate(x.parent)
                     w = x.parent.left
                 if not w.right.red and not w.left.red:
                     w.red = _RED
@@ -397,12 +398,12 @@ class RBTree:
                     if not w.left.red:
                         w.right.red = _BLACK
                         w.red = _RED
-                        self._left_rotate(w)
+                        left_rotate(w)
                         w = x.parent.left
                     w.red = x.parent.red
                     x.parent.red = _BLACK
                     w.left.red = _BLACK
-                    self._right_rotate(x.parent)
+                    right_rotate(x.parent)
                     x = self.root
         x.red = _BLACK
 

@@ -659,13 +659,10 @@ def apply_corruption(
             return False
         points = list(planner._sp)
         point = points[rng.randrange(len(points))]
-        delta = 1 + rng.randrange(3)
-        # Re-key the end-time tree around the mutation so the trees stay
-        # structurally valid: only the usage *values* are corrupted.
-        planner._et.remove(point)
-        point.in_use += delta
-        point.remaining -= delta
-        planner._et.insert(point)
+        # Points are unique in time, so this charges exactly one of them;
+        # _shift re-keys the end-time tree (if there is one) so the trees
+        # stay structurally valid: only the usage *values* are corrupted.
+        planner._shift(point.time, point.time + 1, 1 + rng.randrange(3))
         return True
     if kind == "structure":
         vertex.size += 1 + rng.randrange(3)

@@ -512,3 +512,53 @@ class TestKitchenSink:
         t.remove_all()
         capacity.cancel(outage.outage_id)
         assert_pristine(g)
+
+
+class TestBookingIsAllOrNothing:
+    def test_refused_booking_leaves_nothing_behind(self):
+        """An exclusive rack over a node in an outage window matches (the
+        rack's own planners are free) but its subtree charge no longer fits
+        the ancestors' filters: the match is refused, not half-booked."""
+        from repro.grug import quartz
+        from repro.obs import Observer
+        from repro.sched import CapacitySchedule
+
+        def booked_spans(graph):
+            return sum(
+                v.plans.span_count + v.xplans.span_count
+                + (v.prune_filters.span_count if v.prune_filters else 0)
+                for v in graph.vertices()
+            )
+
+        def exclusive_rack(nodes):
+            rack = ResourceRequest(
+                type="rack", count=1, exclusive=True,
+                with_=(slot(1, ResourceRequest(type="node", count=nodes)),),
+            )
+            return Jobspec(resources=(rack,), duration=50)
+
+        g = quartz(2, 3)
+        obs = Observer()
+        t = Traverser(g, policy="first", obs=obs)
+        rack0 = min(g.find(type="rack"), key=lambda v: v.id)
+        down = min(g.descendants(rack0), key=lambda v: v.id)
+        CapacitySchedule(g).add_outage(down, start=0, duration=100)
+        before = booked_spans(g)
+
+        obs.why.begin_attempt(1, 0.0, "allocate")
+        assert t.allocate(exclusive_rack(1), at=0) is None
+        obs.why.end_attempt("failed")
+        assert booked_spans(g) == before
+        assert t.stats["failed"] == 1 and not t.allocations
+        (attempt,) = obs.why.export()["jobs"]["1"]["attempts"]
+        assert [f["kind"] for f in attempt["fails"]] == ["booking"]
+
+        # Nothing is held on rack0, so a shared request still lands there,
+        # and the other rack takes the exclusive one it can cover.
+        shared = t.allocate(nodes_jobspec(1, duration=50), at=0)
+        assert rack0 in g.ancestors(shared.nodes()[0])
+        other = t.allocate(exclusive_rack(3), at=0)
+        assert other is not None
+        assert rack0 not in [s.vertex for s in other.selections]
+        t.remove_all()
+        assert booked_spans(g) == before

@@ -404,3 +404,112 @@ def test_property_update_span_end_matches_naive_model(spans, updates):
     for sid, *_ in live:
         p.rem_span(sid)
     assert p.point_count == 1
+
+
+# ----------------------------------------------------------------------
+# the ET tree exists once an earliest-time question has been asked
+# ----------------------------------------------------------------------
+_PROBES = ((1, 1, 0), (5, 10, 0), (9, 30, 40), (16, 7, 120), (3, 60, 199))
+
+ops_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 200), st.integers(1, 59),
+                  st.integers(0, 16)),
+        st.tuples(st.just("rem"), st.integers(0, 30)),
+        st.tuples(st.just("end"), st.integers(0, 30), st.integers(1, 260)),
+        st.tuples(st.just("resize"), st.integers(8, 24)),
+        st.tuples(st.just("rebuild")),
+    ),
+    max_size=30,
+)
+
+
+def _apply(planner, op, sid):
+    """Run ``op`` (on span ``sid``, for the ops that name one) on a Planner;
+    return the new span id, or the PlannerError raised, if any."""
+    kind, *args = op
+    try:
+        if kind == "add":
+            return planner.add_span(*args)
+        if kind == "rebuild":
+            planner.rebuild()
+        elif kind == "resize":
+            planner.resize(*args)
+        elif kind == "rem" and sid is not None:
+            planner.rem_span(sid)
+        elif kind == "end" and sid is not None:
+            planner.update_span_end(sid, args[1])
+    except PlannerError as exc:
+        return exc
+    return None
+
+
+def _apply_to_model(model, op, sid):
+    """The same op, already accepted by the Planner, on a ListPlanner (which
+    only adds and removes: the rest is written into its fields)."""
+    kind, *args = op
+    if kind == "add":
+        return model.add_span(*args)
+    if kind == "resize":
+        model.total = args[0]
+    elif kind == "rem" and sid is not None:
+        model.rem_span(sid)
+    elif kind == "end" and sid is not None:
+        start, _, request = model._spans[sid]
+        model._spans[sid] = (start, args[1], request)
+    return None
+
+
+def _force_et(planner):
+    """Ask the earliest-time question whose fast path cannot answer it."""
+    for span in planner.spans():
+        if span.request:
+            planner.avail_time_first(planner.total, 1, span.start)
+            assert planner._et is not None
+            return
+
+
+@given(ops_strategy, st.integers(0, 30))
+@settings(max_examples=150, deadline=None)
+def test_property_et_tree_built_on_demand_answers_as_one_kept_all_along(
+    ops, force_at
+):
+    """Random mutation sequences against three planners — ET tree built right
+    after the first span, built at a random later step, and the list-based
+    baseline — give equal answers after every step."""
+    from repro.baselines.listplanner import ListPlanner
+
+    early, late, model = Planner(16, 0, 260), Planner(16, 0, 260), ListPlanner(16, 0, 260)
+    live = []
+    for step, op in enumerate(ops):
+        sid = live[op[1] % len(live)] if op[0] in ("rem", "end") and live else None
+        outcome = _apply(early, op, sid)
+        assert repr(_apply(late, op, sid)) == repr(outcome), op
+        if not isinstance(outcome, PlannerError):
+            # A span the planner wrongly accepted makes the list model raise.
+            assert _apply_to_model(model, op, sid) == outcome
+            if op[0] == "add":
+                live.append(outcome)
+            elif op[0] == "rem" and sid is not None:
+                live.remove(sid)
+        _force_et(early)
+        if step == force_at:
+            _force_et(late)
+        if step < force_at:
+            # Bookings and window queries alone never build the index.
+            assert late._et is None
+        for request, duration, at in _PROBES:
+            expected = model.avail_during(at, duration, request)
+            lowest = min(
+                model.avail_resources_at(t) for t in range(at, at + duration)
+            )
+            for planner in (early, late):
+                assert planner.avail_during(at, duration, request) == expected
+                assert planner.avail_resources_during(at, duration) == lowest
+            first = model.avail_time_first(request, duration, at)
+            assert early.avail_time_first(request, duration, at) == first
+            if step >= force_at:
+                assert late.avail_time_first(request, duration, at) == first
+        early.check_invariants()
+        late.check_invariants()
+    assert {s.span_id for s in early.spans()} == {s.span_id for s in late.spans()}

@@ -348,6 +348,26 @@ class TestSnapshot:
         assert report_a.makespan == report_b.makespan
         InvariantAuditor(deep=True).check(restored)
 
+    def test_restored_root_filter_reserves_as_the_uninterrupted_run(self):
+        """Restore re-books spans only, so the root filter's ET tree is
+        rebuilt by the first earliest-time question — with the same answer."""
+        sim = saturated_sim()
+        for _ in range(6):
+            sim.step()
+        restored = restore_simulator(json.loads(json.dumps(snapshot_state(sim))))
+        for root in restored.graph.roots():
+            filters = root.prune_filters
+            assert all(filters.planner(t)._et is None for t in filters.types)
+        jobspec = simple_node_jobspec(cores=4, duration=300)
+        a = sim.traverser.allocate_orelse_reserve(jobspec, now=sim.now)
+        b = restored.traverser.allocate_orelse_reserve(jobspec, now=restored.now)
+        assert a.reserved and (a.at, a.alloc_id) == (b.at, b.alloc_id)
+        assert any(filters.planner(t)._et is not None for t in filters.types)
+        assert [s.vertex.name for s in a.selections] == [
+            s.vertex.name for s in b.selections
+        ]
+        assert state_diff(sim, restored) == []
+
     def test_checksum_detects_flip(self, tmp_path):
         sim = saturated_sim()
         path = str(tmp_path / "snap.json")

@@ -283,3 +283,25 @@ class TestEventLog:
         sim.step()
         sim.cancel(job)
         assert (0, "cancel", job.job_id) in sim.event_log
+
+
+@pytest.mark.parametrize("queue", ["easy", "conservative"])
+def test_only_root_filters_are_asked_earliest_time_questions(queue):
+    """Paper §3.4/§4.1: the traverser asks EarliestAt of the root's pruning
+    filter alone, so after a backlogged run no other planner has built an ET
+    tree.  A change that starts asking per-vertex planners shows up here."""
+    g = tiny_cluster(racks=2, nodes_per_rack=4, cores=4)
+    sim = ClusterSimulator(g, match_policy="first", queue=queue)
+    for i in range(24):
+        sim.submit(nodes_jobspec(1 + i % 5, duration=100 + 37 * (i % 4)), at=i * 10)
+    report = sim.run()
+    assert len(report.completed) == 24
+    root_filters = [r.prune_filters for r in g.roots()]
+    allowed = {id(f.planner(t)) for f in root_filters for t in f.types}
+    holders = set()
+    for v in g.vertices():
+        planners = [v.plans, v.xplans]
+        if v.prune_filters is not None:
+            planners += [v.prune_filters.planner(t) for t in v.prune_filters.types]
+        holders.update(id(p) for p in planners if p._et is not None)
+    assert holders and holders <= allowed
