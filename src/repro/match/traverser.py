@@ -41,7 +41,13 @@ from .writer import Allocation, Selection
 if False:  # pragma: no cover - annotation-only imports
     from ..resilience.overload import WorkBudget
 
-__all__ = ["Traverser", "Candidate", "exclusive_top_selections", "sdfu_charges"]
+__all__ = [
+    "Traverser",
+    "Candidate",
+    "allocation_bookings",
+    "exclusive_top_selections",
+    "sdfu_charges",
+]
 
 
 def _ancestor_paths(path: str) -> Iterator[str]:
@@ -73,12 +79,11 @@ def sdfu_charges(
     Pure function of the graph and the selections: returns
     ``{ancestor uniq_id: {type: quantity}}`` in the deterministic order the
     charges are discovered — the same order :meth:`Traverser._book` books
-    filter spans in.  Shared by SDFU at booking time and by the repair
-    engine, which re-derives what the filters *should* hold from the
-    allocation table alone.  Counts may include non-positive entries; the
-    booking side filters those out.  Linear in the selections: nesting is
-    found by looking each selection's own ancestor paths up in a set, never
-    by comparing selections pairwise.
+    filter spans in.  Called by SDFU at booking time and by
+    :func:`allocation_bookings`, nobody else.  Counts may include
+    non-positive entries; the booking side filters those out.  Linear in
+    the selections: nesting is found by looking each selection's own
+    ancestor paths up in a set, never by comparing selections pairwise.
     """
     prune_types = set(graph.prune_types)
     updates: Dict[int, Dict[str, int]] = {}
@@ -142,6 +147,33 @@ def sdfu_charges(
         for rtype, qty in extras.items():
             charge(vertex, rtype, qty)
     return updates
+
+
+def allocation_bookings(
+    graph: ResourceGraph, subsystem: str, selections: List[Selection]
+) -> List[Tuple[ResourceVertex, str, object]]:
+    """What one allocation books: ``(vertex, planner kind, booked)`` triples.
+
+    The single statement of the booking rules for everything that has to
+    know what the planners *should* hold (the expected-state table behind
+    the auditor, the scrubber, fsck and snapshot salvage).  It mirrors
+    :meth:`Traverser._book` / :meth:`Traverser._sdfu` entry for entry and
+    in the same order, so the list lines up with ``Allocation._span_records``
+    (``tests/test_expected_state.py`` pins the mirror): per selection a
+    ``plans`` span of its amount when that is non-zero and an ``xplans``
+    span of ``X_LIMIT`` when exclusive, else 1; then per charged filter a
+    ``filter`` bundle of its positive per-type counts.
+    """
+    bookings: List[Tuple[ResourceVertex, str, object]] = []
+    for sel in selections:
+        if sel.amount:
+            bookings.append((sel.vertex, "plans", sel.amount))
+        bookings.append((sel.vertex, "xplans", X_LIMIT if sel.exclusive else 1))
+    for uid, counts in sdfu_charges(graph, subsystem, selections).items():
+        counts = {t: n for t, n in counts.items() if n > 0}
+        if counts:
+            bookings.append((graph.vertex(uid), "filter", counts))
+    return bookings
 
 
 class _StatsView(Mapping):
@@ -519,6 +551,7 @@ class Traverser:
         for planner, span_id in alloc._span_records:
             planner.rem_span(span_id)
         alloc._span_records.clear()
+        alloc._bookings = None
         if self.on_remove is not None:
             self.on_remove(alloc)
         return alloc
@@ -1054,7 +1087,7 @@ class Traverser:
         selections additionally charge their full subtree totals (minus any
         explicitly selected descendants) so filters reflect that the subtree
         is closed to other jobs.  The charge computation itself lives in
-        :func:`sdfu_charges` so the repair engine can re-derive it.
+        :func:`sdfu_charges`, which :func:`allocation_bookings` shares.
         """
         updates = sdfu_charges(self.graph, self.subsystem, selections)
         booked = 0

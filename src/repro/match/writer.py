@@ -12,6 +12,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import RecoveryError
 from ..resource import ResourceGraph, ResourceVertex
+from ..resource.vertex import PLANNER_KINDS
 
 __all__ = ["Selection", "Allocation", "planner_owner_index"]
 
@@ -102,6 +103,12 @@ class Allocation:
         (planner-like object, span id) pairs to undo on removal;
         planner-like is a Planner (vertex plans/xplans) or PlannerMulti
         (pruning filter).
+    _bookings:
+        What those spans should hold, filled in by the first
+        :func:`~repro.recovery.integrity.expected_span_table` that asks
+        (None until then, and again once the spans are released).
+        Selections never change once booked, so the derivation is kept
+        instead of repeated every scheduling cycle.
 
     Slotted plain class (PRF003): one Allocation per successful match.
     Mirrors the former (non-frozen) dataclass: equality compares all
@@ -110,7 +117,7 @@ class Allocation:
 
     __slots__ = (
         "alloc_id", "at", "duration", "reserved", "selections",
-        "_span_records",
+        "_span_records", "_bookings",
     )
 
     def __init__(
@@ -128,6 +135,7 @@ class Allocation:
         self.reserved = reserved
         self.selections = selections
         self._span_records = [] if _span_records is None else _span_records
+        self._bookings: Optional[list] = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Allocation):
@@ -267,8 +275,10 @@ class Allocation:
         """Rebuild an allocation from :meth:`to_record` output.
 
         ``by_name`` maps vertex names to the (already restored) graph's
-        vertices; the referenced planner spans must already exist — the
-        recovery layer imports planner state before rewiring allocations.
+        vertices.  Span records are resolved to their planners but not
+        looked up in them: the recovery layer decides whether the planners
+        are restored from the snapshot (and must hold every span) or rebuilt
+        from these very records.
         """
 
         def vertex_of(name: str) -> ResourceVertex:
@@ -290,26 +300,11 @@ class Allocation:
         ]
         span_records: List[Tuple[object, int]] = []
         for entry in record["spans"]:
-            vertex = vertex_of(entry["vertex"])
             kind = entry["kind"]
-            span_id = int(entry["span_id"])
-            if kind == "plans":
-                planner: object = vertex.plans
-                present = vertex.plans.has_span(span_id)
-            elif kind == "xplans":
-                planner = vertex.xplans
-                present = vertex.xplans.has_span(span_id)
-            elif kind == "filter":
-                planner = vertex.prune_filters
-                present = planner is not None and planner.has_span(span_id)
-            else:
+            if kind not in PLANNER_KINDS:
                 raise RecoveryError(f"unknown planner kind {kind!r}")
-            if not present:
-                raise RecoveryError(
-                    f"allocation record references missing {kind} span "
-                    f"{span_id} on vertex {vertex.name!r}"
-                )
-            span_records.append((planner, span_id))
+            planner = vertex_of(entry["vertex"]).planner_of(kind)
+            span_records.append((planner, int(entry["span_id"])))
         return cls(
             alloc_id=int(record["alloc_id"]),
             at=int(record["at"]),

@@ -114,11 +114,11 @@ def _repair_all(
     by_vertex: Dict[str, List[Finding]] = {}
     for finding in findings:
         by_vertex.setdefault(finding.vertex, []).append(finding)
+    # Repairs rebuild planners, never the allocation table: one derivation.
     expected = expected_span_table(sim)
     for name, group in sorted(by_vertex.items()):
         vertex = sim.graph.vertex_by_name(name)
         monitor._engine.repair_vertex(vertex, group, expected)
-        expected = expected_span_table(sim)
     return monitor.scan()
 
 

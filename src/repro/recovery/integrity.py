@@ -18,10 +18,12 @@ subsystem (repairs live in :mod:`repro.recovery.repair`):
   hold.  Drift is quarantined (the vertex is drained so matching skips it),
   repaired through the journaled repair engine, and re-verified — all
   within the same cycle, before the end-of-cycle auditor runs.
-* :func:`expected_span_table` — the ground truth derivation: every live
-  allocation's plans/xplans/filter spans recomputed from its selections
-  via the same :func:`~repro.match.traverser.sdfu_charges` logic SDFU used
-  to book them.
+* :func:`expected_span_table` — the one statement of what every planner
+  should hold right now: each live allocation's spans as
+  :func:`~repro.match.traverser.allocation_bookings` derives them from its
+  selections, plus the spans of every planned outage.
+  :func:`scan_planners` diffs one vertex against it; the scrubber, fsck,
+  the invariant auditor and snapshot salvage all read this table.
 * :func:`apply_corruption` — a seeded, deterministic corruption injector
   used by the chaos harness and by :meth:`ClusterSimulator.inject_corruption`
   (which journals the injection as a replayable command, so crash-recovery
@@ -37,10 +39,12 @@ import hashlib
 import json
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import FluxionError, IntegrityError, SchedulingDeadlineExceeded
+from ..match.traverser import allocation_bookings
+from ..resource.vertex import PLANNER_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..resource import ResourceVertex
@@ -53,12 +57,18 @@ __all__ = [
     "apply_corruption",
     "corruption_targets",
     "expected_span_table",
+    "scan_planners",
     "structure_checksum",
     "vertex_structure",
 ]
 
-#: planner kinds a vertex can carry, in scan order
-_PLANNER_KINDS = ("plans", "xplans", "filter")
+#: ``(start, end, booked)`` of one span: ``booked`` is the request of a
+#: plans/xplans span, the ``{type: quantity}`` counts of a filter bundle
+Expectation = Tuple[int, int, object]
+#: ``{(vertex name, planner kind): {span id: expectation}}``
+SpanTable = Dict[Tuple[str, str], Dict[int, Expectation]]
+#: what a planner no booking mentions is expected to hold (never mutated)
+_NOTHING: Dict[int, Expectation] = {}
 
 #: live-corruption kinds understood by :func:`apply_corruption`
 CORRUPTION_KINDS = ("span", "point", "aggregate", "structure")
@@ -90,59 +100,6 @@ def structure_checksum(vertex: "ResourceVertex") -> str:
 
 
 # ----------------------------------------------------------------------
-# ground truth: what the planners should hold, per the allocation table
-# ----------------------------------------------------------------------
-def expected_span_table(
-    sim: "ClusterSimulator",
-) -> Dict[Tuple[str, str], Dict[int, dict]]:
-    """Re-derive every planner's expected bookings from live allocations.
-
-    Returns ``{(vertex name, planner kind): {span id: expectation}}``.
-    Plans/xplans expectations carry ``{"start", "end", "request"}``; filter
-    expectations carry ``{"start", "end", "counts"}`` with the per-type
-    charges recomputed through :func:`~repro.match.traverser.sdfu_charges`
-    — the exact function SDFU booked them with, so a clean instance always
-    matches its own table.
-    """
-    from ..match.traverser import sdfu_charges
-    from ..match.writer import planner_owner_index
-    from ..resource.vertex import X_LIMIT
-
-    owners = planner_owner_index(sim.graph)
-    by_name = {v.name: v for v in sim.graph.vertices()}
-    table: Dict[Tuple[str, str], Dict[int, dict]] = {}
-    subsystem = sim.traverser.subsystem
-    for alloc in sim.traverser.allocations.values():
-        sel_by_name = {sel.vertex.name: sel for sel in alloc.selections}
-        charges = sdfu_charges(sim.graph, subsystem, alloc.selections)
-        for planner, span_id in alloc._span_records:
-            owner = owners.get(id(planner))
-            if owner is None:
-                continue
-            name, kind = owner
-            sel = sel_by_name.get(name)
-            if kind == "plans":
-                want = {
-                    "start": alloc.at,
-                    "end": alloc.end,
-                    "request": sel.amount if sel is not None else 0,
-                }
-            elif kind == "xplans":
-                level = X_LIMIT if (sel is not None and sel.exclusive) else 1
-                want = {"start": alloc.at, "end": alloc.end, "request": level}
-            else:  # filter bundle
-                vertex = by_name[name]
-                counts = {
-                    rtype: qty
-                    for rtype, qty in charges.get(vertex.uniq_id, {}).items()
-                    if qty > 0
-                }
-                want = {"start": alloc.at, "end": alloc.end, "counts": counts}
-            table.setdefault((name, kind), {})[span_id] = want
-    return table
-
-
-# ----------------------------------------------------------------------
 # findings
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -162,6 +119,142 @@ class Finding:
             "planner": self.planner,
             "detail": self.detail,
         }
+
+
+# ----------------------------------------------------------------------
+# ground truth: what the planners should hold, per the allocation table
+# ----------------------------------------------------------------------
+def expected_span_table(sim: "ClusterSimulator") -> SpanTable:
+    """What every planner of ``sim.graph`` should hold right now.
+
+    Live allocations contribute what
+    :func:`~repro.match.traverser.allocation_bookings` says their selections
+    book; planned outages what :meth:`CapacitySchedule.bookings
+    <repro.sched.capacity.CapacitySchedule.bookings>` says their subtree
+    books.  Both lists come in booking order, so they pair off with the
+    ``_span_records`` that carry the span ids.
+    """
+    graph = sim.graph
+    subsystem = sim.traverser.subsystem
+    table: SpanTable = {}
+
+    def expect(bookings, span_records, start: int, end: int) -> None:
+        for (vertex, kind, booked), (_, span_id) in zip(bookings, span_records):
+            table.setdefault((vertex.name, kind), {})[span_id] = (
+                start, end, booked
+            )
+
+    for alloc in sim.traverser.allocations.values():
+        if alloc._bookings is None:
+            alloc._bookings = allocation_bookings(
+                graph, subsystem, alloc.selections
+            )
+        expect(alloc._bookings, alloc._span_records, alloc.at, alloc.end)
+    for schedule in graph.capacity_schedules:
+        for outage in schedule.outages.values():
+            expect(
+                schedule.bookings(outage.vertex),
+                outage._span_records, outage.start, outage.end,
+            )
+    return table
+
+
+def _held(planner: object, kind: str) -> Dict[int, Expectation]:
+    """``{span id: (start, end, booked)}`` as ``planner`` reports it.
+
+    A filter bundle is read back through its per-type spans; one whose
+    per-type spans are unreadable or disagree on the window reads as
+    ``(None, None, ...)`` and so can equal no expectation.
+    """
+    if kind != "filter":
+        return {s.span_id: (s.start, s.end, s.request) for s in planner.spans()}
+    held: Dict[int, Expectation] = {}
+    for sid in planner.span_ids():
+        counts: Dict[str, int] = {}
+        windows = set()
+        try:
+            for rtype, per_sid in planner.get_span(sid).items():
+                span = planner.planner(rtype).get_span(per_sid)
+                counts[rtype] = span.request
+                windows.add((span.start, span.end))
+        except FluxionError:
+            windows.clear()
+        start, end = windows.pop() if len(windows) == 1 else (None, None)
+        held[sid] = (start, end, counts)
+    return held
+
+
+def _show(span: Expectation) -> str:
+    start, end, booked = span
+    return f"{booked}x[{start},{end})"
+
+
+def _diff(
+    name: str,
+    kind: str,
+    have: Dict[int, Expectation],
+    want: Dict[int, Expectation],
+) -> List[Finding]:
+    """Findings for one planner that holds ``have`` where ``want`` is due."""
+    findings: List[Finding] = []
+    for sid in sorted(want):
+        got = have.get(sid)
+        if got is None:
+            findings.append(
+                Finding(
+                    name, "span-missing", kind,
+                    f"span {sid} absent (want {_show(want[sid])})",
+                )
+            )
+        elif got != want[sid]:
+            findings.append(
+                Finding(
+                    name, "span-drift", kind,
+                    f"span {sid}: have {_show(got)}, want {_show(want[sid])}",
+                )
+            )
+    orphans = sorted(set(have) - set(want))
+    if orphans:
+        findings.append(
+            Finding(name, "span-orphan", kind, f"unreferenced spans {orphans}")
+        )
+    return findings
+
+
+def scan_planners(
+    vertex: "ResourceVertex",
+    expected: SpanTable,
+    deep: bool = True,
+    budget: Optional[object] = None,
+) -> List[Finding]:
+    """Diff the planners of ``vertex`` against ``expected``.
+
+    Yields ``span-missing`` / ``span-drift`` per expected span, one
+    ``span-orphan`` per planner holding spans nothing accounts for and —
+    with ``deep`` — one ``tree-drift`` per planner whose internal
+    ``check_invariants()`` trips (O(points x spans), so the per-cycle auditor
+    leaves it off).  ``budget`` is charged one unit per span read.
+    """
+    findings: List[Finding] = []
+    name = vertex.name
+    for kind in PLANNER_KINDS:
+        planner = vertex.planner_of(kind)
+        if planner is None:
+            continue
+        want = expected.get((name, kind), _NOTHING)
+        # Most planners of a large graph are idle with nothing expected.
+        if want or planner.span_count:
+            have = _held(planner, kind)
+            if budget is not None:
+                budget.charge(len(have))
+            if have != want:
+                findings.extend(_diff(name, kind, have, want))
+        if deep:
+            try:
+                planner.check_invariants()
+            except (AssertionError, FluxionError) as exc:
+                findings.append(Finding(name, "tree-drift", kind, repr(exc)))
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -186,9 +279,6 @@ class IntegrityConfig:
         Repair-and-release quarantined vertices within the same pass.  When
         False the scrubber only detects and drains — operator tooling
         (``python -m repro.recovery fsck --repair``) finishes the job.
-    check_orphans:
-        Flag planner spans no live allocation accounts for.  Disable when
-        external bookers (e.g. capacity schedules) legitimately hold spans.
     """
 
     scrub_window: Optional[int] = 8
@@ -196,7 +286,6 @@ class IntegrityConfig:
     scrub_budget: Optional[int] = None
     checkpoint_interval: int = 32
     auto_repair: bool = True
-    check_orphans: bool = True
 
     def __post_init__(self) -> None:
         if self.scrub_window is not None and self.scrub_window < 1:
@@ -225,13 +314,23 @@ class IntegrityConfig:
             "scrub_budget": self.scrub_budget,
             "checkpoint_interval": self.checkpoint_interval,
             "auto_repair": self.auto_repair,
-            "check_orphans": self.check_orphans,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "IntegrityConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
+        """Rebuild from :meth:`to_dict` output.
+
+        ``check_orphans`` (retired: outages are expected state now) is
+        accepted and ignored so older snapshots restore; any other unknown
+        key raises :class:`IntegrityError`.
+        """
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - known - {"check_orphans"})
+        if unknown:
+            raise IntegrityError(
+                f"unknown IntegrityConfig field(s): {', '.join(unknown)}"
+            )
+        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 # ----------------------------------------------------------------------
@@ -307,123 +406,21 @@ class IntegrityMonitor:
     def scan_vertex(
         self,
         vertex: "ResourceVertex",
-        expected: Dict[Tuple[str, str], Dict[int, dict]],
+        expected: SpanTable,
         budget: Optional[object] = None,
     ) -> List[Finding]:
         """Cross-check one vertex; returns findings (empty = clean)."""
         findings: List[Finding] = []
-        name = vertex.name
         if budget is not None:
             budget.charge()
-        base = self._baseline.get(name)
+        base = self._baseline.get(vertex.name)
         if base is not None and structure_checksum(vertex) != base["checksum"]:
             findings.append(
-                Finding(name, "structure", None, "content checksum mismatch")
-            )
-        for pkind in ("plans", "xplans"):
-            planner = getattr(vertex, pkind)
-            want = expected.get((name, pkind), {})
-            have = {}
-            for span in planner.spans():
-                if budget is not None:
-                    budget.charge()
-                have[span.span_id] = span
-            for sid in sorted(want):
-                exp = want[sid]
-                span = have.pop(sid, None)
-                if span is None:
-                    findings.append(
-                        Finding(
-                            name, "span-missing", pkind,
-                            f"span {sid} absent (want "
-                            f"{exp['request']}x[{exp['start']},{exp['end']}))",
-                        )
-                    )
-                elif (span.start, span.end, span.request) != (
-                    exp["start"], exp["end"], exp["request"]
-                ):
-                    findings.append(
-                        Finding(
-                            name, "span-drift", pkind,
-                            f"span {sid}: have {span.request}x"
-                            f"[{span.start},{span.end}), want "
-                            f"{exp['request']}x[{exp['start']},{exp['end']})",
-                        )
-                    )
-            if have and self.config.check_orphans:
-                findings.append(
-                    Finding(
-                        name, "span-orphan", pkind,
-                        f"unreferenced spans {sorted(have)}",
-                    )
-                )
-            try:
-                planner.check_invariants()
-            except (AssertionError, FluxionError) as exc:
-                findings.append(Finding(name, "tree-drift", pkind, repr(exc)))
-        filters = vertex.prune_filters
-        if filters is not None:
-            findings.extend(
-                self._scan_filter(vertex, filters, expected, budget)
-            )
-        return findings
-
-    def _scan_filter(
-        self,
-        vertex: "ResourceVertex",
-        filters: object,
-        expected: Dict[Tuple[str, str], Dict[int, dict]],
-        budget: Optional[object],
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        name = vertex.name
-        want = expected.get((name, "filter"), {})
-        have_ids = set(filters.span_ids())
-        for sid in sorted(want):
-            exp = want[sid]
-            if budget is not None:
-                budget.charge()
-            if sid not in have_ids:
-                findings.append(
-                    Finding(
-                        name, "span-missing", "filter",
-                        f"bundle {sid} absent (want {exp['counts']})",
-                    )
-                )
-                continue
-            have_ids.discard(sid)
-            actual: Dict[str, int] = {}
-            drift: List[str] = []
-            try:
-                for rtype, per_sid in sorted(filters.get_span(sid).items()):
-                    span = filters.planner(rtype).get_span(per_sid)
-                    actual[rtype] = span.request
-                    if (span.start, span.end) != (exp["start"], exp["end"]):
-                        drift.append(
-                            f"{rtype} window [{span.start},{span.end})"
-                        )
-            except FluxionError as exc:
-                drift.append(repr(exc))
-            if drift or actual != exp["counts"]:
-                findings.append(
-                    Finding(
-                        name, "span-drift", "filter",
-                        f"bundle {sid}: have {actual} {';'.join(drift)}, "
-                        f"want {exp['counts']}x"
-                        f"[{exp['start']},{exp['end']})",
-                    )
-                )
-        if have_ids and self.config.check_orphans:
-            findings.append(
                 Finding(
-                    name, "span-orphan", "filter",
-                    f"unreferenced bundles {sorted(have_ids)}",
+                    vertex.name, "structure", None, "content checksum mismatch"
                 )
             )
-        try:
-            filters.check_invariants()
-        except (AssertionError, FluxionError) as exc:
-            findings.append(Finding(name, "tree-drift", "filter", repr(exc)))
+        findings.extend(scan_planners(vertex, expected, budget=budget))
         return findings
 
     def scan(self) -> List[Finding]:
@@ -485,14 +482,20 @@ class IntegrityMonitor:
         self.counters["scrubbed_vertices"] += scanned
         self._obs_count("integrity.scrubbed", scanned)
         for vertex, findings in dirty:
-            self._handle_dirty(vertex, findings, expected)
+            expected = self._handle_dirty(vertex, findings, expected)
 
     def _handle_dirty(
         self,
         vertex: "ResourceVertex",
         findings: List[Finding],
-        expected: Dict[Tuple[str, str], Dict[int, dict]],
-    ) -> None:
+        expected: SpanTable,
+    ) -> SpanTable:
+        """Quarantine ``vertex`` and (``auto_repair``) repair it.
+
+        Returns the expected-state table still valid afterwards: the one
+        passed in, or a fresh derivation when the vertex had to be
+        evacuated — the only step that changes the allocation table.
+        """
         sim = self.sim
         name = vertex.name
         kinds = sorted({f.kind for f in findings})
@@ -516,27 +519,27 @@ class IntegrityMonitor:
                 vt=float(sim.now), vertex=name, kinds=",".join(kinds),
             )
         if not self.config.auto_repair:
-            return
+            return expected
         actions = self._engine.repair_vertex(vertex, findings, expected)
         self.counters["repair_actions"] += len(actions)
-        residual = self.scan_vertex(vertex, expected_span_table(sim))
+        residual = self.scan_vertex(vertex, expected)
         if not residual:
             self._release(vertex, was_up, actions)
-            return
+            return expected
         # Last resort: shed everything the vertex carries, then retry once.
         requeued = self._engine.evacuate_vertex(vertex)
         self.counters["jobs_requeued"] += requeued
         self._obs_count("integrity.jobs_requeued", requeued)
-        actions = self._engine.repair_vertex(
-            vertex, residual, expected_span_table(sim)
-        )
+        expected = expected_span_table(sim)
+        actions = self._engine.repair_vertex(vertex, residual, expected)
         self.counters["repair_actions"] += len(actions)
-        if not self.scan_vertex(vertex, expected_span_table(sim)):
+        if not self.scan_vertex(vertex, expected):
             self._release(vertex, was_up, actions)
         else:
             self.counters["unrepaired"] += 1
             self._obs_count("integrity.unrepaired")
             self._journal("integrity_unrepaired", vertex=name)
+        return expected
 
     def _release(
         self, vertex: "ResourceVertex", was_up: bool, actions: List[str]
@@ -608,7 +611,7 @@ def corruption_targets(sim: "ClusterSimulator", kind: str) -> List[str]:
         elif kind == "aggregate":
             filters = vertex.prune_filters
             if filters is not None and any(
-                filters.planner(t)._sp is not None for t in filters.types
+                filters.planner(t).point_count > 1 for t in filters.types
             ):
                 names.append(vertex.name)
         else:

@@ -11,12 +11,12 @@ trail an operator can correlate with ``integrity.*`` metrics.
 
 Repair strategies (tentpole spec):
 
-* **rebuild planner spans from the allocation table** — the live
-  allocations are the source of truth; plans/xplans/filter registries and
-  their scheduled-point trees are reconstructed to exactly what SDFU would
-  have booked (via :func:`~repro.match.traverser.sdfu_charges`).
-* **reconcile aggregate DFU filters** — filter bundles are re-derived from
-  the selections that should be charging them, fixing drifted aggregates.
+* **rebuild planner spans from the expected-state table** — plans/xplans/
+  filter registries and their scheduled-point trees are reconstructed to
+  exactly what :func:`~repro.recovery.integrity.expected_span_table` says
+  the live allocations and planned outages booked.
+* **reconcile aggregate DFU filters** — the same rebuild on a filter,
+  fixing drifted aggregates.
 * **release orphaned spans** — spans no allocation accounts for are
   dropped as part of the registry rebuild.
 * **requeue jobs whose reservations were lost** — when a vertex cannot be
@@ -27,20 +27,18 @@ Repair strategies (tentpole spec):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Container, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..errors import FluxionError
+from ..resource.vertex import PLANNER_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..match.writer import Allocation
     from ..resource import ResourceVertex
     from ..sched.simulator import ClusterSimulator
-    from .integrity import Finding, IntegrityMonitor
+    from .integrity import Expectation, Finding, IntegrityMonitor, SpanTable
 
 __all__ = ["RepairEngine"]
-
-#: planner kinds in repair order (filters last: they aggregate the others)
-_REPAIR_ORDER = ("plans", "xplans", "filter")
 
 
 class RepairEngine:
@@ -95,7 +93,7 @@ class RepairEngine:
         self,
         vertex: "ResourceVertex",
         pkind: str,
-        want: Dict[int, dict],
+        want: Dict[int, "Expectation"],
     ) -> int:
         """Rebuild one planner to exactly the expected span set.
 
@@ -109,38 +107,23 @@ class RepairEngine:
             "rebuild-planner", vertex=vertex.name, planner=pkind,
             spans=len(want),
         )
-        if pkind == "filter":
-            filters = vertex.prune_filters
-            if filters is None:
-                return 0
-            bundles = [
-                {
-                    "id": sid,
-                    "start": exp["start"],
-                    "end": exp["end"],
-                    "counts": dict(exp["counts"]),
-                }
-                for sid, exp in sorted(want.items())
-            ]
-            return filters.rebuild(bundles=bundles)
-        planner = getattr(vertex, pkind)
+        planner = vertex.planner_of(pkind)
+        if planner is None:
+            return 0
+        booked_key = "counts" if pkind == "filter" else "request"
         records = [
-            {
-                "id": sid,
-                "start": exp["start"],
-                "end": exp["end"],
-                "request": exp["request"],
-                "metadata": {},
-            }
-            for sid, exp in sorted(want.items())
+            {"id": sid, "start": start, "end": end, booked_key: booked}
+            for sid, (start, end, booked) in sorted(want.items())
         ]
+        if pkind == "filter":
+            return planner.rebuild(bundles=records)
         return planner.rebuild(spans=records)
 
     def repair_vertex(
         self,
         vertex: "ResourceVertex",
         findings: Iterable["Finding"],
-        expected: Dict[tuple, Dict[int, dict]],
+        expected: "SpanTable",
     ) -> List[str]:
         """Apply the repair actions implied by ``findings``; returns labels.
 
@@ -153,7 +136,7 @@ class RepairEngine:
         planners = {f.planner for f in findings if f.planner is not None}
         if "structure" in kinds and self.restore_structure(vertex):
             actions.append("restore-structure")
-        for pkind in _REPAIR_ORDER:
+        for pkind in PLANNER_KINDS:
             if pkind not in planners:
                 continue
             want = expected.get((vertex.name, pkind), {})
@@ -185,6 +168,7 @@ class RepairEngine:
             except (AssertionError, FluxionError):
                 self.skipped_spans += 1
         alloc._span_records.clear()
+        alloc._bookings = None
         self.sim.traverser.allocations.pop(alloc.alloc_id, None)
         self.sim._started_allocs.discard(alloc.alloc_id)
         return released
@@ -212,85 +196,3 @@ class RepairEngine:
                 self.release_allocation(alloc)
             self.sim._kill(job, CancelReason.NODE_FAILURE, retry=True)
         return len(victims)
-
-    # ------------------------------------------------------------------
-    # snapshot salvage support
-    # ------------------------------------------------------------------
-    def rebuild_from_allocation_records(
-        self,
-        records: Iterable[dict],
-        live_ids: Container[int],
-    ) -> int:
-        """Re-book planner spans for live allocation records.
-
-        Snapshot-salvage path: when a snapshot's ``planners`` section is
-        corrupt it is dropped entirely and the spans each *live* allocation
-        record references are reconstructed here — windows from the record,
-        requests from its selections, filter charges re-derived through
-        :func:`~repro.match.traverser.sdfu_charges` — before
-        ``Allocation.from_record`` resolves them.  Span ids are preserved;
-        planner auto-id counters restart from the rebuilt registry (a
-        bounded, accounted loss).  Returns the number of spans booked.
-        """
-        from ..match.traverser import sdfu_charges
-        from ..match.writer import Selection
-        from ..resource.vertex import X_LIMIT
-
-        sim = self.sim
-        by_name = {v.name: v for v in sim.graph.vertices()}
-        subsystem = sim.traverser.subsystem
-        self._journal_action("rebuild-from-allocations")
-        booked = 0
-        for record in records:
-            if int(record["alloc_id"]) not in live_ids:
-                continue  # released allocations hold no spans
-            selections = [
-                Selection(
-                    vertex=by_name[s["vertex"]],
-                    amount=int(s["amount"]),
-                    exclusive=bool(s["exclusive"]),
-                    passthrough=bool(s["passthrough"]),
-                )
-                for s in record["selections"]
-            ]
-            sel_by_name = {s.vertex.name: s for s in selections}
-            charges = sdfu_charges(sim.graph, subsystem, selections)
-            at = int(record["at"])
-            duration = int(record["duration"])
-            for entry in record["spans"]:
-                vertex = by_name[entry["vertex"]]
-                kind = entry["kind"]
-                sid = int(entry["span_id"])
-                sel = sel_by_name.get(vertex.name)
-                if kind == "plans":
-                    if not vertex.plans.has_span(sid):
-                        vertex.plans.add_span(
-                            at, duration,
-                            sel.amount if sel is not None else 0,
-                            span_id=sid,
-                        )
-                        booked += 1
-                elif kind == "xplans":
-                    if not vertex.xplans.has_span(sid):
-                        level = (
-                            X_LIMIT
-                            if (sel is not None and sel.exclusive)
-                            else 1
-                        )
-                        vertex.xplans.add_span(
-                            at, duration, level, span_id=sid
-                        )
-                        booked += 1
-                else:
-                    filters = vertex.prune_filters
-                    if filters is not None and not filters.has_span(sid):
-                        counts = {
-                            rtype: qty
-                            for rtype, qty in charges.get(
-                                vertex.uniq_id, {}
-                            ).items()
-                            if qty > 0
-                        }
-                        filters.add_span(at, duration, counts, span_id=sid)
-                        booked += 1
-        return booked

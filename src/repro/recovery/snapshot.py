@@ -23,9 +23,10 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..errors import SnapshotError
+from ..errors import RecoveryError, SnapshotError
 from ..match.writer import Allocation, planner_owner_index
 from ..resource.jgf import from_jgf, to_jgf
+from ..resource.vertex import PLANNER_KINDS
 from ..sched.job import Job
 from ..sched.simulator import _FAIL, _REPAIR, ClusterSimulator
 
@@ -187,11 +188,12 @@ def restore_simulator(
 
     ``salvaged`` names sections :func:`load_snapshot_salvage` dropped; each
     must be in :data:`REBUILDABLE_SECTIONS`.  A dropped ``planners`` section
-    is reconstructed from the live allocation records (span ids preserved)
-    via :meth:`~repro.recovery.repair.RepairEngine.
-    rebuild_from_allocation_records`; the other rebuildable sections restart
-    from fresh defaults.  Every rebuilt section is counted in
-    ``recovery_stats["snapshot_sections_rebuilt"]``.
+    is reconstructed from the restored live allocations: every planner is
+    rebuilt to what :func:`~repro.recovery.integrity.expected_span_table`
+    says it holds (span ids preserved; planner auto-id counters restart
+    from the rebuilt registry — a bounded, accounted loss).  The other
+    rebuildable sections restart from fresh defaults.  Every rebuilt section
+    is counted in ``recovery_stats["snapshot_sections_rebuilt"]``.
     """
     salvaged = set(salvaged)
     bad = salvaged - REBUILDABLE_SECTIONS
@@ -238,13 +240,19 @@ def restore_simulator(
     by_name = {v.name: v for v in graph.vertices()}
 
     live = set(doc["live_alloc_ids"])
-    # planner spans (before allocations, which reference them by id)
+    allocations: Dict[int, Allocation] = {}
+    for record in doc["allocations"]:
+        alloc = Allocation.from_record(record, by_name)
+        if alloc.alloc_id in live:
+            sim.traverser.install_allocation(alloc)
+        allocations[alloc.alloc_id] = alloc
     if "planners" in salvaged:
+        from .integrity import expected_span_table
         from .repair import RepairEngine
 
-        RepairEngine(sim).rebuild_from_allocation_records(
-            doc["allocations"], live
-        )
+        engine = RepairEngine(sim)
+        for (name, kind), want in expected_span_table(sim).items():
+            engine.rebuild_planner(by_name[name], kind, want)
     else:
         for name, entry in doc["planners"].items():
             try:
@@ -253,24 +261,21 @@ def restore_simulator(
                 raise SnapshotError(
                     f"snapshot references unknown vertex {name!r}"
                 ) from None
-            if "plans" in entry:
-                vertex.plans.import_state(entry["plans"])
-            if "xplans" in entry:
-                vertex.xplans.import_state(entry["xplans"])
-            if "filter" in entry:
-                if vertex.prune_filters is None:
-                    raise SnapshotError(
-                        f"snapshot has filter spans for {name!r} but the "
-                        "restored graph installed no filter there"
+            if "filter" in entry and vertex.prune_filters is None:
+                raise SnapshotError(
+                    f"snapshot has filter spans for {name!r} but the "
+                    "restored graph installed no filter there"
+                )
+            for kind in PLANNER_KINDS:
+                if kind in entry:
+                    vertex.planner_of(kind).import_state(entry[kind])
+        for alloc in sim.traverser.allocations.values():
+            for planner, span_id in alloc._span_records:
+                if planner is None or not planner.has_span(span_id):
+                    raise RecoveryError(
+                        f"allocation {alloc.alloc_id} references span "
+                        f"{span_id}, missing from the restored planners"
                     )
-                vertex.prune_filters.import_state(entry["filter"])
-
-    allocations: Dict[int, Allocation] = {}
-    for record in doc["allocations"]:
-        alloc = Allocation.from_record(record, by_name)
-        if alloc.alloc_id in live:
-            sim.traverser.install_allocation(alloc)
-        allocations[alloc.alloc_id] = alloc
     sim.traverser._next_alloc_id = max(
         sim.traverser._next_alloc_id, int(doc["next_alloc_id"])
     )

@@ -15,9 +15,11 @@ Checked invariants
 * **alloc-ownership** — every live traverser allocation is held by exactly
   one active job, and inactive jobs hold no live allocations;
 * **span-accounting** — every planner (vertex ``plans``/``xplans`` and
-  pruning filters) carries exactly the spans the live allocations (plus any
-  registered :class:`~repro.sched.capacity.CapacitySchedule` outages)
-  booked, with matching windows;
+  pruning filters) carries exactly the spans the live allocations and the
+  graph's :class:`~repro.sched.capacity.CapacitySchedule` outages booked,
+  with matching windows and amounts (the diff of
+  :func:`~repro.recovery.integrity.expected_span_table` against the
+  planners — the table the integrity scrubber repairs from);
 * **exclusivity** — no two active jobs overlap in time on a vertex either
   holds exclusively, including descendants of exclusively-held subtrees;
 * **job-state** — PENDING jobs hold nothing, RUNNING/RESERVED jobs hold a
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import FluxionError
-from ..planner import Planner
+from ..recovery.integrity import expected_span_table, scan_planners
 from ..sched.job import JobState
 
 __all__ = ["InvariantAuditor", "InvariantViolation", "Violation"]
@@ -72,10 +74,6 @@ class InvariantAuditor:
 
     Parameters
     ----------
-    capacity_schedules:
-        :class:`~repro.sched.capacity.CapacitySchedule` instances whose
-        outage spans legitimately live on the audited graph's planners
-        outside any traverser allocation.
     deep:
         Additionally run every planner's internal
         ``check_invariants()`` (tree-structure self-checks) each audit —
@@ -83,8 +81,7 @@ class InvariantAuditor:
         per planner and the recovery tests are its main consumer.
     """
 
-    def __init__(self, capacity_schedules: Sequence = (), deep: bool = False) -> None:
-        self.capacity_schedules = list(capacity_schedules)
+    def __init__(self, deep: bool = False) -> None:
         self.deep = deep
         #: audits performed (each one covers every invariant family)
         self.checks_run = 0
@@ -105,40 +102,29 @@ class InvariantAuditor:
         live = sim.traverser.allocations
         active = [j for j in sim.jobs.values() if j.is_active]
         self._check_ownership(sim, live, active, out)
-        self._check_spans(sim, live, out)
+        self._check_planners(sim, out)
         self._check_exclusivity(sim, active, out)
         self._check_job_states(sim, out)
         self._check_down_vertices(sim, active, out)
-        if self.deep:
-            self._check_planner_invariants(sim, out)
         return out
 
-    def _check_planner_invariants(self, sim, out: List[Violation]) -> None:
-        """Run every planner's internal self-checks (``deep`` mode).
-
-        Restored planners must be indistinguishable from organically built
-        ones down to their tree structure; any assertion a planner trips is
-        surfaced as a **planner-invariants** violation.
-        """
+    def _check_planners(self, sim, out: List[Violation]) -> None:
+        """**span-accounting** (and, ``deep``, **planner-invariants**): the
+        integrity scan's findings, reported instead of repaired."""
+        expected = expected_span_table(sim)
         for vertex in sim.graph.vertices():
-            named = [
-                (vertex.plans.resource_type or "plans", vertex.plans),
-                (vertex.xplans.resource_type or "xplans", vertex.xplans),
-            ]
-            if vertex.prune_filters is not None:
-                named.append(("filter", vertex.prune_filters))
-            for label, planner in named:
-                try:
-                    planner.check_invariants()
-                except (AssertionError, FluxionError) as exc:
-                    out.append(
-                        Violation(
-                            "planner-invariants",
-                            f"{vertex.name}.{label}",
-                            "internal planner invariants hold",
-                            f"{exc!r}",
-                        )
+            for finding in scan_planners(vertex, expected, deep=self.deep):
+                tree = finding.kind == "tree-drift"
+                out.append(
+                    Violation(
+                        "planner-invariants" if tree else "span-accounting",
+                        f"{finding.vertex}.{finding.planner}",
+                        "internal planner invariants hold"
+                        if tree
+                        else "the spans live allocations and outages booked",
+                        finding.detail,
                     )
+                )
 
     def _check_ownership(self, sim, live, active, out: List[Violation]) -> None:
         owner: Dict[int, int] = {}
@@ -184,61 +170,6 @@ class InvariantAuditor:
                         "orphaned in the traverser",
                     )
                 )
-
-    def _check_spans(self, sim, live, out: List[Violation]) -> None:
-        expected: Dict[int, int] = {}  # id(planner-like) -> span count
-
-        def book(records, label: str) -> None:
-            for planner, span_id in records:
-                expected[id(planner)] = expected.get(id(planner), 0) + 1
-                if not planner.has_span(span_id):
-                    out.append(
-                        Violation(
-                            "span-accounting",
-                            label,
-                            f"span {span_id} active on "
-                            f"{getattr(planner, 'resource_type', 'filter')}",
-                            "span missing from its planner",
-                        )
-                    )
-
-        for alloc in live.values():
-            book(alloc._span_records, f"allocation {alloc.alloc_id}")
-            for planner, span_id in alloc._span_records:
-                if not isinstance(planner, Planner) or not planner.has_span(
-                    span_id
-                ):
-                    continue  # PlannerMulti bundles / already reported
-                record = planner.get_span(span_id)
-                if (record.start, record.end) != (alloc.at, alloc.end):
-                    out.append(
-                        Violation(
-                            "span-accounting",
-                            f"allocation {alloc.alloc_id}",
-                            f"span window [{alloc.at},{alloc.end})",
-                            f"[{record.start},{record.end})",
-                        )
-                    )
-        for schedule in self.capacity_schedules:
-            for outage in schedule.outages.values():
-                book(outage._span_records, f"outage {outage.outage_id}")
-        for vertex in sim.graph.vertices():
-            planners = [vertex.plans, vertex.xplans]
-            if vertex.prune_filters is not None:
-                planners.append(vertex.prune_filters)
-            for planner in planners:
-                want = expected.get(id(planner), 0)
-                have = planner.span_count
-                if want != have:
-                    out.append(
-                        Violation(
-                            "span-accounting",
-                            f"{vertex.name}."
-                            f"{getattr(planner, 'resource_type', 'filter') or 'filter'}",
-                            f"{want} spans from live allocations",
-                            f"{have} spans booked",
-                        )
-                    )
 
     def _check_exclusivity(self, sim, active, out: List[Violation]) -> None:
         # entries: one per live selection of an active job

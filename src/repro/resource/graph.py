@@ -54,6 +54,7 @@ class ResourceGraph:
         "_roots_cache",
         "_children_cache",
         "prune_types",
+        "capacity_schedules",
     )
 
     def __init__(
@@ -78,6 +79,9 @@ class ResourceGraph:
         self._children_cache: Dict[Tuple[str, int], Tuple[ResourceVertex, ...]] = {}
         #: types that pruning filters track (set by install_pruning_filters)
         self.prune_types: Tuple[str, ...] = ()
+        #: every CapacitySchedule booking outages on this graph (each adds
+        #: itself): their spans are expected planner state, not corruption
+        self.capacity_schedules: List[object] = []
 
     # ------------------------------------------------------------------
     # construction

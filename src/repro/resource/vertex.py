@@ -15,13 +15,17 @@ from typing import Any, Dict, Optional
 
 from ..planner import Planner, PlannerMulti
 
-__all__ = ["ResourceVertex", "X_LIMIT"]
+__all__ = ["ResourceVertex", "PLANNER_KINDS", "X_LIMIT"]
 
 #: Capacity of the exclusivity-tracking planner: a shared allocation books 1
 #: "job slot", an exclusive one books all of them, so exclusive-vs-anything
 #: conflicts and shared-with-shared coexistence both fall out of ordinary
 #: span arithmetic (the paper's exclusivity pruning, §3.4).
 X_LIMIT = 2**30
+
+#: The planners a vertex carries, as span records name them (filters last:
+#: they aggregate the other two).
+PLANNER_KINDS = ("plans", "xplans", "filter")
 
 
 class ResourceVertex:
@@ -118,6 +122,11 @@ class ResourceVertex:
     def path(self, subsystem: str = "containment") -> str:
         """Canonical path of this vertex within ``subsystem`` ('' if none)."""
         return self.paths.get(subsystem, "")
+
+    def planner_of(self, kind: str) -> "Planner | PlannerMulti | None":
+        """The planner a span record's ``kind`` names: ``plans``, ``xplans``
+        or ``filter`` (None when no pruning filter is installed here)."""
+        return self.prune_filters if kind == "filter" else getattr(self, kind)
 
     def avail_during(self, at: int, duration: int, request: int = 1) -> bool:
         """Convenience: is ``request`` of this pool free over the window?"""

@@ -50,6 +50,41 @@ class CapacitySchedule:
         self.graph = graph
         self.outages: Dict[int, Outage] = {}
         self._next_id = 1
+        # The auditor and the integrity scrubber read the graph's schedules
+        # to know outage spans belong on the planners.
+        graph.capacity_schedules.append(self)
+
+    def bookings(
+        self, vertex: ResourceVertex
+    ) -> List[Tuple[ResourceVertex, str, object]]:
+        """What an outage of ``vertex`` books, in booking order.
+
+        ``(vertex, planner kind, booked)`` triples like
+        :func:`~repro.match.traverser.allocation_bookings`: the full pool
+        and the exclusivity level on every vertex of the subtree, then the
+        subtree's totals of each tracked type into the filters on the vertex
+        and above.  :meth:`add_outage` books exactly this list, so it lines
+        up with ``Outage._span_records``.
+        """
+        subtree = [vertex] + list(self.graph.descendants(vertex))
+        out: List[Tuple[ResourceVertex, str, object]] = []
+        for v in subtree:
+            if v.size:
+                out.append((v, "plans", v.size))
+            out.append((v, "xplans", X_LIMIT))
+        prune_types = set(self.graph.prune_types)
+        totals: Dict[str, int] = {}
+        for v in subtree:
+            if v.type in prune_types:
+                totals[v.type] = totals.get(v.type, 0) + v.size
+        for target in [vertex] + list(self.graph.ancestors(vertex)):
+            filters = target.prune_filters
+            if filters is None:
+                continue
+            tracked = {t: n for t, n in totals.items() if filters.tracks(t)}
+            if tracked:
+                out.append((target, "filter", tracked))
+        return out
 
     def add_outage(
         self,
@@ -64,18 +99,13 @@ class CapacitySchedule:
         has conflicting bookings in the window (drain jobs first, or pick a
         window the planners show as free).
         """
-        subtree = [vertex] + list(self.graph.descendants(vertex))
         records: List[Tuple[object, int]] = []
         try:
-            for v in subtree:
-                if v.size:
-                    records.append(
-                        (v.plans, v.plans.add_span(start, duration, v.size))
-                    )
+            for v, kind, booked in self.bookings(vertex):
+                planner = v.planner_of(kind)
                 records.append(
-                    (v.xplans, v.xplans.add_span(start, duration, X_LIMIT))
+                    (planner, planner.add_span(start, duration, booked))
                 )
-            self._book_filters(vertex, subtree, start, duration, records)
         except BaseException:
             # BaseException on purpose: rollback must also run when the
             # failure is a SimulatedCrash (which bypasses Exception so that
@@ -95,34 +125,6 @@ class CapacitySchedule:
         self._next_id += 1
         self.outages[outage.outage_id] = outage
         return outage
-
-    def _book_filters(
-        self,
-        vertex: ResourceVertex,
-        subtree: List[ResourceVertex],
-        start: int,
-        duration: int,
-        records: List[Tuple[object, int]],
-    ) -> None:
-        prune_types = set(self.graph.prune_types)
-        if not prune_types:
-            return
-        totals: Dict[str, int] = {}
-        for v in subtree:
-            if v.type in prune_types:
-                totals[v.type] = totals.get(v.type, 0) + v.size
-        if not totals:
-            return
-        targets = [vertex] + list(self.graph.ancestors(vertex))
-        for target in targets:
-            filters = target.prune_filters
-            if filters is None:
-                continue
-            tracked = {t: n for t, n in totals.items() if filters.tracks(t)}
-            if tracked:
-                records.append(
-                    (filters, filters.add_span(start, duration, tracked))
-                )
 
     def cancel(self, outage_id: int) -> Outage:
         """Cancel a planned outage, restoring the capacity."""

@@ -238,14 +238,13 @@ class FluxSan:
         for planner, span_id in alloc._span_records:
             if not isinstance(planner, PlannerMulti):
                 continue
-            booked = planner._spans.get(span_id)
-            if booked is None:
+            if not planner.has_span(span_id):
                 raise SanitizerError(
                     f"allocation {alloc.alloc_id} records filter span "
                     f"{span_id} that the filter does not hold"
                 )
             per_type: Dict[str, int] = {}
-            for rtype, sid in booked.items():
+            for rtype, sid in planner.get_span(span_id).items():
                 span = planner.planner(rtype).get_span(sid)
                 per_type[rtype] = span.request
                 if (span.start, span.end) != (alloc.at, alloc.end):
