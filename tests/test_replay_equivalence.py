@@ -2,13 +2,18 @@
 
 A change that claims to preserve behaviour must leave every digest below
 byte-identical; a change that moves one must say which decisions moved and
-why.  Each scenario is reduced to the SHA-256 of its ``event_log`` and of its
+why.  Each scenario is reduced to the SHA-256 of its ``event_log``, of its
 final :func:`~repro.recovery.diff.state_fingerprint` (planner spans, filter
-aggregates, allocations, jobs, pending events — no wall-clock fields).
+aggregates, allocations, jobs, pending events — no wall-clock fields) and of
+its :func:`schedule` (job -> start, end, sorted vertex paths).  The schedule
+is what a user sees: only a declared decision change may move it, while a
+change of bookkeeping (alloc ids, span ids, stale heap events) may move the
+fingerprint and must say so.
 
-The digests were generated at commit 1ac0481 (before the root-aggregate gate,
-the linear ``sdfu_charges`` and the incremental pending queue).  To print the
-table for the current tree::
+The ``event_log`` and fingerprint digests were generated at commit 1ac0481
+(before the root-aggregate gate, the linear ``sdfu_charges`` and the
+incremental pending queue), the schedule digests at 4f0160b (before the
+event-driven EASY policy).  To print the table for the current tree::
 
     PYTHONPATH=src python tests/test_replay_equivalence.py
 """
@@ -98,45 +103,74 @@ SCENARIOS = {
     for queue in ("fcfs", "easy", "conservative")
 }
 
-#: scenario -> (event_log sha256, state_fingerprint sha256)
+#: scenario -> (event_log, state_fingerprint, schedule) sha256
 PINNED = {
     "faulty-conservative": (
         "5583ff332b7e339d5023b705b92a41ca8438a4f43fa2c1c195cb6e401eeefd16",
         "feef7a5ce66993c3ce17d7c0e4fbf767998603e99524c4e4c5f7cc062d220df9",
+        "dd1c824574c25ec058e4c8800127a135ec841da5eba5e9c6d22505960031f4d9",
     ),
     "faulty-easy": (
         "f3138dbdeb364c84ffd8bdc1199da081a61ee9b66a7d3818fd1471da8157cc99",
         "841ad74cc117a5188d5264d032feeaad1ba65e1f9c83da1e1569e26752bec0a9",
+        "d08b809bdf32cd78a2882cb374fd241f7af0bfb2dced5611446f7e5a528a2ef1",
     ),
     "faulty-fcfs": (
         "7d0d7f5bb11d42048b0ebde0e6f1a4017e94d27de5b3edcec7ad945e40adc486",
         "a321c1a42c1c433ed9b162c77645a609fea1f92bf974dd402e141525cd406bbf",
+        "03cb92bc9870ed13ce888fc69b722c89c8f07b2463ba2e270bf4fde7191fbf01",
     ),
     "med_lod-conservative": (
         "77cd8c179b4e36efd76b7cabea438684a4bc8b7b6f106b47470b5074780020b4",
         "f9a5934fa90ec904a5a59230390b9759fc744d3f9098c426b386a092ea1ed542",
+        "1c223fc72f562f5577a0405cdaad8bee4fb476cb86d2d42666fe52d86f1cdf00",
     ),
     "med_lod-easy": (
         "bfe491cb00ab062bbdd0b4af433a8242c6b627ae366d593b647c8d459ce41acd",
         "b62dedd82c369717b1e845bc9cf64f0997e19e437206daa27290cf1632f37916",
+        "e160284483544175ff140473bedb9cd9f0f57e1069eac896be6dc812b21ddded",
     ),
     "med_lod-fcfs": (
         "31f6cd7265abca9f50cfdc488b9ac07689a1b403d1f3415a98e0de48c753beeb",
         "f8ae1a10dc4c4314288a0e0cf287827590032ff16fd433cc1f0bebe7415f4d3e",
+        "f0405e982585c1152258469622ef0102eb5ed096d54cb9bc8e203e1b94b3db57",
     ),
     "node_lod-conservative": (
         "7dcbc99d003e2235bf26ea37dc7c00972500823a0f9830735a177d27a844bf5b",
         "49c1709d71bcb18377943f278d8a7786d2e4ce32af18e00cbd4a29e8e35b2be9",
+        "5de5e364edbd49483c3e34e747ea98e7be74f580af54709a4179eabbb4030254",
     ),
     "node_lod-easy": (
         "95010250124202ff7a6bb91b42356c081533e8dd0e45da8f5e1a109b668a775e",
         "ab2acf9684881a32b3e6af02e8c5aedb2c77e4edcf2a7ee1d1231209023269a7",
+        "ce31552964bc7082c6423d1abea2e5af3672ddf60da983e5c6776f3f74b9d1c9",
     ),
     "node_lod-fcfs": (
         "f9158bff48f71c7fefe3c7c96af53cf25bbee3c0f9aefd15e694c5dc9991bece",
         "b8e57ab4c0d68e7b45df58795858d2abb7d834b8f061555e4cd62cc1e863274f",
+        "136865a820d276b2de29aeb3f6d56b55c6e8525d0c908e134bfc474bc54f52ba",
     ),
 }
+
+
+def schedule(sim):
+    """job id -> (start, end, sorted vertex paths) of a finished run.
+
+    A job killed or canceled keeps no allocation, so it reads
+    ``(None, <when it stopped>, [])``; its start is in the ``event_log``.
+    """
+    return {
+        job.job_id: (
+            job.start_time,
+            job.finished_at if job.finished_at is not None else job.end_time,
+            sorted(
+                sel.vertex.path()
+                for alloc in job.allocations
+                for sel in alloc.resources()
+            ),
+        )
+        for job in sim.jobs.values()
+    }
 
 
 def digests(name):
@@ -148,6 +182,7 @@ def digests(name):
     return (
         hashlib.sha256(repr(sim.event_log).encode()).hexdigest(),
         hashlib.sha256(state.encode()).hexdigest(),
+        hashlib.sha256(repr(sorted(schedule(sim).items())).encode()).hexdigest(),
     )
 
 
@@ -158,4 +193,7 @@ def test_decisions_match_pinned_digests(name):
 
 if __name__ == "__main__":
     for scenario in sorted(SCENARIOS):
-        print(f'    "{scenario}": {digests(scenario)!r},')
+        print(f'    "{scenario}": (')
+        for digest in digests(scenario):
+            print(f'        "{digest}",')
+        print("    ),")
