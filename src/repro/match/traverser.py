@@ -542,8 +542,13 @@ class Traverser:
         """Could ``jobspec`` ever match this graph, ignoring allocations?"""
         return self._match_at(None, jobspec.duration, jobspec) is not None
 
-    def remove(self, alloc_id: int) -> Allocation:
-        """Release an allocation or cancel a reservation."""
+    def remove(self, alloc_id: int, now: Optional[int] = None) -> Allocation:
+        """Release an allocation or cancel a reservation.
+
+        ``now`` is the current time where the caller knows it: a release at
+        or after the booked end gives back nothing the planners had not
+        already announced (see :meth:`ResourceGraph.note_change`).
+        """
         try:
             alloc = self.allocations.pop(alloc_id)
         except KeyError:
@@ -552,6 +557,7 @@ class Traverser:
             planner.rem_span(span_id)
         alloc._span_records.clear()
         alloc._bookings = None
+        self.graph.note_change(planned=now is not None and alloc.end <= now)
         if self.on_remove is not None:
             self.on_remove(alloc)
         return alloc
@@ -604,6 +610,8 @@ class Traverser:
                 f"cannot move allocation {alloc_id} end to {new_end}: {exc}"
             ) from exc
         alloc.duration = new_end - alloc.at
+        if new_end < old_end:
+            self.graph.note_change()
         return alloc
 
     # ------------------------------------------------------------------

@@ -14,7 +14,10 @@ dispatch cycle:
   the :class:`~repro.resilience.OverloadController` policy that fired;
 * **attempt records** — one per scheduling attempt
   (:class:`~repro.sched.queue._SchedAttempt` scope), with verb, outcome
-  and degradation level;
+  and degradation level; a stretch of cycles that passed the job over
+  without an attempt (EASY kept its reservation, or did not re-try a
+  refused backfill because nothing came free) is one record with a
+  repeat count, not a gap;
 * **match-failure attribution** — per-vertex prune reasons from the
   traverser (:data:`PRUNE_REASONS` taxonomy) aggregated into
   ``reason|type`` counts with bounded example vertices, plus
@@ -112,7 +115,7 @@ class _Attempt:
 
     __slots__ = (
         "job_id", "cycle", "vt", "verb", "outcome", "level",
-        "prune", "examples", "fails", "fails_dropped", "kept",
+        "prune", "examples", "fails", "fails_dropped", "kept", "repeat",
     )
 
     def __init__(
@@ -131,6 +134,8 @@ class _Attempt:
         self.fails_dropped = 0
         #: False when the per-job attempt cap dropped this record
         self.kept = kept
+        #: cycles a "skipped" record stands for (0 for a real attempt)
+        self.repeat = 0
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -141,6 +146,8 @@ class _Attempt:
         }
         if self.level is not None:
             out["level"] = self.level
+        if self.repeat:
+            out["repeat"] = self.repeat
         if self.prune:
             out["prune"] = dict(self.prune)
             out["examples"] = {k: list(v) for k, v in self.examples.items()}
@@ -266,6 +273,30 @@ class DecisionRecorder:
             self._total_failed += 1
             self._cycle_counts["failed"] += 1
 
+    def skipped(
+        self, job_id: int, vt: Optional[float], verb: str, name: str = ""
+    ) -> None:
+        """A cycle passed ``job_id`` over without an attempt.
+
+        ``verb`` says which answer was kept: ``backfill`` (refused, and
+        nothing came free since) or ``reservation`` (the head's stands).
+        Consecutive skips of one kind extend one record — ``vt`` is where
+        the stretch began — so a long wait costs one line, not one per
+        cycle.  Not an attempt: the attempt totals do not move.
+        """
+        attempts = self._job(job_id, name)["attempts"]
+        last = attempts[-1] if attempts else None
+        if last is None or last.outcome != "skipped" or last.verb != verb:
+            if len(attempts) >= self.max_attempts_per_job:
+                return
+            last = _Attempt(
+                job_id, self._cycle_index if self._cycle_index >= 0 else None,
+                vt, verb, True,
+            )
+            last.outcome = "skipped"
+            attempts.append(last)
+        last.repeat += 1
+
     # -- traverser probes -----------------------------------------------
     def prune(self, reason: str, rtype: str, vertex: str) -> None:
         """One vertex (and its subtree) pruned during candidate collection."""
@@ -373,6 +404,11 @@ class NullDecisionRecorder:
     def end_attempt(self, outcome: str, level: Optional[str] = None) -> None:
         pass
 
+    def skipped(
+        self, job_id: int, vt: Optional[float], verb: str, name: str = ""
+    ) -> None:
+        pass
+
     def prune(self, reason: str, rtype: str, vertex: str) -> None:
         pass
 
@@ -439,6 +475,15 @@ def _blocking_lines(attempt: Dict[str, Any], top_k: int) -> List[str]:
     return lines
 
 
+def _skipped_line(attempt: Dict[str, Any]) -> str:
+    """One line for a stretch of cycles that made no attempt for the job."""
+    times = f"×{attempt.get('repeat', 1)}"
+    since = f"since t={_fmt_vt(attempt.get('vt'))}"
+    if attempt.get("verb") == "reservation":
+        return f"reservation kept {times} {since}: nothing came back early"
+    return f"not re-tried {times} {since}: nothing came free"
+
+
 def render_explain(
     provenance: Dict[str, Any], job_id: int, job: Optional[object] = None
 ) -> str:
@@ -481,6 +526,9 @@ def render_explain(
         last = index == len(attempts) - 1
         branch = "└─" if last else "├─"
         stem = "   " if last else "│  "
+        if attempt.get("outcome") == "skipped":
+            lines.append(f"{branch} {_skipped_line(attempt)}")
+            continue
         cycle = attempt.get("cycle")
         where = f" [cycle {cycle}]" if cycle is not None else ""
         level = attempt.get("level")

@@ -7,7 +7,10 @@ graph structure and vertex status, planner spans (ids included, since ids
 feed future decisions), allocations, jobs, queue state, the pending event
 heap, the event log and the accounting counters.  Wall-clock measurements
 (``Job.sched_time``) are excluded: two runs of identical decisions never
-take identical wall time.
+take identical wall time.  The graph's change counters
+(:meth:`ResourceGraph.note_change`) are left out as well: only a queue
+policy that keys an answer on them can tell their values apart, and that
+policy's state — the values it keyed on — is compared.
 
 ``state_fingerprint`` reduces a simulator to a nested JSON-able structure;
 ``state_diff`` returns human-readable paths where two fingerprints differ

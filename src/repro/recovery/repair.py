@@ -110,6 +110,8 @@ class RepairEngine:
         planner = vertex.planner_of(pkind)
         if planner is None:
             return 0
+        # Orphan spans go with the old registry: capacity may come back.
+        self.sim.graph.note_change()
         booked_key = "counts" if pkind == "filter" else "request"
         records = [
             {"id": sid, "start": start, "end": end, booked_key: booked}
@@ -171,6 +173,7 @@ class RepairEngine:
         alloc._bookings = None
         self.sim.traverser.allocations.pop(alloc.alloc_id, None)
         self.sim._started_allocs.discard(alloc.alloc_id)
+        self.sim.graph.note_change()
         return released
 
     def evacuate_vertex(self, vertex: "ResourceVertex") -> int:

@@ -136,6 +136,8 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
         ],
         "live_alloc_ids": sorted(sim.traverser.allocations),
         "next_alloc_id": sim.traverser._next_alloc_id,
+        # What the queue-policy state under config.queue_state is keyed on.
+        "graph_changes": [sim.graph.freed, sim.graph.unplanned],
         "traverser_stats": dict(sim.traverser.stats),
         "jobs": [job.to_record() for _, job in sorted(sim.jobs.items())],
         "next_job_id": sim._next_job_id,
@@ -281,6 +283,11 @@ def restore_simulator(
     )
     if "traverser_stats" not in salvaged:
         sim.traverser.stats = dict(doc["traverser_stats"])
+    # Last graph mutation of the restore: rebuilding the graph counted its
+    # own construction.  A snapshot without the key predates the counters
+    # and carries no queue-policy state keyed on them either.
+    if "graph_changes" in doc:
+        graph.freed, graph.unplanned = doc["graph_changes"]
 
     for record in doc["jobs"]:
         sim._register(Job.from_record(record, allocations))
@@ -341,7 +348,9 @@ def write_snapshot(doc: Dict[str, Any], path: str) -> None:
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(wrapper, handle, sort_keys=True, separators=(",", ":"))
+        # dumps, not dump: same bytes, but json.dump(fp) streams through
+        # the pure-Python encoder and is the bulk of a snapshot's cost.
+        handle.write(json.dumps(wrapper, sort_keys=True, separators=(",", ":")))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

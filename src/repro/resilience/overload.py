@@ -261,6 +261,12 @@ class WorkBudget:
             and self.cycle_spent >= self.cycle_limit
         )
 
+    @property
+    def attempt_cut(self) -> bool:
+        """True when the latest attempt was stopped by its deadline: the
+        ``None`` it returned is not a verdict on the request."""
+        return self._attempt_hit
+
     def charge(self, units: int = 1) -> None:
         """Account ``units`` of match work; checkpoint when due."""
         self.cycle_spent += units

@@ -55,6 +55,8 @@ class ResourceGraph:
         "_children_cache",
         "prune_types",
         "capacity_schedules",
+        "freed",
+        "unplanned",
     )
 
     def __init__(
@@ -82,6 +84,29 @@ class ResourceGraph:
         #: every CapacitySchedule booking outages on this graph (each adds
         #: itself): their spans are expected planner state, not corruption
         self.capacity_schedules: List[object] = []
+        #: monotone change counters (see :meth:`note_change`): a queue
+        #: policy keeps an answer it derived for as long as the counter it
+        #: depends on has not moved.  ``freed`` counts everything that may
+        #: let a refused match succeed; ``unplanned`` the part of it no
+        #: booked span end announced, which is what can pull a standing
+        #: reservation earlier or move it.
+        self.freed = 0
+        self.unplanned = 0
+
+    def note_change(self, planned: bool = False) -> None:
+        """Count one event after which a match may answer differently.
+
+        Called where capacity is released or the structure changes: by this
+        class, by :meth:`Traverser.remove` / ``update_end``,
+        :class:`~repro.sched.capacity.CapacitySchedule` and the repair
+        engine.  ``planned`` marks a release at the booked end of its span
+        — the planners already said the capacity returns then, so whatever
+        was planned around it stands.  A needless call costs a caller one
+        re-derivation; a missing one leaves it acting on a stale answer.
+        """
+        self.freed += 1
+        if not planned:
+            self.unplanned += 1
 
     # ------------------------------------------------------------------
     # construction
@@ -123,6 +148,7 @@ class ResourceGraph:
         )
         self._vertices[self._next_id] = vertex
         self._next_id += 1
+        self.note_change()
         return vertex
 
     def add_edge(
@@ -158,6 +184,7 @@ class ResourceGraph:
         self._edge_count += 1
         self._roots_cache.pop(subsystem, None)
         self._children_cache.pop((subsystem, src.uniq_id), None)
+        self.note_change()
         if subsystem not in src.paths and not inn[src.uniq_id]:
             src.paths[subsystem] = f"/{src.name}"
         if subsystem not in dst.paths:
@@ -181,6 +208,7 @@ class ResourceGraph:
         self._edge_count -= 1
         self._roots_cache.pop(subsystem, None)
         self._children_cache.pop((subsystem, src.uniq_id), None)
+        self.note_change()
 
     def remove_vertex(self, vertex: ResourceVertex, force: bool = False) -> None:
         """Detach and delete ``vertex`` (elasticity, §5.5).
@@ -204,6 +232,7 @@ class ResourceGraph:
             self._in[subsystem].pop(vertex.uniq_id, None)
             self._children_cache.pop((subsystem, vertex.uniq_id), None)
         del self._vertices[vertex.uniq_id]
+        self.note_change()
 
     # ------------------------------------------------------------------
     # structure queries
@@ -403,11 +432,13 @@ class ResourceGraph:
         """
         self._require(vertex)
         vertex.status = "down"
+        self.note_change()
 
     def mark_up(self, vertex: ResourceVertex) -> None:
         """Return a drained vertex to service."""
         self._require(vertex)
         vertex.status = "up"
+        self.note_change()
 
     # ------------------------------------------------------------------
     # pruning filters (§3.4)

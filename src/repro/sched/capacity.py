@@ -135,6 +135,7 @@ class CapacitySchedule:
         for planner, span_id in outage._span_records:
             planner.rem_span(span_id)
         outage._span_records.clear()
+        self.graph.note_change()
         return outage
 
     def capacity_at(self, rtype: str, at: int) -> int:

@@ -9,16 +9,18 @@ reservation: the match itself refuses conflicting windows.
 * :class:`FCFSQueue` — strict order, no reservations: the queue head either
   starts now or everything waits.
 * :class:`EasyBackfill` — the head of the queue gets a reservation; later
-  jobs may start *now* if they fit (they cannot push the head back).
+  jobs may start *now* if they fit (they cannot push the head back).  The
+  reservation stands until capacity comes back early, and a job that did
+  not fit is not asked again until the answer could differ.
 * :class:`ConservativeBackfill` — every job gets allocate-orelse-reserve in
   submit order, the discipline the paper's §6.3 study uses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import SchedulerError
+from ..errors import RecoveryError, SchedulerError
 from ..match import Traverser
 from ..obs import NULL_OBSERVER, Observer, WallTimer
 from .job import Job, JobState
@@ -36,8 +38,8 @@ __all__ = [
 class _SchedAttempt:
     """Times one full scheduling attempt for one job.
 
-    Everything inside the ``with`` block — match/reserve verbs, reservation
-    cancels during re-planning, state transitions — is charged to
+    Everything inside the ``with`` block — match/reserve verbs, the cancel
+    when a reservation is re-planned, state transitions — is charged to
     ``job.sched_time`` (wall-clock observability only; excluded from state
     fingerprints so it cannot break replay determinism).  When an observer
     is enabled the attempt also lands in the ``sched.attempt_seconds``
@@ -163,31 +165,53 @@ class FCFSQueue(QueuePolicy):
 class EasyBackfill(QueuePolicy):
     """EASY backfilling: one reservation for the queue head, others start-now.
 
-    The head's reservation is re-planned every cycle (canceled and re-made)
-    so completions pull it earlier; backfilled jobs physically cannot delay
-    it because the reservation's spans are booked in the planners.
+    Backfilled jobs physically cannot delay the head: its reservation's
+    spans are booked in the planners.  The policy acts on events instead of
+    re-trying the world every cycle; both memories below are keyed on the
+    change counters of the graph (:meth:`ResourceGraph.note_change`), so
+    whoever releases capacity or edits the structure invalidates them
+    without knowing this class exists.
+
+    * The head's reservation *stands* across cycles.  It is canceled and
+      re-made only when the answer could differ: another job is first in
+      ``pending``, its start time has come (the cycle must start it), or
+      ``graph.unplanned`` moved since it was made — capacity came back
+      before its booked end, or the structure changed.  A release at its
+      booked end is what the reservation was planned around.
+    * A backfill candidate whose ``allocate(at=now)`` was refused is not
+      asked again until capacity could have come free: ``graph.freed``
+      moved (any release, booked ends included), or the clock crossed the
+      booked end of a span nothing has released yet (see
+      :func:`_span_ended`).  A refusal cut short by a scheduling deadline
+      is no verdict and is never remembered.
     """
 
     name = "easy"
 
     def __init__(self) -> None:
-        self._head_reservation: Dict[int, tuple] = {}  # job_id -> (job, alloc_id)
+        #: the standing head reservation: (job, alloc id, ``graph.unplanned``
+        #: when it was made; None when unknown, which never matches)
+        self._head: Optional[Tuple[Job, int, Optional[int]]] = None
+        #: ids of jobs refused by ``allocate(at=now)``: still refused while
+        #: ``graph.freed`` reads ``_refused_gen`` and no booked span has
+        #: ended since ``_refused_at``
+        self._refused: Set[int] = set()
+        self._refused_gen: Optional[int] = None
+        self._refused_at = 0
 
     def cycle(self, pending: List[Job], traverser: Traverser, now: int) -> None:
-        # Cancel the standing head reservation (if it has not started running
-        # in the meantime); it is re-planned below so completions pull it
-        # earlier.
-        for job_id, (job, alloc_id) in list(self._head_reservation.items()):
-            del self._head_reservation[job_id]
-            if job.state is JobState.RESERVED and alloc_id in traverser.allocations:
-                # Re-planning work is scheduling cost too: charge the cancel
-                # to the job whose reservation is being re-made.
-                with self._attempt(job, now, "replan_cancel"):
-                    traverser.remove(alloc_id)
-                    job.transition(JobState.PENDING)
-                    job.allocations.clear()
-        head_blocked = False
-        for job in pending:
+        graph = traverser.graph
+        head_blocked = self._head_stands(pending, traverser, now)
+        # After the cancel above on purpose: it releases capacity too.
+        refused = self._refused
+        if self._refused_gen != graph.freed or _span_ended(
+            traverser, self._refused_at, now
+        ):
+            refused.clear()
+            self._refused_gen = graph.freed
+            self._refused_at = now
+        obs = self.obs
+        for job in pending[1:] if head_blocked else pending:
             if self._out_of_budget(traverser):
                 break
             if not head_blocked:
@@ -201,26 +225,122 @@ class EasyBackfill(QueuePolicy):
                     continue  # never satisfiable; skip (stays pending)
                 if alloc.reserved:
                     head_blocked = True
-                    self._head_reservation[job.job_id] = (job, alloc.alloc_id)
+                    self._head = (job, alloc.alloc_id, graph.unplanned)
+            elif job.job_id in refused:
+                if obs.enabled:
+                    obs.metrics.counter(
+                        "sched.backfill_skipped",
+                        "backfill candidates not re-tried: nothing came "
+                        "free since they were refused",
+                    ).inc()
+                    obs.why.skipped(
+                        job.job_id, float(now), "backfill", job.name
+                    )
             else:
                 with self._attempt(job, now, "backfill"):
                     alloc = traverser.allocate(job.jobspec, at=now)
                     if alloc is not None:
                         self._attach(job, alloc, now)
+                budget = traverser.budget
+                if alloc is None and not (
+                    budget is not None and budget.attempt_cut
+                ):
+                    refused.add(job.job_id)
+
+    def _head_stands(
+        self, pending: List[Job], traverser: Traverser, now: int
+    ) -> bool:
+        """True when ``pending[0]`` holds a reservation that still stands;
+        otherwise any reservation left is canceled for re-planning."""
+        head = self._head
+        if head is None:
+            return False
+        job, alloc_id, made = head
+        alloc = traverser.allocations.get(alloc_id)
+        if job.state is not JobState.RESERVED or alloc is None:
+            self._head = None  # started, canceled or evacuated meanwhile
+            return False
+        if (
+            pending
+            and pending[0] is job
+            and made == traverser.graph.unplanned
+            and alloc.at > now
+        ):
+            obs = self.obs
+            if obs.enabled:
+                obs.metrics.counter(
+                    "sched.replans_kept",
+                    "cycles the head's reservation stood without re-planning",
+                ).inc()
+                obs.why.skipped(job.job_id, float(now), "reservation", job.name)
+            return True
+        self._head = None
+        # Re-planning work is scheduling cost too: charge the cancel to the
+        # job whose reservation is being re-made.
+        with self._attempt(job, now, "replan_cancel"):
+            traverser.remove(alloc_id, now)
+            job.transition(JobState.PENDING)
+            job.allocations.clear()
+        return False
 
     def export_state(self) -> dict:
+        head = self._head
         return {
-            "head_reservation": {
-                str(job_id): alloc_id
-                for job_id, (_job, alloc_id) in self._head_reservation.items()
-            }
+            "head": (
+                None if head is None else [head[0].job_id, head[1], head[2]]
+            ),
+            "refused": {
+                "gen": self._refused_gen,
+                "at": self._refused_at,
+                "jobs": sorted(self._refused),
+            },
         }
 
     def import_state(self, state: dict, jobs: Dict[int, Job]) -> None:
-        self._head_reservation = {
-            int(job_id): (jobs[int(job_id)], int(alloc_id))
-            for job_id, alloc_id in (state.get("head_reservation") or {}).items()
-        }
+        head = state.get("head")
+        # Snapshots from before the reservation outlived its cycle say
+        # {"head_reservation": {job id: alloc id}}: when it was made is
+        # unknown, so it is re-planned once.
+        for job_id, alloc_id in (state.get("head_reservation") or {}).items():
+            head = [job_id, alloc_id, None]
+        if head is None:
+            self._head = None
+        else:
+            job_id, alloc_id, made = head
+            try:
+                job = jobs[int(job_id)]
+            except KeyError:
+                raise RecoveryError(
+                    f"queue state reserves for job {job_id}, which is "
+                    "missing from the job table"
+                ) from None
+            self._head = (job, int(alloc_id), made)
+        refused = state.get("refused") or {}
+        self._refused = {int(job_id) for job_id in refused.get("jobs", ())}
+        self._refused_gen = refused.get("gen")
+        self._refused_at = int(refused.get("at", 0))
+
+
+def _span_ended(traverser: Traverser, since: int, now: int) -> bool:
+    """Has the booked end of a span nothing released yet passed in
+    ``(since, now]``?
+
+    Capacity that comes free by the clock alone: SUBMIT sorts before END at
+    one instant, so a cycle can run with a finished job's allocation still
+    registered although its spans no longer cover ``now``; the outages of a
+    :class:`~repro.sched.capacity.CapacitySchedule` end with no event at
+    all.
+    """
+    if now <= since:
+        return False
+    for alloc in traverser.allocations.values():
+        if since < alloc.end <= now:
+            return True
+    for schedule in traverser.graph.capacity_schedules:
+        for outage in schedule.outages.values():
+            if since < outage.end <= now:
+                return True
+    return False
 
 
 class ConservativeBackfill(QueuePolicy):

@@ -516,7 +516,7 @@ class ClusterSimulator:
         )
         for alloc in job.allocations:
             if alloc.alloc_id in self.traverser.allocations:
-                self.traverser.remove(alloc.alloc_id)
+                self.traverser.remove(alloc.alloc_id, self.now)
             self._started_allocs.discard(alloc.alloc_id)
         job.allocations.clear()
         job.cancel_reason = reason
@@ -965,7 +965,7 @@ class ClusterSimulator:
         self._busy_node_seconds += elapsed * max(1, self._nodes_of(job))
         for held in job.allocations:
             if held.alloc_id in self.traverser.allocations:
-                self.traverser.remove(held.alloc_id)
+                self.traverser.remove(held.alloc_id, self.now)
         self._crashpoint("end.released")
         job.finished_at = self.now
         job.transition(JobState.COMPLETED)

@@ -104,6 +104,31 @@ class TestDecisionRecorder:
         assert len(attempt["fails"]) == 2
         assert attempt["fails_dropped"] == 3
 
+    def test_skipped_stretch_is_one_record(self):
+        why = DecisionRecorder(max_attempts_per_job=3)
+        why.begin_attempt(1, 0.0, "backfill")
+        why.end_attempt("failed")
+        for vt in (1.0, 2.0, 3.0):
+            why.skipped(1, vt, "backfill")
+        why.skipped(1, 4.0, "reservation")
+        why.skipped(1, 5.0, "reservation")
+        exported = why.export()
+        attempts = exported["jobs"]["1"]["attempts"]
+        assert [(a["verb"], a["outcome"], a.get("repeat")) for a in attempts] == [
+            ("backfill", "failed", None),
+            ("backfill", "skipped", 3),
+            ("reservation", "skipped", 2),
+        ]
+        assert attempts[1]["vt"] == 1.0  # where the stretch began
+        assert exported["totals"]["attempts"] == 1  # a skip is no attempt
+        # The per-job cap bounds stretches too; the last one still counts.
+        why.skipped(1, 6.0, "backfill")
+        why.skipped(1, 7.0, "reservation")
+        assert len(why.export()["jobs"]["1"]["attempts"]) == 3
+        text = why.explain(1)
+        assert "├─ not re-tried ×3 since t=1: nothing came free" in text
+        assert "└─ reservation kept ×3 since t=4: nothing came back early" in text
+
     def test_mark_counts_prunes_and_fails(self):
         why = DecisionRecorder()
         why.begin_attempt(1, 0.0, "allocate")
@@ -119,6 +144,7 @@ class TestDecisionRecorder:
         NULL_WHY.prune("down", "node", "n")
         NULL_WHY.fail("count")
         NULL_WHY.end_attempt("failed")
+        NULL_WHY.skipped(1, 0.0, "backfill")
         NULL_WHY.event(1, 0.0, "shed")
         assert NULL_WHY.mark() == 0
         assert NULL_WHY.export() == {}
@@ -174,6 +200,33 @@ class TestExplainScenarios:
         text = report.explain(job.job_id)
         assert "planner time conflict: after=5, types=node" in text
         assert "planner horizon exceeded: horizon=500, now=900" in text
+
+    def test_easy_says_what_it_did_not_ask_again(self):
+        sim = ClusterSimulator(cluster64(), queue="easy", observe=True)
+        sim.submit(nodes_jobspec(60, duration=1000), at=0)
+        head = sim.submit(nodes_jobspec(64, duration=100), at=1)
+        waiting = sim.submit(nodes_jobspec(8, duration=2000), at=2)
+        for at in (30, 40, 50, 60):  # each fits beside the first job
+            sim.submit(nodes_jobspec(1, duration=500), at=at)
+        report = sim.run()
+        # Kept through the submit at t=2, the four after it and the four
+        # ENDs: a release at its booked end is what the plan counted on.
+        assert (
+            "└─ reservation kept ×9 since t=2: nothing came back early"
+            in report.explain(head.job_id)
+        )
+        text = report.explain(waiting.job_id)
+        assert "t=2 [cycle 2] backfill -> failed" in text
+        assert "├─ not re-tried ×4 since t=30: nothing came free" in text
+        assert "t=530 [cycle 7] backfill -> failed" in text  # first release
+        assert report.metrics["sched.replans_kept"] == 9
+        assert report.metrics["sched.backfill_skipped"] == 4
+        # Unobserved, the same run decides the same and counts nothing.
+        bare = ClusterSimulator(cluster64(), queue="easy")
+        for job in report.jobs:
+            bare.submit(job.jobspec, at=job.submit_time)
+        assert bare.run().metrics is None
+        assert bare.event_log == sim.event_log
 
     def test_admission_rejection(self):
         sim = ClusterSimulator(
