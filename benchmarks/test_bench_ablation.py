@@ -1,7 +1,8 @@
 """E6/E7 — ablations of the design choices DESIGN.md calls out.
 
 * Pruning filters + SDFU (§3.4): visits and match time with filters on/off.
-* The ET/SP tree pair (§4.1): EarliestAt against the naive list planner.
+* The planner's tree (§4.1): EarliestAt against the naive list planner, and
+  on a dense plan against the paper's Algorithm 1 (ET tree + stash loop).
 * SDFU overhead: how much filter bookkeeping costs per allocation.
 """
 
@@ -10,7 +11,7 @@ import time
 import pytest
 
 import harness
-from repro.baselines import ListPlanner
+from repro.baselines import Algorithm1
 from repro.grug import tiny_cluster
 from repro.jobspec import simple_node_jobspec
 from repro.match import Traverser
@@ -70,10 +71,41 @@ class TestPlannerBaseline:
     @pytest.mark.parametrize("impl", ["tree", "list"])
     def test_bench_earliest_at_4k_spans(self, benchmark, impl, loaded_planners):
         tree = harness.build_loaded_planner(4_000)
-        if impl == "tree":
-            planner = tree
-        else:
-            planner = ListPlanner(128, 0, 2**60)
-            for span in tree.spans():
-                planner.add_span(span.start, span.duration, span.request)
+        planner = tree if impl == "tree" else harness.as_list_planner(tree)
         benchmark(planner.avail_time_first, 64, 1, 0)
+
+
+class TestDensePlan:
+    """E7/E13: EarliestAt where free runs too short for the request are many
+    — the list planner, Algorithm 1 as published, the indexed SP tree."""
+
+    def test_index_beats_algorithm1_with_equal_answers(self):
+        # ablation_dense_plan asserts the answers equal before it times them
+        rows = harness.ablation_dense_plan(
+            out=open("/dev/null", "w"), loads=(1_000,)
+        )
+        for row in rows:
+            # measured about 20x from t=0 and over 100x from the last tenth, where
+            # Algorithm 1 still stashes every point before on_or_after
+            assert row["index_ms"] * 3 < row["algorithm1_ms"], row
+            if "list_ms" in row:
+                assert row["algorithm1_ms"] < row["list_ms"], row
+
+    @pytest.fixture(scope="class")
+    def dense_4k(self):
+        return harness.build_dense_planner(4_000)
+
+    @pytest.mark.parametrize("impl", ["list", "algorithm1", "index"])
+    def test_bench_earliest_at_dense_4k_spans(self, benchmark, impl, dense_4k):
+        make = {
+            "index": lambda planner: planner,
+            "algorithm1": Algorithm1,
+            "list": harness.as_list_planner,
+        }
+        planner = make[impl](dense_4k)
+        probes = harness.dense_plan_queries(dense_4k, late=True)
+
+        def run():
+            return [planner.avail_time_first(*probe) for probe in probes]
+
+        benchmark.pedantic(run, rounds=1 if impl == "list" else 5, iterations=1)

@@ -2,8 +2,8 @@
 
 Implements the same query surface as :class:`~repro.planner.Planner` with a
 flat list of spans and per-query linear scans.  Used by the ablation bench
-(E7) to show why the paper's SP/ET trees matter: every query here is
-``O(spans)`` versus the trees' ``O(log spans)``.
+(E7) to show why a tree over the scheduled points matters: every query here
+is ``O(spans)`` or worse versus the tree's ``O(log spans)`` per step.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class ListPlanner:
     def avail_time_first(
         self, request: int, duration: int = 1, on_or_after: int = 0
     ) -> Optional[int]:
+        if duration <= 0:
+            raise PlannerError(f"duration must be positive, got {duration}")
         if request > self.total:
             return None
         at = max(on_or_after, self.plan_start)

@@ -2,7 +2,8 @@
 
 Public names:
 
-* :class:`Planner` — single-pool time-state tracker (SP + ET trees).
+* :class:`Planner` — single-pool time-state tracker (one time-keyed tree,
+  indexed by remaining resource once asked an earliest-time question).
 * :class:`PlannerMulti` — lockstep bundle of Planners, one per resource type.
 * :class:`Span`, :class:`ScheduledPoint` — the calendar records.
 * :class:`RBTree` — the augmented red-black tree substrate.
@@ -12,7 +13,7 @@ from .planner import Planner
 from .multi import PlannerMulti
 from .rbtree import RBNode, RBTree
 from .span import ScheduledPoint, Span
-from .trees import ETTree, SPTree
+from .trees import SPTree
 
 __all__ = [
     "Planner",
@@ -21,6 +22,5 @@ __all__ = [
     "RBTree",
     "ScheduledPoint",
     "Span",
-    "ETTree",
     "SPTree",
 ]

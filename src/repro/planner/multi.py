@@ -143,6 +143,8 @@ class PlannerMulti:
         so the loop terminates (it is bounded by the number of scheduled
         points across the bundle).
         """
+        if duration <= 0:
+            raise PlannerError(f"duration must be positive, got {duration}")
         obs = _obs_runtime.ACTIVE.get()
         if not obs.enabled:
             return self._avail_search(counts, duration, on_or_after)[0]

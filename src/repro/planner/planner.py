@@ -3,13 +3,18 @@
 A Planner tracks the state of a single resource pool over time, like a
 physical calendar planner.  Activities are *spans* — ``request`` units of the
 resource held for ``[start, start + duration)`` — and the state between spans
-is captured by *scheduled points*.  Two balanced trees index the points:
+is captured by *scheduled points*.  One balanced tree, keyed by time, holds
+the points (the SP tree):
 
-* the SP tree (by time) answers "how much is available at time t?" and
-  "is the request satisfiable throughout a window?" in ``O(log N)``;
-* the ET tree (by remaining resource, min-time augmented) answers "what is
-  the earliest time the request fits?" in ``O(log N)`` via Algorithm 1; it
-  exists once that question has been asked (most planners never are).
+* as it stands it answers "how much is available at time t?" and "is the
+  request satisfiable throughout a window?" in ``O(log N)``;
+* indexed by remaining resource — each node carrying the lowest and highest
+  ``remaining`` of its subtree — it also answers "what is the earliest time
+  the request fits?" by hopping from one free run to the next in
+  ``O(log N)`` each.  The index is switched on by the first such question
+  (most planners are never asked one).  The paper answers it from a second
+  tree keyed by remaining resource (Algorithm 1); that one is kept as a
+  reference in :mod:`repro.baselines.algorithm1`.
 
 The Planner is the building block for per-vertex state tracking, pruning
 filters (through :class:`~repro.planner.multi.PlannerMulti`) and
@@ -18,17 +23,17 @@ reservation-based backfilling.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 from ..errors import PlannerError, SpanNotFoundError
 from ..obs import runtime as _obs_runtime
 from .span import ScheduledPoint, Span
-from .trees import ETTree, SPTree
+from .trees import SPTree
 
 __all__ = ["Planner"]
 
-#: ET-tree stash-size buckets for the ``planner.stash_points`` histogram
-_STASH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+#: hop-count buckets for the ``planner.search_hops`` histogram
+_HOP_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 class Planner:
@@ -52,7 +57,6 @@ class Planner:
         "plan_end",
         "resource_type",
         "_sp",
-        "_et",
         "_spans",
         "_next_span_id",
         "_base_point",
@@ -78,14 +82,14 @@ class Planner:
         # The SP tree and base point are created lazily on the first add_span:
         # resource graphs hold two Planners per vertex and most vertices are
         # never touched, so an empty Planner stays a tiny shell and answers
-        # queries directly from `total`.  The ET tree waits for _build_et.
+        # queries directly from `total`.  The tree's remaining-resource index
+        # waits for the first earliest-time question (avail_time_first).
         self._sp: Optional[SPTree] = None
-        self._et: Optional[ETTree] = None
         self._spans: Dict[int, Span] = {}
         self._next_span_id = 1
         self._base_point: Optional[ScheduledPoint] = None
 
-    def _ensure_trees(self) -> None:
+    def _ensure_tree(self) -> None:
         """Materialise the SP tree and the permanent base point."""
         if self._sp is not None:
             return
@@ -94,30 +98,12 @@ class Planner:
         self._base_point = ScheduledPoint(self.plan_start, 0, self.total, ref_count=1)
         self._sp.insert(self._base_point)
 
-    def _build_et(self) -> ETTree:
-        """Index the SP tree's points by remaining resource.  find_earliest
-        depends on the point set alone (points are unique in time), so a tree
-        built late answers as one maintained from the first span."""
-        et = ETTree()
-        for point in self._sp:
-            et.insert(point)
-        return et
-
     def _shift(self, start: int, end: int, delta: int) -> None:
         """Charge ``delta`` units (negative: release) to every scheduled point
-        in ``[start, end)``, re-keying the ET tree where there is one."""
-        if not delta:
-            return
-        et = self._et
-        # Lazy iteration is safe: the loop adjusts point values and the ET
-        # tree only; the SP tree being iterated is never restructured.
-        for point in self._sp.iter_range(start, end):
-            if et is not None:
-                et.remove(point)
-            point.in_use += delta
-            point.remaining -= delta
-            if et is not None:
-                et.insert(point)
+        in ``[start, end)``; the one place point values change, so the index
+        (where there is one) stays in step."""
+        if delta:
+            self._sp.shift(start, end, delta)
 
     # ------------------------------------------------------------------
     # introspection
@@ -133,8 +119,15 @@ class Planner:
 
     @property
     def point_count(self) -> int:
-        """Number of scheduled points currently indexed (including base)."""
+        """Number of scheduled points currently held (including base)."""
         return 1 if self._sp is None else len(self._sp)
+
+    @property
+    def indexed(self) -> bool:
+        """True once an earliest-time question has switched on the index of
+        remaining resource.  Derived state: neither exported nor
+        fingerprinted, and rebuilt on demand after a restore or rebuild."""
+        return self._sp is not None and self._sp.indexed
 
     def spans(self) -> Iterator[Span]:
         """Iterate over active spans (unordered)."""
@@ -220,11 +213,17 @@ class Planner:
         """Earliest time >= ``on_or_after`` at which ``request`` units are
         available for ``duration`` ticks (EarliestAt), or None if never.
 
-        Implements the paper's AVAILAT loop: candidate start times come from
-        the ET tree (Algorithm 1); candidates whose spans fail the SP-tree
-        SPANOK check are stashed out of the ET tree and the search repeats,
-        then the stash is restored.
+        A fit starts at ``on_or_after`` or at a scheduled point where
+        availability rises to the request, so the search hops along the
+        calendar: from a candidate start to the first later point that falls
+        short of the request — a fit if that lies a whole ``duration`` away —
+        and from there to the next point that covers it.  Each hop is one
+        ``O(log N)`` descent of the indexed SP tree; the query changes
+        nothing.  (The paper's AVAILAT loop takes candidates out of a second
+        tree and puts them back: :mod:`repro.baselines.algorithm1`.)
         """
+        if duration <= 0:
+            raise PlannerError(f"duration must be positive, got {duration}")
         obs = _obs_runtime.ACTIVE.get()
         if obs.enabled:
             obs.metrics.counter(
@@ -241,34 +240,17 @@ class Planner:
         # earliest fit starts either exactly at `at` or at a later point.
         if self.avail_during(at, duration, request):
             return at
-        et = self._et
-        if et is None:
-            et = self._et = self._build_et()
-        stash: List[ScheduledPoint] = []
-        result: Optional[int] = None
-        try:
-            while True:
-                point = et.find_earliest(request)
-                if point is None:
-                    break
-                et.remove(point)
-                stash.append(point)
-                if point.time <= at:
-                    continue
-                if point.time + duration > self.plan_end:
-                    continue
-                if self.avail_during(point.time, duration, request):
-                    result = point.time
-                    break
-        finally:
-            for point in stash:
-                et.insert(point)
+        if not self._sp.indexed:
+            self._sp.index()
+        result, hops = self._sp.earliest_fit(at, duration, request)
+        if result is not None and result + duration > self.plan_end:
+            result = None
         if obs.enabled:
             obs.metrics.histogram(
-                "planner.stash_points",
-                "ET-tree points stashed per AVAILAT search",
-                boundaries=_STASH_BUCKETS,
-            ).observe(len(stash))
+                "planner.search_hops",
+                "hops to a later candidate start per earliest-time search",
+                boundaries=_HOP_BUCKETS,
+            ).observe(hops)
         return result
 
     # ------------------------------------------------------------------
@@ -316,7 +298,7 @@ class Planner:
                 f"request {request}x[{start},{start + duration}) unavailable"
                 f" ({self.resource_type or 'resource'})"
             )
-        self._ensure_trees()
+        self._ensure_tree()
         end = start + duration
         start_point = self._get_or_create_point(start)
         end_point = self._get_or_create_point(end)
@@ -387,8 +369,8 @@ class Planner:
     def rebuild(self, spans: Optional[Iterable[dict]] = None) -> int:
         """Reconstruct the point trees (and optionally the span registry).
 
-        Corruption-repair support: discards the scheduled-point/end-time
-        trees outright — without walking them, so a damaged tree cannot
+        Corruption-repair support: discards the scheduled-point tree (and
+        with it the index) outright — without walking it, so a damaged tree cannot
         make the rebuild fail — and re-books every span from scratch via
         :meth:`add_span`.  With ``spans=None`` the planner's own span
         registry is the source of truth (repairs point-tree drift while
@@ -407,7 +389,6 @@ class Planner:
         next_id = self._next_span_id
         self._spans = {}
         self._sp = None
-        self._et = None
         self._base_point = None
         for record in records:
             self.add_span(
@@ -508,9 +489,8 @@ class Planner:
                     )
         for point in self._sp:
             point.remaining += delta
-        # Every key moved: drop the ET tree, the next earliest-time question
-        # rebuilds it in the one pass re-keying it here would have cost.
-        self._et = None
+        if self._sp.indexed:
+            self._sp.index()  # every point moved: one pass re-indexes them
         self.total = new_total
 
     # ------------------------------------------------------------------
@@ -543,8 +523,6 @@ class Planner:
         assert governing is not None
         point = ScheduledPoint(time, governing.in_use, governing.remaining)
         self._sp.insert(point)
-        if self._et is not None:
-            self._et.insert(point)
         return point
 
     def _release_point(self, time: int) -> None:
@@ -553,18 +531,15 @@ class Planner:
         point.ref_count -= 1
         if point.ref_count == 0 and point is not self._base_point:
             self._sp.remove(point)
-            if self._et is not None:
-                self._et.remove(point)
 
     def check_invariants(self) -> None:
         """Verify tree invariants and point-state consistency (test support)."""
         if self._sp is None:
             assert not self._spans
             return
+        # Red-black and time order; where the tree is indexed, every node's
+        # remaining-resource range against a recomputation.
         self._sp.check_invariants()
-        # No ET tree yet: the one avail_time_first would build must hold.
-        et = self._et if self._et is not None else self._build_et()
-        et.check_invariants()
         points = list(self._sp)
         assert points and points[0] is self._base_point
         # Recompute in_use at each point from the active spans.
@@ -579,7 +554,6 @@ class Planner:
             )
             assert point.remaining == self.total - point.in_use
             assert 0 <= point.in_use <= self.total
-        assert len(self._sp) == len(et)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -1,20 +1,22 @@
 """Augmented red-black tree.
 
 This is the balanced-search-tree substrate beneath the Planner (paper §4.1).
-The Planner keeps two of these per resource vertex:
-
-* the *scheduled-point* (SP) tree, keyed by the time of each scheduled point,
-  used for time-based queries in ``O(log N)``; and
-* the *earliest-time* (ET) tree, keyed by remaining resource quantity and
-  augmented with the earliest scheduled time found in each subtree, which
-  supports the paper's Algorithm 1 (``FINDEARLIESTAT``).
+The Planner keeps one per resource vertex: the *scheduled-point* (SP) tree,
+keyed by the time of each scheduled point, used for time-based queries in
+``O(log N)``.  Once a planner has been asked an earliest-time question the
+same tree is augmented with the range of remaining resource in each subtree
+(see :mod:`repro.planner.trees`); the paper's second, *earliest-time* (ET)
+tree of Algorithm 1 is kept as a reference in :mod:`repro.baselines` and is
+built on this class too.
 
 The implementation follows CLRS chapter 13 with a per-tree NIL sentinel.
 Augmentation is expressed as a callback ``augment(node) -> value`` computing
 the node's augmented value from ``node.value`` and the (already up-to-date)
 augmented values of ``node.left`` / ``node.right``.  The tree re-runs the
 callback bottom-up along every path touched by an insert, delete or rotation,
-which preserves the classic ``O(log N)`` bounds for augmented queries.
+which preserves the classic ``O(log N)`` bounds for augmented queries.  It
+can be given at construction or switched on later (:meth:`RBTree.set_augment`);
+a tree without one makes no augmentation call at all.
 
 Keys may be any totally-ordered values (ints, tuples, ...).  Duplicate keys
 are rejected; callers that need duplicates compose a tiebreaker into the key
@@ -264,6 +266,25 @@ class RBTree:
         value but not the key.
         """
         self._refresh_up(node)
+
+    @property
+    def augmented(self) -> bool:
+        """True when the tree maintains augmented values."""
+        return self._augment is not None
+
+    def set_augment(self, augment: Callable[[RBNode], Any]) -> None:
+        """Install ``augment`` and compute every node's augmented value in
+        one post-order pass; mutations keep it current from here on."""
+        self._augment = augment
+        nil = self.nil
+
+        def walk(node: RBNode) -> None:
+            if node is not nil:
+                walk(node.left)
+                walk(node.right)
+                node.aug = augment(node)
+
+        walk(self.root)
 
     # ------------------------------------------------------------------
     # internals

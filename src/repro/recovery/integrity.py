@@ -663,8 +663,9 @@ def apply_corruption(
         points = list(planner._sp)
         point = points[rng.randrange(len(points))]
         # Points are unique in time, so this charges exactly one of them;
-        # _shift re-keys the end-time tree (if there is one) so the trees
-        # stay structurally valid: only the usage *values* are corrupted.
+        # _shift keeps the tree's remaining-resource index (if it has one) in
+        # step, so the tree stays structurally valid: only the usage *values*
+        # are corrupted.
         planner._shift(point.time, point.time + 1, 1 + rng.randrange(3))
         return True
     if kind == "structure":

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import ListPlanner, NodeCentricScheduler
+from repro.baselines import Algorithm1, ListPlanner, NodeCentricScheduler
 from repro.errors import PlannerError, SchedulerError, SpanNotFoundError
 from repro.jobspec import nodes_jobspec, pool_jobspec, rack_spread_jobspec
 from repro.planner import Planner
@@ -29,6 +29,9 @@ class TestListPlanner:
             p.add_span(5, 10, 1)
         with pytest.raises(SpanNotFoundError):
             p.rem_span(3)
+        for request in (1, 5):  # validated before "5 can never fit"
+            with pytest.raises(PlannerError, match="duration must be positive"):
+                p.avail_time_first(request, 0, 0)
 
     def test_overcommit_rejected(self):
         p = ListPlanner(4, 0, 100)
@@ -75,6 +78,36 @@ class TestListPlanner:
         assert tree.avail_time_first(request, duration, 0) == naive.avail_time_first(
             request, duration, 0
         )
+
+
+class TestAlgorithm1:
+    """The paper's ET tree + AVAILAT loop over a Planner's public surface."""
+
+    def test_earliest_fit(self):
+        p = Planner(4, 0, 1000)
+        p.add_span(0, 100, 4)
+        p.add_span(150, 100, 4)
+        reference = Algorithm1(p)
+        assert reference.avail_time_first(4, 50, 0) == 100
+        assert reference.avail_time_first(4, 60, 0) == 250
+        assert reference.avail_time_first(4, 60, 300) == 300
+        assert reference.avail_time_first(5, 1, 0) is None
+        assert reference.avail_time_first(4, 751, 0) is None
+        with pytest.raises(PlannerError, match="duration must be positive"):
+            reference.avail_time_first(1, 0, 0)
+
+    def test_one_point_per_span_boundary_and_the_stash_is_put_back(self):
+        p = Planner(8, 0, 100)
+        for start, duration, request in ((0, 1, 8), (1, 3, 3), (6, 1, 7)):  # Fig 3
+            p.add_span(start, duration, request)
+        reference = Algorithm1(p)
+        points = sorted((pt.time, pt.remaining) for pt in reference._et)
+        assert points == [(0, 0), (1, 5), (4, 8), (6, 1), (7, 8)]
+        assert len(points) == p.point_count
+        assert reference.avail_time_first(6, 3, 0) == 7  # [4, 6) is too short
+        assert sorted((pt.time, pt.remaining) for pt in reference._et) == points
+        reference._et.check_invariants()
+        assert not p.indexed  # it never asks the planner an earliest-time question
 
 
 class TestNodeCentricScheduler:

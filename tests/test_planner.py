@@ -1,5 +1,7 @@
 """Unit and property tests for the Planner (paper §4.1, Fig. 3)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -407,7 +409,7 @@ def test_property_update_span_end_matches_naive_model(spans, updates):
 
 
 # ----------------------------------------------------------------------
-# the ET tree exists once an earliest-time question has been asked
+# the index exists once an earliest-time question has been asked
 # ----------------------------------------------------------------------
 _PROBES = ((1, 1, 0), (5, 10, 0), (9, 30, 40), (16, 7, 120), (3, 60, 199))
 
@@ -460,24 +462,25 @@ def _apply_to_model(model, op, sid):
     return None
 
 
-def _force_et(planner):
+def _force_index(planner):
     """Ask the earliest-time question whose fast path cannot answer it."""
     for span in planner.spans():
         if span.request:
             planner.avail_time_first(planner.total, 1, span.start)
-            assert planner._et is not None
+            assert planner.indexed
             return
 
 
 @given(ops_strategy, st.integers(0, 30))
 @settings(max_examples=150, deadline=None)
-def test_property_et_tree_built_on_demand_answers_as_one_kept_all_along(
+def test_property_index_built_on_demand_answers_as_one_kept_all_along(
     ops, force_at
 ):
-    """Random mutation sequences against three planners — ET tree built right
-    after the first span, built at a random later step, and the list-based
-    baseline — give equal answers after every step."""
-    from repro.baselines.listplanner import ListPlanner
+    """Random mutation sequences against three planners — indexed right after
+    the first span, indexed at a random later step, and the list-based
+    baseline — give equal answers after every step, and the paper's
+    Algorithm 1 run over the same spans agrees on the earliest time."""
+    from repro.baselines import Algorithm1, ListPlanner
 
     early, late, model = Planner(16, 0, 260), Planner(16, 0, 260), ListPlanner(16, 0, 260)
     live = []
@@ -492,12 +495,13 @@ def test_property_et_tree_built_on_demand_answers_as_one_kept_all_along(
                 live.append(outcome)
             elif op[0] == "rem" and sid is not None:
                 live.remove(sid)
-        _force_et(early)
+        _force_index(early)
         if step == force_at:
-            _force_et(late)
+            _force_index(late)
         if step < force_at:
             # Bookings and window queries alone never build the index.
-            assert late._et is None
+            assert not late.indexed
+        algorithm1 = Algorithm1(early)
         for request, duration, at in _PROBES:
             expected = model.avail_during(at, duration, request)
             lowest = min(
@@ -507,9 +511,61 @@ def test_property_et_tree_built_on_demand_answers_as_one_kept_all_along(
                 assert planner.avail_during(at, duration, request) == expected
                 assert planner.avail_resources_during(at, duration) == lowest
             first = model.avail_time_first(request, duration, at)
+            assert algorithm1.avail_time_first(request, duration, at) == first
             assert early.avail_time_first(request, duration, at) == first
             if step >= force_at:
                 assert late.avail_time_first(request, duration, at) == first
         early.check_invariants()
         late.check_invariants()
     assert {s.span_id for s in early.spans()} == {s.span_id for s in late.spans()}
+
+
+def _tree_shape(planner):
+    """In-order (key, colour, augmentation) of every node of the SP tree."""
+    return [(node.key, node.red, node.aug) for node in planner._sp._tree]
+
+
+def test_earliest_time_query_changes_nothing():
+    """A query only reads: on a 300-span conservative plan the tree is node
+    for node what it was — keys, colours, augmentation — after 100 searches
+    that each hop over at least five free runs too short for them."""
+    from repro import obs as fluxobs
+
+    rng = random.Random(19)
+    planner = Planner(128, 0, 2**40)
+    for _ in range(300):
+        request, duration = rng.randint(1, 64), rng.randint(60, 43_200)
+        planner.add_span(
+            planner.avail_time_first(request, duration, 0), duration, request
+        )
+    assert planner.indexed
+    before = _tree_shape(planner)
+    observer = fluxobs.Observer(why=False)
+    token = fluxobs.activate(observer)
+    try:
+        long_searches = hopped = 0
+        for _ in range(300):
+            request, duration = rng.randint(1, 64), rng.randint(60, 43_200)
+            assert planner.avail_time_first(request, duration, 0) is not None
+            histogram = observer.metrics.get("planner.search_hops")
+            total = histogram.sum if histogram is not None else 0
+            long_searches += total - hopped >= 5
+            hopped = total
+    finally:
+        fluxobs.deactivate(token)
+    assert long_searches >= 100
+    assert _tree_shape(planner) == before
+    planner.check_invariants()
+
+
+def test_avail_time_first_validates_duration_up_front():
+    """A non-positive duration is an error whatever the planner holds (it
+    used to be an answer on an empty planner and an error on a booked one)."""
+    empty, booked = Planner(4, 0, 100), Planner(4, 0, 100)
+    booked.add_span(0, 10, 4)
+    for planner in (empty, booked):
+        for duration, at in ((0, 0), (-5, 10)):
+            with pytest.raises(PlannerError, match="duration must be positive"):
+                planner.avail_time_first(1, duration, at)
+        with pytest.raises(PlannerError, match="duration must be positive"):
+            planner.avail_time_first(5, 0, 0)  # even where no time could fit

@@ -105,6 +105,16 @@ class TestAvailTimeFirst:
     def test_respects_on_or_after(self, rack_filter):
         assert rack_filter.avail_time_first({"core": 1}, 1, 500) == 500
 
+    def test_duration_validated_up_front(self, rack_filter):
+        """Whatever is asked for — a tracked type, an untracked one, nothing —
+        and whatever is booked, a non-positive duration is an error."""
+        for start in (0, 50):
+            for counts in ({"core": 1}, {"ssd": 1}, {}, {"gpu": 5}):
+                for duration in (0, -5):
+                    with pytest.raises(PlannerError, match="duration must be positive"):
+                        rack_filter.avail_time_first(counts, duration, 10)
+            rack_filter.add_span(start, 50, {"core": 40})
+
 
 @given(
     st.lists(

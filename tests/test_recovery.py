@@ -349,7 +349,7 @@ class TestSnapshot:
         InvariantAuditor(deep=True).check(restored)
 
     def test_restored_root_filter_reserves_as_the_uninterrupted_run(self):
-        """Restore re-books spans only, so the root filter's ET tree is
+        """Restore re-books spans only, so the root filter's index is
         rebuilt by the first earliest-time question — with the same answer."""
         sim = saturated_sim()
         for _ in range(6):
@@ -357,12 +357,12 @@ class TestSnapshot:
         restored = restore_simulator(json.loads(json.dumps(snapshot_state(sim))))
         for root in restored.graph.roots():
             filters = root.prune_filters
-            assert all(filters.planner(t)._et is None for t in filters.types)
+            assert not any(filters.planner(t).indexed for t in filters.types)
         jobspec = simple_node_jobspec(cores=4, duration=300)
         a = sim.traverser.allocate_orelse_reserve(jobspec, now=sim.now)
         b = restored.traverser.allocate_orelse_reserve(jobspec, now=restored.now)
         assert a.reserved and (a.at, a.alloc_id) == (b.at, b.alloc_id)
-        assert any(filters.planner(t)._et is not None for t in filters.types)
+        assert any(filters.planner(t).indexed for t in filters.types)
         assert [s.vertex.name for s in a.selections] == [
             s.vertex.name for s in b.selections
         ]

@@ -288,7 +288,7 @@ class TestEventLog:
 @pytest.mark.parametrize("queue", ["easy", "conservative"])
 def test_only_root_filters_are_asked_earliest_time_questions(queue):
     """Paper §3.4/§4.1: the traverser asks EarliestAt of the root's pruning
-    filter alone, so after a backlogged run no other planner has built an ET
+    filter alone, so after a backlogged run no other planner has indexed its
     tree.  A change that starts asking per-vertex planners shows up here."""
     g = tiny_cluster(racks=2, nodes_per_rack=4, cores=4)
     sim = ClusterSimulator(g, match_policy="first", queue=queue)
@@ -303,5 +303,5 @@ def test_only_root_filters_are_asked_earliest_time_questions(queue):
         planners = [v.plans, v.xplans]
         if v.prune_filters is not None:
             planners += [v.prune_filters.planner(t) for t in v.prune_filters.types]
-        holders.update(id(p) for p in planners if p._et is not None)
+        holders.update(id(p) for p in planners if p.indexed)
     assert holders and holders <= allowed

@@ -1,4 +1,5 @@
-"""Direct tests for the SP and ET trees (paper §4.1, Algorithm 1)."""
+"""Direct tests for the SP tree and its remaining-resource index, and for the
+ET tree of the paper's Algorithm 1 (§4.1), which lives in repro.baselines."""
 
 import random
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import ETTree
 from repro.planner.span import ScheduledPoint
-from repro.planner.trees import ETTree, SPTree
+from repro.planner.trees import SPTree
 
 
 def make_points(specs):
@@ -62,6 +64,64 @@ class TestSPTree:
         tree.check_invariants()
 
 
+class TestSPTreeIndex:
+    """The (lowest, highest) remaining index and the two descents it guides."""
+
+    def build(self, specs):
+        tree = SPTree()
+        for point in make_points(specs):
+            tree.insert(point)
+        return tree
+
+    def test_off_until_asked_for(self):
+        tree = self.build([(0, 10), (5, 3)])
+        assert not tree.indexed
+        tree.shift(0, 6, 1)
+        assert not tree.indexed
+        tree.index()
+        assert tree.indexed
+        tree.check_invariants()
+
+    def test_descents_are_at_or_after(self):
+        tree = self.build([(0, 10), (5, 3), (9, 7), (12, 2), (20, 10)])
+        tree.index()
+        assert tree.first_covering(0, 10).time == 0
+        assert tree.first_covering(1, 10).time == 20
+        assert tree.first_covering(5, 7).time == 9
+        assert tree.first_covering(21, 1) is None
+        assert tree.first_covering(0, 11) is None
+        assert tree.first_short(0, 10).time == 5
+        assert tree.first_short(6, 3).time == 12
+        assert tree.first_short(13, 10) is None
+        assert tree.first_short(0, 2) is None
+
+    def test_shift_keeps_the_index_in_step(self):
+        tree = self.build([(t, 10) for t in range(0, 100, 5)])
+        tree.index()
+        tree.shift(20, 41, 4)  # points 20..40 drop to 6
+        tree.check_invariants()
+        assert tree.first_short(0, 7).time == 20
+        assert tree.first_covering(20, 7).time == 45
+        assert [p.remaining for p in tree.iter_range(15, 50)] == [10, 6, 6, 6, 6, 6, 10]
+        tree.shift(20, 41, -4)
+        tree.check_invariants()
+        assert tree.first_short(0, 7) is None
+
+    def test_earliest_fit_hops_from_one_free_run_to_the_next(self):
+        # free (>= 5) runs: [10, 12), [20, 23), [30, ...); (time, hops)
+        tree = self.build(
+            [(0, 0), (10, 5), (12, 0), (20, 9), (21, 5), (23, 1), (30, 6)]
+        )
+        tree.index()
+        assert tree.earliest_fit(0, 2, 5) == (10, 1)
+        assert tree.earliest_fit(0, 3, 5) == (20, 2)
+        assert tree.earliest_fit(0, 4, 5) == (30, 3)
+        assert tree.earliest_fit(11, 2, 5) == (20, 1)  # 11 itself is too late
+        assert tree.earliest_fit(11, 1, 5) == (11, 0)
+        assert tree.earliest_fit(0, 1, 10) == (None, 0)
+        assert tree.earliest_fit(22, 1, 7) == (None, 0)
+
+
 class TestETTree:
     def test_find_earliest_basic(self):
         tree = ETTree()
@@ -94,8 +154,8 @@ class TestETTree:
         assert len(tree) == 0
 
     def test_stale_key_removal_fails(self):
-        """Removal requires the remaining value from insert time (the Planner
-        re-inserts points whenever remaining changes)."""
+        """Removal requires the remaining value from insert time (a planner
+        built on this tree re-inserts a point whenever its remaining changes)."""
         tree = ETTree()
         point = ScheduledPoint(5, 0, 10)
         tree.insert(point)
@@ -170,3 +230,76 @@ def test_property_et_survives_removals(specs, rnd):
         expected = min((p.time for p in keep if p.remaining >= request), default=None)
         got = tree.find_earliest(request)
         assert (got.time if got else None) == expected
+
+
+# ----------------------------------------------------------------------
+# the SP tree's index against brute force
+# ----------------------------------------------------------------------
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 300), st.integers(0, 32)),
+        st.tuples(st.just("remove"), st.integers(0, 300)),
+        st.tuples(st.just("shift"), st.integers(0, 300), st.integers(1, 120),
+                  st.integers(-8, 8)),
+        # every point moves behind the tree's back, then one pass re-indexes
+        st.tuples(st.just("reindex"), st.integers(-4, 4)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _subtree_ranges(tree):
+    """(lowest, highest) remaining of every subtree, recomputed from nothing."""
+    nil = tree._tree.nil
+
+    def walk(node):
+        if node is nil:
+            return []
+        below = walk(node.left) + [node.value.remaining] + walk(node.right)
+        assert node.aug == (min(below), max(below)), node
+        return below
+
+    return walk(tree._tree.root)
+
+
+@given(index_ops, st.integers(0, 59))
+@settings(max_examples=150, deadline=None)
+def test_property_sp_index_descents_match_linear_scan(ops, index_at):
+    """Random insert / remove / shift / re-index sequences: once switched on
+    (at a random step), every node's range equals a recomputation and both
+    descents equal a scan over the points in time order."""
+    tree = SPTree()
+    points = {}
+    for step, op in enumerate(ops):
+        kind, *args = op
+        if kind == "insert" and args[0] not in points:
+            points[args[0]] = ScheduledPoint(args[0], 32 - args[1], args[1])
+            tree.insert(points[args[0]])
+        elif kind == "remove" and points:
+            tree.remove(points.pop(sorted(points)[args[0] % len(points)]))
+        elif kind == "shift":
+            before = {t: p.remaining for t, p in points.items()}
+            tree.shift(args[0], args[0] + args[1], args[2])
+            for t, p in points.items():
+                inside = args[0] <= t < args[0] + args[1]
+                assert p.remaining == before[t] - (args[2] if inside else 0)
+        elif kind == "reindex":
+            for point in points.values():
+                point.remaining += args[0]
+            if tree.indexed:
+                tree.index()
+        if step == min(index_at, len(ops) - 1):
+            tree.index()
+        if not tree.indexed:
+            continue
+        tree.check_invariants()
+        _subtree_ranges(tree)
+        in_order = [points[t] for t in sorted(points)]
+        for time in (0, 37, 150, 299, 301):
+            for request in (0, 7, 16, 33):
+                later = [p for p in in_order if p.time >= time]
+                covering = next((p for p in later if p.remaining >= request), None)
+                short = next((p for p in later if p.remaining < request), None)
+                assert tree.first_covering(time, request) is covering
+                assert tree.first_short(time, request) is short
