@@ -116,8 +116,8 @@ class ResourceQuery:
         elif verb in ("allocate_orelse_reserve", "reserve"):
             alloc = self.traverser.allocate_orelse_reserve(jobspec, now=self.now)
         elif verb == "satisfiability":
-            elapsed = wall_now() - start
             ok = self.traverser.satisfiable(jobspec)
+            elapsed = wall_now() - start
             self._print(f"INFO: satisfiability: {'yes' if ok else 'no'}")
             self._print(f"INFO: match time: {elapsed * 1e3:.3f} ms")
             return

@@ -217,6 +217,13 @@ class Jobspec:
         for root in self.resources:
             yield from root.walk()
 
+    @property
+    def shape(self) -> Tuple[ResourceRequest, ...]:
+        """What is asked for, without for how long: the request tree as one
+        hashable value, equal for jobspecs that differ only in duration or
+        attributes.  The key for anything remembered per kind of request."""
+        return self.resources
+
     @cached_property
     def total_demand(self) -> Dict[str, int]:
         """:meth:`totals`, computed once; shared, so read-only."""

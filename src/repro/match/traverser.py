@@ -10,7 +10,8 @@ resource set.  Three operations mirror Fluxion's match verbs:
   start times come from the containment root's pruning filter via
   ``PlannerMultiAvailTimeFirst`` (§4.1);
 * :meth:`Traverser.satisfiable` — structural check against raw capacities,
-  ignoring current allocations.
+  ignoring current allocations; answered once per jobspec shape until the
+  graph's structure changes.
 
 Pruning (§3.4): while collecting candidates the traverser consults each
 interior vertex's pruning filter with the request's per-unit subtree demand
@@ -23,7 +24,7 @@ selected paths only — the filters are never recomputed from scratch.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     AllocationNotFoundError,
@@ -256,12 +257,14 @@ class _Tentative:
     """Journalled tentative bookings for one in-progress match.
 
     Quantities and exclusivity levels claimed so far are tracked per vertex;
-    ``mark``/``rollback`` undo failed sub-matches cheaply.
+    ``mark``/``rollback`` undo failed sub-matches cheaply.  ``assume_up``
+    makes the walk of this match treat every drained vertex as in service.
     """
 
-    __slots__ = ("qty", "x", "passthrough", "_journal")
+    __slots__ = ("qty", "x", "passthrough", "_journal", "assume_up")
 
-    def __init__(self) -> None:
+    def __init__(self, assume_up: bool = False) -> None:
+        self.assume_up = assume_up
         self.qty: Dict[int, int] = {}
         self.x: Dict[int, int] = {}
         self.passthrough: set = set()
@@ -362,6 +365,9 @@ class Traverser:
         self._c_deadline = self.metrics.counter(
             "dfu.deadline_cancels",
             "match attempts cut short by a scheduling deadline")
+        self._c_satisfiable_hits = self.metrics.counter(
+            "dfu.satisfiable_hits",
+            "satisfiable() calls answered from a remembered shape")
         self._stats_view = _StatsView({
             "visits": self._c_visits,
             "matched": self._c_matched,
@@ -378,6 +384,12 @@ class Traverser:
         #: cycle, candidate collection and the reservation search charge it
         #: and honour its cancellation checkpoints.  None = unbounded.
         self.budget: "Optional[WorkBudget]" = None
+        #: shapes :meth:`satisfiable` has answered yes for, as (shape,
+        #: assume_up), and what they were derived under: (graph.structure,
+        #: policy, subsystem).  Derived state: dropped whole when any of the
+        #: three differs, never exported, snapshotted or fingerprinted.
+        self._satisfiable_yes: Set[Tuple[object, bool]] = set()
+        self._satisfiable_under: Tuple[object, ...] = ()
 
     @property
     def stats(self) -> _StatsView:
@@ -538,9 +550,43 @@ class Traverser:
         ``earliest``)."""
         return self.allocate_orelse_reserve(jobspec, now=earliest)
 
-    def satisfiable(self, jobspec: Jobspec) -> bool:
-        """Could ``jobspec`` ever match this graph, ignoring allocations?"""
-        return self._match_at(None, jobspec.duration, jobspec) is not None
+    def satisfiable(self, jobspec: Jobspec, assume_up: bool = False) -> bool:
+        """Could ``jobspec`` ever match this graph, ignoring allocations?
+
+        No when its duration exceeds the planning horizon: no window can
+        hold it.  Otherwise the answer depends only on the jobspec's shape
+        and on what exists and is in service, so a yes is remembered per
+        shape until ``graph.structure`` moves (or the match policy or the
+        subsystem is swapped) and the next job of that shape costs a
+        lookup, not a walk of the whole graph.  A no is never remembered
+        (it is rare, ends the job, and its walk is what tells fluxwhy why),
+        and neither is a shape with a ``requires`` anywhere: its predicate
+        reads ``vertex.properties``, which may be edited in place.
+        ``assume_up`` asks the same of the machine with every drained
+        vertex back in service.
+        """
+        graph = self.graph
+        if jobspec.duration > graph.plan_end - graph.plan_start:
+            why = self.obs.why
+            if why.enabled:
+                why.fail(
+                    "horizon", duration=jobspec.duration,
+                    plan_start=graph.plan_start, plan_end=graph.plan_end,
+                )
+            return False
+        under = (graph.structure, self.policy, self.subsystem)
+        if under != self._satisfiable_under:
+            self._satisfiable_yes.clear()
+            self._satisfiable_under = under
+        key = (jobspec.shape, assume_up)
+        if key in self._satisfiable_yes:
+            self._c_satisfiable_hits.inc()
+            return True
+        if self._match_at(None, jobspec.duration, jobspec, assume_up) is None:
+            return False
+        if all(request.requires is None for request in jobspec.walk()):
+            self._satisfiable_yes.add(key)
+        return True
 
     def remove(self, alloc_id: int, now: Optional[int] = None) -> Allocation:
         """Release an allocation or cancel a reservation.
@@ -627,9 +673,14 @@ class Traverser:
         return None
 
     def _match_at(
-        self, at: Optional[int], duration: int, jobspec: Jobspec
+        self,
+        at: Optional[int],
+        duration: int,
+        jobspec: Jobspec,
+        assume_up: bool = False,
     ) -> Optional[List[Selection]]:
-        """Match the whole jobspec at time ``at`` (None = capacity mode)."""
+        """Match the whole jobspec at time ``at`` (None = capacity mode,
+        where ``assume_up`` may ask the walk to ignore drained status)."""
         if at is not None:
             why = self.obs.why
             if at + duration > self.graph.plan_end:
@@ -658,7 +709,7 @@ class Traverser:
                         why.fail("no_candidates", type=first.type, under="")
                     return None
                 self._c_filter_misses.inc()
-        tentative = _Tentative()
+        tentative = _Tentative(assume_up)
         out: List[Selection] = []
         ok = self._match_requests(
             None, jobspec.resources, at, duration, False, tentative, out
@@ -719,8 +770,10 @@ class Traverser:
                     under=parent.name if parent is not None else "",
                 )
             return False
-        quantity_mode = not request.with_ and any(
-            c.vertex.size != 1 for c in candidates
+        quantity_mode = (
+            not request.with_
+            and request.type in self.graph.pool_types
+            and any(c.vertex.size != 1 for c in candidates)
         )
         ordered = self.policy.order(candidates, request)
         mark = tentative.mark()
@@ -902,6 +955,7 @@ class Traverser:
         subsystem = self.subsystem
         children_tuple = graph.children_tuple
         tentative_x = tentative.x
+        check_status = not tentative.assume_up
         tracked_cache: Dict[Tuple[str, ...], Dict[str, int]] = {}
         # Decision provenance (null-twin pattern): one hoisted bool guards
         # every probe, so a disabled recorder costs a local truth test on
@@ -923,7 +977,7 @@ class Traverser:
                     # partial verdict (the finally block still accounts the
                     # work already done).
                     budget.charge(1)
-                if vertex.status != "up":
+                if check_status and vertex.status != "up":
                     # drained vertices close their whole subtree
                     if why_on:
                         why_prune("down", vertex.type, vertex.name)
@@ -935,16 +989,9 @@ class Traverser:
                         why_prune("predicate", rtype, vertex.name)
                     continue
                 if at is not None:
-                    # Exclusively-held vertices close their whole subtree
-                    # (§3.4).
-                    if (
-                        vertex.xplans.avail_resources_during(at, duration)
-                        - tentative_x.get(uid, 0)
-                        < 1
-                    ):
-                        if why_on:
-                            why_prune("exclusive", vertex.type, vertex.name)
-                        continue
+                    # The filter first: in a full machine nearly every
+                    # interior vertex fails it, and then its x-plan is
+                    # never scanned.
                     if prune and vertex.prune_filters is not None:
                         filters = vertex.prune_filters
                         tracked = _tracked_slice(
@@ -957,6 +1004,14 @@ class Traverser:
                                     why_prune("filter", vertex.type, vertex.name)
                                 continue
                             filter_misses += 1
+                    # Exclusively-held vertices close their whole subtree
+                    # (§3.4).
+                    if not vertex.xplans.avail_during(
+                        at, duration, 1 + tentative_x.get(uid, 0)
+                    ):
+                        if why_on:
+                            why_prune("exclusive", vertex.type, vertex.name)
+                        continue
                 children = children_tuple(vertex, subsystem)
                 next_via = via + (vertex,)
                 for child in reversed(children):

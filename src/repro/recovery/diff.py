@@ -9,8 +9,11 @@ heap, the event log and the accounting counters.  Wall-clock measurements
 (``Job.sched_time``) are excluded: two runs of identical decisions never
 take identical wall time.  The graph's change counters
 (:meth:`ResourceGraph.note_change`) are left out as well: only a queue
-policy that keys an answer on them can tell their values apart, and that
-policy's state — the values it keyed on — is compared.
+policy that keys an answer on ``freed`` / ``unplanned`` can tell their
+values apart, and that policy's state — the values it keyed on — is
+compared; ``structure`` keys only answers that are re-derived on demand
+(:meth:`Traverser.satisfiable`'s remembered shapes,
+:attr:`ResourceGraph.pool_types`) and that a restore starts without.
 
 ``state_fingerprint`` reduces a simulator to a nested JSON-able structure;
 ``state_diff`` returns human-readable paths where two fingerprints differ

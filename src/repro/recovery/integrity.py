@@ -670,5 +670,8 @@ def apply_corruption(
         return True
     if kind == "structure":
         vertex.size += 1 + rng.randrange(3)
+        # A write to ``size`` like any other: what the matcher derived
+        # from the old value (see ResourceGraph.structure) goes with it.
+        sim.graph.note_change(structural=True)
         return True
     raise IntegrityError(f"unknown corruption kind: {kind!r}")

@@ -87,6 +87,7 @@ class RepairEngine:
         vertex.rank = base["rank"]
         vertex.properties = dict(base["properties"])
         vertex.paths = dict(base["paths"])
+        self.sim.graph.note_change(structural=True)
         return True
 
     def rebuild_planner(

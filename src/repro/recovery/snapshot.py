@@ -136,7 +136,8 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
         ],
         "live_alloc_ids": sorted(sim.traverser.allocations),
         "next_alloc_id": sim.traverser._next_alloc_id,
-        # What the queue-policy state under config.queue_state is keyed on.
+        # What the queue-policy state under config.queue_state is keyed on
+        # (graph.structure keys only what a restored run derives afresh).
         "graph_changes": [sim.graph.freed, sim.graph.unplanned],
         "traverser_stats": dict(sim.traverser.stats),
         "jobs": [job.to_record() for _, job in sorted(sim.jobs.items())],

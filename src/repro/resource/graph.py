@@ -19,7 +19,18 @@ that lives in :mod:`repro.match` (separation of concerns, §3.5).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..errors import ResourceGraphError, SubsystemError
 from ..planner import PlannerMulti
@@ -57,6 +68,8 @@ class ResourceGraph:
         "capacity_schedules",
         "freed",
         "unplanned",
+        "structure",
+        "_pool_types",
     )
 
     def __init__(
@@ -84,29 +97,41 @@ class ResourceGraph:
         #: every CapacitySchedule booking outages on this graph (each adds
         #: itself): their spans are expected planner state, not corruption
         self.capacity_schedules: List[object] = []
-        #: monotone change counters (see :meth:`note_change`): a queue
-        #: policy keeps an answer it derived for as long as the counter it
-        #: depends on has not moved.  ``freed`` counts everything that may
-        #: let a refused match succeed; ``unplanned`` the part of it no
+        #: monotone change counters (see :meth:`note_change`): whoever
+        #: keeps an answer it derived keeps it for as long as the counter
+        #: it depends on has not moved.  ``freed`` counts everything that
+        #: may let a refused match succeed; ``unplanned`` the part of it no
         #: booked span end announced, which is what can pull a standing
-        #: reservation earlier or move it.
+        #: reservation earlier or move it; ``structure`` the part that
+        #: changed what exists or is in service (a vertex, an edge, a pool
+        #: size, a drain), which is all that an answer ignoring allocations
+        #: depends on.
         self.freed = 0
         self.unplanned = 0
+        self.structure = 0
+        #: (``structure`` when derived, the set) behind :attr:`pool_types`
+        self._pool_types: Optional[Tuple[int, FrozenSet[str]]] = None
 
-    def note_change(self, planned: bool = False) -> None:
+    def note_change(self, planned: bool = False, structural: bool = False) -> None:
         """Count one event after which a match may answer differently.
 
         Called where capacity is released or the structure changes: by this
         class, by :meth:`Traverser.remove` / ``update_end``,
-        :class:`~repro.sched.capacity.CapacitySchedule` and the repair
-        engine.  ``planned`` marks a release at the booked end of its span
-        — the planners already said the capacity returns then, so whatever
-        was planned around it stands.  A needless call costs a caller one
-        re-derivation; a missing one leaves it acting on a stale answer.
+        :class:`~repro.sched.capacity.CapacitySchedule`,
+        :func:`~repro.sched.elastic.resize_pool` and the repair engine.
+        ``planned`` marks a release at the booked end of its span — the
+        planners already said the capacity returns then, so whatever was
+        planned around it stands.  ``structural`` marks a change to the
+        machine itself rather than to what is booked on it: every write to
+        a vertex's ``size`` or ``status`` and every vertex or edge added or
+        removed says so before it returns.  A needless call costs a caller
+        one re-derivation; a missing one leaves it acting on a stale answer.
         """
         self.freed += 1
         if not planned:
             self.unplanned += 1
+        if structural:
+            self.structure += 1
 
     # ------------------------------------------------------------------
     # construction
@@ -148,7 +173,7 @@ class ResourceGraph:
         )
         self._vertices[self._next_id] = vertex
         self._next_id += 1
-        self.note_change()
+        self.note_change(structural=True)
         return vertex
 
     def add_edge(
@@ -184,7 +209,7 @@ class ResourceGraph:
         self._edge_count += 1
         self._roots_cache.pop(subsystem, None)
         self._children_cache.pop((subsystem, src.uniq_id), None)
-        self.note_change()
+        self.note_change(structural=True)
         if subsystem not in src.paths and not inn[src.uniq_id]:
             src.paths[subsystem] = f"/{src.name}"
         if subsystem not in dst.paths:
@@ -208,7 +233,7 @@ class ResourceGraph:
         self._edge_count -= 1
         self._roots_cache.pop(subsystem, None)
         self._children_cache.pop((subsystem, src.uniq_id), None)
-        self.note_change()
+        self.note_change(structural=True)
 
     def remove_vertex(self, vertex: ResourceVertex, force: bool = False) -> None:
         """Detach and delete ``vertex`` (elasticity, §5.5).
@@ -232,7 +257,7 @@ class ResourceGraph:
             self._in[subsystem].pop(vertex.uniq_id, None)
             self._children_cache.pop((subsystem, vertex.uniq_id), None)
         del self._vertices[vertex.uniq_id]
-        self.note_change()
+        self.note_change(structural=True)
 
     # ------------------------------------------------------------------
     # structure queries
@@ -412,6 +437,19 @@ class ResourceGraph:
             totals[v.type] += v.size
         return dict(totals)
 
+    @property
+    def pool_types(self) -> FrozenSet[str]:
+        """Types with a pool (``size != 1``) anywhere in the store, derived
+        once per value of :attr:`structure`: a request for any other type
+        can only ever select distinct vertices, never aggregate units."""
+        memo = self._pool_types
+        if memo is None or memo[0] != self.structure:
+            memo = self._pool_types = (
+                self.structure,
+                frozenset(v.type for v in self._vertices.values() if v.size != 1),
+            )
+        return memo[1]
+
     def total_by_type(self) -> Dict[str, int]:
         """Total pool size per resource type across the whole store."""
         totals: Dict[str, int] = defaultdict(int)
@@ -432,13 +470,13 @@ class ResourceGraph:
         """
         self._require(vertex)
         vertex.status = "down"
-        self.note_change()
+        self.note_change(structural=True)
 
     def mark_up(self, vertex: ResourceVertex) -> None:
         """Return a drained vertex to service."""
         self._require(vertex)
         vertex.status = "up"
-        self.note_change()
+        self.note_change(structural=True)
 
     # ------------------------------------------------------------------
     # pruning filters (§3.4)

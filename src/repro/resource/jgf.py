@@ -138,7 +138,13 @@ def from_jgf(source: Union[str, Mapping[str, Any]]) -> ResourceGraph:
             rank=meta.get("rank", -1),
             properties=meta.get("properties"),
         )
-        vertex.status = meta.get("status", "up")
+        status = meta.get("status", "up")
+        if status not in ("up", "down"):
+            raise ResourceGraphError(
+                f"JGF node {entry['id']!r} has unknown status {status!r}"
+            )
+        if status == "down":
+            graph.mark_down(vertex)
         key = str(entry["id"])
         if key in by_id:
             raise ResourceGraphError(f"duplicate JGF node id {key!r}")

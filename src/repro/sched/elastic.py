@@ -117,7 +117,7 @@ def resize_pool(
         return
     vertex.plans.resize(new_size)
     vertex.size = new_size
-    graph.note_change()
+    graph.note_change(structural=True)
     _adjust_ancestor_filters(graph, vertex, {vertex.type: delta})
 
 

@@ -903,7 +903,10 @@ class ClusterSimulator:
         if not satisfiable:
             # Failure retries are spared the insta-cancel while the shortfall
             # is only down (not missing) hardware: they wait for the repair.
-            if not (job.attempt and self._structurally_satisfiable(job.jobspec)):
+            if not (
+                job.attempt
+                and self.traverser.satisfiable(job.jobspec, assume_up=True)
+            ):
                 job.cancel_reason = CancelReason.UNSATISFIABLE
                 job.transition(JobState.CANCELED)
                 why.event(
@@ -914,19 +917,6 @@ class ClusterSimulator:
         if self.overload is not None and not self.overload.admit(job):
             return  # rejected, shed or deferred: no cycle to run
         self._cycle()
-
-    def _structurally_satisfiable(self, jobspec: Jobspec) -> bool:
-        """Would ``jobspec`` be satisfiable with every down vertex back up?"""
-        down = [v for v in self.graph.vertices() if v.status == "down"]
-        if not down:
-            return False
-        for v in down:
-            v.status = "up"
-        try:
-            return self.traverser.satisfiable(jobspec)
-        finally:
-            for v in down:
-                v.status = "down"
 
     def _on_start(self, job: Job, alloc_id: Optional[int]) -> None:
         alloc = job.allocation

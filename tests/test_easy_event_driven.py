@@ -28,6 +28,7 @@ from repro import (
     ClusterSimulator,
     RetryPolicy,
     nodes_jobspec,
+    simple_node_jobspec,
     tiny_cluster,
 )
 from repro.errors import RecoveryError
@@ -36,9 +37,9 @@ from repro.recovery.diff import state_diff
 from repro.recovery.snapshot import restore_simulator, snapshot_state
 from repro.resilience import InvariantAuditor, OverloadConfig
 from repro.resource import ResourceGraph
-from repro.sched import JobState
+from repro.sched import CancelReason, JobState
 from repro.sched.capacity import CapacitySchedule
-from repro.sched.elastic import grow
+from repro.sched.elastic import grow, resize_pool, shrink_subtree
 from repro.sched.queue import ConservativeBackfill, EasyBackfill, QueuePolicy
 
 from .test_replay_equivalence import faulty, med_lod, node_lod, schedule
@@ -346,10 +347,10 @@ def without_bumps(monkeypatch, *callers):
     dropped, or for ``remove`` reported as a release at the booked end."""
     real = ResourceGraph.note_change
 
-    def note_change(self, planned=False):
+    def note_change(self, planned=False, structural=False):
         caller = sys._getframe(1).f_code.co_name
         if caller not in callers:
-            real(self, planned)
+            real(self, planned, structural)
         elif caller == "remove":
             real(self, planned=True)
 
@@ -468,8 +469,49 @@ def outage_end(policy):
     return sim
 
 
+def then_too_big(policy, change, memory_pools=0):
+    """A four-node job runs and ends; ``change`` takes capacity out of the
+    machine for good; the same request comes again.  ``satisfiable`` said
+    yes to the shape once, and only the structural bump makes it look
+    again: without it job 2 is admitted and waits for ever."""
+    graph = tiny_cluster(
+        1, 4, cores=1, gpus=0, memory_pools=memory_pools, memory_size=16
+    )
+    sim = ClusterSimulator(graph, "low", queue=policy, audit=Auditor())
+    memory = 16 if memory_pools else 0
+    sim.submit(simple_node_jobspec(1, memory, nodes=4, duration=5), at=0)
+    act(sim, 10, lambda: change(graph, graph.find(type="node")[3]))
+    sim.submit(simple_node_jobspec(1, memory, nodes=4, duration=50), at=20)
+    sim.run()
+    return sim
+
+
+def drained(policy):
+    return then_too_big(policy, ResourceGraph.mark_down)
+
+
+def shrunk(policy):
+    return then_too_big(policy, shrink_subtree)
+
+
+def vertex_removed(policy):
+    return then_too_big(
+        policy,
+        lambda graph, node: graph.remove_vertex(graph.children(node)[0]),
+    )
+
+
+def pool_resized(policy):
+    return then_too_big(
+        policy,
+        lambda graph, node: resize_pool(graph, graph.children(node)[1], 8),
+        memory_pools=1,
+    )
+
+
 #: case -> (scenario, the functions whose bump is taken away, the job the
-#: bump matters to, the start the every-cycle loop gives that job)
+#: bump matters to, the start the every-cycle loop gives that job — None
+#: where the bump is what gets the job canceled as unsatisfiable)
 NEEDED = {
     "early-remove": (early_remove, ("remove",), 2, 50),
     "truncation": (truncation, ("update_end",), 2, 50),
@@ -478,6 +520,12 @@ NEEDED = {
     "grow": (grown, ("add_vertex", "add_edge"), 2, 10),
     "outage-cancel": (outage_cancel, ("cancel",), 1, 10),
     "evacuate": (evacuate, ("release_allocation",), 2, 10),
+    "stale-yes-drain": (drained, ("mark_down",), 2, None),
+    "stale-yes-shrink": (shrunk, ("remove_vertex", "remove_edge"), 2, None),
+    "stale-yes-remove-vertex": (
+        vertex_removed, ("remove_vertex", "remove_edge"), 2, None,
+    ),
+    "stale-yes-resize": (pool_resized, ("resize_pool",), 2, None),
 }
 
 
@@ -487,7 +535,12 @@ def test_schedule_moves_without_the_bump(case, monkeypatch):
     reference, _ = assert_same_outcome(build)
     assert reference.jobs[job_id].start_time == start
     without_bumps(monkeypatch, *callers)
-    assert schedule(build(EasyBackfill())) != schedule(reference)
+    changed = build(EasyBackfill())
+    if start is None:
+        assert reference.jobs[job_id].cancel_reason is CancelReason.UNSATISFIABLE
+        assert changed.jobs[job_id].state is JobState.PENDING
+    else:
+        assert schedule(changed) != schedule(reference)
 
 
 def test_drained_node_leaves_the_standing_reservation():
