@@ -105,10 +105,11 @@ class Allocation:
         (pruning filter).
     _bookings:
         What those spans should hold, filled in by the first
-        :func:`~repro.recovery.integrity.expected_span_table` that asks
-        (None until then, and again once the spans are released).
-        Selections never change once booked, so the derivation is kept
-        instead of repeated every scheduling cycle.
+        :class:`~repro.recovery.integrity.ExpectedState` that counts the
+        allocation (None until then, and again once the spans are
+        released: the kept table re-counts an allocation whose memo is not
+        the one it counted).  Selections never change once booked, so the
+        derivation is kept instead of repeated.
 
     Slotted plain class (PRF003): one Allocation per successful match.
     Mirrors the former (non-frozen) dataclass: equality compares all

@@ -18,12 +18,16 @@ subsystem (repairs live in :mod:`repro.recovery.repair`):
   hold.  Drift is quarantined (the vertex is drained so matching skips it),
   repaired through the journaled repair engine, and re-verified — all
   within the same cycle, before the end-of-cycle auditor runs.
-* :func:`expected_span_table` — the one statement of what every planner
-  should hold right now: each live allocation's spans as
+* :class:`ExpectedState` — the one statement of what every planner should
+  hold right now: each live allocation's spans as
   :func:`~repro.match.traverser.allocation_bookings` derives them from its
-  selections, plus the spans of every planned outage.
-  :func:`scan_planners` diffs one vertex against it; the scrubber, fsck,
-  the invariant auditor and snapshot salvage all read this table.
+  selections, plus the spans of every planned outage.  One is kept per
+  simulator (:func:`expected_state`) and brought up to date by comparing
+  the live allocations and outages with the ones it last saw, so a cycle
+  pays for what it booked and released, not for the cluster;
+  :func:`expected_span_table` is the same derivation from nothing.
+  :meth:`ExpectedState.scan` diffs one vertex against it; the scrubber,
+  fsck, the invariant auditor and snapshot salvage all read this table.
 * :func:`apply_corruption` — a seeded, deterministic corruption injector
   used by the chaos harness and by :meth:`ClusterSimulator.inject_corruption`
   (which journals the injection as a replayable command, so crash-recovery
@@ -47,16 +51,19 @@ from ..match.traverser import allocation_bookings
 from ..resource.vertex import PLANNER_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..match.writer import Allocation
     from ..resource import ResourceVertex
     from ..sched.simulator import ClusterSimulator
 
 __all__ = [
+    "ExpectedState",
     "IntegrityConfig",
     "IntegrityMonitor",
     "Finding",
     "apply_corruption",
     "corruption_targets",
     "expected_span_table",
+    "expected_state",
     "scan_planners",
     "structure_checksum",
     "vertex_structure",
@@ -93,10 +100,17 @@ def vertex_structure(vertex: "ResourceVertex") -> dict:
 
 def structure_checksum(vertex: "ResourceVertex") -> str:
     """sha256 over the canonical JSON of :func:`vertex_structure`."""
-    blob = json.dumps(
-        vertex_structure(vertex), sort_keys=True, separators=(",", ":")
-    )
+    return _digest(vertex_structure(vertex))
+
+
+def _digest(structure: dict) -> str:
+    blob = json.dumps(structure, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _checksummed(structure: dict) -> dict:
+    """One baseline entry: the structural fields and their checksum."""
+    return {"checksum": _digest(structure), "structure": structure}
 
 
 # ----------------------------------------------------------------------
@@ -124,8 +138,14 @@ class Finding:
 # ----------------------------------------------------------------------
 # ground truth: what the planners should hold, per the allocation table
 # ----------------------------------------------------------------------
-def expected_span_table(sim: "ClusterSimulator") -> SpanTable:
-    """What every planner of ``sim.graph`` should hold right now.
+#: what the kept table remembers of one allocation or outage it has counted:
+#: ``(holder, start, end, bookings, entries)``, ``entries`` being the
+#: ``(table key, span id)`` pairs the holder contributed
+_Counted = Tuple[object, int, int, list, List[Tuple[Tuple[str, str], int]]]
+
+
+class ExpectedState:
+    """What every planner of one simulator should hold, kept across cycles.
 
     Live allocations contribute what
     :func:`~repro.match.traverser.allocation_bookings` says their selections
@@ -133,30 +153,183 @@ def expected_span_table(sim: "ClusterSimulator") -> SpanTable:
     <repro.sched.capacity.CapacitySchedule.bookings>` says their subtree
     books.  Both lists come in booking order, so they pair off with the
     ``_span_records`` that carry the span ids.
+
+    :meth:`refresh` brings :attr:`table` up to date by comparing the live
+    allocations and outages with the ones it last counted — same object,
+    same window, same ``_bookings`` memo — which costs O(live allocations)
+    and asks nothing of the booking paths.  Whoever verifies takes the
+    difference from :attr:`changed` and :attr:`entered` and clears them.
+    When :attr:`ResourceGraph.structure` has moved by more than
+    :attr:`~ResourceGraph.drains` — a vertex, an edge or a pool size
+    changed, not only what is in service — everything is dropped and
+    derived again.  Derived state: not exported, snapshotted or
+    fingerprinted, and empty after a restore.
     """
-    graph = sim.graph
-    subsystem = sim.traverser.subsystem
-    table: SpanTable = {}
 
-    def expect(bookings, span_records, start: int, end: int) -> None:
+    __slots__ = (
+        "sim", "table", "order", "changed", "entered", "rebuilds",
+        "_shape", "_allocs", "_outages",
+    )
+
+    def __init__(self, sim: "ClusterSimulator") -> None:
+        self.sim = sim
+        self.table: SpanTable = {}
+        #: every vertex in name order (the scrub rotation), as of ``_shape``
+        self.order: List["ResourceVertex"] = []
+        #: ``{uniq id: vertex}`` whose expectation changed since an audit
+        #: last verified them: every vertex a counted, moved or departed
+        #: allocation or outage books, whether or not a span record survives
+        self.changed: Dict[int, "ResourceVertex"] = {}
+        #: ``{alloc id: allocation}`` counted or moved since then, still live
+        self.entered: Dict[int, "Allocation"] = {}
+        #: times the table was derived from nothing
+        self.rebuilds = 0
+        self._shape: Optional[int] = None
+        self._allocs: Dict[int, _Counted] = {}
+        self._outages: Dict[Tuple[int, int], _Counted] = {}
+
+    def refresh(self) -> None:
+        """Make :attr:`table` say what the planners should hold right now."""
+        sim = self.sim
+        graph = sim.graph
+        # What exists: no booking and no vertex depends on a drain.
+        shape = graph.structure - graph.drains
+        if shape != self._shape:
+            self._shape = shape
+            self.order = sorted(graph.vertices(), key=lambda v: v.name)
+            self.table.clear()
+            self._allocs.clear()
+            self._outages.clear()
+            self.entered.clear()
+            self.changed = {v.uniq_id: v for v in self.order}
+            self.rebuilds += 1
+            if sim.obs.enabled:
+                sim.obs.metrics.counter(
+                    "integrity.table_rebuilds",
+                    "expected-state tables derived from nothing",
+                ).inc()
+        live = sim.traverser.allocations
+        counted = self._allocs
+        for aid in [
+            aid
+            for aid, (alloc, start, end, bookings, _) in counted.items()
+            if live.get(aid) is not alloc
+            or alloc.at != start
+            or alloc.end != end
+            or alloc._bookings is not bookings
+        ]:
+            self._forget(counted.pop(aid))
+            self.entered.pop(aid, None)
+        if len(counted) != len(live):
+            subsystem = sim.traverser.subsystem
+            for aid, alloc in live.items():
+                if aid in counted:
+                    continue
+                if alloc._bookings is None:
+                    alloc._bookings = allocation_bookings(
+                        graph, subsystem, alloc.selections
+                    )
+                counted[aid] = self._count(
+                    alloc, alloc._bookings, alloc._span_records,
+                    alloc.at, alloc.end,
+                )
+                self.entered[aid] = alloc
+        outages = {
+            (index, outage.outage_id): (schedule, outage)
+            for index, schedule in enumerate(graph.capacity_schedules)
+            for outage in schedule.outages.values()
+        }
+        counted = self._outages
+        for key in [
+            key
+            for key, (outage, start, end, _, _) in counted.items()
+            if key not in outages
+            or outages[key][1] is not outage
+            or outage.start != start
+            or outage.end != end
+        ]:
+            self._forget(counted.pop(key))
+        for key, (schedule, outage) in outages.items():
+            if key not in counted:
+                counted[key] = self._count(
+                    outage, schedule.bookings(outage.vertex),
+                    outage._span_records, outage.start, outage.end,
+                )
+
+    def _count(
+        self, holder: object, bookings: list, span_records: list,
+        start: int, end: int,
+    ) -> _Counted:
+        """Enter one holder's spans into the table."""
+        table = self.table
+        changed = self.changed
+        entries = []
         for (vertex, kind, booked), (_, span_id) in zip(bookings, span_records):
-            table.setdefault((vertex.name, kind), {})[span_id] = (
-                start, end, booked
-            )
+            key = (vertex.name, kind)
+            table.setdefault(key, {})[span_id] = (start, end, booked)
+            entries.append((key, span_id))
+        for vertex, _, _ in bookings:
+            changed[vertex.uniq_id] = vertex
+        return holder, start, end, bookings, entries
 
-    for alloc in sim.traverser.allocations.values():
-        if alloc._bookings is None:
-            alloc._bookings = allocation_bookings(
-                graph, subsystem, alloc.selections
+    def _forget(self, counted: _Counted) -> None:
+        """Take one holder's spans out of the table."""
+        table = self.table
+        changed = self.changed
+        for key, span_id in counted[4]:
+            spans = table.get(key)
+            if spans is not None:
+                spans.pop(span_id, None)
+                if not spans:
+                    del table[key]
+        for vertex, _, _ in counted[3]:
+            changed[vertex.uniq_id] = vertex
+
+    def scan(
+        self,
+        vertex: "ResourceVertex",
+        deep: bool = True,
+        budget: Optional[object] = None,
+        baseline: Optional[dict] = None,
+    ) -> List[Finding]:
+        """Cross-check one vertex against the table (empty = clean).
+
+        The one verifier behind the auditor, the scrubber, fsck and
+        ``scan()``: :func:`scan_planners` on the vertex and, given the
+        ``baseline`` entry taken of it, its structure checksum.  ``budget``
+        is charged one unit for the vertex and one per span read.
+        """
+        findings: List[Finding] = []
+        if budget is not None:
+            budget.charge()
+        if (
+            baseline is not None
+            and structure_checksum(vertex) != baseline["checksum"]
+        ):
+            findings.append(
+                Finding(
+                    vertex.name, "structure", None, "content checksum mismatch"
+                )
             )
-        expect(alloc._bookings, alloc._span_records, alloc.at, alloc.end)
-    for schedule in graph.capacity_schedules:
-        for outage in schedule.outages.values():
-            expect(
-                schedule.bookings(outage.vertex),
-                outage._span_records, outage.start, outage.end,
-            )
-    return table
+        findings.extend(scan_planners(vertex, self.table, deep, budget))
+        return findings
+
+
+def expected_state(sim: "ClusterSimulator") -> ExpectedState:
+    """The table kept for ``sim``, created when a guard first asks for it."""
+    state = sim._expected_state
+    if state is None:
+        state = sim._expected_state = ExpectedState(sim)
+    return state
+
+
+def expected_span_table(sim: "ClusterSimulator") -> SpanTable:
+    """What every planner of ``sim.graph`` should hold right now, derived
+    from nothing: the first :meth:`~ExpectedState.refresh` of a table that
+    has counted no allocation yet."""
+    state = ExpectedState(sim)
+    state.refresh()
+    return state.table
 
 
 def _held(planner: object, kind: str) -> Dict[int, Expectation]:
@@ -380,20 +553,31 @@ class IntegrityMonitor:
     def rebaseline(self) -> None:
         """(Re)capture per-vertex structural checksums from the live graph.
 
-        Called at attach and after restores; intentional structural changes
-        (elastic grow/shrink) should re-call this so the scrubber does not
-        flag them as drift.
+        Called at attach and after restores.  An intentional change made
+        later reaches the baseline through :attr:`ResourceGraph.reshaped`,
+        which :mod:`repro.sched.elastic` fills and every scrub empties.
         """
         sim = self.sim
         if sim is None:
             raise IntegrityError("monitor is not attached to a simulator")
+        sim.graph.reshaped = {}
         self._baseline = {
-            vertex.name: {
-                "checksum": structure_checksum(vertex),
-                "structure": vertex_structure(vertex),
-            }
+            vertex.name: _checksummed(vertex_structure(vertex))
             for vertex in sim.graph.vertices()
         }
+
+    def _adopt_reshaped(self) -> None:
+        """Take what an operator reshaped on purpose (elastic grow, shrink,
+        resize) into the baseline: a new vertex gains one, a removed vertex
+        loses it, a resized pool is checksummed as the call left it —
+        whatever was written to it since still reads as damage."""
+        reshaped = self.sim.graph.reshaped
+        while reshaped:
+            name, structure = reshaped.popitem()
+            if structure is None:
+                self._baseline.pop(name, None)
+            else:
+                self._baseline[name] = _checksummed(structure)
 
     def baseline_structure(self, vertex: "ResourceVertex") -> Optional[dict]:
         """The attach-time structural fields for ``vertex`` (None = unknown)."""
@@ -403,35 +587,27 @@ class IntegrityMonitor:
     # ------------------------------------------------------------------
     # scanning
     # ------------------------------------------------------------------
-    def scan_vertex(
+    def _scan_vertex(
         self,
+        state: ExpectedState,
         vertex: "ResourceVertex",
-        expected: SpanTable,
         budget: Optional[object] = None,
     ) -> List[Finding]:
-        """Cross-check one vertex; returns findings (empty = clean)."""
-        findings: List[Finding] = []
-        if budget is not None:
-            budget.charge()
-        base = self._baseline.get(vertex.name)
-        if base is not None and structure_checksum(vertex) != base["checksum"]:
-            findings.append(
-                Finding(
-                    vertex.name, "structure", None, "content checksum mismatch"
-                )
-            )
-        findings.extend(scan_planners(vertex, expected, budget=budget))
-        return findings
+        return state.scan(
+            vertex, budget=budget, baseline=self._baseline.get(vertex.name)
+        )
 
     def scan(self) -> List[Finding]:
         """Full-graph unbudgeted scan (fsck / test support)."""
         sim = self.sim
         if sim is None:
             raise IntegrityError("monitor is not attached to a simulator")
-        expected = expected_span_table(sim)
+        self._adopt_reshaped()
+        state = ExpectedState(sim)  # from nothing; the kept table stays
+        state.refresh()
         findings: List[Finding] = []
-        for vertex in sorted(sim.graph.vertices(), key=lambda v: v.name):
-            findings.extend(self.scan_vertex(vertex, expected))
+        for vertex in state.order:
+            findings.extend(self._scan_vertex(state, vertex))
         return findings
 
     # ------------------------------------------------------------------
@@ -442,17 +618,29 @@ class IntegrityMonitor:
 
         Invoked by the simulator at the head of every scheduling cycle.
         Deterministic given simulator state + the monitor's cursor, so
-        journal replay regenerates every quarantine/repair decision.
+        journal replay regenerates every quarantine/repair decision.  The
+        pass is the rotating feed of the verifier the auditor runs on what
+        a cycle wrote: with both attached, state nobody wrote to is re-read
+        here, within ceil(vertices / ``scrub_window``) passes.
         """
-        from ..resilience.overload import WorkBudget
-
         sim = self.sim
         if sim is None:
             return
         self.cycles_seen += 1
         if (self.cycles_seen - 1) % self.config.scrub_every:
             return
-        ordered = sorted(sim.graph.vertices(), key=lambda v: v.name)
+        with sim.obs.tracer.span(
+            "integrity.scrub", "integrity", vt=float(sim.now)
+        ):
+            self._scrub(sim)
+
+    def _scrub(self, sim: "ClusterSimulator") -> None:
+        from ..resilience.overload import WorkBudget
+
+        self._adopt_reshaped()
+        state = expected_state(sim)
+        state.refresh()
+        ordered = state.order
         if not ordered:
             return
         window = self.config.scrub_window or len(ordered)
@@ -461,13 +649,12 @@ class IntegrityMonitor:
             cycle_limit=self.config.scrub_budget,
             checkpoint_interval=self.config.checkpoint_interval,
         )
-        expected = expected_span_table(sim)
         dirty: List[Tuple["ResourceVertex", List[Finding]]] = []
         scanned = 0
         try:
             for i in range(window):
                 vertex = ordered[(self.cursor + i) % len(ordered)]
-                findings = self.scan_vertex(vertex, expected, budget)
+                findings = self._scan_vertex(state, vertex, budget)
                 scanned += 1
                 if findings:
                     dirty.append((vertex, findings))
@@ -482,20 +669,15 @@ class IntegrityMonitor:
         self.counters["scrubbed_vertices"] += scanned
         self._obs_count("integrity.scrubbed", scanned)
         for vertex, findings in dirty:
-            expected = self._handle_dirty(vertex, findings, expected)
+            self._handle_dirty(state, vertex, findings)
 
     def _handle_dirty(
         self,
+        state: ExpectedState,
         vertex: "ResourceVertex",
         findings: List[Finding],
-        expected: SpanTable,
-    ) -> SpanTable:
-        """Quarantine ``vertex`` and (``auto_repair``) repair it.
-
-        Returns the expected-state table still valid afterwards: the one
-        passed in, or a fresh derivation when the vertex had to be
-        evacuated — the only step that changes the allocation table.
-        """
+    ) -> None:
+        """Quarantine ``vertex`` and (``auto_repair``) repair it."""
         sim = self.sim
         name = vertex.name
         kinds = sorted({f.kind for f in findings})
@@ -519,27 +701,27 @@ class IntegrityMonitor:
                 vt=float(sim.now), vertex=name, kinds=",".join(kinds),
             )
         if not self.config.auto_repair:
-            return expected
-        actions = self._engine.repair_vertex(vertex, findings, expected)
+            return
+        actions = self._engine.repair_vertex(vertex, findings, state.table)
         self.counters["repair_actions"] += len(actions)
-        residual = self.scan_vertex(vertex, expected)
+        residual = self._scan_vertex(state, vertex)
         if not residual:
             self._release(vertex, was_up, actions)
-            return expected
+            return
         # Last resort: shed everything the vertex carries, then retry once.
+        # Evacuation is the only step that changes the allocation table.
         requeued = self._engine.evacuate_vertex(vertex)
         self.counters["jobs_requeued"] += requeued
         self._obs_count("integrity.jobs_requeued", requeued)
-        expected = expected_span_table(sim)
-        actions = self._engine.repair_vertex(vertex, residual, expected)
+        state.refresh()
+        actions = self._engine.repair_vertex(vertex, residual, state.table)
         self.counters["repair_actions"] += len(actions)
-        if not self.scan_vertex(vertex, expected):
+        if not self._scan_vertex(state, vertex):
             self._release(vertex, was_up, actions)
         else:
             self.counters["unrepaired"] += 1
             self._obs_count("integrity.unrepaired")
             self._journal("integrity_unrepaired", vertex=name)
-        return expected
 
     def _release(
         self, vertex: "ResourceVertex", was_up: bool, actions: List[str]

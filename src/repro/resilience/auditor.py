@@ -4,9 +4,10 @@ Cancel-and-requeue storms exercise every bookkeeping path at once —
 traverser allocations, planner spans, pruning filters, exclusivity holds
 and job state machines all mutate together, and a single missed release
 turns into quiet schedule corruption that only surfaces as inexplicable
-placements much later.  The :class:`InvariantAuditor` cross-checks all of
-that after every scheduling cycle (attach it with
-``ClusterSimulator(..., audit=True)``) and raises a structured
+placements much later.  The :class:`InvariantAuditor` cross-checks what
+each scheduling cycle wrote at the end of that cycle (attach it with
+``ClusterSimulator(..., audit=True)``), the whole state on demand
+(:meth:`InvariantAuditor.collect`), and raises a structured
 :class:`InvariantViolation` carrying an expected-vs-actual diff per broken
 invariant.
 
@@ -17,8 +18,8 @@ Checked invariants
 * **span-accounting** — every planner (vertex ``plans``/``xplans`` and
   pruning filters) carries exactly the spans the live allocations and the
   graph's :class:`~repro.sched.capacity.CapacitySchedule` outages booked,
-  with matching windows and amounts (the diff of
-  :func:`~repro.recovery.integrity.expected_span_table` against the
+  with matching windows and amounts (the diff of the kept
+  :class:`~repro.recovery.integrity.ExpectedState` table against the
   planners — the table the integrity scrubber repairs from);
 * **exclusivity** — no two active jobs overlap in time on a vertex either
   holds exclusively, including descendants of exclusively-held subtrees;
@@ -26,19 +27,35 @@ Checked invariants
   consistent window around ``now``, CANCELED jobs carry a cancel reason;
 * **down-vertex** — no active job holds resources on a drained vertex or
   inside a drained subtree.
+
+What a per-cycle check guarantees: a write made through the scheduler's own
+booking paths (``Traverser._book`` / ``remove`` / ``update_end``,
+``CapacitySchedule``, ``RepairEngine``) is verified in the cycle it
+happens; anything else — a planner nobody wrote to, damaged behind the
+scheduler's back — within ceil(vertices / slice) cycles; everything on
+demand.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import FluxionError
-from ..recovery.integrity import expected_span_table, scan_planners
+from ..match.traverser import _ancestor_paths
+from ..recovery.integrity import ExpectedState, IntegrityConfig, expected_state
 from ..sched.job import JobState
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..resource import ResourceVertex
+    from ..sched.job import Job
+    from ..sched.simulator import ClusterSimulator
+
 __all__ = ["InvariantAuditor", "InvariantViolation", "Violation"]
+
+#: vertices of the rotation an auditor without an integrity monitor re-reads
+#: per check: the monitor's default window, so the bound reads the same
+SLICE = IntegrityConfig.scrub_window
 
 
 @dataclass(frozen=True)
@@ -72,23 +89,58 @@ class InvariantViolation(FluxionError):
 class InvariantAuditor:
     """Cross-checks a :class:`~repro.sched.simulator.ClusterSimulator`.
 
+    :meth:`check` is the per-cycle audit: it verifies what changed since
+    the previous one — the planners of every vertex a booking, release,
+    window move, outage or evacuation touched, exclusivity for the
+    allocations that entered or moved, ownership and state of the jobs
+    that were or became active — and a rotating slice of the graph, so a
+    planner nobody wrote to is still re-read within
+    ceil(vertices / slice) cycles.  With an integrity monitor attached
+    that slice is its scrub pass; without one it is :data:`SLICE`
+    vertices of the auditor's own.  :meth:`collect` is the full audit:
+    the same checks over every vertex, allocation and job, against a
+    table derived from nothing.  An auditor's first check, and any check
+    after the kept table was derived again (a vertex, an edge or a pool
+    size changed), is a full one; after a drain or a return to service the
+    table stands and **down-vertex** is asked of every active allocation.
+
     Parameters
     ----------
     deep:
-        Additionally run every planner's internal
-        ``check_invariants()`` (tree-structure self-checks) each audit —
-        the **planner-invariants** family.  Off by default: it is O(spans)
+        Additionally run the internal ``check_invariants()`` (tree-structure
+        self-checks) of every planner an audit reads — the
+        **planner-invariants** family.  Off by default: it is O(spans)
         per planner and the recovery tests are its main consumer.
     """
 
     def __init__(self, deep: bool = False) -> None:
         self.deep = deep
-        #: audits performed (each one covers every invariant family)
+        #: audits performed through :meth:`check`
         self.checks_run = 0
+        #: set by :meth:`check` for the one :meth:`collect` it makes
+        self._per_cycle = False
+        # What the previous audit saw (derived state, gone after a restore):
+        # the simulator, the derivation of its kept table and the structure
+        # it was of, the jobs active then, the first job id not yet looked
+        # at, the drained subtrees, and where the auditor's own slice of the
+        # rotation stands.
+        self._sim: Optional["ClusterSimulator"] = None
+        self._rebuilds = -1
+        self._structure = -1
+        self._active: List["Job"] = []
+        self._next_job_id = 0
+        self._closed: Set[int] = set()
+        self._cursor = 0
 
     def check(self, sim: "ClusterSimulator") -> None:
-        """Audit ``sim``; raise :class:`InvariantViolation` on any breakage."""
-        violations = self.collect(sim)
+        """Audit what changed in ``sim`` since the previous check; raise
+        :class:`InvariantViolation` on any breakage."""
+        self._per_cycle = True
+        try:
+            with sim.obs.tracer.span("audit.check", "audit", vt=float(sim.now)):
+                violations = self.collect(sim)
+        finally:  # a collect() override need not have taken the flag down
+            self._per_cycle = False
         self.checks_run += 1
         if violations:
             raise InvariantViolation(violations, sim.now)
@@ -97,23 +149,77 @@ class InvariantAuditor:
     # collection
     # ------------------------------------------------------------------
     def collect(self, sim: "ClusterSimulator") -> List[Violation]:
-        """Run every check and return the violations (empty = healthy)."""
+        """Run every check over everything and return the violations
+        (empty = healthy): the full audit, against a table derived from
+        nothing, leaving what the next :meth:`check` covers as it was.  The
+        one collection method: :meth:`check` goes through it too, narrowed
+        to what changed since the previous check."""
+        per_cycle, self._per_cycle = self._per_cycle, False
+        graph = sim.graph
+        state = expected_state(sim) if per_cycle else ExpectedState(sim)
+        state.refresh()
+        full = (
+            not per_cycle
+            or self._sim is not sim
+            or self._rebuilds != state.rebuilds
+        )
+        # a status flip books nothing: the table stands, the drains moved
+        moved = full or self._structure != graph.structure
+        closed = self._drained_subtrees(sim) if moved else self._closed
+        if full:
+            vertices = list(graph.vertices())
+            jobs = list(sim.jobs.values())
+            entered = None
+        else:
+            changed = state.changed
+            if sim.integrity is None:
+                order = state.order
+                for i in range(min(SLICE, len(order))):
+                    vertex = order[(self._cursor + i) % len(order)]
+                    changed[vertex.uniq_id] = vertex
+                self._cursor = (self._cursor + SLICE) % max(1, len(order))
+            vertices = [changed[uid] for uid in sorted(changed)]
+            jobs = self._active + [
+                sim.jobs[job_id]
+                for job_id in range(self._next_job_id, sim._next_job_id)
+                if job_id in sim.jobs
+            ]
+            entered = state.entered
+        active = [j for j in jobs if j.is_active]
+        if per_cycle:
+            self._sim, self._rebuilds = sim, state.rebuilds
+            self._structure = graph.structure
+            self._active, self._next_job_id = active, sim._next_job_id
+            self._closed = closed
+        if sim.obs.enabled:
+            metrics = sim.obs.metrics
+            metrics.counter(
+                "audit.vertices_checked", "vertices whose planners an audit read"
+            ).inc(len(vertices))
+            if full:
+                metrics.counter(
+                    "audit.full_checks", "audits of every vertex and job"
+                ).inc()
         out: List[Violation] = []
-        live = sim.traverser.allocations
-        active = [j for j in sim.jobs.values() if j.is_active]
-        self._check_ownership(sim, live, active, out)
-        self._check_planners(sim, out)
-        self._check_exclusivity(sim, active, out)
-        self._check_job_states(sim, out)
-        self._check_down_vertices(sim, active, out)
+        owner = self._check_ownership(sim, jobs, out)
+        self._check_planners(state, vertices, out)
+        self._check_exclusivity(sim, active, entered, out)
+        self._check_job_states(sim, jobs, out)
+        self._check_down_vertices(
+            closed, owner, active, None if moved else entered, out
+        )
+        state.changed.clear()
+        state.entered.clear()
         return out
 
-    def _check_planners(self, sim, out: List[Violation]) -> None:
+    def _check_planners(
+        self, state: ExpectedState, vertices: List["ResourceVertex"],
+        out: List[Violation],
+    ) -> None:
         """**span-accounting** (and, ``deep``, **planner-invariants**): the
         integrity scan's findings, reported instead of repaired."""
-        expected = expected_span_table(sim)
-        for vertex in sim.graph.vertices():
-            for finding in scan_planners(vertex, expected, deep=self.deep):
+        for vertex in vertices:
+            for finding in state.scan(vertex, deep=self.deep):
                 tree = finding.kind == "tree-drift"
                 out.append(
                     Violation(
@@ -126,9 +232,14 @@ class InvariantAuditor:
                     )
                 )
 
-    def _check_ownership(self, sim, live, active, out: List[Violation]) -> None:
-        owner: Dict[int, int] = {}
-        for job in sim.jobs.values():
+    def _check_ownership(
+        self, sim: "ClusterSimulator", jobs: List["Job"], out: List[Violation]
+    ) -> Dict[int, "Job"]:
+        """**alloc-ownership** over ``jobs`` and every live allocation;
+        returns the active owner of each allocation id."""
+        live = sim.traverser.allocations
+        owner: Dict[int, "Job"] = {}
+        for job in jobs:
             for alloc in job.allocations:
                 aid = alloc.alloc_id
                 if job.is_active:
@@ -137,11 +248,11 @@ class InvariantAuditor:
                             Violation(
                                 "alloc-ownership",
                                 f"allocation {aid}",
-                                f"one owner (job {owner[aid]})",
+                                f"one owner (job {owner[aid].job_id})",
                                 f"also held by job {job.job_id}",
                             )
                         )
-                    owner[aid] = job.job_id
+                    owner[aid] = job
                     if live.get(aid) is not alloc:
                         out.append(
                             Violation(
@@ -170,79 +281,81 @@ class InvariantAuditor:
                         "orphaned in the traverser",
                     )
                 )
+        return owner
 
-    def _check_exclusivity(self, sim, active, out: List[Violation]) -> None:
-        # entries: one per live selection of an active job
-        entries: List[Tuple[object, int, object, object]] = []
-        by_vertex: Dict[int, List[int]] = {}
+    def _check_exclusivity(
+        self,
+        sim: "ClusterSimulator",
+        active: List["Job"],
+        entered: Optional[Dict[int, object]],
+        out: List[Violation],
+    ) -> None:
+        """**exclusivity**: every selection of an active job against the
+        exclusive holds of other jobs on its vertex and on its ancestors in
+        the traverser's subsystem.  ``entered`` narrows it to the pairs an
+        allocation in it takes part in (a conflict that was not there at
+        the previous audit needs one); None is every pair."""
+        if entered is not None and not entered:
+            return
+        subsystem = sim.traverser.subsystem
+        # entries: one per live selection of an active job; the exclusive
+        # ones indexed by vertex and by path — all of them, and those of an
+        # entered allocation, which is all an older selection is held to
+        entries: List[Tuple[object, int, object, str, bool]] = []
+        held: Dict[object, List[int]] = {}
+        held_entered: Dict[object, List[int]] = {}
         for job in active:
             for alloc in job.allocations:
+                fresh = entered is None or alloc.alloc_id in entered
                 for sel in alloc.selections:
-                    index = len(entries)
-                    entries.append((sel, job.job_id, alloc, sel.vertex))
-                    by_vertex.setdefault(sel.vertex.uniq_id, []).append(index)
-
-        def overlaps(a, b) -> bool:
-            return a.at < b.end and b.at < a.end
-
-        # same-vertex conflicts: an exclusive hold vs. any overlapping use
-        for indices in by_vertex.values():
-            if len(indices) < 2:
-                continue
-            exclusive = [i for i in indices if entries[i][0].exclusive]
-            if not exclusive:
-                continue
-            for i in exclusive:
-                sel_i, job_i, alloc_i, vertex = entries[i]
-                for k in indices:
-                    if k == i:
-                        continue
-                    sel_k, job_k, alloc_k, _ = entries[k]
-                    if job_k != job_i and overlaps(alloc_i, alloc_k):
-                        out.append(
-                            Violation(
-                                "exclusivity",
-                                vertex.name,
-                                f"exclusive hold by job {job_i} over "
-                                f"[{alloc_i.at},{alloc_i.end})",
-                                f"job {job_k} also holds it over "
-                                f"[{alloc_k.at},{alloc_k.end})",
-                            )
-                        )
-        # subtree conflicts: nothing of another job below an exclusive hold
-        paths = sorted(
-            (entry[3].path("containment"), i)
-            for i, entry in enumerate(entries)
-            if entry[3].path("containment")
-        )
-        keys = [p for p, _ in paths]
-        for i, (sel, job_id, alloc, vertex) in enumerate(entries):
-            if not sel.exclusive:
-                continue
-            prefix = vertex.path("containment")
-            if not prefix:
-                continue
-            prefix += "/"
-            pos = bisect_left(keys, prefix)
-            while pos < len(keys) and keys[pos].startswith(prefix):
-                k = paths[pos][1]
-                _, job_k, alloc_k, vertex_k = entries[k]
-                if job_k != job_id and overlaps(alloc, alloc_k):
+                    vertex = sel.vertex
+                    path = vertex.path(subsystem)
+                    if sel.exclusive:
+                        for key in (vertex.uniq_id, path) if path else (vertex.uniq_id,):
+                            held.setdefault(key, []).append(len(entries))
+                            if fresh:
+                                held_entered.setdefault(key, []).append(
+                                    len(entries)
+                                )
+                    entries.append((sel, job.job_id, alloc, path, fresh))
+        for k, (sel_k, job_k, alloc_k, path, fresh) in enumerate(entries):
+            holders = held if fresh else held_entered
+            vertex_k = sel_k.vertex
+            # same vertex: an exclusive hold vs. any overlapping use
+            for i in holders.get(vertex_k.uniq_id, ()):
+                _, job_i, alloc_i, _, _ = entries[i]
+                if i != k and job_i != job_k and _overlap(alloc_i, alloc_k):
                     out.append(
                         Violation(
                             "exclusivity",
                             vertex_k.name,
-                            f"free: inside job {job_id}'s exclusive "
-                            f"{vertex.name} subtree",
-                            f"held by job {job_k} over "
+                            f"exclusive hold by job {job_i} over "
+                            f"[{alloc_i.at},{alloc_i.end})",
+                            f"job {job_k} also holds it over "
                             f"[{alloc_k.at},{alloc_k.end})",
                         )
                     )
-                pos += 1
+            # subtree: nothing of another job below an exclusive hold
+            for above in _ancestor_paths(path):
+                for i in holders.get(above, ()):
+                    sel_i, job_i, alloc_i, _, _ = entries[i]
+                    if job_i != job_k and _overlap(alloc_i, alloc_k):
+                        out.append(
+                            Violation(
+                                "exclusivity",
+                                vertex_k.name,
+                                f"free: inside job {job_i}'s exclusive "
+                                f"{sel_i.vertex.name} subtree",
+                                f"held by job {job_k} over "
+                                f"[{alloc_k.at},{alloc_k.end})",
+                            )
+                        )
 
-    def _check_job_states(self, sim, out: List[Violation]) -> None:
+    def _check_job_states(
+        self, sim: "ClusterSimulator", jobs: List["Job"], out: List[Violation]
+    ) -> None:
         now = sim.now
-        for job in sim.jobs.values():
+        for job in jobs:
             alloc = job.allocation
             if job.state is JobState.PENDING and job.allocations:
                 out.append(
@@ -294,25 +407,55 @@ class InvariantAuditor:
                     )
                 )
 
-    def _check_down_vertices(self, sim, active, out: List[Violation]) -> None:
-        down = [v for v in sim.graph.vertices() if v.status != "up"]
-        if not down:
+    @staticmethod
+    def _drained_subtrees(sim: "ClusterSimulator") -> Set[int]:
+        """Ids of every vertex that is drained or below a drained one, in
+        the traverser's subsystem."""
+        graph = sim.graph
+        subsystem = sim.traverser.subsystem
+        closed: Set[int] = set()
+        for vertex in graph.vertices():
+            if vertex.status != "up" and vertex.uniq_id not in closed:
+                closed.add(vertex.uniq_id)
+                if subsystem in graph.subsystems:
+                    for v in graph.descendants(vertex, subsystem):
+                        closed.add(v.uniq_id)
+        return closed
+
+    @staticmethod
+    def _check_down_vertices(
+        closed: Set[int],
+        owner: Dict[int, "Job"],
+        active: List["Job"],
+        entered: Optional[Dict[int, object]],
+        out: List[Violation],
+    ) -> None:
+        """**down-vertex** for every allocation of ``active``, or only the
+        ``entered`` ones where what stood at the previous audit stood on the
+        same drains (``structure`` has not moved)."""
+        if not closed:
             return
-        closed = set()
-        for vertex in down:
-            closed.add(vertex.uniq_id)
-            for v in sim.graph.descendants(vertex):
-                closed.add(v.uniq_id)
-        for job in active:
-            for alloc in job.allocations:
-                for sel in alloc.selections:
-                    if sel.vertex.uniq_id in closed:
-                        out.append(
-                            Violation(
-                                "down-vertex",
-                                f"job {job.job_id}",
-                                "no holds on drained subtrees",
-                                f"holds {sel.vertex.name} over "
-                                f"[{alloc.at},{alloc.end})",
-                            )
+        if entered is None:
+            held = [(job, alloc) for job in active for alloc in job.allocations]
+        else:
+            held = [
+                (owner[aid], alloc)
+                for aid, alloc in entered.items()
+                if aid in owner
+            ]
+        for job, alloc in held:
+            for sel in alloc.selections:
+                if sel.vertex.uniq_id in closed:
+                    out.append(
+                        Violation(
+                            "down-vertex",
+                            f"job {job.job_id}",
+                            "no holds on drained subtrees",
+                            f"holds {sel.vertex.name} over "
+                            f"[{alloc.at},{alloc.end})",
                         )
+                    )
+
+
+def _overlap(a: object, b: object) -> bool:
+    return a.at < b.end and b.at < a.end

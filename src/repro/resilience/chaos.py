@@ -289,6 +289,14 @@ def _build_simulator(
     )
 
 
+def _audit_everything(sim: "ClusterSimulator") -> None:
+    """End-of-campaign audit: the full one, not the per-cycle check."""
+    if sim.auditor is not None:
+        found = sim.auditor.collect(sim)
+        if found:
+            raise InvariantViolation(found, sim.now)
+
+
 def _accounting_violations(report: "SimulationReport") -> List[str]:
     """Cross-check the report's overload accounting against job states."""
     out: List[str] = []
@@ -362,9 +370,8 @@ def run_campaign(
             sim = recover(workdir)
             recovered = True
             sim.run()
-        # Final deep cross-check + accounting reconciliation.
-        if sim.auditor is not None:
-            sim.auditor.check(sim)
+        # Final full cross-check + accounting reconciliation.
+        _audit_everything(sim)
         report = sim.report()
         violations.extend(_accounting_violations(report))
         fingerprint = hashlib.sha256(
@@ -583,8 +590,7 @@ def run_corruption_campaign(
                 )
             sim.run()
 
-        if sim.auditor is not None:
-            sim.auditor.check(sim)
+        _audit_everything(sim)
         report = sim.report()
         violations.extend(_accounting_violations(report))
         fingerprint = hashlib.sha256(

@@ -66,9 +66,11 @@ class ResourceGraph:
         "_children_cache",
         "prune_types",
         "capacity_schedules",
+        "reshaped",
         "freed",
         "unplanned",
         "structure",
+        "drains",
         "_pool_types",
     )
 
@@ -97,6 +99,13 @@ class ResourceGraph:
         #: every CapacitySchedule booking outages on this graph (each adds
         #: itself): their spans are expected planner state, not corruption
         self.capacity_schedules: List[object] = []
+        #: ``{name: structural fields}`` of what an operator added or
+        #: resized on purpose, as the call left it, and ``{name: None}`` of
+        #: what it removed (:mod:`repro.sched.elastic` writes it): an
+        #: integrity monitor makes the dict when it takes its baseline,
+        #: takes these into the baseline and empties it, so they do not read
+        #: as corruption.  None while no monitor reads it.
+        self.reshaped: Optional[Dict[str, Optional[dict]]] = None
         #: monotone change counters (see :meth:`note_change`): whoever
         #: keeps an answer it derived keeps it for as long as the counter
         #: it depends on has not moved.  ``freed`` counts everything that
@@ -105,10 +114,13 @@ class ResourceGraph:
         #: reservation earlier or move it; ``structure`` the part that
         #: changed what exists or is in service (a vertex, an edge, a pool
         #: size, a drain), which is all that an answer ignoring allocations
-        #: depends on.
+        #: depends on; ``drains`` the part of ``structure`` that only took a
+        #: vertex out of service or returned it, so ``structure - drains``
+        #: is what an answer that ignores status as well depends on.
         self.freed = 0
         self.unplanned = 0
         self.structure = 0
+        self.drains = 0
         #: (``structure`` when derived, the set) behind :attr:`pool_types`
         self._pool_types: Optional[Tuple[int, FrozenSet[str]]] = None
 
@@ -470,12 +482,14 @@ class ResourceGraph:
         """
         self._require(vertex)
         vertex.status = "down"
+        self.drains += 1
         self.note_change(structural=True)
 
     def mark_up(self, vertex: ResourceVertex) -> None:
         """Return a drained vertex to service."""
         self._require(vertex)
         vertex.status = "up"
+        self.drains += 1
         self.note_change(structural=True)
 
     # ------------------------------------------------------------------

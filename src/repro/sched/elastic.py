@@ -49,6 +49,18 @@ def _adjust_ancestor_filters(
                 filters.add_type(rtype, delta)
 
 
+def _reshaped(
+    graph: ResourceGraph, vertex: ResourceVertex, gone: bool = False
+) -> None:
+    """Tell the integrity monitor reading ``graph`` (if any) what this call
+    made of ``vertex``, so the change enters its baseline and nothing
+    written to the vertex afterwards does."""
+    if graph.reshaped is not None:
+        from ..recovery.integrity import vertex_structure
+
+        graph.reshaped[vertex.name] = None if gone else vertex_structure(vertex)
+
+
 def grow(
     graph: ResourceGraph,
     parent: ResourceVertex,
@@ -68,6 +80,7 @@ def grow(
     deltas: Dict[str, int] = {}
     for vertex in created:
         deltas[vertex.type] = deltas.get(vertex.type, 0) + vertex.size
+        _reshaped(graph, vertex)
     _adjust_ancestor_filters(graph, parent, deltas, include_self=True)
     return created
 
@@ -100,6 +113,7 @@ def shrink_subtree(
     anchor = parents[0] if parents else None
     for v in reversed(doomed):
         graph.remove_vertex(v, force=True)
+        _reshaped(graph, v, gone=True)
     if anchor is not None:
         _adjust_ancestor_filters(graph, anchor, deltas, include_self=True)
     return len(doomed)
@@ -117,6 +131,7 @@ def resize_pool(
         return
     vertex.plans.resize(new_size)
     vertex.size = new_size
+    _reshaped(graph, vertex)
     graph.note_change(structural=True)
     _adjust_ancestor_filters(graph, vertex, {vertex.type: delta})
 

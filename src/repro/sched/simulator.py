@@ -392,6 +392,10 @@ class ClusterSimulator:
         #: walltime per job, fail/repair per vertex name
         self.event_log: List[tuple] = []
         self.retry_policy = retry_policy
+        #: what the planners should hold, kept for the auditor and the
+        #: scrubber (:func:`repro.recovery.integrity.expected_state` makes
+        #: it when a guard first asks; derived state, never snapshotted)
+        self._expected_state = None
         self.auditor = None
         if audit:
             from ..resilience.auditor import InvariantAuditor

@@ -28,6 +28,7 @@ from repro.recovery import (
     expected_span_table,
     structure_checksum,
 )
+from repro.recovery.integrity import vertex_structure
 from repro.recovery.__main__ import main as fsck_main
 from repro.resilience import InvariantAuditor
 from repro.resilience.chaos import (
@@ -36,6 +37,7 @@ from repro.resilience.chaos import (
     run_corruption_campaign,
 )
 from repro.sched import ClusterSimulator
+from repro.sched.elastic import grow, resize_pool, shrink_subtree
 
 
 def busy_sim(**kwargs):
@@ -156,6 +158,98 @@ def test_evacuation_requeues_jobs():
     report = sim.run()
     assert len(report.completed) == 8  # evacuated jobs rescheduled
     InvariantAuditor(deep=True).check(sim)
+
+
+# ----------------------------------------------------------------------
+# an operator's elastic change is not corruption
+# ----------------------------------------------------------------------
+def elastic_sim():
+    graph = tiny_cluster(2, 4, cores=4, gpus=0, memory_pools=1)
+    sim = ClusterSimulator(
+        graph, match_policy="first", queue="easy", audit=True,
+        integrity=IntegrityConfig(scrub_window=None),
+    )
+    for i in range(4):
+        sim.submit(simple_node_jobspec(cores=2, memory=4, duration=300), at=i * 10)
+    sim.run(until=20)
+    return sim
+
+
+def untouched(sim):
+    counters = sim.integrity.counters
+    return counters["detected"] == counters["repair_actions"] == 0
+
+
+class TestElasticChangeReachesTheBaseline:
+    def test_resize_survives_a_whole_graph_scrub(self):
+        sim = elastic_sim()
+        memory = sim.graph.vertex_by_name("memory0")
+        resize_pool(sim.graph, memory, 32)
+        sim.reschedule()
+        assert memory.size == 32 and untouched(sim)
+        assert sim.integrity.baseline_structure(memory)["size"] == 32
+        assert sim.integrity.scan() == []
+
+    def test_corruption_after_a_resize_is_still_repaired(self):
+        sim = elastic_sim()
+        memory = sim.graph.vertex_by_name("memory0")
+        resize_pool(sim.graph, memory, 32)
+        sim.reschedule()
+        assert apply_corruption(sim, memory, "structure", salt=2)
+        assert memory.size != 32
+        sim.reschedule()
+        counters = sim.integrity.counters
+        assert counters["detected"] == counters["repaired"] == 1
+        assert memory.size == 32  # back to what the operator set, not to 16
+
+    def test_damage_between_the_change_and_the_next_scrub_is_not_adopted(self):
+        """The baseline takes what the call set, not what the vertex reads
+        when the scrubber gets to it."""
+        sim = elastic_sim()
+        memory = sim.graph.vertex_by_name("memory0")
+        resize_pool(sim.graph, memory, 32)
+        created = grow(sim.graph, sim.graph.find(type="rack")[0], {"type": "node"})
+        for vertex in (memory, created[0]):
+            assert apply_corruption(sim, vertex, "structure", salt=2)
+        assert memory.size != 32 and created[0].size != 1
+        sim.reschedule()
+        counters = sim.integrity.counters
+        assert counters["detected"] == counters["repaired"] == 2
+        assert memory.size == 32 and created[0].size == 1
+        assert sim.integrity.scan() == []
+
+    def test_a_graph_nobody_scrubs_keeps_no_record(self):
+        graph = tiny_cluster(2, 4, cores=4, gpus=0, memory_pools=1)
+        resize_pool(graph, graph.vertex_by_name("memory0"), 32)
+        assert graph.reshaped is None
+
+    def test_grown_vertices_are_checksummed(self):
+        sim = elastic_sim()
+        created = grow(
+            sim.graph, sim.graph.find(type="rack")[0],
+            {"type": "node", "with": [{"type": "core", "count": 4}]},
+        )
+        sim.reschedule()
+        assert untouched(sim) and sim.integrity.scan() == []
+        for vertex in created:
+            assert sim.integrity.baseline_structure(vertex) == vertex_structure(
+                vertex)
+        core = created[-1]
+        assert apply_corruption(sim, core, "structure", salt=1)
+        sim.reschedule()
+        counters = sim.integrity.counters
+        assert counters["detected"] == counters["repaired"] == 1
+        assert core.size == 1
+
+    def test_shrink_survives_a_whole_graph_scrub(self):
+        sim = elastic_sim()
+        spare = sim.graph.find(type="node")[-1]
+        gone = [spare.name] + [v.name for v in sim.graph.descendants(spare)]
+        shrink_subtree(sim.graph, spare)
+        sim.reschedule()
+        assert untouched(sim) and sim.integrity.scan() == []
+        assert not set(gone) & set(sim.integrity._baseline)
+        sim.run()
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,49 @@ class TestNetworkSubsystemScheduling:
         assert not t.satisfiable(js)
 
 
+class TestAuditInTheScheduledSubsystem:
+    def test_hold_planted_under_an_exclusive_switch_is_an_exclusivity_violation(self):
+        """A simulator scheduling the network subsystem audits subtrees of
+        *that* subsystem: an edge switch has no containment path at all."""
+        from repro.match.writer import Selection
+
+        g = fat_tree_cluster(racks=2, nodes_per_rack=2, edge_bandwidth=100)
+        sim = ClusterSimulator(g, match_policy="low", queue="easy", audit=True)
+        sim.traverser.subsystem = "network"
+        whole_switch = Jobspec(
+            resources=(
+                ResourceRequest(
+                    type="edge_switch", count=1, exclusive=True,
+                    with_=(ResourceRequest(type="node", count=1),),
+                ),
+            ),
+            duration=100,
+        )
+        holder = sim.submit(whole_switch, at=0)
+        other = sim.submit(
+            edge_local_bandwidth_job(nodes=1, gbps=10, duration=100), at=0
+        )
+        sim.run(until=0)
+        switch = next(
+            s.vertex for s in holder.allocation.selections
+            if s.vertex.type == "edge_switch"
+        )
+        assert switch.path("containment") == ""
+        assert sim.auditor.collect(sim) == []
+        below = next(
+            v for v in g.descendants(switch, "network") if v.type == "node"
+            and all(s.vertex is not v for s in holder.allocation.selections)
+        )
+        other.allocation.selections.append(Selection(below, 1))  # sabotage
+        violations = [
+            v for v in sim.auditor.collect(sim) if v.invariant == "exclusivity"
+        ]
+        assert [v.subject for v in violations] == [below.name]
+        assert f"job {holder.job_id}'s exclusive {switch.name}" in (
+            violations[0].expected
+        )
+
+
 class TestRabbitOverTime:
     def test_filesystem_outlives_compute_waves(self):
         """Storage-only allocations persist while waves of compute jobs come
