@@ -68,23 +68,6 @@ def test_bench_perf_sweep(benchmark):
     assert all(v.rule.startswith("PRF") for v in violations)
 
 
-def test_bench_race_sweep(benchmark):
-    """The fluxrace pass CI pays per push: parse, call graph, escape
-    summaries, shared-state model, four RACE rules over the whole tree
-    against the checked-in entrypoint manifest.  Same 30s acceptance
-    bound as the flow sweep; typical is a few seconds."""
-    from repro.statcheck.race import DEFAULT_ENTRYPOINTS, RaceEngine
-
-    manifest_path = os.path.join(REPO, DEFAULT_ENTRYPOINTS)
-
-    def sweep():
-        return RaceEngine().analyze_paths([SRC_REPRO], manifest_path)
-
-    violations, model = benchmark.pedantic(sweep, rounds=2, iterations=1)
-    assert model.entrypoints and not model.missing_entrypoints
-    assert all(v.rule.startswith("RACE") for v in violations)
-
-
 def test_bench_hotprofile(benchmark, tmp_path):
     """Regenerating the hotspot manifest: the scale workload under
     cProfile plus the qualname join.  Acceptance bound is loose; this

@@ -9,8 +9,7 @@ everything — the full life of a Fluxion-style scheduler interaction
 Run:  python examples/quickstart.py
 
 With FLUXOBS=1 the simulation section at the end runs observed and writes
-a Chrome trace (quickstart-trace.json, or $FLUXOBS_TRACE — plus a
-Prometheus metrics exposition when $FLUXOBS_PROM names a path) you can open in
+a Chrome trace (quickstart-trace.json, or $FLUXOBS_TRACE) you can open in
 chrome://tracing or feed to ``python -m repro.obs report`` — see
 docs/observability.md.
 """
@@ -101,12 +100,6 @@ attributes:
         print(f"wrote Chrome trace: {trace_path} "
               f"({len(sim.obs.tracer.events)} events); inspect with "
               f"`python -m repro.obs report {trace_path}`")
-        prom_path = os.environ.get("FLUXOBS_PROM", "")
-        if prom_path:
-            with open(prom_path, "w", encoding="utf-8") as fh:
-                fh.write(sim.render_prometheus())
-            print(f"wrote Prometheus exposition: {prom_path}; check with "
-                  f"`python -m repro.obs promcheck {prom_path}`")
 
 
 if __name__ == "__main__":

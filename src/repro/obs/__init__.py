@@ -14,8 +14,7 @@ The three legs (ISSUE 5 tentpole):
 A fourth leg (ISSUE 10): :mod:`repro.obs.why` — per-job scheduling
 decision provenance (admission verdicts, attempt outcomes, match-failure
 attribution), rendered by ``report.explain(job_id)`` and
-``python -m repro.obs why``; and Prometheus text exposition via
-``MetricsRegistry.render_prometheus()``.
+``python -m repro.obs why``.
 
 Everything is **off by default**: pass ``ClusterSimulator(observe=True)``
 (or an :class:`Observer`), or set ``FLUXOBS=1``.  Disabled instrumentation
@@ -37,7 +36,6 @@ from .metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    render_prometheus_families,
 )
 from .profile import Profile, aggregate
 from .why import (
@@ -80,7 +78,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "DEFAULT_TIME_BUCKETS",
-    "render_prometheus_families",
     "DecisionRecorder",
     "NullDecisionRecorder",
     "NULL_WHY",

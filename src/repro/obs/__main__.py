@@ -17,18 +17,12 @@ Commands
 ``validate <trace.json>``
     Check that a file is structurally valid Chrome ``trace_event`` JSON
     (used by the CI observability job before uploading the artifact).
-
-``promcheck <metrics.prom>``
-    Scrape-parse a Prometheus text-exposition file the way a scraper
-    would: HELP/TYPE headers, sample lines, label syntax, histogram
-    bucket monotonicity.  Exit 1 on the first malformation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import Any, Dict, List
 
@@ -36,12 +30,7 @@ from .profile import aggregate
 from .trace import read_jsonl
 from .why import render_cycle_summary, render_explain
 
-__all__ = [
-    "main",
-    "chrome_to_events",
-    "validate_chrome",
-    "validate_prometheus",
-]
+__all__ = ["main", "chrome_to_events", "validate_chrome"]
 
 
 def chrome_to_events(document: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -210,102 +199,6 @@ def _cmd_why(args: argparse.Namespace) -> int:
     return 0
 
 
-# One sample line: name, optional {labels}, then a number.
-_PROM_SAMPLE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(\{(?:[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\",?)*\})?"
-    r" (-?[0-9.e+-]+|NaN|[+-]Inf)$"
-)
-
-
-def validate_prometheus(text: str) -> List[str]:
-    """Scrape-parse Prometheus exposition text; returns problems found.
-
-    Deliberately small (no external client library): checks header
-    syntax, HELP/TYPE-before-samples ordering, sample-line syntax, and
-    that every histogram's cumulative buckets are monotonic and agree
-    with its ``_count``.
-    """
-    problems: List[str] = []
-    typed: Dict[str, str] = {}
-    buckets: Dict[str, List[float]] = {}
-    counts: Dict[str, float] = {}
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line:
-            continue
-        if line.startswith("# HELP ") or line.startswith("# TYPE "):
-            parts = line.split(" ", 3)
-            if len(parts) < 3 or not parts[2]:
-                problems.append(f"line {number}: malformed {parts[1]} header")
-                continue
-            if parts[1] == "TYPE":
-                kind = parts[3] if len(parts) > 3 else ""
-                if kind not in (
-                    "counter", "gauge", "histogram", "summary", "untyped"
-                ):
-                    problems.append(
-                        f"line {number}: unknown TYPE {kind!r}"
-                    )
-                typed[parts[2]] = kind
-            continue
-        if line.startswith("#"):
-            continue  # plain comment
-        match = _PROM_SAMPLE.match(line)
-        if match is None:
-            problems.append(f"line {number}: unparseable sample: {line!r}")
-            continue
-        name, labels = match.group(1), match.group(2) or ""
-        base = re.sub(r"_(bucket|sum|count)$", "", name)
-        if name not in typed and base not in typed:
-            problems.append(
-                f"line {number}: sample {name!r} has no preceding # TYPE"
-            )
-        if name.endswith("_bucket"):
-            le = re.search(r'le="([^"]+)"', labels)
-            if le is None:
-                problems.append(
-                    f"line {number}: histogram bucket without le label"
-                )
-                continue
-            series = base + labels[: labels.find('le="')]
-            buckets.setdefault(series, []).append(float(match.group(3)))
-        elif name.endswith("_count") and typed.get(base) == "histogram":
-            counts[base + labels] = float(match.group(3))
-    for series, values in buckets.items():
-        if values != sorted(values):
-            problems.append(
-                f"histogram {series!r}: bucket counts not cumulative"
-            )
-    for series, values in buckets.items():
-        key = series.rstrip("{,")
-        total = counts.get(key, counts.get(series))
-        if total is not None and values and values[-1] != total:
-            problems.append(
-                f"histogram {series!r}: +Inf bucket {values[-1]:g} "
-                f"!= _count {total:g}"
-            )
-    return problems
-
-
-def _cmd_promcheck(args: argparse.Namespace) -> int:
-    try:
-        with open(args.metrics, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"{args.metrics}: unreadable: {exc}", file=sys.stderr)
-        return 1
-    problems = validate_prometheus(text)
-    if problems:
-        for problem in problems:
-            print(f"{args.metrics}: {problem}", file=sys.stderr)
-        return 1
-    families = sum(1 for line in text.splitlines()
-                   if line.startswith("# TYPE "))
-    print(f"{args.metrics}: valid Prometheus exposition "
-          f"({families} families)")
-    return 0
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         with open(args.trace, "r", encoding="utf-8") as handle:
@@ -350,12 +243,6 @@ def main(argv: "List[str] | None" = None) -> int:
     validate = sub.add_parser("validate", help="schema-check a Chrome trace")
     validate.add_argument("trace", help="Chrome trace JSON file")
     validate.set_defaults(func=_cmd_validate)
-
-    promcheck = sub.add_parser(
-        "promcheck", help="scrape-parse a Prometheus exposition file"
-    )
-    promcheck.add_argument("metrics", help="Prometheus text file")
-    promcheck.set_defaults(func=_cmd_promcheck)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -23,8 +23,6 @@ Registries are plain objects: create as many as you like (each
 
 from __future__ import annotations
 
-import re
-
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricFamily",
-    "render_prometheus_families",
     "MetricsRegistry",
     "NullCounter",
     "NullGauge",
@@ -215,11 +212,6 @@ class MetricFamily:
         for key in sorted(self._children):
             yield self._children[key]
 
-    def items(self) -> Iterator[Tuple[Tuple[str, ...], object]]:
-        """``(label_values, child)`` pairs in sorted label-value order."""
-        for key in sorted(self._children):
-            yield key, self._children[key]
-
 
 class MetricsRegistry:
     """Named home for instruments; idempotent creation, stable iteration."""
@@ -318,137 +310,6 @@ class MetricsRegistry:
         for metric in other.instruments():
             if isinstance(metric, Counter):
                 self.counter(metric.name, metric.description).inc(metric.value)
-
-    def render_prometheus(self) -> str:
-        """Full Prometheus text-exposition of the registry.
-
-        One family block per registered name, in sorted name order:
-        ``# HELP`` / ``# TYPE`` headers, label sets with escaped values,
-        and cumulative histogram buckets (``_bucket{le=...}`` including
-        ``+Inf``, then ``_sum`` / ``_count``).  Output is deterministic:
-        same instruments and values → byte-identical text, so it doubles
-        as the scrape payload for ROADMAP item 1.
-        """
-        lines: List[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            lines.extend(_render_family(name, metric))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-_PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    """Sanitize a metric name: ``sim.cycles`` → ``sim_cycles``."""
-    sanitized = _PROM_NAME_BAD.sub("_", name)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def _prom_escape(value: str) -> str:
-    """Escape a label value per the exposition format."""
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _prom_help(text: str) -> str:
-    """Escape a HELP docstring (backslash and newline only)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _prom_value(value: "int | float") -> str:
-    if isinstance(value, bool) or not isinstance(value, float):
-        return str(int(value))
-    if value == int(value) and abs(value) < 1e15:
-        return f"{value:.1f}"
-    return repr(value)
-
-
-def _prom_labels(
-    label_names: Sequence[str], label_values: Sequence[str]
-) -> str:
-    rendered = ",".join(
-        f'{name}="{_prom_escape(value)}"'
-        for name, value in zip(label_names, label_values)
-    )
-    return "{" + rendered + "}"
-
-
-def _prom_samples(
-    name: str, metric: object, label_suffix: str = ""
-) -> List[str]:
-    """Sample lines for one leaf instrument (no headers)."""
-    if isinstance(metric, Histogram):
-        lines = []
-        cumulative = 0
-        for bound, count in zip(metric.boundaries, metric.counts):
-            cumulative += count
-            lines.append(
-                f'{name}_bucket{{le="{bound:g}"}} {cumulative}'
-                if not label_suffix
-                else f"{name}_bucket{label_suffix[:-1]},"
-                f'le="{bound:g}"}} {cumulative}'
-            )
-        cumulative += metric.counts[-1]
-        if not label_suffix:
-            lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
-        else:
-            lines.append(
-                f'{name}_bucket{label_suffix[:-1]},le="+Inf"}} {cumulative}'
-            )
-        lines.append(f"{name}_sum{label_suffix} {_prom_value(metric.sum)}")
-        lines.append(f"{name}_count{label_suffix} {metric.count}")
-        return lines
-    return [f"{name}{label_suffix} {_prom_value(metric.value)}"]
-
-
-_PROM_TYPES = {"Counter": "counter", "Gauge": "gauge", "Histogram": "histogram"}
-
-
-def _render_family(name: str, metric: object) -> List[str]:
-    """HELP/TYPE headers plus samples for one registered metric."""
-    sname = _prom_name(name)
-    if isinstance(metric, MetricFamily):
-        kind = _PROM_TYPES.get(metric._factory.__name__, "untyped")
-        description = metric.description
-    else:
-        kind = _PROM_TYPES.get(type(metric).__name__, "untyped")
-        description = getattr(metric, "description", "")
-    lines = [
-        f"# HELP {sname} {_prom_help(description)}".rstrip(),
-        f"# TYPE {sname} {kind}",
-    ]
-    if isinstance(metric, MetricFamily):
-        for label_values, child in metric.items():
-            suffix = _prom_labels(metric.label_names, label_values)
-            lines.extend(_prom_samples(sname, child, suffix))
-    else:
-        lines.extend(_prom_samples(sname, metric))
-    return lines
-
-
-def render_prometheus_families(registries: Sequence["MetricsRegistry"]) -> str:
-    """One exposition document spanning several registries.
-
-    The simulator owns two (the observer's and the traverser's always-on
-    one); a scrape endpoint wants a single document with globally sorted
-    families.  First registry wins on a name collision.
-    """
-    merged: Dict[str, object] = {}
-    for registry in registries:
-        metrics = getattr(registry, "_metrics", None)
-        if not metrics:
-            continue
-        for name, metric in metrics.items():
-            merged.setdefault(name, metric)
-    lines: List[str] = []
-    for name in sorted(merged):
-        lines.extend(_render_family(name, merged[name]))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ----------------------------------------------------------------------
@@ -561,9 +422,6 @@ class NullRegistry:
         return {}
 
     def render(self) -> str:
-        return ""
-
-    def render_prometheus(self) -> str:
         return ""
 
     def merge_counts(self, other: object) -> None:

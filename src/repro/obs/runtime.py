@@ -10,10 +10,8 @@ planner-layer instrumentation reads ``ACTIVE.get()`` — one C-level
 
 :data:`ACTIVE` is a :class:`~contextvars.ContextVar`, so each thread (and
 each asyncio task) sees its own activation: two simulators running
-concurrently on separate threads never observe each other's metrics —
-the first requirement for the scheduling-as-a-service work (ROADMAP
-item 1), and the remediation for fluxrace's RACE001 finding against the
-old process-global ``ACTIVE`` + ``_PREVIOUS`` pair.
+concurrently on separate threads never observe each other's metrics
+(``tests/test_obs.py::test_activation_is_thread_local`` holds that).
 
 Nesting is strict LIFO per context: :func:`activate` returns a token and
 :func:`deactivate` restores the previous observer, raising

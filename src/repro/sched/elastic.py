@@ -14,7 +14,7 @@ job grows by acquiring an additional allocation and shrinks by releasing one
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import ResourceGraphError
 from ..grug.recipe import _build_level
@@ -26,6 +26,25 @@ from .job import Job
 __all__ = ["grow", "shrink_subtree", "resize_pool", "grow_job", "shrink_job"]
 
 
+def _ancestor_filter_deltas(
+    graph: ResourceGraph,
+    vertex: ResourceVertex,
+    deltas: Mapping[str, int],
+    include_self: bool = False,
+) -> Iterator[Tuple[ResourceVertex, str, int]]:
+    """``(holder, type, delta)`` for every filter above ``vertex`` that a
+    per-type capacity delta lands on."""
+    targets: List[ResourceVertex] = list(graph.ancestors(vertex))
+    if include_self:
+        targets.insert(0, vertex)
+    for ancestor in targets:
+        if ancestor.prune_filters is None:
+            continue
+        for rtype, delta in deltas.items():
+            if delta and rtype in graph.prune_types:
+                yield ancestor, rtype, delta
+
+
 def _adjust_ancestor_filters(
     graph: ResourceGraph,
     vertex: ResourceVertex,
@@ -33,20 +52,14 @@ def _adjust_ancestor_filters(
     include_self: bool = False,
 ) -> None:
     """Apply per-type capacity deltas to every filter above ``vertex``."""
-    targets: List[ResourceVertex] = list(graph.ancestors(vertex))
-    if include_self:
-        targets.insert(0, vertex)
-    for ancestor in targets:
+    for ancestor, rtype, delta in _ancestor_filter_deltas(
+        graph, vertex, deltas, include_self
+    ):
         filters = ancestor.prune_filters
-        if filters is None:
-            continue
-        for rtype, delta in deltas.items():
-            if not delta or rtype not in graph.prune_types:
-                continue
-            if filters.tracks(rtype):
-                filters.resize(rtype, filters.total(rtype) + delta)
-            elif delta > 0:
-                filters.add_type(rtype, delta)
+        if filters.tracks(rtype):
+            filters.resize(rtype, filters.total(rtype) + delta)
+        elif delta > 0:
+            filters.add_type(rtype, delta)
 
 
 def _reshaped(
@@ -92,7 +105,9 @@ def shrink_subtree(
 
     Refuses when any vertex in the subtree holds active allocations unless
     ``force`` (which tears the spans' vertices out regardless — only for
-    failure simulation).  Ancestor filter totals shrink accordingly.
+    failure simulation).  Ancestor filter totals shrink accordingly; when
+    the subtree's sizes add up to more than an ancestor filter totals, the
+    call refuses with the graph untouched.
     """
     doomed = [vertex] + list(graph.descendants(vertex))
     if not force:
@@ -111,6 +126,20 @@ def shrink_subtree(
         deltas[v.type] = deltas.get(v.type, 0) - v.size
     parents = graph.parents(vertex)
     anchor = parents[0] if parents else None
+    if anchor is not None:
+        # A size in the subtree that disagrees with the filters above it
+        # (corruption not yet repaired) must stop the call here, before
+        # anything is removed.
+        for holder, rtype, delta in _ancestor_filter_deltas(
+            graph, anchor, deltas, include_self=True
+        ):
+            filters = holder.prune_filters
+            if filters.tracks(rtype) and filters.total(rtype) + delta < 0:
+                raise ResourceGraphError(
+                    f"subtree of {vertex.name} holds {-delta} {rtype} by its "
+                    f"vertex sizes but the {rtype} filter on {holder.name} "
+                    f"totals {filters.total(rtype)}; repair the sizes first"
+                )
     for v in reversed(doomed):
         graph.remove_vertex(v, force=True)
         _reshaped(graph, v, gone=True)

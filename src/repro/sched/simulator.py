@@ -782,20 +782,6 @@ class ClusterSimulator:
         merged.update(self.traverser.metrics.as_dict())
         return merged
 
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition of every metric this simulator owns.
-
-        Spans the observer's registry and the traverser's always-on one in
-        a single document with globally sorted families — the scrape
-        payload for ROADMAP item 1's service front end.  Works unobserved
-        too (the traverser counters are always collected).
-        """
-        from ..obs.metrics import render_prometheus_families
-
-        return render_prometheus_families(
-            [self.obs.metrics, self.traverser.metrics]
-        )
-
     def export_trace(
         self, path: str, jsonl_path: Optional[str] = None
     ) -> None:

@@ -46,22 +46,13 @@ from .core import (
 from .reporters import render_json, render_sarif, render_text
 from .sanitizer import DualRunReport, FluxSan, dual_run
 
-# Importing the rules module populates the registry as a side effect.
+# Importing the rule modules populates the one registry in ``core`` as a
+# side effect: the AST rules, the interprocedural analyses (SPAN001, DET002,
+# EXC002, JRN002) and the profile-guided perf rules (PRF001-PRF004).
 from . import rules as _rules  # noqa: F401  (registration import)
-
-# The flow package registers the interprocedural analyses (SPAN001,
-# DET002, EXC002, JRN002) on import.
+from . import hot as _hot  # noqa: F401  (registration import)
 from .cache import LintCache
-from .flow import (
-    FlowEngine,
-    all_flow_analyses,
-    analyze_sources,
-    register_flow_analysis,
-)
-
-# The race package registers the concurrency-readiness rules
-# (RACE001-RACE004) on import.
-from .race import RaceEngine, all_race_rules, render_race_report
+from .flow import FlowEngine, analyze_sources
 
 __all__ = [
     "LintEngine",
@@ -78,12 +69,7 @@ __all__ = [
     "render_sarif",
     "LintCache",
     "FlowEngine",
-    "all_flow_analyses",
     "analyze_sources",
-    "register_flow_analysis",
-    "RaceEngine",
-    "all_race_rules",
-    "render_race_report",
     "FluxSan",
     "DualRunReport",
     "dual_run",

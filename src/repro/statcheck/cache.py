@@ -23,7 +23,7 @@ import sys
 import tempfile
 from typing import Iterable, List, Optional
 
-from .core import Violation
+from .core import Violation, all_rules
 
 __all__ = ["LintCache", "CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR"]
 
@@ -49,15 +49,7 @@ def _rules_fingerprint(rule_ids: Iterable[str]) -> str:
     """
     import inspect
 
-    from .core import all_rules
-    from .flow.analyses import all_flow_analyses
-    from .hot import all_perf_rules
-    from .race import all_race_rules
-
-    registry = dict(all_rules())
-    registry.update(all_flow_analyses())
-    registry.update(all_perf_rules())
-    registry.update(all_race_rules())
+    registry = all_rules()
     modules = sorted(
         {
             registry[rule_id].__module__

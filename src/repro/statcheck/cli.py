@@ -19,8 +19,6 @@ Examples::
     python -m repro.statcheck --dual-run tiny        # FluxSan determinism
     python -m repro.statcheck --perf src/repro       # profile-guided PRF rules
     python -m repro.statcheck hotprofile             # regenerate the manifest
-    python -m repro.statcheck --race src/repro       # concurrency readiness
-    python -m repro.statcheck --race --race-report fluxrace-report.txt src/repro
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ import argparse
 import os
 import subprocess
 import sys
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from ..errors import FluxionError, SanitizerError
-from .core import LintEngine, LintParseError, Violation, all_rules
+from .core import RULE_KINDS, LintEngine, LintParseError, Violation, all_rules
 from .reporters import render_json, render_sarif, render_text
 from .sanitizer import FluxSan, dual_run
 
@@ -91,20 +89,23 @@ def _run_dual(preset: str, out: Callable[[str], None]) -> int:
     return 0 if report.ok else 1
 
 
-def _list_rules(out: Callable[[str], None]) -> int:
-    from .flow.analyses import all_flow_analyses
-    from .hot import all_perf_rules
-    from .race import all_race_rules
+#: rule kind -> (its ``--list-rules`` title, the flag that runs its engine,
+#: what the "add FLAG" hint calls its rules); the lint engine always runs
+_ENGINES = {
+    "lint": ("fluxlint AST rules (always on)", None, None),
+    "flow": (
+        "fluxflow interprocedural analyses (--flow)", "--flow", "interprocedural",
+    ),
+    "perf": (
+        "fluxhot profile-guided perf rules (--perf)", "--perf", "profile-guided",
+    ),
+}
 
-    groups = (
-        ("fluxlint AST rules (always on)", all_rules()),
-        ("fluxflow interprocedural analyses (--flow)", all_flow_analyses()),
-        ("fluxhot profile-guided perf rules (--perf)", all_perf_rules()),
-        ("fluxrace concurrency-readiness rules (--race)", all_race_rules()),
-    )
-    for title, registry in groups:
-        out(f"{title}:")
-        for rule_id, rule_cls in sorted(registry.items()):
+
+def _list_rules(out: Callable[[str], None]) -> int:
+    for kind in RULE_KINDS:
+        out(f"{_ENGINES[kind][0]}:")
+        for rule_id, rule_cls in sorted(all_rules(kind).items()):
             out(f"  {rule_id}  {rule_cls.summary}")
         out("")
     out("FluxSan runtime sanitizer (--dual-run PRESET / FLUXSAN=1):")
@@ -143,65 +144,34 @@ def _changed_files() -> Set[str]:
 
 
 def _split_select(
-    raw: Optional[str],
-    flow_enabled: bool,
-    role: str = "select",
-    perf_enabled: bool = False,
-    race_enabled: bool = False,
-) -> Tuple[
-    Optional[List[str]],
-    Optional[List[str]],
-    Optional[List[str]],
-    Optional[List[str]],
-]:
-    """Split a ``--select``/``--ignore`` list into (lint, flow, perf, race)
-    ids.
+    raw: Optional[str], enabled: Set[str], role: str = "select"
+) -> Dict[str, Optional[List[str]]]:
+    """Group a ``--select``/``--ignore`` list by the kind of each rule id.
 
-    Unknown ids raise; *selecting* a flow/perf/race id without ``--flow``/
-    ``--perf``/``--race`` raises with a hint (ignoring one is a harmless
-    no-op).
+    Unknown ids raise; *selecting* an id whose kind is not in ``enabled``
+    raises with a hint naming the flag (ignoring one is a harmless no-op).
     """
-    from .flow.analyses import all_flow_analyses
-    from .hot import all_perf_rules
-    from .race import all_race_rules
-
     if raw is None:
-        return None, None, None, None
+        return dict.fromkeys(RULE_KINDS)
     ids = [part.strip().upper() for part in raw.split(",") if part.strip()]
-    lint_registry = set(all_rules())
-    flow_registry = set(all_flow_analyses())
-    perf_registry = set(all_perf_rules())
-    race_registry = set(all_race_rules())
-    known = lint_registry | flow_registry | perf_registry | race_registry
-    unknown = [i for i in ids if i not in known]
+    registry = all_rules()
+    unknown = {i for i in ids if i not in registry}
     if unknown:
         raise FluxionError(
-            f"unknown rule ids: {sorted(set(unknown))}; known: {sorted(known)}"
+            f"unknown rule ids: {sorted(unknown)}; known: {sorted(registry)}"
         )
-    flow_ids = [i for i in ids if i in flow_registry]
-    if flow_ids and not flow_enabled and role == "select":
-        raise FluxionError(
-            f"rule ids {sorted(set(flow_ids))} are interprocedural; "
-            "add --flow to run them"
-        )
-    perf_ids = [i for i in ids if i in perf_registry]
-    if perf_ids and not perf_enabled and role == "select":
-        raise FluxionError(
-            f"rule ids {sorted(set(perf_ids))} are profile-guided; "
-            "add --perf to run them"
-        )
-    race_ids = [i for i in ids if i in race_registry]
-    if race_ids and not race_enabled and role == "select":
-        raise FluxionError(
-            f"rule ids {sorted(set(race_ids))} are concurrency-readiness "
-            "rules; add --race to run them"
-        )
-    return (
-        [i for i in ids if i in lint_registry],
-        flow_ids,
-        perf_ids,
-        race_ids,
-    )
+    by_kind: Dict[str, List[str]] = {kind: [] for kind in RULE_KINDS}
+    for rule_id in ids:
+        by_kind[registry[rule_id].kind].append(rule_id)
+    if role == "select":
+        for kind, chosen in by_kind.items():
+            if chosen and kind not in enabled:
+                _, flag, adjective = _ENGINES[kind]
+                raise FluxionError(
+                    f"rule ids {sorted(set(chosen))} are {adjective}; "
+                    f"add {flag} to run them"
+                )
+    return by_kind
 
 
 def _run_hotprofile(argv: List[str]) -> int:
@@ -288,28 +258,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: 0.01)",
     )
     parser.add_argument(
-        "--race", action="store_true",
-        help="also run the concurrency-readiness fluxrace rules "
-        "(RACE001-RACE004) against the service-entrypoint manifest",
-    )
-    parser.add_argument(
-        "--entrypoints", default=None, metavar="FILE",
-        help="service-entrypoint manifest for --race "
-        "(default: statcheck-entrypoints.json)",
-    )
-    parser.add_argument(
-        "--race-report", default=None, metavar="FILE",
-        help="with --race, also write the per-module shared-state "
-        "footprint table to FILE",
-    )
-    parser.add_argument(
         "--baseline", default=None, metavar="FILE",
         help="suppress findings recorded in this baseline file; only new "
         "findings fail the run",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help="rewrite the baseline file with the current findings and exit 0",
+        help="rewrite the --baseline file with the current findings and "
+        "exit 0",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -371,16 +327,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     from .core import _expand
 
-    lint_select, flow_select, perf_select, race_select = _split_select(
-        args.select, args.flow, perf_enabled=args.perf,
-        race_enabled=args.race,
-    )
-    lint_ignore, flow_ignore, perf_ignore, race_ignore = _split_select(
-        args.ignore, args.flow, "ignore", perf_enabled=args.perf,
-        race_enabled=args.race,
-    )
+    if args.update_baseline and args.baseline is None:
+        raise FluxionError(
+            "--update-baseline needs --baseline FILE: name the baseline to "
+            "rewrite"
+        )
+    enabled = {"lint"} | {kind for kind in ("flow", "perf") if getattr(args, kind)}
+    select = _split_select(args.select, enabled)
+    ignore = _split_select(args.ignore, enabled, "ignore")
 
-    engine = LintEngine(select=lint_select, ignore=lint_ignore)
+    engine = LintEngine(select=select["lint"], ignore=ignore["lint"])
 
     cache = None
     if args.cache or args.cache_dir is not None:
@@ -423,7 +379,7 @@ def _run_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     if args.flow:
         from .flow import FlowEngine
 
-        flow_engine = FlowEngine(select=flow_select, ignore=flow_ignore)
+        flow_engine = FlowEngine(select=select["flow"], ignore=ignore["flow"])
         # The whole program is always built from the full path set —
         # interprocedural facts need every module — but with --changed-only
         # findings are reported only for the changed files.
@@ -440,7 +396,7 @@ def _run_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         from .hot import DEFAULT_MANIFEST, HOT_THRESHOLD, PerfEngine
         from .hot.rules import render_hot_report
 
-        perf_engine = PerfEngine(select=perf_select, ignore=perf_ignore)
+        perf_engine = PerfEngine(select=select["perf"], ignore=ignore["perf"])
         perf_violations, hot_model = perf_engine.analyze_paths(
             args.paths,
             args.hotspots or DEFAULT_MANIFEST,
@@ -462,32 +418,12 @@ def _run_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
                 handle.write(render_hot_report(hot_model))
                 handle.write("\n")
 
-    if args.race:
-        from .race import DEFAULT_ENTRYPOINTS, RaceEngine, render_race_report
-
-        race_engine = RaceEngine(select=race_select, ignore=race_ignore)
-        race_violations, race_model = race_engine.analyze_paths(
-            args.paths, args.entrypoints or DEFAULT_ENTRYPOINTS
-        )
-        if changed is not None:
-            race_violations = [
-                v
-                for v in race_violations
-                if os.path.realpath(v.path) in changed
-            ]
-        violations = sorted(set(violations) | set(race_violations))
-        if args.race_report is not None:
-            with open(args.race_report, "w", encoding="utf-8") as handle:
-                handle.write(render_race_report(race_model))
-                handle.write("\n")
-
     if args.update_baseline:
         from .flow.baseline import save_baseline
 
-        target = args.baseline or "statcheck-baseline.json"
-        save_baseline(target, violations)
+        save_baseline(args.baseline, violations)
         out(
-            f"fluxlint: baseline {target} updated with "
+            f"fluxlint: baseline {args.baseline} updated with "
             f"{len(violations)} finding(s)"
         )
         return 0

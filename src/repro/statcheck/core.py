@@ -7,6 +7,11 @@ Rules are :class:`ast.NodeVisitor` subclasses registered through
 :func:`register_rule`; each owns one rule id and decides with
 :meth:`LintRule.applies_to` which files it inspects.
 
+The registry here is the rule catalogue for the whole package: the
+interprocedural (``flow``) and profile-guided (``perf``) rules register
+through the same decorator under their own ``kind``, and every engine picks
+its rules with :func:`resolve_rules`.
+
 Suppression directives, checked per emitted violation:
 
 * ``# fluxlint: disable=RULE1,RULE2`` on the violating line;
@@ -33,8 +38,10 @@ __all__ = [
     "LintParseError",
     "SourceModule",
     "LintRule",
+    "RULE_KINDS",
     "register_rule",
     "all_rules",
+    "resolve_rules",
     "LintEngine",
     "lint_source",
     "lint_paths",
@@ -133,6 +140,7 @@ class LintRule(ast.NodeVisitor):
 
     rule_id: str = ""
     summary: str = ""
+    kind: str = "lint"
 
     def __init__(self, module: SourceModule) -> None:
         self.module = module
@@ -157,22 +165,58 @@ class LintRule(ast.NodeVisitor):
             )
 
 
-_REGISTRY: Dict[str, Type[LintRule]] = {}
+#: the engines a rule can belong to; ``kind`` on a rule class names one
+RULE_KINDS = ("lint", "flow", "perf")
+
+#: every registered rule of every kind, keyed by rule id
+_REGISTRY: Dict[str, type] = {}
 
 
-def register_rule(rule_cls: Type[LintRule]) -> Type[LintRule]:
-    """Class decorator adding ``rule_cls`` to the global rule registry."""
+def register_rule(rule_cls: type) -> type:
+    """Class decorator adding ``rule_cls`` to the one rule registry.
+
+    Rule ids are unique across kinds: the id alone picks the class, its
+    summary and the engine (``rule_cls.kind``) that runs it.
+    """
     if not rule_cls.rule_id:
         raise ValueError(f"{rule_cls.__name__} has no rule_id")
+    if rule_cls.kind not in RULE_KINDS:
+        raise ValueError(
+            f"{rule_cls.__name__} has kind {rule_cls.kind!r}; "
+            f"expected one of {RULE_KINDS}"
+        )
     if rule_cls.rule_id in _REGISTRY:
         raise ValueError(f"duplicate rule id {rule_cls.rule_id}")
     _REGISTRY[rule_cls.rule_id] = rule_cls
     return rule_cls
 
 
-def all_rules() -> Dict[str, Type[LintRule]]:
-    """The registered rules, keyed by rule id."""
-    return dict(_REGISTRY)
+def all_rules(kind: Optional[str] = None) -> Dict[str, type]:
+    """The registered rules keyed by rule id; of one ``kind``, or all."""
+    return {
+        rule_id: rule_cls
+        for rule_id, rule_cls in _REGISTRY.items()
+        if kind is None or rule_cls.kind == kind
+    }
+
+
+def resolve_rules(
+    kind: str,
+    select: Optional[Iterable[str]] = None,
+    ignore: Optional[Iterable[str]] = None,
+) -> List[type]:
+    """The ``kind`` rules to run, in id order: ``select`` (default: every
+    rule of the kind) minus ``ignore``.  Ids of no such rule raise."""
+    registry = all_rules(kind)
+    chosen = {r.upper() for r in select} if select is not None else set(registry)
+    dropped = {r.upper() for r in ignore} if ignore is not None else set()
+    unknown = (chosen | dropped) - set(registry)
+    if unknown:
+        raise FluxionError(
+            f"unknown {kind} rule ids: {sorted(unknown)}; "
+            f"known: {sorted(registry)}"
+        )
+    return [registry[rule_id] for rule_id in sorted(chosen - dropped)]
 
 
 class LintEngine:
@@ -181,7 +225,7 @@ class LintEngine:
     Parameters
     ----------
     select:
-        Rule ids to run (default: every registered rule).
+        Rule ids to run (default: every registered lint rule).
     ignore:
         Rule ids to exclude after selection.
     """
@@ -191,21 +235,7 @@ class LintEngine:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
     ) -> None:
-        registry = all_rules()
-        chosen = (
-            {r.upper() for r in select} if select is not None else set(registry)
-        )
-        dropped = {r.upper() for r in ignore} if ignore is not None else set()
-        unknown = (chosen | dropped) - set(registry)
-        if unknown:
-            raise FluxionError(
-                f"unknown rule ids: {sorted(unknown)}; "
-                f"known: {sorted(registry)}"
-            )
-        self.rules: List[Type[LintRule]] = [
-            registry[rule_id]
-            for rule_id in sorted(chosen - dropped)
-        ]
+        self.rules: List[Type[LintRule]] = resolve_rules("lint", select, ignore)
 
     # ------------------------------------------------------------------
     def lint_source(self, source: str, path: str = "<string>") -> List[Violation]:

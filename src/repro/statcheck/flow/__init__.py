@@ -20,9 +20,7 @@ from .analyses import (
     FlowEngine,
     JournalHelperAnalysis,
     SpanLeakAnalysis,
-    all_flow_analyses,
     analyze_sources,
-    register_flow_analysis,
 )
 from .baseline import apply_baseline, load_baseline, save_baseline
 from .callgraph import CallGraph, CallSite, build_call_graph
@@ -39,9 +37,7 @@ __all__ = [
     "DeterminismTaintAnalysis",
     "CrashSwallowTaintAnalysis",
     "JournalHelperAnalysis",
-    "all_flow_analyses",
     "analyze_sources",
-    "register_flow_analysis",
     "apply_baseline",
     "load_baseline",
     "save_baseline",

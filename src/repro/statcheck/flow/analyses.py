@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
-from ..core import Violation
+from ..core import Violation, register_rule, resolve_rules
 from ..rules import WallClockRule, _handler_catches, _has_bare_reraise
 from .callgraph import CallGraph, CallSite, build_call_graph, walk_own
 from .cfg import build_cfg
@@ -48,8 +48,6 @@ __all__ = [
     "FlowAnalysis",
     "FlowContext",
     "FlowEngine",
-    "register_flow_analysis",
-    "all_flow_analyses",
     "analyze_sources",
     "SpanLeakAnalysis",
     "DeterminismTaintAnalysis",
@@ -81,6 +79,7 @@ class FlowAnalysis:
 
     rule_id: str = ""
     summary: str = ""
+    kind: str = "flow"
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
@@ -95,22 +94,6 @@ class FlowAnalysis:
             self.violations.append(
                 Violation(module.path, line, col, self.rule_id, message)
             )
-
-
-_FLOW_REGISTRY: Dict[str, Type[FlowAnalysis]] = {}
-
-
-def register_flow_analysis(cls: Type[FlowAnalysis]) -> Type[FlowAnalysis]:
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    if cls.rule_id in _FLOW_REGISTRY:
-        raise ValueError(f"duplicate flow rule id {cls.rule_id}")
-    _FLOW_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def all_flow_analyses() -> Dict[str, Type[FlowAnalysis]]:
-    return dict(_FLOW_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +144,7 @@ def _chain(
 # ---------------------------------------------------------------------------
 
 
-@register_flow_analysis
+@register_rule
 class SpanLeakAnalysis(FlowAnalysis):
     """SPAN001: planner spans (paper §4.1) must stay exactly consistent
     with allocations — a span id that is neither freed, stored, nor
@@ -407,7 +390,7 @@ def _names_stored(targets: Sequence[ast.expr], stmt: ast.AST) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-@register_flow_analysis
+@register_rule
 class DeterminismTaintAnalysis(FlowAnalysis):
     """DET002: recovery replay (PR 2) re-executes journaled commands;
     DET001 flags direct wall-clock/RNG reads, this rule flags critical
@@ -453,7 +436,7 @@ class DeterminismTaintAnalysis(FlowAnalysis):
 # ---------------------------------------------------------------------------
 
 
-@register_flow_analysis
+@register_rule
 class CrashSwallowTaintAnalysis(FlowAnalysis):
     """EXC002: fault injection relies on ``SimulatedCrash`` propagating to
     the simulator loop.  EXC001 flags broad handlers intraprocedurally;
@@ -520,7 +503,7 @@ class CrashSwallowTaintAnalysis(FlowAnalysis):
 # ---------------------------------------------------------------------------
 
 
-@register_flow_analysis
+@register_rule
 class JournalHelperAnalysis(FlowAnalysis):
     """JRN002: write-ahead order, generalized.  JRN001 checks direct
     mutations inside ``sched/simulator.py``; this rule checks *any* class
@@ -650,22 +633,9 @@ class FlowEngine:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
     ) -> None:
-        from ...errors import FluxionError
-
-        registry = all_flow_analyses()
-        chosen = (
-            {r.upper() for r in select} if select is not None else set(registry)
+        self.analyses: List[Type[FlowAnalysis]] = resolve_rules(
+            "flow", select, ignore
         )
-        dropped = {r.upper() for r in ignore} if ignore is not None else set()
-        unknown = (chosen | dropped) - set(registry)
-        if unknown:
-            raise FluxionError(
-                f"unknown flow rule ids: {sorted(unknown)}; "
-                f"known: {sorted(registry)}"
-            )
-        self.analyses: List[Type[FlowAnalysis]] = [
-            registry[rule_id] for rule_id in sorted(chosen - dropped)
-        ]
 
     def analyze_program(self, program: FlowProgram) -> List[Violation]:
         graph = build_call_graph(program)

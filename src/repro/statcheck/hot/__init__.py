@@ -18,8 +18,6 @@ from .rules import (
     PerfContext,
     PerfEngine,
     PerfRule,
-    all_perf_rules,
-    register_perf_rule,
     render_hot_report,
 )
 from .workload import run_hotprofile
@@ -34,8 +32,6 @@ __all__ = [
     "PerfContext",
     "PerfEngine",
     "PerfRule",
-    "all_perf_rules",
-    "register_perf_rule",
     "render_hot_report",
     "run_hotprofile",
 ]

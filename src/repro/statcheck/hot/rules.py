@@ -26,8 +26,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Type
 
-from ...errors import FluxionError
-from ..core import Violation
+from ..core import Violation, register_rule, resolve_rules
 from ..flow.callgraph import CallGraph, build_call_graph, walk_own
 from ..flow.program import FlowProgram, FunctionInfo, ModuleInfo
 from .model import HOT_THRESHOLD, HotModel, load_hotspots
@@ -36,8 +35,6 @@ __all__ = [
     "PerfContext",
     "PerfRule",
     "PerfEngine",
-    "register_perf_rule",
-    "all_perf_rules",
     "render_hot_report",
 ]
 
@@ -67,6 +64,7 @@ class PerfRule:
 
     rule_id: str = ""
     summary: str = ""
+    kind: str = "perf"
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
@@ -96,22 +94,6 @@ class PerfRule:
                     message,
                 )
             )
-
-
-_PERF_REGISTRY: Dict[str, Type[PerfRule]] = {}
-
-
-def register_perf_rule(cls: Type[PerfRule]) -> Type[PerfRule]:
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    if cls.rule_id in _PERF_REGISTRY:
-        raise ValueError(f"duplicate perf rule id {cls.rule_id}")
-    _PERF_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def all_perf_rules() -> Dict[str, Type[PerfRule]]:
-    return dict(_PERF_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +142,7 @@ def _dotted_chain(node: ast.AST) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-@register_perf_rule
+@register_rule
 class HotLoopAllocationRule(PerfRule):
     """PRF001: the match/planner hot path visits tens of thousands of
     vertices per dispatch; a container built per visit is a constant
@@ -225,7 +207,7 @@ class HotLoopAllocationRule(PerfRule):
 # ---------------------------------------------------------------------------
 
 
-@register_perf_rule
+@register_rule
 class HotLoopLookupRule(PerfRule):
     """PRF002: every ``self.x.y`` inside a loop re-runs the descriptor
     machinery per iteration; a local binding before the loop is the
@@ -315,7 +297,7 @@ class HotLoopLookupRule(PerfRule):
 # ---------------------------------------------------------------------------
 
 
-@register_perf_rule
+@register_rule
 class HotClassSlotsRule(PerfRule):
     """PRF003: vertex/edge/span/candidate objects are built per visit on
     the hot path; without ``__slots__`` each instance also allocates an
@@ -408,7 +390,7 @@ def _is_dataclass_node(node: ast.ClassDef) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@register_perf_rule
+@register_rule
 class HotLinearScanRule(PerfRule):
     """PRF004: an ``in list`` or ``list.index`` buried in a hot function
     turns an O(log N) dispatch into O(N); the chain shows how the hot
@@ -525,20 +507,7 @@ class PerfEngine:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
     ) -> None:
-        registry = all_perf_rules()
-        chosen = (
-            {r.upper() for r in select} if select is not None else set(registry)
-        )
-        dropped = {r.upper() for r in ignore} if ignore is not None else set()
-        unknown = (chosen | dropped) - set(registry)
-        if unknown:
-            raise FluxionError(
-                f"unknown perf rule ids: {sorted(unknown)}; "
-                f"known: {sorted(registry)}"
-            )
-        self.rules: List[Type[PerfRule]] = [
-            registry[rule_id] for rule_id in sorted(chosen - dropped)
-        ]
+        self.rules: List[Type[PerfRule]] = resolve_rules("perf", select, ignore)
 
     def analyze_program(
         self,
@@ -566,7 +535,7 @@ class PerfEngine:
 
 
 def render_hot_report(model: HotModel) -> str:
-    """The ranked hot-path worklist (CI artifact; ROADMAP item 2 input)."""
+    """The ranked hot-path worklist (the ``--hot-report`` CI artifact)."""
     lines = [
         f"fluxhot ranked hot-path report — workload: "
         f"{model.workload or 'unknown'}, total {model.total_s:.3f}s, "

@@ -60,21 +60,8 @@ def render_json(violations: List[Violation], files_checked: int) -> str:
 
 
 def _rule_catalogue() -> Dict[str, str]:
-    """Every known rule id -> one-line summary (lint + flow + perf + race)."""
-    catalogue = {
-        rule_id: rule_cls.summary for rule_id, rule_cls in all_rules().items()
-    }
-    from .flow.analyses import all_flow_analyses
-    from .hot import all_perf_rules
-    from .race import all_race_rules
-
-    for rule_id, analysis_cls in all_flow_analyses().items():
-        catalogue[rule_id] = analysis_cls.summary
-    for rule_id, perf_cls in all_perf_rules().items():
-        catalogue[rule_id] = perf_cls.summary
-    for rule_id, race_cls in all_race_rules().items():
-        catalogue[rule_id] = race_cls.summary
-    return catalogue
+    """Every known rule id -> one-line summary."""
+    return {rule_id: rule_cls.summary for rule_id, rule_cls in all_rules().items()}
 
 
 def render_sarif(violations: List[Violation], files_checked: int = 0) -> str:

@@ -95,6 +95,31 @@ class TestShrink:
         shrink_subtree(g, g.find(type="node")[-1])
         assert rack.prune_filters.total("core") == before - 4
 
+    def test_oversized_subtree_refused_before_anything_is_removed(self):
+        """A size inside the subtree was corrupted upwards: the deltas would
+        drive a filter total negative, so the call stops with the graph as
+        it was (it used to remove the vertices and then raise)."""
+        g = tiny_cluster(2, 2, cores=2, gpus=0, memory_pools=2, memory_size=4)
+        node = g.find(type="node")[0]
+        next(v for v in g.children(node) if v.type == "core").size = 4
+
+        def totals():
+            return {
+                (v.name, rtype): v.prune_filters.total(rtype)
+                for v in g.vertices() if v.prune_filters is not None
+                for rtype in g.prune_types if v.prune_filters.tracks(rtype)
+            }
+
+        count, before = g.vertex_count, totals()
+        with pytest.raises(
+            ResourceGraphError,
+            match=f"subtree of {node.name} holds 5 core .* core filter on rack0 "
+            "totals 4",
+        ):
+            shrink_subtree(g, node)
+        assert (g.vertex_count, totals()) == (count, before)
+        assert g.find(type="node")[0] is node
+
 
 class TestResizePool:
     def test_resize_memory_pool(self):

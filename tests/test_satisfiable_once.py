@@ -126,7 +126,10 @@ def apply_op(sim, op, a, b):
     elif op == "shrink":
         victim = pick(find("node"), a)
         if victim is not None and len(find("node")) > 1:
-            shrink_subtree(graph, victim)
+            try:
+                shrink_subtree(graph, victim)
+            except ResourceGraphError:
+                pass  # a corrupted size inside: refused, graph untouched
     elif op == "resize":
         pools = [v for v in find("memory") if graph.parents(v)]
         if pools:
@@ -173,6 +176,7 @@ OPS = [
 @example([("detached", 1, 2), ("remove_vertex", 0, 0)])
 @example([("corrupt", 0, 0), ("restore", 0, 0)])
 @example([("resize", 0, 6), ("resize", 0, 1)])
+@example([("corrupt", 8, 2), ("shrink", 0, 0)])
 @settings(max_examples=60, deadline=None)
 def test_long_lived_traverser_answers_as_a_fresh_one(ops):
     graph = tiny_cluster(2, 2, cores=2, gpus=0, memory_pools=2, memory_size=4)

@@ -5,6 +5,8 @@ sanitizer, the dual-run nondeterminism detector, and the CLI."""
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -12,15 +14,20 @@ from repro.errors import FluxionError, SanitizerError
 from repro.jobspec import nodes_jobspec, simple_node_jobspec
 from repro.match import Traverser
 from repro.match.writer import Allocation
-from repro.planner import Planner
+from repro.planner import Planner, PlannerMulti
+from repro.resource import ResourceGraph
 from repro.sched.simulator import ClusterSimulator
 from repro.statcheck import (
     FluxSan,
+    LintCache,
     LintEngine,
     LintParseError,
+    LintRule,
     all_rules,
+    core,
     dual_run,
     lint_source,
+    register_rule,
 )
 from repro.statcheck.cli import main
 from repro.statcheck.reporters import render_json, render_text
@@ -37,13 +44,13 @@ def rules_hit(source, path="mod.py", select=None):
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_all_rules_registered(self):
-        assert set(all_rules()) == {
+        assert set(all_rules(kind="lint")) == {
             "DET001", "EXC001", "FLT001", "MUT001", "JRN001", "INT001",
             "API001", "OBS001", "OBS002", "OVL001",
         }
 
     def test_unknown_rule_id_rejected(self):
-        with pytest.raises(FluxionError, match="unknown rule ids"):
+        with pytest.raises(FluxionError, match="unknown lint rule ids"):
             LintEngine(select=["NOPE999"])
 
     def test_select_and_ignore(self):
@@ -63,6 +70,105 @@ class TestEngine:
         (v,) = lint_source("import time\nt = time.time()\n", "pkg/mod.py")
         assert v.render().startswith("pkg/mod.py:2:")
         assert "DET001" in v.render()
+
+
+# ----------------------------------------------------------------------
+# the one rule registry
+# ----------------------------------------------------------------------
+def _scratch_rule(rule_id, kind="lint"):
+    class Scratch(LintRule):
+        summary = "scratch rule for the registry tests"
+
+        def visit_Pass(self, node):
+            self.report(node, "pass statement")
+
+    Scratch.rule_id = rule_id
+    Scratch.kind = kind
+    return Scratch
+
+
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """Registrations made during the test are dropped after it."""
+    monkeypatch.setattr(core, "_REGISTRY", dict(core._REGISTRY))
+
+
+class TestOneRegistry:
+    def test_registered_rule_is_known_everywhere(
+        self, scratch_registry, tmp_path, capsys
+    ):
+        f = tmp_path / "mod.py"
+        f.write_text("def f():\n    pass\n")
+        assert main(["--select", "ZZZ001", str(f)]) == 2
+        assert "unknown rule ids: ['ZZZ001']" in capsys.readouterr().err
+        key_before = LintCache(str(tmp_path), ["ZZZ001"]).key("mod.py", b"")
+
+        rule_cls = register_rule(_scratch_rule("ZZZ001"))
+
+        assert all_rules()["ZZZ001"] is rule_cls
+        assert "ZZZ001" in all_rules(kind="lint")
+        assert "ZZZ001" not in all_rules(kind="flow")
+        assert main(["--list-rules"]) == 0
+        assert f"  ZZZ001  {rule_cls.summary}" in capsys.readouterr().out
+        # --select validation accepts it, the lint engine runs it, and the
+        # SARIF catalogue describes it
+        assert main(["--select", "ZZZ001", "--format", "sarif", str(f)]) == 1
+        driver = json.loads(capsys.readouterr().out)["runs"][0]["tool"]["driver"]
+        assert driver["rules"] == [
+            {"id": "ZZZ001", "shortDescription": {"text": rule_cls.summary}}
+        ]
+        # the cache fingerprint now covers the module that defines it
+        key_after = LintCache(str(tmp_path), ["ZZZ001"]).key("mod.py", b"")
+        assert key_after != key_before
+
+    def test_duplicate_id_refused_across_kinds(self, scratch_registry):
+        with pytest.raises(ValueError, match="duplicate rule id DET001"):
+            register_rule(_scratch_rule("DET001", kind="flow"))
+        register_rule(_scratch_rule("ZZZ002", kind="perf"))
+        with pytest.raises(ValueError, match="duplicate rule id ZZZ002"):
+            register_rule(_scratch_rule("ZZZ002", kind="lint"))
+        assert all_rules()["ZZZ002"].kind == "perf"
+
+    def test_unknown_kind_refused(self, scratch_registry):
+        with pytest.raises(ValueError, match="kind 'race'"):
+            register_rule(_scratch_rule("ZZZ003", kind="race"))
+        assert "ZZZ003" not in all_rules()
+
+    @pytest.mark.parametrize(
+        "rule_id, hint",
+        [
+            ("SPAN001", "are interprocedural; add --flow to run them"),
+            ("PRF001", "are profile-guided; add --perf to run them"),
+        ],
+        ids=["flow", "perf"],
+    )
+    def test_selecting_another_engines_rule_needs_its_flag(
+        self, rule_id, hint, tmp_path, capsys
+    ):
+        f = tmp_path / "clean.py"
+        f.write_text("x = 1\n")
+        assert main(["--select", rule_id, str(f)]) == 2
+        assert f"rule ids ['{rule_id}'] {hint}" in capsys.readouterr().err
+        # ignoring one is a harmless no-op
+        assert main(["--ignore", rule_id, str(f)]) == 0
+
+    def test_list_rules_groups_by_engine(self, capsys):
+        assert main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        titles = [
+            "fluxlint AST rules (always on):",
+            "fluxflow interprocedural analyses (--flow):",
+            "fluxhot profile-guided perf rules (--perf):",
+        ]
+        assert [line for line in out.splitlines() if line in titles] == titles
+        # each id is listed under its own engine's title, once
+        for kind, title in zip(("lint", "flow", "perf"), titles):
+            section = out.split(title)[1].split("\n\n")[0]
+            assert sorted(
+                line.split()[0] for line in section.strip().splitlines()
+            ) == sorted(all_rules(kind=kind))
+        # the runtime sanitizer has no static ids but is still listed
+        assert "FluxSan" in out
 
 
 # ----------------------------------------------------------------------
@@ -771,6 +877,47 @@ class TestFluxSanSimulatorHook:
         fn = planner_mod.Planner.rem_span
         assert "statcheck" not in (fn.__module__ or "")
 
+    def test_concurrent_activation_leaves_nothing_patched(self):
+        """Class-level patching is process-wide: two threads entering and
+        leaving FluxSan at the same moment must not save a proxy as the
+        "original" (``_SAN_LOCK`` serializes install / uninstall)."""
+        patched = [
+            (Planner, "add_span"), (Planner, "rem_span"),
+            (PlannerMulti, "add_span"), (PlannerMulti, "rem_span"),
+            (Traverser, "_book"), (Traverser, "install_allocation"),
+            (ResourceGraph, "mark_down"), (ResourceGraph, "mark_up"),
+        ]
+        before = [cls.__dict__[name] for cls, name in patched]
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def worker():
+            try:
+                barrier.wait(timeout=10)
+                # free-running after a common start: with the lock taken
+                # out, 2 000 rounds left a proxy behind in 10 trials of 10
+                for _ in range(5000):
+                    with FluxSan():
+                        pass
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert FluxSan._active == [] and FluxSan._originals == {}
+        assert [cls.__dict__[name] for cls, name in patched] == before
+
 
 # ----------------------------------------------------------------------
 # dual-run nondeterminism detector
@@ -882,3 +1029,13 @@ class TestCLI:
         f = tmp_path / "clean.py"
         f.write_text("x = 1\n")
         assert main(["--select", "NOPE", str(f)]) == 2
+
+    def test_update_baseline_needs_a_named_baseline(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        f = tmp_path / "dirty.py"
+        f.write_text("def f(x=[]):\n    return x\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--update-baseline", str(f)]) == 2
+        assert "--baseline" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["dirty.py"]  # nothing written

@@ -17,12 +17,11 @@ import time
 import pytest
 
 from repro.errors import FluxionError
-from repro.statcheck import Violation, analyze_sources
+from repro.statcheck import Violation, all_rules, analyze_sources
 from repro.statcheck.cli import main
 from repro.statcheck.flow import (
     FlowEngine,
     FlowProgram,
-    all_flow_analyses,
     apply_baseline,
     build_call_graph,
     build_cfg,
@@ -799,7 +798,7 @@ class TestBaseline:
 
 class TestFlowEngine:
     def test_registry_has_all_four(self):
-        assert sorted(all_flow_analyses()) == [
+        assert sorted(all_rules(kind="flow")) == [
             "DET002", "EXC002", "JRN002", "SPAN001",
         ]
 

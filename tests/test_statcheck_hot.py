@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.errors import FluxionError
+from repro.statcheck import all_rules
 from repro.statcheck import cache as cache_mod
 from repro.statcheck.cache import LintCache, _rules_fingerprint
 from repro.statcheck.cli import main
@@ -26,7 +27,6 @@ from repro.statcheck.hot import (
     HOTSPOTS_VERSION,
     HotModel,
     PerfEngine,
-    all_perf_rules,
     load_hotspots,
     render_hot_report,
 )
@@ -497,7 +497,7 @@ class TestPRF004:
 
 class TestPerfEngine:
     def test_registry_has_all_four_rules(self):
-        assert set(all_perf_rules()) == {
+        assert set(all_rules(kind="perf")) == {
             "PRF001",
             "PRF002",
             "PRF003",

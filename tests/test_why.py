@@ -1,11 +1,9 @@
 """Tests for repro.obs.why: the per-job decision-provenance recorder, the
 six acceptance explain scenarios from ISSUE 10 on the 64-node cluster,
-dual-run determinism, histogram quantile edge cases, the Prometheus text
-exposition (golden file + round-trip), and the ``obs why`` / ``obs
-promcheck`` / empty-trace ``obs report`` CLI paths."""
+dual-run determinism, histogram quantile edge cases, and the ``obs why`` /
+empty-trace ``obs report`` CLI paths."""
 
 import json
-import os
 import re
 
 import pytest
@@ -26,13 +24,10 @@ from repro.obs import (
     Observer,
     render_cycle_summary,
     render_explain,
-    render_prometheus_families,
 )
-from repro.obs.__main__ import main, validate_prometheus
+from repro.obs.__main__ import main
 from repro.resilience import OverloadConfig
 from repro.sched import ClusterSimulator
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def cluster64(**kw):
@@ -380,111 +375,7 @@ class TestQuantileEdges:
 
 
 # ----------------------------------------------------------------------
-# satellite: Prometheus text exposition
-# ----------------------------------------------------------------------
-def build_reference_registry():
-    """The fixed registry behind tests/golden/metrics.prom."""
-    reg = MetricsRegistry()
-    reg.counter("dfu.visits", "vertices visited").inc(42)
-    reg.gauge("queue.depth", "pending jobs").set(7)
-    h = reg.histogram(
-        "sched.cycle_s", "cycle latency", boundaries=(0.001, 0.01, 0.1)
-    )
-    for v in (0.0005, 0.005, 0.05, 0.5):
-        h.observe(v)
-    fam = reg.counter("why.prune", "prunes by reason", labels=["reason"])
-    fam.labels(reason="down").inc(3)
-    fam.labels(reason='quo"te\nline\\slash').inc(1)
-    return reg
-
-
-class TestPrometheus:
-    def test_matches_golden_file(self):
-        rendered = build_reference_registry().render_prometheus()
-        golden = os.path.join(GOLDEN, "metrics.prom")
-        with open(golden, "r", encoding="utf-8") as fh:
-            assert rendered == fh.read()
-
-    def test_rendering_is_stable(self):
-        a = build_reference_registry().render_prometheus()
-        b = build_reference_registry().render_prometheus()
-        assert a == b
-
-    def test_validates_and_round_trips_snapshot(self):
-        reg = build_reference_registry()
-        text = reg.render_prometheus()
-        assert validate_prometheus(text) == []
-        # every leaf instrument in as_dict() appears in the exposition,
-        # with matching values
-        samples = {}
-        for line in text.splitlines():
-            if line.startswith("#") or not line:
-                continue
-            name, value = line.rsplit(" ", 1)
-            samples[name] = float(value)
-        snapshot = reg.as_dict()
-        assert samples["dfu_visits"] == snapshot["dfu.visits"]
-        assert samples["queue_depth"] == snapshot["queue.depth"]
-        hist = snapshot["sched.cycle_s"]
-        assert samples["sched_cycle_s_count"] == hist["count"]
-        assert samples["sched_cycle_s_sum"] == pytest.approx(hist["sum"])
-        assert samples['sched_cycle_s_bucket{le="+Inf"}'] == hist["count"]
-
-    def test_label_escaping(self):
-        text = build_reference_registry().render_prometheus()
-        assert '{reason="quo\\"te\\nline\\\\slash"}' in text
-        assert validate_prometheus(text) == []
-
-    def test_histogram_buckets_cumulative(self):
-        text = build_reference_registry().render_prometheus()
-        values = [
-            float(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("sched_cycle_s_bucket")
-        ]
-        assert values == sorted(values)
-        assert values[-1] == 4.0  # +Inf == count
-
-    def test_families_merge_and_sort(self):
-        a = MetricsRegistry()
-        a.counter("zzz.last").inc()
-        b = MetricsRegistry()
-        b.counter("aaa.first").inc()
-        text = render_prometheus_families([a, b])
-        assert text.index("aaa_first") < text.index("zzz_last")
-        assert validate_prometheus(text) == []
-
-    def test_simulator_render_prometheus(self):
-        sim = ClusterSimulator(cluster64(), queue="fcfs", observe=True)
-        sim.submit(nodes_jobspec(2, duration=50), at=0)
-        sim.run()
-        text = sim.render_prometheus()
-        assert validate_prometheus(text) == []
-        assert "dfu_visits" in text
-
-    def test_unobserved_simulator_still_renders(self):
-        sim = ClusterSimulator(cluster64(), queue="fcfs")
-        sim.submit(nodes_jobspec(2, duration=50), at=0)
-        sim.run()
-        text = sim.render_prometheus()
-        assert validate_prometheus(text) == []
-        assert "dfu_visits" in text  # traverser registry is always-on
-
-    def test_validator_flags_problems(self):
-        assert validate_prometheus("dangling_sample 1\n") != []
-        assert validate_prometheus("# TYPE x frobnicator\nx 1\n") != []
-        noncumulative = (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\n'
-            'h_bucket{le="+Inf"} 3\n'
-            "h_sum 1.0\n"
-            "h_count 3\n"
-        )
-        assert validate_prometheus(noncumulative) != []
-
-
-# ----------------------------------------------------------------------
-# CLI: obs why / obs promcheck / empty-trace report
+# CLI: obs why / empty-trace report
 # ----------------------------------------------------------------------
 class TestCli:
     def export(self, tmp_path):
@@ -523,18 +414,6 @@ class TestCli:
         raw.write_text(json.dumps(report.provenance))
         assert main(["why", str(raw)]) == 0
         assert "count shortfall" in capsys.readouterr().out
-
-    def test_promcheck_accepts_valid(self, tmp_path, capsys):
-        prom = tmp_path / "metrics.prom"
-        prom.write_text(build_reference_registry().render_prometheus())
-        assert main(["promcheck", str(prom)]) == 0
-        assert "valid Prometheus exposition" in capsys.readouterr().out
-
-    def test_promcheck_rejects_invalid(self, tmp_path, capsys):
-        prom = tmp_path / "bad.prom"
-        prom.write_text("# TYPE x frobnicator\nx 1\n")
-        assert main(["promcheck", str(prom)]) == 1
-        assert capsys.readouterr().err
 
     def test_report_empty_trace_exits_zero(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
