@@ -51,24 +51,16 @@ __all__ = [
 ]
 
 
-def _ancestor_paths(path: str) -> Iterator[str]:
-    """Every proper ancestor's path of ``path``, nearest first."""
-    cut = path.rfind("/")
-    while cut >= 0:
-        yield path[:cut]
-        cut = path.rfind("/", 0, cut)
-
-
 def exclusive_top_selections(
-    selections: List[Selection], subsystem: str
+    graph: ResourceGraph, selections: List[Selection], subsystem: str
 ) -> List[Selection]:
-    """Exclusive selections not nested under another exclusive selection."""
+    """Exclusive selections not nested under another exclusive selection:
+    none of their ancestors in ``subsystem`` is exclusively selected too."""
     exclusive = [s for s in selections if s.exclusive and not s.passthrough]
-    held = {s.vertex.path(subsystem) for s in exclusive}
+    held = {s.vertex.uniq_id for s in exclusive}
     return [
-        s
-        for s in exclusive
-        if held.isdisjoint(_ancestor_paths(s.vertex.path(subsystem)))
+        s for s in exclusive
+        if held.isdisjoint(graph.ancestry(s.vertex, subsystem)[1])
     ]
 
 
@@ -81,30 +73,22 @@ def sdfu_charges(
     ``{ancestor uniq_id: {type: quantity}}`` in the deterministic order the
     charges are discovered — the same order :meth:`Traverser._book` books
     filter spans in.  Called by SDFU at booking time and by
-    :func:`allocation_bookings`, nobody else.  Counts may include
-    non-positive entries; the booking side filters those out.  Linear in
-    the selections: nesting is found by looking each selection's own
-    ancestor paths up in a set, never by comparing selections pairwise.
+    :func:`allocation_bookings`, nobody else.  Every count is positive; a
+    filter that tracks none of the charged types keeps an empty bucket,
+    which books nothing.  Linear in the selections: who holds a filter
+    above a vertex, what is nested under what and what an exclusive hold
+    closes below itself are read from the graph's structure-derived table
+    (:meth:`ResourceGraph.ancestry`, :meth:`~ResourceGraph.tracked_below`),
+    never re-derived per job.
     """
-    prune_types = set(graph.prune_types)
+    prune_types = graph.prune_types
     updates: Dict[int, Dict[str, int]] = {}
     if not prune_types:
         return updates
-
-    # Sibling selections (cores under one node) share most of their ancestor
-    # walk; cache the filtered ancestor list per vertex for this call.
-    anc_cache: Dict[int, List[ResourceVertex]] = {}
+    ancestry = graph.ancestry
 
     def charge(vertex: ResourceVertex, rtype: str, qty: int) -> None:
-        ancs = anc_cache.get(vertex.uniq_id)
-        if ancs is None:
-            ancs = [
-                anc
-                for anc in graph.ancestors(vertex, subsystem)
-                if anc.prune_filters is not None
-            ]
-            anc_cache[vertex.uniq_id] = ancs
-        for anc in ancs:
+        for anc in ancestry(vertex, subsystem)[0]:
             bucket = updates.setdefault(anc.uniq_id, {})
             if anc.prune_filters.tracks(rtype):
                 bucket[rtype] = bucket.get(rtype, 0) + qty
@@ -114,38 +98,34 @@ def sdfu_charges(
         if sel.type in prune_types:
             charge(sel.vertex, sel.type, sel.amount)
     # Exclusive subtree extras: a top-level exclusive hold consumes its
-    # whole subtree, so charge subtree totals minus explicit bookings.
-    tops = exclusive_top_selections(selections, subsystem)
-    below: Dict[str, Dict[str, int]] = {
-        sel.vertex.path(subsystem): {} for sel in tops
-    }
-    if below:
-        for sel in explicit:
-            for path in _ancestor_paths(sel.vertex.path(subsystem)):
-                booked = below.get(path)
-                if booked is not None:
-                    booked[sel.type] = booked.get(sel.type, 0) + sel.amount
+    # whole subtree, so charge what is below it minus explicit bookings.
+    # A childless one has nothing below it.
+    children = graph.children_tuple
+    tops = exclusive_top_selections(
+        graph,
+        [s for s in selections if s.exclusive and children(s.vertex, subsystem)],
+        subsystem,
+    )
+    if not tops:
+        return updates
+    below: Dict[int, Dict[str, int]] = {sel.vertex.uniq_id: {} for sel in tops}
+    for sel in explicit:
+        for uid in ancestry(sel.vertex, subsystem)[1]:
+            booked = below.get(uid)
+            if booked is not None:
+                booked[sel.type] = booked.get(sel.type, 0) + sel.amount
     for sel in tops:
         vertex = sel.vertex
-        extras = {
-            t: n
-            for t, n in graph.subtree_totals(vertex, subsystem).items()
-            if t in prune_types
-        }
-        extras[vertex.type] = extras.get(vertex.type, 0) - vertex.size
-        for rtype, amount in below[vertex.path(subsystem)].items():
-            if rtype in extras:
-                extras[rtype] -= amount
-        extras = {t: n for t, n in extras.items() if n > 0}
-        if not extras:
-            continue
+        booked = below[vertex.uniq_id]
         own = vertex.prune_filters
-        if own is not None:
-            bucket = updates.setdefault(vertex.uniq_id, {})
-            for rtype, qty in extras.items():
+        for rtype, total in graph.tracked_below(vertex, subsystem).items():
+            qty = total - booked.get(rtype, 0)
+            if qty <= 0:
+                continue
+            if own is not None:
+                bucket = updates.setdefault(vertex.uniq_id, {})
                 if own.tracks(rtype):
                     bucket[rtype] = bucket.get(rtype, 0) + qty
-        for rtype, qty in extras.items():
             charge(vertex, rtype, qty)
     return updates
 
@@ -163,7 +143,7 @@ def allocation_bookings(
     (``tests/test_expected_state.py`` pins the mirror): per selection a
     ``plans`` span of its amount when that is non-zero and an ``xplans``
     span of ``X_LIMIT`` when exclusive, else 1; then per charged filter a
-    ``filter`` bundle of its positive per-type counts.
+    ``filter`` bundle of its per-type counts.
     """
     bookings: List[Tuple[ResourceVertex, str, object]] = []
     for sel in selections:
@@ -171,7 +151,6 @@ def allocation_bookings(
             bookings.append((sel.vertex, "plans", sel.amount))
         bookings.append((sel.vertex, "xplans", X_LIMIT if sel.exclusive else 1))
     for uid, counts in sdfu_charges(graph, subsystem, selections).items():
-        counts = {t: n for t, n in counts.items() if n > 0}
         if counts:
             bookings.append((graph.vertex(uid), "filter", counts))
     return bookings
@@ -928,16 +907,16 @@ class Traverser:
         predicate = request.predicate
         graph = self.graph
         if parent is None:
-            frontier = [(root, ()) for root in graph.roots(self.subsystem)]
+            frontier = graph.roots(self.subsystem)
         else:
-            frontier = [
-                (child, ())
-                for child in graph.children_tuple(parent, self.subsystem)
-            ]
+            frontier = graph.children_toward(parent, rtype, self.subsystem)
         # demand as seen from an interior vertex: one candidate + its subtree
         interior_demand = dict(demand)
         interior_demand[rtype] = interior_demand.get(rtype, 0) + 1
-        stack = frontier[::-1]
+        # One frame per level of the descent: what is left of a vertex's
+        # children, and the interior vertices crossed to reach them.
+        siblings, via = iter(frontier), ()
+        stack: List[Tuple[Iterator[ResourceVertex], tuple]] = []
         visited: set = set()
         results: List[Candidate] = []
         tracer = self.obs.tracer
@@ -945,7 +924,6 @@ class Traverser:
         if traced:
             tracer.begin("dfu.collect", "match", rtype=rtype)
         budget = self.budget
-        visits = 0
         filter_hits = 0
         filter_misses = 0
         # Hot-loop hoists (PRF002): bind per-call invariants to locals so the
@@ -953,7 +931,7 @@ class Traverser:
         # lookups; memoize the tracked demand slice per filter type-set.
         prune = self.prune
         subsystem = self.subsystem
-        children_tuple = graph.children_tuple
+        children_toward = graph.children_toward
         tentative_x = tentative.x
         check_status = not tentative.assume_up
         tracked_cache: Dict[Tuple[str, ...], Dict[str, int]] = {}
@@ -964,60 +942,65 @@ class Traverser:
         why_on = why.enabled
         why_prune = why.prune
         try:
-            while stack:
-                vertex, via = stack.pop()
-                uid = vertex.uniq_id
-                if uid in visited:
-                    continue
-                visited.add(uid)
-                visits += 1
-                if budget is not None:
-                    # Cooperative cancellation checkpoint: may raise
-                    # SchedulingDeadlineExceeded, aborting the walk with a
-                    # partial verdict (the finally block still accounts the
-                    # work already done).
-                    budget.charge(1)
-                if check_status and vertex.status != "up":
-                    # drained vertices close their whole subtree
-                    if why_on:
-                        why_prune("down", vertex.type, vertex.name)
-                    continue
-                if vertex.type == rtype:
-                    if predicate is None or predicate(vertex):
-                        results.append(Candidate(vertex, via))
-                    elif why_on:
-                        why_prune("predicate", rtype, vertex.name)
-                    continue
-                if at is not None:
-                    # The filter first: in a full machine nearly every
-                    # interior vertex fails it, and then its x-plan is
-                    # never scanned.
-                    if prune and vertex.prune_filters is not None:
-                        filters = vertex.prune_filters
-                        tracked = _tracked_slice(
-                            filters, interior_demand, tracked_cache
-                        )
-                        if tracked:
-                            if not filters.avail_during(at, duration, tracked):
-                                filter_hits += 1
-                                if why_on:
-                                    why_prune("filter", vertex.type, vertex.name)
-                                continue
-                            filter_misses += 1
-                    # Exclusively-held vertices close their whole subtree
-                    # (§3.4).
-                    if not vertex.xplans.avail_during(
-                        at, duration, 1 + tentative_x.get(uid, 0)
-                    ):
-                        if why_on:
-                            why_prune("exclusive", vertex.type, vertex.name)
+            while True:
+                for vertex in siblings:
+                    uid = vertex.uniq_id
+                    if uid in visited:
                         continue
-                children = children_tuple(vertex, subsystem)
-                next_via = via + (vertex,)
-                for child in reversed(children):
-                    if child.uniq_id not in visited:
-                        stack.append((child, next_via))
+                    visited.add(uid)
+                    if budget is not None:
+                        # Cooperative cancellation checkpoint: may raise
+                        # SchedulingDeadlineExceeded, aborting the walk with a
+                        # partial verdict (the finally block still accounts the
+                        # work already done).
+                        budget.charge(1)
+                    if check_status and vertex.status != "up":
+                        # drained vertices close their whole subtree
+                        if why_on:
+                            why_prune("down", vertex.type, vertex.name)
+                        continue
+                    if vertex.type == rtype:
+                        if predicate is None or predicate(vertex):
+                            results.append(Candidate(vertex, via))
+                        elif why_on:
+                            why_prune("predicate", rtype, vertex.name)
+                        continue
+                    if at is not None:
+                        # The filter first: in a full machine nearly every
+                        # interior vertex fails it, and then its x-plan is
+                        # never scanned.
+                        if prune and vertex.prune_filters is not None:
+                            filters = vertex.prune_filters
+                            tracked = _tracked_slice(
+                                filters, interior_demand, tracked_cache
+                            )
+                            if tracked:
+                                if not filters.avail_during(at, duration, tracked):
+                                    filter_hits += 1
+                                    if why_on:
+                                        why_prune("filter", vertex.type, vertex.name)
+                                    continue
+                                filter_misses += 1
+                        # Exclusively-held vertices close their whole subtree
+                        # (§3.4).
+                        if not vertex.xplans.avail_during(
+                            at, duration, 1 + tentative_x.get(uid, 0)
+                        ):
+                            if why_on:
+                                why_prune("exclusive", vertex.type, vertex.name)
+                            continue
+                    # Down to the children that can be or hold a candidate:
+                    # a childless vertex of another type is never visited.
+                    stack.append((siblings, via))
+                    siblings = iter(children_toward(vertex, rtype, subsystem))
+                    via += (vertex,)
+                    break
+                else:
+                    if not stack:
+                        break
+                    siblings, via = stack.pop()
         finally:
+            visits = len(visited)
             self._c_visits.inc(visits)
             if filter_hits:
                 self._c_filter_hits.inc(filter_hits)
@@ -1155,7 +1138,6 @@ class Traverser:
         updates = sdfu_charges(self.graph, self.subsystem, selections)
         booked = 0
         for uid, counts in updates.items():
-            counts = {t: n for t, n in counts.items() if n > 0}
             if not counts:
                 continue
             filters = self.graph.vertex(uid).prune_filters

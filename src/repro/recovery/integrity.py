@@ -193,7 +193,7 @@ class ExpectedState:
         sim = self.sim
         graph = sim.graph
         # What exists: no booking and no vertex depends on a drain.
-        shape = graph.structure - graph.drains
+        shape = graph.shape
         if shape != self._shape:
             self._shape = shape
             self.order = sorted(graph.vertices(), key=lambda v: v.name)

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import FluxionError
-from ..match.traverser import _ancestor_paths
 from ..recovery.integrity import ExpectedState, IntegrityConfig, expected_state
 from ..sched.job import JobState
 
@@ -298,32 +297,29 @@ class InvariantAuditor:
         if entered is not None and not entered:
             return
         subsystem = sim.traverser.subsystem
+        ancestry = sim.graph.ancestry
         # entries: one per live selection of an active job; the exclusive
-        # ones indexed by vertex and by path — all of them, and those of an
-        # entered allocation, which is all an older selection is held to
-        entries: List[Tuple[object, int, object, str, bool]] = []
-        held: Dict[object, List[int]] = {}
-        held_entered: Dict[object, List[int]] = {}
+        # ones indexed by vertex — all of them, and those of an entered
+        # allocation, which is all an older selection is held to
+        entries: List[Tuple[object, int, object, bool]] = []
+        held: Dict[int, List[int]] = {}
+        held_entered: Dict[int, List[int]] = {}
         for job in active:
             for alloc in job.allocations:
                 fresh = entered is None or alloc.alloc_id in entered
                 for sel in alloc.selections:
-                    vertex = sel.vertex
-                    path = vertex.path(subsystem)
                     if sel.exclusive:
-                        for key in (vertex.uniq_id, path) if path else (vertex.uniq_id,):
-                            held.setdefault(key, []).append(len(entries))
-                            if fresh:
-                                held_entered.setdefault(key, []).append(
-                                    len(entries)
-                                )
-                    entries.append((sel, job.job_id, alloc, path, fresh))
-        for k, (sel_k, job_k, alloc_k, path, fresh) in enumerate(entries):
+                        uid = sel.vertex.uniq_id
+                        held.setdefault(uid, []).append(len(entries))
+                        if fresh:
+                            held_entered.setdefault(uid, []).append(len(entries))
+                    entries.append((sel, job.job_id, alloc, fresh))
+        for k, (sel_k, job_k, alloc_k, fresh) in enumerate(entries):
             holders = held if fresh else held_entered
             vertex_k = sel_k.vertex
             # same vertex: an exclusive hold vs. any overlapping use
             for i in holders.get(vertex_k.uniq_id, ()):
-                _, job_i, alloc_i, _, _ = entries[i]
+                _, job_i, alloc_i, _ = entries[i]
                 if i != k and job_i != job_k and _overlap(alloc_i, alloc_k):
                     out.append(
                         Violation(
@@ -336,9 +332,9 @@ class InvariantAuditor:
                         )
                     )
             # subtree: nothing of another job below an exclusive hold
-            for above in _ancestor_paths(path):
+            for above in ancestry(vertex_k, subsystem)[1]:
                 for i in holders.get(above, ()):
-                    sel_i, job_i, alloc_i, _, _ = entries[i]
+                    sel_i, job_i, alloc_i, _ = entries[i]
                     if job_i != job_k and _overlap(alloc_i, alloc_k):
                         out.append(
                             Violation(

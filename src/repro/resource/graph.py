@@ -62,8 +62,8 @@ class ResourceGraph:
         "_out",
         "_in",
         "_edge_count",
-        "_roots_cache",
-        "_children_cache",
+        "_derived",
+        "_derived_at",
         "prune_types",
         "capacity_schedules",
         "reshaped",
@@ -71,7 +71,6 @@ class ResourceGraph:
         "unplanned",
         "structure",
         "drains",
-        "_pool_types",
     )
 
     def __init__(
@@ -90,10 +89,9 @@ class ResourceGraph:
         self._out: Dict[str, Dict[int, List[ResourceEdge]]] = {}
         self._in: Dict[str, Dict[int, List[ResourceEdge]]] = {}
         self._edge_count = 0
-        # roots()/children() memos per subsystem; invalidated on any
-        # structural change.
-        self._roots_cache: Dict[str, List[int]] = {}
-        self._children_cache: Dict[Tuple[str, int], Tuple[ResourceVertex, ...]] = {}
+        # the structure-derived table (:meth:`_table`) and the shape it is of
+        self._derived: Dict[tuple, Any] = {}
+        self._derived_at = 0
         #: types that pruning filters track (set by install_pruning_filters)
         self.prune_types: Tuple[str, ...] = ()
         #: every CapacitySchedule booking outages on this graph (each adds
@@ -121,8 +119,6 @@ class ResourceGraph:
         self.unplanned = 0
         self.structure = 0
         self.drains = 0
-        #: (``structure`` when derived, the set) behind :attr:`pool_types`
-        self._pool_types: Optional[Tuple[int, FrozenSet[str]]] = None
 
     def note_change(self, planned: bool = False, structural: bool = False) -> None:
         """Count one event after which a match may answer differently.
@@ -144,6 +140,24 @@ class ResourceGraph:
             self.unplanned += 1
         if structural:
             self.structure += 1
+
+    @property
+    def shape(self) -> int:
+        """``structure - drains``: the epoch of what *exists* (vertices,
+        edges, pool sizes), whatever is in service."""
+        return self.structure - self.drains
+
+    def _table(self) -> Dict[tuple, Any]:
+        """Everything this class keeps that only the structure decides —
+        roots, children, children worth visiting, ancestry, tracked totals,
+        pool types — under one rule: dropped whole when :attr:`shape` moves
+        and when :meth:`install_pruning_filters` runs.  Nothing in it reads
+        a status; nothing is derived before it is asked for."""
+        shape = self.structure - self.drains
+        if shape != self._derived_at:
+            self._derived_at = shape
+            self._derived = {}
+        return self._derived
 
     # ------------------------------------------------------------------
     # construction
@@ -219,8 +233,6 @@ class ResourceGraph:
         out[src.uniq_id].append(edge)
         inn[dst.uniq_id].append(edge)
         self._edge_count += 1
-        self._roots_cache.pop(subsystem, None)
-        self._children_cache.pop((subsystem, src.uniq_id), None)
         self.note_change(structural=True)
         if subsystem not in src.paths and not inn[src.uniq_id]:
             src.paths[subsystem] = f"/{src.name}"
@@ -243,8 +255,6 @@ class ResourceGraph:
             )
         inn[dst.uniq_id] = [e for e in inn.get(dst.uniq_id, []) if e.src != src.uniq_id]
         self._edge_count -= 1
-        self._roots_cache.pop(subsystem, None)
-        self._children_cache.pop((subsystem, src.uniq_id), None)
         self.note_change(structural=True)
 
     def remove_vertex(self, vertex: ResourceVertex, force: bool = False) -> None:
@@ -267,7 +277,6 @@ class ResourceGraph:
                 self.remove_edge(self._vertices[edge.src], vertex, subsystem)
             self._out[subsystem].pop(vertex.uniq_id, None)
             self._in[subsystem].pop(vertex.uniq_id, None)
-            self._children_cache.pop((subsystem, vertex.uniq_id), None)
         del self._vertices[vertex.uniq_id]
         self.note_change(structural=True)
 
@@ -352,18 +361,58 @@ class ResourceGraph:
     def children_tuple(
         self, vertex: ResourceVertex, subsystem: str = CONTAINMENT
     ) -> Tuple[ResourceVertex, ...]:
-        """Memoised immutable form of :meth:`children` (the traverser's DFS
-        calls this per visit; adjacency only changes on structural edits)."""
-        key = (subsystem, vertex.uniq_id)
-        cached = self._children_cache.get(key)
-        if cached is not None:
-            return cached
-        out = self._out.get(subsystem)
-        if out is None:
-            raise SubsystemError(f"unknown subsystem: {subsystem!r}")
-        result = tuple(self._vertices[e.dst] for e in out.get(vertex.uniq_id, []))
-        self._children_cache[key] = result
-        return result
+        """Immutable form of :meth:`children` (structure-derived table)."""
+        table = self._table()
+        key = ("children", subsystem, vertex.uniq_id)
+        kept = table.get(key)
+        if kept is None:
+            out = self._out.get(subsystem)
+            if out is None:
+                raise SubsystemError(f"unknown subsystem: {subsystem!r}")
+            kept = table[key] = tuple(
+                self._vertices[e.dst] for e in out.get(vertex.uniq_id, ())
+            )
+        return kept
+
+    def children_toward(
+        self, vertex: ResourceVertex, rtype: str, subsystem: str = CONTAINMENT
+    ) -> Tuple[ResourceVertex, ...]:
+        """The children of ``vertex`` a walk looking for ``rtype`` has to
+        visit: those of that type and those with children of their own.  A
+        childless vertex of another type can neither be nor contain a
+        candidate, whatever its status, x-plan or filter says."""
+        table = self._table()
+        key = ("toward", subsystem, rtype, vertex.uniq_id)
+        kept = table.get(key)
+        if kept is None:
+            children = self.children_tuple(vertex, subsystem)
+            out = self._out[subsystem]
+            kept = table[key] = tuple(
+                c for c in children if c.type == rtype or out.get(c.uniq_id)
+            )
+        return kept
+
+    def ancestry(
+        self, vertex: ResourceVertex, subsystem: str = CONTAINMENT
+    ) -> Tuple[Tuple[ResourceVertex, ...], Tuple[int, ...]]:
+        """``(holders, ids)`` above ``vertex``: its proper ancestors that
+        hold a pruning filter, in :meth:`ancestors` order — the chain SDFU
+        charges along (§3.4) — and the ``uniq_id`` of every proper ancestor,
+        which is what *nested under* means in this subsystem.  Kept per set
+        of parents, so the cores of one node share one entry."""
+        # (an unknown subsystem misses, and ancestors() below names it)
+        edges = self._in.get(subsystem, {}).get(vertex.uniq_id, ())
+        parents = edges[0].src if len(edges) == 1 else tuple(e.src for e in edges)
+        key = ("above", subsystem, parents)
+        table = self._table()
+        kept = table.get(key)
+        if kept is None:
+            above = tuple(self.ancestors(vertex, subsystem))
+            kept = table[key] = (
+                tuple(v for v in above if v.prune_filters is not None),
+                tuple(v.uniq_id for v in above),
+            )
+        return kept
 
     def parents(
         self, vertex: ResourceVertex, subsystem: str = CONTAINMENT
@@ -392,23 +441,23 @@ class ResourceGraph:
     def roots(self, subsystem: str = CONTAINMENT) -> List[ResourceVertex]:
         """Vertices participating in ``subsystem`` with no in-edges there.
 
-        Memoised per subsystem (matching calls this on every walk); any
-        structural change invalidates the memo.
+        Kept in the structure-derived table (matching asks on every walk).
         """
-        cached = self._roots_cache.get(subsystem)
-        if cached is not None:
-            return [self._vertices[uid] for uid in cached]
-        out = self._out.get(subsystem)
-        inn = self._in.get(subsystem)
-        if out is None or inn is None:
-            raise SubsystemError(f"unknown subsystem: {subsystem!r}")
-        members: Set[int] = set()
-        for src, edge_list in out.items():
-            if edge_list:
-                members.add(src)
-                members.update(e.dst for e in edge_list)
-        root_ids = [uid for uid in sorted(members) if not inn.get(uid)]
-        self._roots_cache[subsystem] = root_ids
+        table = self._table()
+        root_ids = table.get(("roots", subsystem))
+        if root_ids is None:
+            out = self._out.get(subsystem)
+            inn = self._in.get(subsystem)
+            if out is None or inn is None:
+                raise SubsystemError(f"unknown subsystem: {subsystem!r}")
+            members: Set[int] = set()
+            for src, edge_list in out.items():
+                if edge_list:
+                    members.add(src)
+                    members.update(e.dst for e in edge_list)
+            root_ids = table[("roots", subsystem)] = [
+                uid for uid in sorted(members) if not inn.get(uid)
+            ]
         return [self._vertices[uid] for uid in root_ids]
 
     @property
@@ -449,18 +498,36 @@ class ResourceGraph:
             totals[v.type] += v.size
         return dict(totals)
 
+    def tracked_below(
+        self, vertex: ResourceVertex, subsystem: str = CONTAINMENT
+    ) -> Mapping[str, int]:
+        """Units per pruning-filter-tracked type strictly below ``vertex``
+        (types with none left out): what an exclusive hold of it closes
+        beyond the vertex itself.  Kept in the structure-derived table; the
+        caller must not change it."""
+        table = self._table()
+        key = ("below", subsystem, vertex.uniq_id)
+        kept = table.get(key)
+        if kept is None:
+            totals = self.subtree_totals(vertex, subsystem)
+            totals[vertex.type] -= vertex.size
+            kept = table[key] = {
+                t: n for t, n in totals.items() if n > 0 and t in self.prune_types
+            }
+        return kept
+
     @property
     def pool_types(self) -> FrozenSet[str]:
-        """Types with a pool (``size != 1``) anywhere in the store, derived
-        once per value of :attr:`structure`: a request for any other type
-        can only ever select distinct vertices, never aggregate units."""
-        memo = self._pool_types
-        if memo is None or memo[0] != self.structure:
-            memo = self._pool_types = (
-                self.structure,
-                frozenset(v.type for v in self._vertices.values() if v.size != 1),
+        """Types with a pool (``size != 1``) anywhere in the store, kept in
+        the structure-derived table: a request for any other type can only
+        ever select distinct vertices, never aggregate units."""
+        table = self._table()
+        kept = table.get(("pool_types",))
+        if kept is None:
+            kept = table[("pool_types",)] = frozenset(
+                v.type for v in self._vertices.values() if v.size != 1
             )
-        return memo[1]
+        return kept
 
     def total_by_type(self) -> Dict[str, int]:
         """Total pool size per resource type across the whole store."""
@@ -510,6 +577,10 @@ class ResourceGraph:
         replaced; installing filters while allocations are active is an error
         because the aggregates would be stale.
         """
+        # Ancestry and tracked totals read the filters: the table goes
+        # first, so it is gone even when a busy vertex stops the call half
+        # way, and what the call itself derives (roots, children) stays.
+        self._derived = {}
         targets: List[ResourceVertex] = list(self.roots(subsystem))
         if at_types:
             at = set(at_types)

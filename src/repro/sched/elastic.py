@@ -62,6 +62,24 @@ def _adjust_ancestor_filters(
             filters.add_type(rtype, delta)
 
 
+def _refuse_beyond_totals(
+    graph: ResourceGraph, vertex: ResourceVertex, deltas: Mapping[str, int],
+    include_self: bool, what: str,
+) -> None:
+    """Refuse, before anything is changed, a cut larger than a filter above
+    ``vertex`` totals: a size disagrees with it (unrepaired corruption)."""
+    for holder, rtype, delta in _ancestor_filter_deltas(
+        graph, vertex, deltas, include_self
+    ):
+        filters = holder.prune_filters
+        if filters.tracks(rtype) and filters.total(rtype) + delta < 0:
+            raise ResourceGraphError(
+                f"{what} {-delta} {rtype} by its vertex sizes but the "
+                f"{rtype} filter on {holder.name} totals "
+                f"{filters.total(rtype)}; repair the sizes first"
+            )
+
+
 def _reshaped(
     graph: ResourceGraph, vertex: ResourceVertex, gone: bool = False
 ) -> None:
@@ -127,19 +145,9 @@ def shrink_subtree(
     parents = graph.parents(vertex)
     anchor = parents[0] if parents else None
     if anchor is not None:
-        # A size in the subtree that disagrees with the filters above it
-        # (corruption not yet repaired) must stop the call here, before
-        # anything is removed.
-        for holder, rtype, delta in _ancestor_filter_deltas(
-            graph, anchor, deltas, include_self=True
-        ):
-            filters = holder.prune_filters
-            if filters.tracks(rtype) and filters.total(rtype) + delta < 0:
-                raise ResourceGraphError(
-                    f"subtree of {vertex.name} holds {-delta} {rtype} by its "
-                    f"vertex sizes but the {rtype} filter on {holder.name} "
-                    f"totals {filters.total(rtype)}; repair the sizes first"
-                )
+        _refuse_beyond_totals(
+            graph, anchor, deltas, True, f"subtree of {vertex.name} holds"
+        )
     for v in reversed(doomed):
         graph.remove_vertex(v, force=True)
         _reshaped(graph, v, gone=True)
@@ -153,11 +161,15 @@ def resize_pool(
 ) -> None:
     """Change a pool vertex's schedulable quantity (e.g. add memory).
 
-    Shrinking below the amount currently allocated at any time raises.
+    Shrinking below the amount currently allocated at any time raises, and
+    so does a cut larger than a filter above totals, with nothing changed.
     """
     delta = new_size - vertex.size
     if delta == 0:
         return
+    _refuse_beyond_totals(
+        graph, vertex, {vertex.type: delta}, False, f"{vertex.name} gives up"
+    )
     vertex.plans.resize(new_size)
     vertex.size = new_size
     _reshaped(graph, vertex)

@@ -220,7 +220,11 @@ class HotLoopLookupRule(PerfRule):
         suffix = ctx.hot_suffix(fn.qualname)
         for loop in _own_loops(fn):
             body = list(_loop_body_nodes(loop))
-            rebound = self._names_rebound(body)
+            # a ``for`` target is rebound per iteration like any assignment
+            target = getattr(loop, "target", None)
+            rebound = self._names_rebound(
+                body + (list(ast.walk(target)) if target is not None else [])
+            )
             chain_counts: Dict[str, Tuple[int, ast.AST]] = {}
             global_counts: Dict[str, Tuple[int, ast.AST]] = {}
             for node in body:

@@ -301,12 +301,19 @@ def _expected_sdfu_charges(
     if not prune_types:
         return {}
     charges: Dict[int, Dict[str, int]] = {}
+    # Nested under = a descendant of, in the traverser's subsystem.
+    above: Dict[int, List[ResourceVertex]] = {
+        sel.vertex.uniq_id: list(graph.ancestors(sel.vertex, subsystem))
+        for sel in alloc.selections
+        if not sel.passthrough
+    }
+    above_ids = {uid: {v.uniq_id for v in ancs} for uid, ancs in above.items()}
 
     def charge(vertex: ResourceVertex, counts: Dict[str, int],
                include_self: bool) -> None:
-        targets = list(graph.ancestors(vertex, subsystem))
+        targets = above[vertex.uniq_id]
         if include_self:
-            targets.insert(0, vertex)
+            targets = [vertex] + targets
         for target in targets:
             filters = target.prune_filters
             if filters is None:
@@ -326,13 +333,9 @@ def _expected_sdfu_charges(
     exclusive = [
         sel for sel in alloc.selections if sel.exclusive and not sel.passthrough
     ]
-    paths = {id(sel): sel.vertex.path(subsystem) for sel in exclusive}
     for sel in exclusive:
-        path = paths[id(sel)]
-        if any(
-            other is not sel and path.startswith(paths[id(other)] + "/")
-            for other in exclusive
-        ):
+        uid = sel.vertex.uniq_id
+        if any(other.vertex.uniq_id in above_ids[uid] for other in exclusive):
             continue  # nested under another exclusive hold
         extras = {
             rtype: total
@@ -342,11 +345,8 @@ def _expected_sdfu_charges(
             if rtype in prune_types
         }
         extras[sel.type] = extras.get(sel.type, 0) - sel.vertex.size
-        prefix = path + "/"
         for other in explicit:
-            if other.vertex is sel.vertex:
-                continue
-            if other.vertex.path(subsystem).startswith(prefix):
+            if uid in above_ids[other.vertex.uniq_id]:
                 if other.type in extras:
                     extras[other.type] -= other.amount
         extras = {rtype: qty for rtype, qty in extras.items() if qty > 0}

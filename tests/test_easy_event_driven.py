@@ -538,7 +538,14 @@ def test_schedule_moves_without_the_bump(case, monkeypatch):
     changed = build(EasyBackfill())
     if start is None:
         assert reference.jobs[job_id].cancel_reason is CancelReason.UNSATISFIABLE
-        assert changed.jobs[job_id].state is JobState.PENDING
+        # Admitted on the stale yes.  What becomes of it then depends on
+        # what else the missing bump left stale: the graph's
+        # structure-derived table (children, roots) keys on the same bump,
+        # so a walk may still reach a removed vertex and the job may even
+        # book it and complete instead of staying PENDING for ever.
+        assert (
+            changed.jobs[job_id].cancel_reason is not CancelReason.UNSATISFIABLE
+        )
     else:
         assert schedule(changed) != schedule(reference)
 

@@ -131,6 +131,23 @@ class TestResizePool:
         resize_pool(g, mem, 32)
         assert t.allocate(simple_node_jobspec(cores=1, memory=32, duration=5), at=0) is not None
 
+    def test_oversized_cut_refused_before_anything_is_changed(self):
+        """The pool's size was corrupted upwards: giving it all up would
+        drive the filters above negative (it used to resize the pool, move
+        ``structure`` and then raise PlannerError half way up)."""
+        g = tiny_cluster(racks=1, nodes_per_rack=1, memory_pools=1, memory_size=16)
+        mem = g.find(type="memory")[0]
+        mem.size = 40
+        node = g.find(type="node")[0]
+        seen = g.structure
+        with pytest.raises(
+            ResourceGraphError,
+            match=f"{mem.name} gives up 40 memory .* filter on {node.name} totals 16",
+        ):
+            resize_pool(g, mem, 0)
+        assert (mem.size, mem.plans.total, g.structure) == (40, 16, seen)
+        assert node.prune_filters.total("memory") == 16
+
     def test_resize_updates_filters(self):
         g = tiny_cluster(racks=1, nodes_per_rack=1, memory_pools=1, memory_size=16)
         mem = g.find(type="memory")[0]

@@ -329,8 +329,11 @@ class TestAdmission:
 # ----------------------------------------------------------------------
 class TestDeadlinesAndLadder:
     def test_tight_cycle_budget_cuts_cycles_with_bounded_overrun(self):
+        # The budget is counted in vertex visits.  It was 8 while a walk
+        # looking for cores also visited every childless gpu and memory
+        # vertex; the walk skips those now, and a match fits in 8.
         sim = overload_sim(
-            cycle_budget=8, checkpoint_interval=4, queue="fcfs"
+            cycle_budget=6, checkpoint_interval=4, queue="fcfs"
         )
         for i in range(12):
             sim.submit(simple_node_jobspec(cores=2, duration=300), at=i * 7)

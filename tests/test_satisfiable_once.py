@@ -100,7 +100,7 @@ def apply_op(sim, op, a, b):
         graph.add_edge(graph.add_vertex("node"), graph.add_vertex("core"))
     elif op == "attach":  # add_edge alone
         child, parent = pick(orphans(graph), a), pick(find("node"), b)
-        if child is not None and parent is not None:
+        if child is not None and parent is not None and child is not parent:
             graph.add_edge(parent, child)
     elif op == "attach_root":  # add_edge alone: under a rack, maybe a drained one
         node = pick([r for r in graph.roots() if r.type == "node"], a)
@@ -133,7 +133,10 @@ def apply_op(sim, op, a, b):
     elif op == "resize":
         pools = [v for v in find("memory") if graph.parents(v)]
         if pools:
-            resize_pool(graph, pick(pools, a), b % 7)
+            try:
+                resize_pool(graph, pick(pools, a), b % 7)
+            except ResourceGraphError:
+                pass  # a corrupted size: refused, graph untouched
     elif op == "coarsen":
         node = pick(find("node"), a)
         pools = [
@@ -177,6 +180,7 @@ OPS = [
 @example([("corrupt", 0, 0), ("restore", 0, 0)])
 @example([("resize", 0, 6), ("resize", 0, 1)])
 @example([("corrupt", 8, 2), ("shrink", 0, 0)])
+@example([("resize", 3, 0), ("corrupt", 2, 0), ("resize", 2, 0)])
 @settings(max_examples=60, deadline=None)
 def test_long_lived_traverser_answers_as_a_fresh_one(ops):
     graph = tiny_cluster(2, 2, cores=2, gpus=0, memory_pools=2, memory_size=4)

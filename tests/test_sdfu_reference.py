@@ -22,21 +22,25 @@ from repro.jobspec import (
 from repro.match import Traverser
 from repro.match.traverser import exclusive_top_selections, sdfu_charges
 from repro.match.writer import Selection
-from repro.resource import CONTAINMENT
+from repro.resource import CONTAINMENT, ResourceGraph
 
 
-def reference_tops(selections, subsystem):
+def nested_under(graph, subsystem, inner, outer):
+    """``inner`` is a proper descendant of ``outer`` in ``subsystem`` — by
+    graph ancestry (a path prefix is the tree special case of it)."""
+    return any(v is outer for v in graph.ancestors(inner, subsystem))
+
+
+def reference_tops(graph, selections, subsystem):
     exclusive = [s for s in selections if s.exclusive and not s.passthrough]
-    paths = [s.vertex.path(subsystem) for s in exclusive]
-    tops = []
-    for sel, path in zip(exclusive, paths):
-        nested = any(
-            other is not sel and path.startswith(other_path + "/")
-            for other, other_path in zip(exclusive, paths)
+    return [
+        sel
+        for sel in exclusive
+        if not any(
+            nested_under(graph, subsystem, sel.vertex, other.vertex)
+            for other in exclusive
         )
-        if not nested:
-            tops.append(sel)
-    return tops
+    ]
 
 
 def reference_charges(graph, subsystem, selections):
@@ -67,9 +71,8 @@ def reference_charges(graph, subsystem, selections):
     for sel in explicit:
         if sel.type in prune_types:
             charge(sel.vertex, {sel.type: sel.amount})
-    for sel in reference_tops(selections, subsystem):
+    for sel in reference_tops(graph, selections, subsystem):
         vertex = sel.vertex
-        prefix = vertex.path(subsystem) + "/"
         extras = {
             t: n
             for t, n in graph.subtree_totals(vertex, subsystem).items()
@@ -77,9 +80,7 @@ def reference_charges(graph, subsystem, selections):
         }
         extras[vertex.type] = extras.get(vertex.type, 0) - vertex.size
         for other in explicit:
-            if other.vertex is vertex:
-                continue
-            if other.vertex.path(subsystem).startswith(prefix):
+            if nested_under(graph, subsystem, other.vertex, vertex):
                 if other.type in extras:
                     extras[other.type] -= other.amount
         extras = {t: n for t, n in extras.items() if n > 0}
@@ -101,8 +102,9 @@ def ordered(charges):
 
 
 def assert_same(graph, selections):
-    assert [id(s) for s in exclusive_top_selections(selections, CONTAINMENT)] \
-        == [id(s) for s in reference_tops(selections, CONTAINMENT)]
+    assert [
+        id(s) for s in exclusive_top_selections(graph, selections, CONTAINMENT)
+    ] == [id(s) for s in reference_tops(graph, selections, CONTAINMENT)]
     assert ordered(sdfu_charges(graph, CONTAINMENT, selections)) == ordered(
         reference_charges(graph, CONTAINMENT, selections)
     )
@@ -124,7 +126,65 @@ def nested_exclusive_jobspec():
     )
 
 
+def rabbit_dag(rack_first):
+    """``cluster -> rack -> node -> core`` and a rabbit with one ssd that
+    both the cluster and the rack reach (§5.1): the first in-edge names the
+    rabbit's canonical path, every in-edge makes an ancestor."""
+    graph = ResourceGraph(0, 2**40)
+    cluster = graph.add_vertex("cluster")
+    rack = graph.add_vertex("rack")
+    graph.add_edge(cluster, rack)
+    node = graph.add_vertex("node")
+    graph.add_edge(rack, node)
+    graph.add_edge(node, graph.add_vertex("core"))
+    rabbit = graph.add_vertex("rabbit")
+    for parent in (rack, cluster) if rack_first else (cluster, rack):
+        graph.add_edge(parent, rabbit)
+    graph.add_edge(rabbit, graph.add_vertex("ssd", size=1000))
+    graph.install_pruning_filters(["core", "ssd"], at_types=["rack", "rabbit"])
+    return graph
+
+
+EXCLUSIVE_RACK_WITH_STORAGE = Jobspec(
+    resources=(ResourceRequest(
+        type="rack", count=1, exclusive=True,
+        with_=(ResourceRequest(
+            type="rabbit", count=1,
+            with_=(ResourceRequest(type="ssd", count=100),),
+        ),),
+    ),),
+    duration=100,
+)
+
+
+def filters_on_every_level():
+    graph = tiny_cluster(racks=2, nodes_per_rack=2, cores=3)
+    graph.install_pruning_filters(
+        ["core", "memory", "gpu"],
+        at_types=["rack", "node", "core", "memory", "gpu"],
+    )
+    return graph
+
+
 MATCHED = {
+    "rabbit-dag-rack-first": (
+        lambda: rabbit_dag(True), [EXCLUSIVE_RACK_WITH_STORAGE],
+    ),
+    "rabbit-dag-cluster-first": (
+        lambda: rabbit_dag(False), [EXCLUSIVE_RACK_WITH_STORAGE],
+    ),
+    "filterless-socket-level": (  # High LOD: filters at rack and node only
+        lambda: build_lod("high", 1, 3),
+        [
+            simple_node_jobspec(cores=10, memory=8, ssds=1),
+            simple_node_jobspec(cores=40, node_exclusive=True),
+        ],
+    ),
+    "filters-on-every-level": (
+        filters_on_every_level,
+        [nested_exclusive_jobspec(), nodes_jobspec(1),
+         simple_node_jobspec(cores=2, memory=20, gpus=1)],
+    ),
     "node-lod": (
         lambda: quartz(4, 6),
         [nodes_jobspec(1), nodes_jobspec(7), nodes_jobspec(16)],

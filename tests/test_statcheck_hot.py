@@ -331,6 +331,19 @@ class TestPRF002:
         violations, _ = analyze(src, HOT_DRIVER, select=["PRF002"])
         assert violations == []
 
+    def test_loop_target_is_not_flagged(self):
+        """A ``for`` target is a new object every iteration: there is
+        nothing to bind before the loop."""
+        src = (
+            "def driver(items):\n"
+            "    out = 0\n"
+            "    for item in items:\n"
+            "        out += item.size + item.size + item.size\n"
+            "    return out\n"
+        )
+        violations, _ = analyze(src, HOT_DRIVER, select=["PRF002"])
+        assert violations == []
+
     def test_below_threshold_is_quiet(self):
         src = (
             "def driver(ctx, items):\n"
