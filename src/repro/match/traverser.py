@@ -270,16 +270,17 @@ class _Tentative:
         return len(self._journal)
 
     def rollback(self, mark: int) -> None:
-        while len(self._journal) > mark:
-            kind, uid, amount = self._journal.pop()
+        journal, qty, x = self._journal, self.qty, self.x
+        while len(journal) > mark:
+            kind, uid, amount = journal.pop()
             if kind == "q":
-                self.qty[uid] -= amount
-                if not self.qty[uid]:
-                    del self.qty[uid]
+                qty[uid] -= amount
+                if not qty[uid]:
+                    del qty[uid]
             elif kind == "x":
-                self.x[uid] -= amount
-                if not self.x[uid]:
-                    del self.x[uid]
+                x[uid] -= amount
+                if not x[uid]:
+                    del x[uid]
             else:
                 self.passthrough.discard(uid)
 

@@ -102,11 +102,12 @@ class PlannerMulti:
 
     def avail_during(self, at: int, duration: int, counts: Mapping[str, int]) -> bool:
         """True when every requested type stays available over the window."""
-        return all(
-            self._planners[rtype].avail_during(at, duration, count)
-            for rtype, count in counts.items()
-            if rtype in self._planners and count
-        )
+        planners = self._planners
+        for rtype, count in counts.items():
+            if count and rtype in planners:
+                if not planners[rtype].avail_during(at, duration, count):
+                    return False
+        return True
 
     def avail_resources_during(self, at: int, duration: int) -> Dict[str, int]:
         """Minimum availability per tracked type over the window."""
@@ -246,7 +247,8 @@ class PlannerMulti:
         try:
             for rtype, sid in booked.items():
                 planner = self._planners[rtype]
-                old_end = planner.get_span(sid).end
+                # an unknown sid: update_span_end raises SpanNotFoundError
+                old_end = planner.span_windows().get(sid, (None, None))[1]
                 planner.update_span_end(sid, new_end)
                 done.append((planner, sid, old_end))
         except PlannerError:

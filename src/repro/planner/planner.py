@@ -23,7 +23,7 @@ reservation-based backfilling.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from ..errors import PlannerError, SpanNotFoundError
 from ..obs import runtime as _obs_runtime
@@ -85,7 +85,9 @@ class Planner:
         # queries directly from `total`.  The tree's remaining-resource index
         # waits for the first earliest-time question (avail_time_first).
         self._sp: Optional[SPTree] = None
-        self._spans: Dict[int, Span] = {}
+        # span id -> (start, end, request, metadata or None): ints only, so
+        # the cyclic GC stops tracking the records (and then the dict).
+        self._spans: Dict[int, tuple] = {}
         self._next_span_id = 1
         self._base_point: Optional[ScheduledPoint] = None
 
@@ -96,7 +98,7 @@ class Planner:
         self._sp = SPTree()
         # Permanent base point: the state from plan_start until the first span.
         self._base_point = ScheduledPoint(self.plan_start, 0, self.total, ref_count=1)
-        self._sp.insert(self._base_point)
+        self._sp.insert_node(self._base_point)
 
     def _shift(self, start: int, end: int, delta: int) -> None:
         """Charge ``delta`` units (negative: release) to every scheduled point
@@ -130,15 +132,19 @@ class Planner:
         return self._sp is not None and self._sp.indexed
 
     def spans(self) -> Iterator[Span]:
-        """Iterate over active spans (unordered)."""
-        return iter(self._spans.values())
+        """Iterate over active spans (unordered), each built on demand."""
+        return (Span(sid, *record) for sid, record in self._spans.items())
 
     def get_span(self, span_id: int) -> Span:
         """Return the span with ``span_id``; raise SpanNotFoundError if absent."""
         try:
-            return self._spans[span_id]
+            return Span(span_id, *self._spans[span_id])
         except KeyError:
             raise SpanNotFoundError(span_id) from None
+
+    def span_windows(self) -> Dict[int, Tuple[int, int, int]]:
+        """``{span id: (start, end, request)}`` of every active span."""
+        return {sid: record[:3] for sid, record in self._spans.items()}
 
     def has_span(self, span_id: int) -> bool:
         """True when ``span_id`` names an active span."""
@@ -152,9 +158,7 @@ class Planner:
         self._check_time(at)
         if self._sp is None:
             return self.total
-        point = self._sp.state_at(at)
-        assert point is not None  # base point guarantees coverage
-        return point.remaining
+        return self._sp.floor(at).remaining  # the base point covers every at
 
     def avail_at(self, at: int, request: int) -> bool:
         """True when ``request`` units are available at instant ``at`` (SatAt)."""
@@ -166,14 +170,15 @@ class Planner:
         # when one of its checks would fail (this query dominates match time).
         if duration <= 0 or at < self.plan_start or at + duration > self.plan_end:
             self._check_window(at, duration)
-        if self._sp is None:
+        sp = self._sp
+        if sp is None:
             return self.total
-        governing = self._sp.state_at(at)
-        assert governing is not None
-        lowest = governing.remaining
-        for point in self._sp.iter_range(at + 1, at + duration):
+        point, end = sp.floor(at), at + duration
+        lowest = point.remaining
+        while point is not None and point.key < end:
             if point.remaining < lowest:
                 lowest = point.remaining
+            point = sp.successor(point)
         return lowest
 
     def avail_during(self, at: int, duration: int, request: int) -> bool:
@@ -185,15 +190,14 @@ class Planner:
         """
         if duration <= 0 or at < self.plan_start or at + duration > self.plan_end:
             self._check_window(at, duration)
-        if self._sp is None:
+        sp = self._sp
+        if sp is None:
             return request <= self.total
-        governing = self._sp.state_at(at)
-        assert governing is not None
-        if governing.remaining < request:
-            return False
-        for point in self._sp.iter_range(at + 1, at + duration):
+        point, end = sp.floor(at), at + duration
+        while point is not None and point.key < end:
             if point.remaining < request:
                 return False
+            point = sp.successor(point)
         return True
 
     def next_event_time(self, after: int) -> Optional[int]:
@@ -204,8 +208,8 @@ class Planner:
         """
         if self._sp is None:
             return None
-        point = self._sp.first_at_or_after(after + 1)
-        return None if point is None else point.time
+        point = self._sp.ceiling(after + 1)
+        return None if point is None else point.key
 
     def avail_time_first(
         self, request: int, duration: int = 1, on_or_after: int = 0
@@ -310,7 +314,7 @@ class Planner:
             self._next_span_id += 1
         else:
             self._next_span_id = max(self._next_span_id, span_id + 1)
-        self._spans[span_id] = Span(span_id, start, end, request, metadata or {})
+        self._spans[span_id] = (start, end, request, metadata or None)
         return span_id
 
     def rem_span(self, span_id: int) -> Span:
@@ -357,9 +361,9 @@ class Planner:
             # Truncation: release the tail [new_end, old_end).
             self._shift(new_end, span.end, -span.request)
         self._release_point(span.end)
-        updated = span.replace(end=new_end)
-        self._spans[span_id] = updated
-        return updated
+        start, _, request, metadata = self._spans[span_id]
+        self._spans[span_id] = (start, new_end, request, metadata)
+        return span.replace(end=new_end)
 
     def reset(self) -> None:
         """Drop all spans, returning the planner to its initial state."""
@@ -422,13 +426,13 @@ class Planner:
             "next_span_id": self._next_span_id,
             "spans": [
                 {
-                    "id": span.span_id,
-                    "start": span.start,
-                    "end": span.end,
-                    "request": span.request,
-                    "metadata": dict(span.metadata),
+                    "id": span_id,
+                    "start": start,
+                    "end": end,
+                    "request": request,
+                    "metadata": dict(metadata or {}),
                 }
-                for span in self._spans.values()
+                for span_id, (start, end, request, metadata) in self._spans.items()
             ],
         }
 
@@ -513,24 +517,22 @@ class Planner:
             )
 
     def _get_or_create_point(self, time: int) -> ScheduledPoint:
-        # A span may legitimately end exactly at the horizon; the end point
-        # is created at plan_end (never iterated as part of any window) and
-        # its governing state clamps to the last representable tick.
-        existing = self._sp.get(time)
-        if existing is not None:
-            return existing
-        governing = self._sp.state_at(min(time, self.plan_end - 1))
-        assert governing is not None
-        point = ScheduledPoint(time, governing.in_use, governing.remaining)
-        self._sp.insert(point)
-        return point
+        # One descent finds the point at `time` or the one governing it, whose
+        # state a new point starts from.  A span may legitimately end exactly
+        # at the horizon: that point is never iterated as part of any window.
+        governing = self._sp.floor(time)
+        if governing.key == time:
+            return governing
+        return self._sp.insert_node(
+            ScheduledPoint(time, governing.in_use, governing.remaining)
+        )
 
     def _release_point(self, time: int) -> None:
-        point = self._sp.get(time)
+        point = self._sp.find(time)
         assert point is not None, f"missing scheduled point at t={time}"
         point.ref_count -= 1
         if point.ref_count == 0 and point is not self._base_point:
-            self._sp.remove(point)
+            self._sp.delete_node(point)
 
     def check_invariants(self) -> None:
         """Verify tree invariants and point-state consistency (test support)."""
@@ -545,8 +547,8 @@ class Planner:
         # Recompute in_use at each point from the active spans.
         for point in points:
             expected = sum(
-                s.request for s in self._spans.values()
-                if s.start <= point.time < s.end
+                request for start, end, request, _ in self._spans.values()
+                if start <= point.key < end
             )
             assert point.in_use == expected, (
                 f"in_use mismatch at t={point.time}: "

@@ -188,11 +188,17 @@ class RBTree:
     # mutation
     # ------------------------------------------------------------------
     def insert(self, key: Any, value: Any) -> RBNode:
-        """Insert ``key -> value`` and return the new node.
+        """Insert ``key -> value`` and return the new node."""
+        return self.insert_node(RBNode(key, value))
+
+    def insert_node(self, z: RBNode) -> RBNode:
+        """Link the fresh node ``z`` (a subclass may carry its own fields)
+        in at ``z.key`` and return it.
 
         Raises ``KeyError`` when the key is already present (the Planner never
         stores duplicate keys; it composes tiebreakers into the key instead).
         """
+        key = z.key
         y = self.nil
         x = self.root
         while x is not self.nil:
@@ -200,7 +206,6 @@ class RBTree:
             if key == x.key:
                 raise KeyError(f"duplicate key: {key!r}")
             x = x.left if key < x.key else x.right
-        z = RBNode(key, value)
         z.left = z.right = self.nil
         z.parent = y
         if y is self.nil:

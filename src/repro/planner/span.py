@@ -9,16 +9,27 @@ its time until the next scheduled point.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping, Optional
+
+from .rbtree import RBNode
+
 __all__ = ["ScheduledPoint", "Span"]
 
+#: the metadata of every span booked without any: one shared, read-only mapping
+NO_METADATA: Mapping = MappingProxyType({})
 
-class ScheduledPoint:
+
+class ScheduledPoint(RBNode):
     """A time point at which the planner's resource state changes.
+
+    The point is its own node of the planner's SP tree, keyed by its time
+    (``value`` is unused), so booking a boundary allocates one object.
 
     Attributes
     ----------
     time:
-        The scheduled time (integer ticks).
+        The scheduled time (integer ticks): the node's ``key``.
     in_use:
         Resource units allocated during ``[time, next_point.time)``.
     remaining:
@@ -27,16 +38,20 @@ class ScheduledPoint:
     ref_count:
         Number of spans whose start or end boundary is this point.  A point
         whose ref count drops to zero carries no information (its state equals
-        its predecessor's) and is removed from both trees.
+        its predecessor's) and is removed from the tree.
     """
 
-    __slots__ = ("time", "in_use", "remaining", "ref_count")
+    __slots__ = ("in_use", "remaining", "ref_count")
 
     def __init__(self, time: int, in_use: int, remaining: int, ref_count: int = 0):
-        self.time = time
+        RBNode.__init__(self, time, None)
         self.in_use = in_use
         self.remaining = remaining
         self.ref_count = ref_count
+
+    @property
+    def time(self) -> int:
+        return self.key
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -49,10 +64,11 @@ class Span:
     """An allocation of ``request`` units over ``[start, end)``.
 
     Spans are identified by the integer ``span_id`` the Planner hands back
-    from :meth:`~repro.planner.Planner.add_span`.  Treated as immutable:
+    from :meth:`~repro.planner.Planner.add_span`.  A planner keeps a plain
+    record per span and builds this view on demand.  Treated as immutable:
     updates go through :meth:`replace` (slotted plain class rather than a
-    dataclass — planners materialise one per booking on the match hot path,
-    and ``__slots__`` drops the per-instance dict; PRF003).
+    dataclass — ``__slots__`` drops the per-instance dict; PRF003).
+    ``metadata`` defaults to the shared, read-only :data:`NO_METADATA`.
     """
 
     __slots__ = ("span_id", "start", "end", "request", "metadata")
@@ -63,13 +79,13 @@ class Span:
         start: int,
         end: int,
         request: int,
-        metadata: dict = None,
+        metadata: Optional[Mapping] = None,
     ) -> None:
         self.span_id = span_id
         self.start = start
         self.end = end
         self.request = request
-        self.metadata = {} if metadata is None else metadata
+        self.metadata = NO_METADATA if metadata is None else metadata
 
     def replace(self, **changes: object) -> "Span":
         """A copy with ``changes`` applied (dataclasses.replace equivalent)."""
@@ -105,7 +121,7 @@ class Span:
         return (
             f"Span(span_id={self.span_id}, start={self.start}, "
             f"end={self.end}, request={self.request}, "
-            f"metadata={self.metadata})"
+            f"metadata={dict(self.metadata)})"
         )
 
     @property

@@ -1,8 +1,10 @@
 """The Planner's index tree (paper §4.1).
 
-:class:`SPTree` is the *scheduled-point* tree, keyed by time.  It supports
-the ``O(log N)`` time-based queries — the state at time *t* (floor search)
-and in-order iteration over later points — and, once :meth:`SPTree.index`
+:class:`SPTree` is the *scheduled-point* tree: an
+:class:`~repro.planner.rbtree.RBTree` whose nodes are the
+:class:`~repro.planner.span.ScheduledPoint` s themselves, keyed by time.  The
+time-based queries are the tree's own — the state at time *t* is
+``floor(t)``, later points are ``successor``s — and, once :meth:`SPTree.index`
 has switched it on, an index of remaining resource over the same nodes: each
 node carries the ``(lowest, highest)`` ``remaining`` of its subtree, so the
 earliest later point that covers a request, and the earliest that falls
@@ -10,23 +12,21 @@ short of it, are each one ``O(log N)`` descent.  Those two descents are what
 the earliest-time question (EarliestAt) needs; the paper answers it from a
 second tree keyed by remaining resource (Algorithm 1), kept as a reference
 in :mod:`repro.baselines.algorithm1`.
-
-A thin, purpose-specific wrapper over :class:`~repro.planner.rbtree.RBTree`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
-from .rbtree import RBNode, RBTree
+from .rbtree import RBTree
 from .span import ScheduledPoint
 
 __all__ = ["SPTree"]
 
 
-def _remaining_range(node: RBNode) -> Tuple[int, int]:
+def _remaining_range(node: ScheduledPoint) -> Tuple[int, int]:
     """(lowest, highest) ``remaining`` within the subtree rooted at ``node``."""
-    lowest = highest = node.value.remaining
+    lowest = highest = node.remaining
     aug = node.left.aug
     if aug is not None:
         if aug[0] < lowest:
@@ -42,57 +42,11 @@ def _remaining_range(node: RBNode) -> Tuple[int, int]:
     return lowest, highest
 
 
-class SPTree:
-    """Scheduled-point tree: maps time -> :class:`ScheduledPoint`."""
+class SPTree(RBTree):
+    """Scheduled-point tree: its nodes are :class:`ScheduledPoint` s, keyed
+    by time (link one in with :meth:`insert_node`)."""
 
-    __slots__ = ("_tree",)
-
-    def __init__(self) -> None:
-        self._tree = RBTree()
-
-    def __len__(self) -> int:
-        return len(self._tree)
-
-    def insert(self, point: ScheduledPoint) -> None:
-        """Insert ``point``; a point must be unique in time."""
-        self._tree.insert(point.time, point)
-
-    def remove(self, point: ScheduledPoint) -> None:
-        """Remove the point scheduled at ``point.time``."""
-        self._tree.delete(point.time)
-
-    def get(self, time: int) -> Optional[ScheduledPoint]:
-        """Return the point scheduled exactly at ``time``, or None."""
-        node = self._tree.find(time)
-        return None if node is None else node.value
-
-    def state_at(self, time: int) -> Optional[ScheduledPoint]:
-        """Return the point governing ``time`` (largest point time <= time)."""
-        node = self._tree.floor(time)
-        return None if node is None else node.value
-
-    def first_at_or_after(self, time: int) -> Optional[ScheduledPoint]:
-        """Return the earliest point with time >= ``time``, or None."""
-        node = self._tree.ceiling(time)
-        return None if node is None else node.value
-
-    def iter_from(self, time: int) -> Iterator[ScheduledPoint]:
-        """Yield points in time order starting at the first point >= ``time``."""
-        node = self._tree.ceiling(time)
-        while node is not None:
-            yield node.value
-            node = self._tree.successor(node)
-
-    def iter_range(self, start: int, end: int) -> Iterator[ScheduledPoint]:
-        """Yield points with start <= time < end, in time order."""
-        node = self._tree.ceiling(start)
-        while node is not None and node.key < end:
-            yield node.value
-            node = self._tree.successor(node)
-
-    def __iter__(self) -> Iterator[ScheduledPoint]:
-        for node in self._tree:
-            yield node.value
+    __slots__ = ()
 
     # ------------------------------------------------------------------
     # the remaining-resource index
@@ -100,7 +54,7 @@ class SPTree:
     @property
     def indexed(self) -> bool:
         """True once :meth:`index` has been called."""
-        return self._tree.augmented
+        return self.augmented
 
     def index(self) -> None:
         """Index the points by remaining resource, in one pass over the tree.
@@ -108,38 +62,37 @@ class SPTree:
         Inserts, removals and :meth:`shift` keep the index current afterwards;
         call again after changing ``remaining`` any other way.
         """
-        self._tree.set_augment(_remaining_range)
+        self.set_augment(_remaining_range)
 
     def shift(self, start: int, end: int, delta: int) -> None:
         """Charge ``delta`` units (negative: release) to every point with
         start <= time < end, keeping the index, if there is one, in step."""
-        tree = self._tree
-        if tree.augmented:
-            self._shift_indexed(tree.root, start, end, delta)
+        if self.augmented:
+            self._shift_indexed(self.root, start, end, delta)
             return
-        node = tree.ceiling(start)
-        while node is not None and node.key < end:
-            point = node.value
+        point = self.ceiling(start)
+        while point is not None and point.key < end:
             point.in_use += delta
             point.remaining -= delta
-            node = tree.successor(node)
+            point = self.successor(point)
 
-    def _shift_indexed(self, node: RBNode, start: int, end: int, delta: int) -> None:
+    def _shift_indexed(
+        self, point: ScheduledPoint, start: int, end: int, delta: int
+    ) -> None:
         """One range walk: adjust the points of ``[start, end)`` on the way
         down, recompute ``aug`` of every node visited on the way back up
         (``O(k + log N)`` for ``k`` points in range)."""
-        if node is self._tree.nil:
+        if point is self.nil:
             return
-        time = node.key
+        time = point.key
         if start < time:
-            self._shift_indexed(node.left, start, end, delta)
+            self._shift_indexed(point.left, start, end, delta)
         if time < end:
             if start <= time:
-                point = node.value
                 point.in_use += delta
                 point.remaining -= delta
-            self._shift_indexed(node.right, start, end, delta)
-        node.aug = _remaining_range(node)
+            self._shift_indexed(point.right, start, end, delta)
+        point.aug = _remaining_range(point)
 
     def first_covering(self, time: int, request: int) -> Optional[ScheduledPoint]:
         """Earliest point at or after ``time`` with ``remaining >= request``
@@ -154,10 +107,10 @@ class SPTree:
     def _first(
         self, time: int, request: int, covering: bool
     ) -> Optional[ScheduledPoint]:
-        node = self._tree.ceiling(time)
-        if node is not None and (node.value.remaining >= request) is not covering:
-            node = self._next(node, request, covering)
-        return None if node is None else node.value
+        point = self.ceiling(time)
+        if point is not None and (point.remaining >= request) is not covering:
+            point = self._next(point, request, covering)
+        return point
 
     def earliest_fit(
         self, at: int, duration: int, request: int
@@ -174,21 +127,23 @@ class SPTree:
         one is the next candidate.  Nothing in between is looked at.
         """
         step = self._next
-        node = self._tree.floor(at)
+        point = self.floor(at)
         start = at
         hops = 0
-        short = node if node.value.remaining < request else step(node, request, False)
+        short = point if point.remaining < request else step(point, request, False)
         while short is not None and short.key < start + duration:
-            node = step(short, request, True)
-            if node is None:
+            point = step(short, request, True)
+            if point is None:
                 return None, hops
-            start = node.key
+            start = point.key
             hops += 1
-            short = step(node, request, False)
+            short = step(point, request, False)
         return start, hops
 
-    def _next(self, node: RBNode, request: int, covering: bool) -> Optional[RBNode]:
-        """Earliest node after ``node`` whose point covers ``request``
+    def _next(
+        self, node: ScheduledPoint, request: int, covering: bool
+    ) -> Optional[ScheduledPoint]:
+        """Earliest point after ``node`` that covers ``request``
         (``covering``) or falls short of it (not ``covering``).
 
         A subtree holds a covering point iff its highest ``remaining`` covers,
@@ -197,7 +152,7 @@ class SPTree:
         Starting from a node rather than the root, the walk costs the
         logarithm of the distance covered, not of the tree.
         """
-        nil = self._tree.nil
+        nil = self.nil
         end = 1 if covering else 0
         while True:
             child = node.right
@@ -208,7 +163,7 @@ class SPTree:
                     child = node.left
                     if child is not nil and (child.aug[end] >= request) is covering:
                         node = child
-                    elif (node.value.remaining >= request) is covering:
+                    elif (node.remaining >= request) is covering:
                         return node
                     else:
                         node = node.right
@@ -220,8 +175,5 @@ class SPTree:
             if parent is nil:
                 return None
             node = parent
-            if (node.value.remaining >= request) is covering:
+            if (node.remaining >= request) is covering:
                 return node
-
-    def check_invariants(self) -> None:
-        self._tree.check_invariants()

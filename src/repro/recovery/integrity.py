@@ -340,17 +340,17 @@ def _held(planner: object, kind: str) -> Dict[int, Expectation]:
     ``(None, None, ...)`` and so can equal no expectation.
     """
     if kind != "filter":
-        return {s.span_id: (s.start, s.end, s.request) for s in planner.spans()}
+        return planner.span_windows()
+    per_type = {t: planner.planner(t).span_windows() for t in planner.types}
     held: Dict[int, Expectation] = {}
     for sid in planner.span_ids():
         counts: Dict[str, int] = {}
         windows = set()
         try:
             for rtype, per_sid in planner.get_span(sid).items():
-                span = planner.planner(rtype).get_span(per_sid)
-                counts[rtype] = span.request
-                windows.add((span.start, span.end))
-        except FluxionError:
+                start, end, counts[rtype] = per_type[rtype][per_sid]
+                windows.add((start, end))
+        except KeyError:
             windows.clear()
         start, end = windows.pop() if len(windows) == 1 else (None, None)
         held[sid] = (start, end, counts)
@@ -820,8 +820,8 @@ def apply_corruption(
         if not registry:
             return False
         sid = sorted(registry)[rng.randrange(len(registry))]
-        span = registry[sid]
-        registry[sid] = span.replace(end=span.end + 1 + rng.randrange(7))
+        start, end, request, metadata = registry[sid]
+        registry[sid] = (start, end + 1 + rng.randrange(7), request, metadata)
         return True
     if kind in ("point", "aggregate"):
         if kind == "point":

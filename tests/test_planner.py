@@ -522,7 +522,7 @@ def test_property_index_built_on_demand_answers_as_one_kept_all_along(
 
 def _tree_shape(planner):
     """In-order (key, colour, augmentation) of every node of the SP tree."""
-    return [(node.key, node.red, node.aug) for node in planner._sp._tree]
+    return [(point.key, point.red, point.aug) for point in planner._sp]
 
 
 def test_earliest_time_query_changes_nothing():

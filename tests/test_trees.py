@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ETTree
+from repro.planner.rbtree import RBNode, RBTree
 from repro.planner.span import ScheduledPoint
 from repro.planner.trees import SPTree
 
@@ -17,49 +18,75 @@ def make_points(specs):
     return [ScheduledPoint(t, 100 - r, r) for t, r in specs]
 
 
+def points_in(tree, start, end=None):
+    """Points with start <= time < end (no end: all later ones), in time
+    order: one ``ceiling`` descent, then ``successor`` steps."""
+    point, found = tree.ceiling(start), []
+    while point is not None and (end is None or point.key < end):
+        found.append(point)
+        point = tree.successor(point)
+    return found
+
+
 class TestSPTree:
+    """The SP tree is an RBTree whose nodes are the scheduled points: the
+    time-based questions are the tree's own find / floor / ceiling /
+    successor / delete_node."""
+
+    def test_a_point_is_its_node(self):
+        tree = SPTree()
+        point = ScheduledPoint(7, 2, 5, ref_count=1)
+        assert isinstance(tree, RBTree) and isinstance(point, RBNode)
+        assert tree.insert_node(point) is point
+        assert (point.time, point.key, point.value) == (7, 7, None)
+        assert (point.in_use, point.remaining, point.ref_count) == (2, 5, 1)
+        assert not hasattr(tree, "_tree") and not hasattr(point, "__dict__")
+        with pytest.raises(KeyError):
+            tree.insert_node(ScheduledPoint(7, 0, 7))
+        assert list(tree) == [point]
+
     def test_insert_and_get(self):
         tree = SPTree()
         points = make_points([(0, 10), (5, 3), (9, 7)])
         for point in points:
-            tree.insert(point)
+            tree.insert_node(point)
         assert len(tree) == 3
-        assert tree.get(5) is points[1]
-        assert tree.get(4) is None
+        assert tree.find(5) is points[1]
+        assert tree.find(4) is None
 
     def test_state_at_floor_semantics(self):
         tree = SPTree()
         for point in make_points([(0, 10), (10, 5), (20, 8)]):
-            tree.insert(point)
-        assert tree.state_at(0).remaining == 10
-        assert tree.state_at(9).remaining == 10
-        assert tree.state_at(10).remaining == 5
-        assert tree.state_at(15).remaining == 5
-        assert tree.state_at(99).remaining == 8
+            tree.insert_node(point)
+        assert tree.floor(0).remaining == 10
+        assert tree.floor(9).remaining == 10
+        assert tree.floor(10).remaining == 5
+        assert tree.floor(15).remaining == 5
+        assert tree.floor(99).remaining == 8
 
     def test_iter_range_half_open(self):
         tree = SPTree()
         for point in make_points([(0, 1), (5, 2), (10, 3), (15, 4)]):
-            tree.insert(point)
-        assert [p.time for p in tree.iter_range(5, 15)] == [5, 10]
-        assert [p.time for p in tree.iter_range(1, 5)] == []
-        assert [p.time for p in tree.iter_from(10)] == [10, 15]
+            tree.insert_node(point)
+        assert [p.time for p in points_in(tree, 5, 15)] == [5, 10]
+        assert [p.time for p in points_in(tree, 1, 5)] == []
+        assert [p.time for p in points_in(tree, 10)] == [10, 15]
 
     def test_first_at_or_after(self):
         tree = SPTree()
         for point in make_points([(3, 1), (7, 2)]):
-            tree.insert(point)
-        assert tree.first_at_or_after(0).time == 3
-        assert tree.first_at_or_after(4).time == 7
-        assert tree.first_at_or_after(8) is None
+            tree.insert_node(point)
+        assert tree.ceiling(0).time == 3
+        assert tree.ceiling(4).time == 7
+        assert tree.ceiling(8) is None
 
     def test_remove(self):
         tree = SPTree()
         points = make_points([(0, 1), (5, 2)])
         for point in points:
-            tree.insert(point)
-        tree.remove(points[0])
-        assert tree.get(0) is None
+            tree.insert_node(point)
+        tree.delete_node(points[0])
+        assert tree.find(0) is None
         assert len(tree) == 1
         tree.check_invariants()
 
@@ -70,7 +97,7 @@ class TestSPTreeIndex:
     def build(self, specs):
         tree = SPTree()
         for point in make_points(specs):
-            tree.insert(point)
+            tree.insert_node(point)
         return tree
 
     def test_off_until_asked_for(self):
@@ -102,7 +129,7 @@ class TestSPTreeIndex:
         tree.check_invariants()
         assert tree.first_short(0, 7).time == 20
         assert tree.first_covering(20, 7).time == 45
-        assert [p.remaining for p in tree.iter_range(15, 50)] == [10, 6, 6, 6, 6, 6, 10]
+        assert [p.remaining for p in points_in(tree, 15, 50)] == [10, 6, 6, 6, 6, 6, 10]
         tree.shift(20, 41, -4)
         tree.check_invariants()
         assert tree.first_short(0, 7) is None
@@ -251,16 +278,16 @@ index_ops = st.lists(
 
 def _subtree_ranges(tree):
     """(lowest, highest) remaining of every subtree, recomputed from nothing."""
-    nil = tree._tree.nil
+    nil = tree.nil
 
     def walk(node):
         if node is nil:
             return []
-        below = walk(node.left) + [node.value.remaining] + walk(node.right)
+        below = walk(node.left) + [node.remaining] + walk(node.right)
         assert node.aug == (min(below), max(below)), node
         return below
 
-    return walk(tree._tree.root)
+    return walk(tree.root)
 
 
 @given(index_ops, st.integers(0, 59))
@@ -275,9 +302,9 @@ def test_property_sp_index_descents_match_linear_scan(ops, index_at):
         kind, *args = op
         if kind == "insert" and args[0] not in points:
             points[args[0]] = ScheduledPoint(args[0], 32 - args[1], args[1])
-            tree.insert(points[args[0]])
+            tree.insert_node(points[args[0]])
         elif kind == "remove" and points:
-            tree.remove(points.pop(sorted(points)[args[0] % len(points)]))
+            tree.delete_node(points.pop(sorted(points)[args[0] % len(points)]))
         elif kind == "shift":
             before = {t: p.remaining for t, p in points.items()}
             tree.shift(args[0], args[0] + args[1], args[2])
