@@ -1,131 +1,31 @@
-"""Record / check the overload perf baseline (``BENCH_overload.json``).
+"""Record / check the fluxhot hot-path baseline (``BENCH_statcheck_hot.json``).
 
-The scheduler's first checked-in performance baseline.  Two numbers guard
-against silent slowdowns from the overload-protection path, plus one scale
-point from the Fig 6a sweep (``benchmarks/test_bench_scale.py``):
-
-* ``overload_run_seconds`` — wall time of a fixed burst-plus-fault-storm
-  scenario run under full overload protection (admission control, budgets,
-  breakers, ladder).
-* ``scale_64nodes_mean_ms`` — mean per-match time filling a 64-node
-  Med-LOD system with the §6.1 jobspec (core pruning on).
-* ``overload_run_events`` — event-log length of the scenario; this is
-  *deterministic* and must match the baseline exactly (a drift means the
-  scheduler's decisions changed, not just its speed).
-
-A second baseline file, ``BENCH_statcheck_hot.json``, records the fluxhot
-mechanical-sweep before/after on the 64-node fill (best-of-N total seconds,
-pre- and post-sweep, plus the measured speedup) and rides the same 2x gate
-via ``check``; exact ``jobs``/``visits`` drift fails it outright.
+``BENCH_statcheck_hot.json`` records the fluxhot mechanical-sweep
+before/after on the 64-node Med-LOD fill (best-of-N total seconds, pre- and
+post-sweep, plus the measured speedup).  ``check`` fails when the fill's
+best time regresses past ``TOLERANCE`` (2x — generous enough to absorb
+runner-to-runner variance, tight enough to catch an accidental O(n) ->
+O(n^2)); exact ``jobs``/``visits`` drift fails it outright.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf_baseline.py record      # refresh
     PYTHONPATH=src python benchmarks/perf_baseline.py record-hot  # post-sweep
     PYTHONPATH=src python benchmarks/perf_baseline.py check       # CI gate
-
-``check`` exits non-zero when a timed metric regresses past
-``TOLERANCE`` (2x — generous enough to absorb runner-to-runner variance,
-tight enough to catch an accidental O(n) -> O(n^2)).
 """
 
 import argparse
 import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import harness  # noqa: E402
 
-from repro import (  # noqa: E402
-    ClusterSimulator,
-    FaultInjector,
-    FaultModel,
-    RetryPolicy,
-    tiny_cluster,
-)
-from repro.resilience import InvariantAuditor, OverloadConfig  # noqa: E402
-from repro.workloads import synthetic_trace  # noqa: E402
-
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(_REPO_ROOT, "BENCH_overload.json")
 HOT_BASELINE_PATH = os.path.join(_REPO_ROOT, "BENCH_statcheck_hot.json")
 TOLERANCE = 2.0  # CI fails when a timed metric exceeds baseline * TOLERANCE
-TIMED_KEYS = ("overload_run_seconds", "scale_64nodes_mean_ms")
-EXACT_KEYS = ("overload_run_events",)
 HOT_REPS = 3  # fill repetitions for the hot-path baseline (best-of)
-
-
-def overload_scenario():
-    """The fixed scenario: burst-heavy workload + fault storm, protected."""
-    graph = tiny_cluster(
-        racks=2, nodes_per_rack=8, cores=4, gpus=0, memory_pools=0
-    )
-    sim = ClusterSimulator(
-        graph,
-        match_policy="low",
-        queue="easy",
-        retry_policy=RetryPolicy(
-            max_retries=2, backoff_base=60, jitter=0.25, seed=5
-        ),
-        audit=InvariantAuditor(),
-        overload=OverloadConfig(
-            max_pending=8,
-            admission_policy="shed",
-            cycle_budget=60,
-            attempt_budget=25,
-            checkpoint_interval=8,
-            degrade_after=2,
-            recover_after=3,
-        ),
-    )
-    for t in synthetic_trace(
-        n_jobs=120, seed=13, max_nodes=8, min_duration=200,
-        max_duration=3000, arrival_spread=6000,
-    ):
-        # squeeze every fourth job into one of three burst ticks: ~10x the
-        # steady arrival rate at those instants
-        at = (t.submit_time % 3) * 1500 if t.job_index % 4 == 0 else t.submit_time
-        sim.submit(t.to_jobspec(), at=at, priority=t.job_index % 5)
-    FaultInjector(
-        {"node": FaultModel(mtbf=20_000, mttr=600)}, horizon=12_000, seed=21
-    ).install(sim)
-    return sim
-
-
-def measure() -> dict:
-    sim = overload_scenario()
-    t0 = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - t0
-    scale = harness.fig6a_run_one("med", True, 4, 16)
-    return {
-        "overload_run_seconds": round(elapsed, 4),
-        "overload_run_events": len(sim.event_log),
-        "scale_64nodes_mean_ms": round(scale["mean_ms"], 4),
-    }
-
-
-def record() -> int:
-    metrics = measure()
-    doc = {
-        "comment": (
-            "Overload perf baseline; refresh with "
-            "`PYTHONPATH=src python benchmarks/perf_baseline.py record` "
-            "on a quiet machine when an intentional perf change lands."
-        ),
-        "tolerance": TOLERANCE,
-        "metrics": metrics,
-    }
-    with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"baseline written to {BASELINE_PATH}:")
-    for key, value in sorted(metrics.items()):
-        print(f"  {key} = {value}")
-    return 0
 
 
 def measure_hot(reps: int = HOT_REPS) -> dict:
@@ -179,15 +79,15 @@ def record_hot() -> int:
     return 0
 
 
-def check_hot() -> list:
-    """2x regression gate over the swept hot path; returns failed keys."""
+def check() -> int:
+    """2x regression gate over the swept hot path."""
     try:
         with open(HOT_BASELINE_PATH, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         print(f"no baseline at {HOT_BASELINE_PATH} ({exc}); run "
               "`record-hot` first")
-        return ["statcheck_hot_missing"]
+        return 2
     tolerance = float(doc.get("tolerance", TOLERANCE))
     baseline = doc["post_sweep"]
     current = measure_hot()
@@ -207,35 +107,6 @@ def check_hot() -> list:
               f"(baseline {baseline[key]}) {status}")
         if current[key] != baseline[key]:
             failures.append(f"statcheck_hot_{key}")
-    return failures
-
-
-def check() -> int:
-    try:
-        with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        print(f"no baseline at {BASELINE_PATH} ({exc}); run `record` first")
-        return 2
-    baseline = doc["metrics"]
-    tolerance = float(doc.get("tolerance", TOLERANCE))
-    current = measure()
-    failures = []
-    for key in TIMED_KEYS:
-        limit = baseline[key] * tolerance
-        status = "ok" if current[key] <= limit else "REGRESSION"
-        print(
-            f"{key}: {current[key]} (baseline {baseline[key]}, "
-            f"limit {round(limit, 4)}) {status}"
-        )
-        if current[key] > limit:
-            failures.append(key)
-    for key in EXACT_KEYS:
-        status = "ok" if current[key] == baseline[key] else "DRIFT"
-        print(f"{key}: {current[key]} (baseline {baseline[key]}) {status}")
-        if current[key] != baseline[key]:
-            failures.append(key)
-    failures.extend(check_hot())
     if failures:
         print(f"perf baseline check FAILED: {', '.join(failures)}")
         return 1
@@ -245,10 +116,8 @@ def check() -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("record", "check", "record-hot"))
+    parser.add_argument("mode", choices=("check", "record-hot"))
     args = parser.parse_args(argv)
-    if args.mode == "record":
-        return record()
     if args.mode == "record-hot":
         return record_hot()
     return check()

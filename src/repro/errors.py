@@ -59,25 +59,12 @@ class JobError(SchedulerError):
 class OverloadError(SchedulerError):
     """Base class for overload-protection control flow (repro.resilience).
 
-    Subclasses are *control-flow signals*, not defects: the overload
-    controller raises and catches them to bound work under pressure.  Code
-    outside the overload machinery must never swallow them (lint rule
-    OVL001 enforces this) — a silently absorbed signal turns bounded
-    degradation back into an unbounded stall.
+    Subclasses are *control-flow signals*, not defects: the work budget
+    raises them and the traverser and overload controller catch them to
+    bound work under pressure.  Code outside the overload machinery must
+    never swallow them (lint rule OVL001 enforces this) — a silently
+    absorbed signal turns a bounded cycle back into an unbounded one.
     """
-
-
-class AdmissionRejected(OverloadError):
-    """Raised when admission control refuses a submission.
-
-    Carries the admission ``policy`` that refused and the queue ``depth``
-    observed at the decision, so callers can surface an actionable message.
-    """
-
-    def __init__(self, message: str, policy: str = "", depth: int = 0) -> None:
-        super().__init__(message)
-        self.policy = policy
-        self.depth = depth
 
 
 class SchedulingDeadlineExceeded(OverloadError):

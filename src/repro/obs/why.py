@@ -2,7 +2,7 @@
 
 At scale the operationally hard question is not *whether* a job matched
 but *why it didn't*: which predicate, aggregate filter, exclusivity
-conflict, planner window, admission policy or degradation rung pruned it,
+conflict, planner window or queue bound pruned it,
 and where in the tree.  ``dfu.failed`` is a single opaque counter; this
 module turns it into a structured explain-tree.
 
@@ -10,11 +10,12 @@ The :class:`DecisionRecorder` rides on the :class:`~repro.obs.Observer`
 (one per observed simulator) and captures, for every job on every
 dispatch cycle:
 
-* **admission verdicts** — admit / reject / shed / defer / promote, with
-  the :class:`~repro.resilience.OverloadController` policy that fired;
+* **admission verdicts** — a submission the
+  :class:`~repro.resilience.OverloadController` rejected over its queue
+  bound, with the depth it saw;
 * **attempt records** — one per scheduling attempt
-  (:class:`~repro.sched.queue._SchedAttempt` scope), with verb, outcome
-  and degradation level; a stretch of cycles that passed the job over
+  (:class:`~repro.sched.queue._SchedAttempt` scope), with verb and
+  outcome; a stretch of cycles that passed the job over
   without an attempt (EASY kept its reservation, or did not re-try a
   refused backfill because nothing came free) is one record with a
   repeat count, not a gap;
@@ -114,7 +115,7 @@ class _Attempt:
     """One scheduling attempt being recorded (mutable while open)."""
 
     __slots__ = (
-        "job_id", "cycle", "vt", "verb", "outcome", "level",
+        "job_id", "cycle", "vt", "verb", "outcome",
         "prune", "examples", "fails", "fails_dropped", "kept", "repeat",
     )
 
@@ -127,7 +128,6 @@ class _Attempt:
         self.vt = vt
         self.verb = verb
         self.outcome = "open"
-        self.level: Optional[str] = None
         self.prune: Dict[str, int] = {}
         self.examples: Dict[str, List[str]] = {}
         self.fails: List[Dict[str, Any]] = []
@@ -144,8 +144,6 @@ class _Attempt:
             "verb": self.verb,
             "outcome": self.outcome,
         }
-        if self.level is not None:
-            out["level"] = self.level
         if self.repeat:
             out["repeat"] = self.repeat
         if self.prune:
@@ -257,13 +255,12 @@ class DecisionRecorder:
             entry["dropped"] += 1
         self._open = attempt
 
-    def end_attempt(self, outcome: str, level: Optional[str] = None) -> None:
+    def end_attempt(self, outcome: str) -> None:
         """Close the open attempt with its outcome (no-op when none open)."""
         attempt = self._open
         if attempt is None:
             return
         attempt.outcome = outcome
-        attempt.level = level
         self._open = None
         self._total_attempts += 1
         self._cycle_counts["attempts"] += 1
@@ -401,7 +398,7 @@ class NullDecisionRecorder:
     ) -> None:
         pass
 
-    def end_attempt(self, outcome: str, level: Optional[str] = None) -> None:
+    def end_attempt(self, outcome: str) -> None:
         pass
 
     def skipped(
@@ -505,9 +502,6 @@ def render_explain(
             header += f" — {state.value}"
         if reason is not None:
             header += f" ({reason.value})"
-        degraded = getattr(job, "degraded", None)
-        if degraded:
-            header += f" [degraded={degraded}]"
     if entry is None:
         return header + "\n  (no decisions recorded for this job)"
     lines = [header]
@@ -531,12 +525,9 @@ def render_explain(
             continue
         cycle = attempt.get("cycle")
         where = f" [cycle {cycle}]" if cycle is not None else ""
-        level = attempt.get("level")
-        level_text = f" level={level}" if level else ""
         lines.append(
             f"{branch} t={_fmt_vt(attempt.get('vt'))}{where} "
-            f"{attempt.get('verb', '?')} -> "
-            f"{attempt.get('outcome', '?')}{level_text}"
+            f"{attempt.get('verb', '?')} -> {attempt.get('outcome', '?')}"
         )
         blocking = _blocking_lines(attempt, top_k)
         if blocking:

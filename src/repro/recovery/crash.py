@@ -11,7 +11,7 @@ from the snapshot + journal on disk.
 it (``OverloadController.admit``, ``_cycle``, ``_on_start``, ``_on_end``,
 ``_kill``).  The ``admit.*`` points are only reached when the simulator runs
 with overload protection enabled (``ClusterSimulator(overload=...)``) *and*
-admission control actually refuses/sheds/defers something.
+a submission actually goes over its queue bound.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ __all__ = ["CRASH_POINTS", "SimulatedCrash", "CrashInjector"]
 #: every named cut point the simulator exposes, in execution order
 CRASH_POINTS = (
     # OverloadController.admit (only hit when overload protection is on)
-    "admit.pre",        # admission decision pending, nothing applied yet
-    "admit.shed",       # shed victim canceled, new job not yet proceeding
-    "admit.post",       # admission decision fully applied
+    "admit.pre",        # rejection decided, nothing applied yet
+    "admit.post",       # rejection fully applied
     # ClusterSimulator._cycle
     "cycle.pre",        # before the queue policy places anything
     "cycle.booked",     # allocations booked, start/end events not yet pushed

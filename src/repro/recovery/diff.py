@@ -105,8 +105,9 @@ def state_fingerprint(sim: ClusterSimulator) -> Dict[str, Any]:
             [graph.vertex(uid).name, t0, t1, nodes]
             for uid, t0, t1, nodes in sim._downtime
         ),
-        # Overload-protection state steers future admission/ladder/breaker
-        # decisions, so it is part of logical equivalence (None = disabled).
+        # Overload accounting (rejections, deadline cuts, worst overrun)
+        # feeds the report, so it is part of logical equivalence (None =
+        # disabled).
         "overload": (
             None if sim.overload is None else sim.overload.export_state()
         ),

@@ -21,9 +21,9 @@ import hashlib
 import heapq
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..errors import RecoveryError, SnapshotError
+from ..errors import RecoveryError, SchedulerError, SnapshotError
 from ..match.writer import Allocation, planner_owner_index
 from ..resource.jgf import from_jgf, to_jgf
 from ..resource.vertex import PLANNER_KINDS
@@ -163,7 +163,8 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
         "retry_policy": _retry_policy_state(sim),
         "recovery_stats": dict(sim.recovery_stats),
         # Optional overload-protection state (absent/None = disabled; older
-        # snapshots without the key restore exactly as before).
+        # snapshots without the key restore exactly as before, and one
+        # carrying settings of an older controller is refused).
         "overload": (
             None
             if sim.overload is None
@@ -182,6 +183,19 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
             }
         ),
     }
+
+
+def _overload_section(
+    read: Callable[[Any], Any], section: Dict[str, Any], key: str
+) -> Any:
+    """``read(section[key])``, with a malformed or outdated ``overload``
+    section (a setting an older controller had) raised as SnapshotError."""
+    try:
+        return read(section[key])
+    except (SchedulerError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(
+            f"snapshot section 'overload' ({key}): {exc}"
+        ) from None
 
 
 def restore_simulator(
@@ -223,7 +237,9 @@ def restore_simulator(
     if overload_doc is not None:
         from ..resilience.overload import OverloadConfig
 
-        overload_config = OverloadConfig.from_dict(overload_doc["config"])
+        overload_config = _overload_section(
+            OverloadConfig.from_dict, overload_doc, "config"
+        )
     integrity_doc = doc.get("integrity")
     integrity_config = None
     if integrity_doc is not None:
@@ -326,7 +342,7 @@ def restore_simulator(
         sim.recovery_stats.update(doc["recovery_stats"])
     sim.recovery_stats["snapshot_sections_rebuilt"] += len(salvaged)
     if overload_doc is not None:
-        sim.overload.import_state(overload_doc["state"])
+        _overload_section(sim.overload.import_state, overload_doc, "state")
     if integrity_doc is not None:
         sim.integrity.import_state(integrity_doc["state"])
     return sim

@@ -19,12 +19,10 @@ simulator needs to model that credibly:
     exclusivity and job states after every scheduling cycle, turning
     silent state corruption into loud, structured failures.
 ``repro.resilience.overload``
-    :class:`OverloadConfig` / :class:`OverloadController` — admission
-    control with bounded queue depth (reject/shed/defer), deterministic
+    :class:`OverloadConfig` / :class:`OverloadController` — a bounded
+    queue depth (submissions over it are rejected) and deterministic
     scheduling-work deadlines with cooperative cancellation
-    (:class:`WorkBudget`), :class:`CircuitBreaker` per queue policy and
-    match subsystem, and the graceful degradation ladder
-    (:class:`DegradeLevel`: full -> coarse -> node-centric -> defer).
+    (:class:`WorkBudget`).
 ``repro.resilience.chaos``
     :class:`CampaignSpec` / :func:`run_campaign` / :func:`shrink_campaign`
     — seeded chaos campaigns composing submission bursts, fault storms and
@@ -35,21 +33,12 @@ simulator needs to model that credibly:
 from .auditor import InvariantAuditor, InvariantViolation, Violation
 from .chaos import CampaignResult, CampaignSpec, run_campaign, shrink_campaign
 from .faults import FaultEvent, FaultInjector, FaultModel, install_trace
-from .overload import (
-    CircuitBreaker,
-    DegradeLevel,
-    OverloadConfig,
-    OverloadController,
-    WorkBudget,
-    coarsen_jobspec,
-)
+from .overload import OverloadConfig, OverloadController, WorkBudget
 from .retry import RetryPolicy
 
 __all__ = [
     "CampaignResult",
     "CampaignSpec",
-    "CircuitBreaker",
-    "DegradeLevel",
     "FaultEvent",
     "FaultInjector",
     "FaultModel",
@@ -60,7 +49,6 @@ __all__ = [
     "RetryPolicy",
     "Violation",
     "WorkBudget",
-    "coarsen_jobspec",
     "install_trace",
     "run_campaign",
     "shrink_campaign",

@@ -38,8 +38,6 @@ class CancelReason(enum.Enum):
     WALLTIME = "walltime"
     #: refused by admission control at submission (queue depth bound)
     ADMISSION = "admission-reject"
-    #: evicted from the queue to make room for a higher-priority submission
-    SHED = "admission-shed"
 
 
 _TRANSITIONS = {
@@ -88,9 +86,6 @@ class Job:
     ran_seconds: int = 0
     #: simulation time the job stopped running (completed or killed)
     finished_at: Optional[int] = None
-    #: degradation-ladder level this job was matched at ("COARSE"/
-    #: "NODECENTRIC"; None for a full-fidelity match)
-    degraded: Optional[str] = None
 
     @property
     def allocation(self) -> Optional[Allocation]:
@@ -169,7 +164,6 @@ class Job:
             "work_credited": self.work_credited,
             "ran_seconds": self.ran_seconds,
             "finished_at": self.finished_at,
-            "degraded": self.degraded,
         }
 
     @classmethod
@@ -198,7 +192,6 @@ class Job:
             work_credited=int(record.get("work_credited", 0)),
             ran_seconds=int(record.get("ran_seconds", 0)),
             finished_at=record.get("finished_at"),
-            degraded=record.get("degraded"),
         )
         return job
 

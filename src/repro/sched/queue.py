@@ -82,22 +82,19 @@ class _SchedAttempt:
             ).observe(self._timer.elapsed)
             why = self._obs.why
             if why.enabled:
-                why.end_attempt(*self._outcome(exc))
+                why.end_attempt(self._outcome(exc))
             self._obs.tracer.end()
 
-    def _outcome(self, exc: tuple) -> tuple:
-        """(outcome, degradation level) for the attempt that just closed."""
-        level = None
-        if self._verb.startswith("degraded_"):
-            level = self._verb[len("degraded_"):].upper()
+    def _outcome(self, exc: tuple) -> str:
+        """The outcome of the attempt that just closed."""
         if exc and exc[0] is not None:
-            return "deadline", level
+            return "deadline"
         if self._verb == "replan_cancel":
-            return "replan_cancel", level
+            return "replan_cancel"
         if len(self._job.allocations) > self._alloc0:
             alloc = self._job.allocations[-1]
-            return ("reserved" if alloc.reserved else "matched"), level
-        return "failed", level
+            return "reserved" if alloc.reserved else "matched"
+        return "failed"
 
 
 class QueuePolicy:

@@ -97,26 +97,12 @@ class SimulationReport:
     # -- overload protection (repro.resilience.overload) ----------------
     #: True when an OverloadController was attached for the run
     overload_enabled: bool = False
-    #: submissions refused by admission control (policy "reject")
+    #: submissions refused over the queue bound (``max_pending``)
     overload_rejected: int = 0
-    #: jobs evicted (or refused) by the shed-lowest-priority policy
-    overload_shed: int = 0
-    #: submissions parked by the "defer" policy over the whole run
-    overload_deferred: int = 0
-    #: deferred jobs promoted back into the schedulable queue
-    overload_promoted: int = 0
-    #: jobs still parked in the deferred holding bay at end of run
-    overload_still_deferred: int = 0
-    #: jobs matched at a degraded ladder level (COARSE/NODECENTRIC)
-    degraded_matches: int = 0
     #: match attempts cut short by the attempt deadline
     deadline_attempts: int = 0
     #: dispatch cycles cut short by the cycle deadline
     deadline_cycles: int = 0
-    #: circuit-breaker trips across every breaker
-    breaker_trips: int = 0
-    #: degradation-ladder level when the run ended ("" when disabled)
-    overload_level: str = ""
     #: worst cycle-budget overrun in work units (bounded by one
     #: cancellation-checkpoint interval)
     max_cycle_overrun: int = 0
@@ -169,18 +155,8 @@ class SimulationReport:
 
     @property
     def admission_rejected(self) -> List[Job]:
-        """Jobs refused outright by admission control."""
+        """Jobs refused over the queue bound."""
         return self._by_reason(CancelReason.ADMISSION)
-
-    @property
-    def admission_shed(self) -> List[Job]:
-        """Jobs evicted (or refused) by the shed-lowest-priority policy."""
-        return self._by_reason(CancelReason.SHED)
-
-    @property
-    def degraded(self) -> List[Job]:
-        """Jobs whose allocation came from a degraded ladder level."""
-        return [j for j in self.jobs if j.degraded is not None]
 
     def mean_wait(self) -> float:
         """Mean wait (submit -> start) over jobs that started."""
@@ -268,15 +244,8 @@ class SimulationReport:
         if self.overload_enabled:
             text += (
                 f"; overload: {self.overload_rejected} rejected, "
-                f"{self.overload_shed} shed, "
-                f"{self.overload_deferred} deferred "
-                f"({self.overload_promoted} resumed, "
-                f"{self.overload_still_deferred} parked), "
-                f"{self.degraded_matches} degraded matches, "
                 f"{self.deadline_attempts} attempt deadlines, "
-                f"{self.deadline_cycles} cut cycles, "
-                f"{self.breaker_trips} breaker trips, "
-                f"level={self.overload_level.lower()}"
+                f"{self.deadline_cycles} cut cycles"
             )
         if self.metrics:
             visits = self.metrics.get("dfu.visits", 0)
@@ -341,11 +310,10 @@ class ClusterSimulator:
         :attr:`SimulationReport.metrics`.
     overload:
         Overload protection (:mod:`repro.resilience.overload`): an
-        :class:`~repro.resilience.OverloadConfig` (or a pre-built
-        :class:`~repro.resilience.OverloadController`) enables admission
-        control, scheduling deadlines, circuit breakers and the graceful
-        degradation ladder for this simulator.  ``None`` (default) keeps
-        the historical unbounded behaviour.
+        :class:`~repro.resilience.OverloadConfig` bounds the queue depth
+        and the work of each scheduling cycle and match attempt for this
+        simulator.  ``None`` (default) keeps the historical unbounded
+        behaviour.
     integrity:
         Online state-integrity scrubbing (:mod:`repro.recovery.integrity`):
         an :class:`~repro.recovery.IntegrityConfig` (or a pre-built
@@ -365,7 +333,7 @@ class ClusterSimulator:
         audit: bool = False,
         sanitize: bool = False,
         observe: "Observer | bool | None" = None,
-        overload: "OverloadConfig | OverloadController | None" = None,
+        overload: "OverloadConfig | None" = None,
         integrity: "IntegrityConfig | IntegrityMonitor | None" = None,
     ) -> None:
         self.graph = graph
@@ -436,16 +404,9 @@ class ClusterSimulator:
         # overload protection (repro.resilience.overload)
         self.overload = None
         if overload is not None:
-            from ..resilience.overload import (
-                OverloadConfig,
-                OverloadController,
-            )
+            from ..resilience.overload import OverloadController
 
-            self.overload = (
-                overload
-                if isinstance(overload, OverloadController)
-                else OverloadController(overload)
-            )
+            self.overload = OverloadController(overload)
             self.overload.attach(self)
         # online state-integrity scrubbing (repro.recovery.integrity)
         self.integrity = None
@@ -714,15 +675,8 @@ class ClusterSimulator:
             overload = {
                 "overload_enabled": True,
                 "overload_rejected": counters["rejected"],
-                "overload_shed": counters["shed"],
-                "overload_deferred": counters["deferred"],
-                "overload_promoted": counters["promoted"],
-                "overload_still_deferred": len(self.overload.deferred),
-                "degraded_matches": counters["degraded_matches"],
                 "deadline_attempts": counters["deadline_attempts"],
                 "deadline_cycles": counters["deadline_cycles"],
-                "breaker_trips": self.overload.breaker_trips,
-                "overload_level": self.overload.level.name,
                 "max_cycle_overrun": self.overload.max_cycle_overrun,
             }
         integrity: Dict[str, object] = {}
@@ -866,21 +820,14 @@ class ClusterSimulator:
 
     def _pending_jobs(self) -> List[Job]:
         """Schedulable jobs in attempt order: priority, then submission."""
-        deferred = self.overload.deferred if self.overload is not None else ()
         return sorted(
-            (
-                j
-                for j in self._queued_jobs()
-                if j.state in _QUEUED and j.job_id not in deferred
-            ),
+            (j for j in self._queued_jobs() if j.state in _QUEUED),
             key=lambda j: (-j.priority, j.job_id),
         )
 
     def _on_submit(self, job: Job) -> None:
         if job.state is not JobState.PENDING:
-            # Canceled between scheduling and dispatch — e.g. shed as an
-            # admission victim by a same-tick sibling submission.
-            return
+            return  # canceled between submission and dispatch
         why = self.obs.why
         if why.enabled:
             why.begin_attempt(
@@ -905,7 +852,7 @@ class ClusterSimulator:
                 )
                 return
         if self.overload is not None and not self.overload.admit(job):
-            return  # rejected, shed or deferred: no cycle to run
+            return  # rejected over the queue bound: no cycle to run
         self._cycle()
 
     def _on_start(self, job: Job, alloc_id: Optional[int]) -> None:
@@ -1071,8 +1018,6 @@ class ClusterSimulator:
             # repaired before any placement decision can read them (and
             # before the end-of-cycle auditor would trip on them).
             self.integrity.scrub_cycle()
-        if self.overload is not None:
-            self.overload.promote_deferred()
         pending = self._pending_jobs()
         if self.obs.enabled:
             self.obs.metrics.gauge(

@@ -20,8 +20,8 @@ OBS001    instrumentation goes through ``repro.obs``: no raw timer
           reads or hand-rolled stats-dict counters elsewhere
 OBS002    prune/outcome bookkeeping goes through the decision
           recorder (``obs.why``), not ad-hoc accumulators
-OVL001    overload-control signals (``AdmissionRejected``,
-          ``SchedulingDeadlineExceeded``) are only absorbed by the
+OVL001    the work budget's deadline signal
+          (``SchedulingDeadlineExceeded``) is only absorbed by the
           overload machinery itself; everywhere else must re-raise
 ========  ==============================================================
 """
@@ -674,8 +674,7 @@ class DecisionProvenanceRule(LintRule):
     audited :data:`repro.obs.why.PRUNE_REASONS` taxonomy — so any mutation
     of a provenance-named accumulator is flagged.  Only compound names
     (a prune/outcome/fail/verdict noun plus a counter-ish suffix) match;
-    domain state such as ``prune_types`` membership sets or the circuit
-    breaker's ``_outcomes`` window is left alone.
+    domain state such as ``prune_types`` membership sets is left alone.
     """
 
     rule_id = "OBS002"
@@ -804,28 +803,23 @@ class TypeHintRule(LintRule):
 
 @register_rule
 class OverloadSignalSwallowRule(LintRule):
-    """OVL001: overload-control signals are scheduling *decisions*, not
-    failures.  :class:`~repro.errors.AdmissionRejected` and
-    :class:`~repro.errors.SchedulingDeadlineExceeded` (and their
-    :class:`~repro.errors.OverloadError` base) are raised by the admission
-    controller and work budgets so the overload machinery can route to a
-    degraded path or surface backpressure to the submitter.  A handler
-    elsewhere that catches one and does not re-raise converts a deliberate
-    shed/deadline verdict into a silent no-op — the job vanishes from the
-    accounting and the degradation ladder never sees the pressure.  Only
-    the overload package itself (``repro/resilience/``), the budget-aware
-    traverser, the simulator dispatch loop and the integrity scrubber
-    (whose private scrub budget bounds a scan, not a scheduling decision)
-    may absorb them."""
+    """OVL001: the work budget's deadline signal is a scheduling
+    *decision*, not a failure.
+    :class:`~repro.errors.SchedulingDeadlineExceeded` (and its
+    :class:`~repro.errors.OverloadError` base) is raised at a budget
+    checkpoint so the traverser can end an attempt and the overload
+    controller can end a cycle.  A handler elsewhere that catches it and
+    does not re-raise lets the walk carry on past its budget: a bounded
+    cycle turns back into an unbounded one, and the cut never reaches the
+    accounting.  Only the overload package itself (``repro/resilience/``),
+    the budget-aware traverser, the simulator dispatch loop and the
+    integrity scrubber (whose private scrub budget bounds a scan, not a
+    scheduling decision) may absorb it."""
 
     rule_id = "OVL001"
     summary = "handler swallows an overload-control signal"
 
-    _SIGNALS = (
-        "OverloadError",
-        "AdmissionRejected",
-        "SchedulingDeadlineExceeded",
-    )
+    _SIGNALS = ("OverloadError", "SchedulingDeadlineExceeded")
     _ABSORBERS = (
         "repro/resilience/",
         "repro/match/traverser.py",
@@ -848,8 +842,8 @@ class OverloadSignalSwallowRule(LintRule):
                     node,
                     f"except {name}: outside the overload machinery must "
                     "re-raise with a bare `raise`; swallowing it here turns "
-                    "a deliberate admission/deadline verdict into silent "
-                    "job loss",
+                    "a bounded scheduling cycle back into an unbounded "
+                    "one",
                 )
                 break
         self.generic_visit(node)

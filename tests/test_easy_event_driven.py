@@ -33,7 +33,7 @@ from repro import (
 )
 from repro.errors import RecoveryError
 from repro.recovery import RepairEngine
-from repro.recovery.diff import state_diff
+from repro.recovery.diff import state_diff, state_fingerprint
 from repro.recovery.snapshot import restore_simulator, snapshot_state
 from repro.resilience import InvariantAuditor, OverloadConfig
 from repro.resource import ResourceGraph
@@ -113,9 +113,14 @@ def assert_same_outcome(build):
 # ----------------------------------------------------------------------
 NODE = {"type": "node", "with": [{"type": "core", "count": 2}]}
 NEVER_BINDS = dict(max_pending=10**6, cycle_budget=10**9, attempt_budget=10**9)
+#: ``random_scenario``'s default overload: limits that never bind on odd
+#: seeds, none on even ones
+BY_SEED = object()
 
 
-def random_scenario(seed, queue, match_policy="low", calm=False, watch=None):
+def random_scenario(
+    seed, queue, match_policy="low", calm=False, watch=None, overload=BY_SEED
+):
     """Build, drive and drain one seeded scenario under ``queue``.
 
     Everything is drawn from ``seed`` before the run or from job *ids*, never
@@ -126,11 +131,14 @@ def random_scenario(seed, queue, match_policy="low", calm=False, watch=None):
     whatever stands on it, one outage that ends between two submits and one
     cancelled early, a walltime truncation, a grown node, an evacuated
     node, submits that share their instant with another submit or with an
-    END, and (odd seeds) an overload controller whose limits never bind.
-    ``calm`` leaves out what can legitimately push a reserved start later —
-    lost capacity and queue jumping — for the start-time oracles.  ``watch``
-    is called with the simulator before anything is submitted.
+    END, and (odd seeds, unless ``overload`` says otherwise: an
+    ``OverloadConfig`` or None) an overload controller whose limits never
+    bind.  ``calm`` leaves out what can legitimately push a reserved start
+    later — lost capacity and queue jumping — for the start-time oracles.
+    ``watch`` is called with the simulator before anything is submitted.
     """
+    if overload is BY_SEED:
+        overload = OverloadConfig(**NEVER_BINDS) if seed % 2 else None
     rng = random.Random(seed)
     graph = tiny_cluster(3, 4, cores=2, gpus=0, memory_pools=0)
     racks = graph.find(type="rack")
@@ -143,7 +151,7 @@ def random_scenario(seed, queue, match_policy="low", calm=False, watch=None):
             checkpoint_period=100, seed=seed,
             priority_boost=0 if calm else rng.choice([0, 1]),
         ),
-        overload=OverloadConfig(**NEVER_BINDS) if seed % 2 else None,
+        overload=overload,
     )
     if watch is not None:
         watch(sim)
@@ -239,6 +247,24 @@ def test_random_traces_match_reference(seed):
     assert (
         changed.traverser.stats["failed"] < reference.traverser.stats["failed"]
     )
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("queue", ["fcfs", "easy", "conservative"])
+def test_limits_that_never_bind_decide_nothing(queue, seed):
+    """The premise of the ledger's guarded workload: an overload controller
+    whose limits never bind changes no decision, only its own accounting."""
+    guarded = random_scenario(
+        seed, queue, overload=OverloadConfig(**NEVER_BINDS)
+    )
+    bare = random_scenario(seed, queue, overload=None)
+    assert guarded.event_log == bare.event_log
+    assert schedule(guarded) == schedule(bare)
+    with_controller = state_fingerprint(guarded)
+    without = state_fingerprint(bare)
+    assert with_controller.pop("overload")["counters"]["rejected"] == 0
+    assert without.pop("overload") is None
+    assert with_controller == without
 
 
 @pytest.mark.parametrize("build", [node_lod, med_lod, faulty])
@@ -577,7 +603,6 @@ def test_cut_short_refusal_is_not_remembered():
         queue="easy",
         overload=OverloadConfig(
             max_pending=10**6, attempt_budget=2, checkpoint_interval=1,
-            degrade_after=10**6,
         ),
     )
     sim.submit(nodes_jobspec(4, 100), at=0)

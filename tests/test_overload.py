@@ -1,44 +1,46 @@
-"""Overload protection: admission control, deadlines, breakers, ladder.
+"""Overload protection: the bounded queue and the work budget.
 
 The acceptance bar is TestAcceptance: a 10x submission burst on top of a
 steady stream, under a fault storm, with the invariant auditor and FluxSan
-active throughout, must finish with zero violations, every rejected / shed
-/ deferred / degraded job accounted for in the report, the cycle deadline
-never overrun by more than one checkpoint interval — and the whole run must
-be bit-identical when repeated (state fingerprints equal).
+active throughout, must finish with zero violations, every rejected job
+accounted for in the report, the cycle deadline never overrun by more than
+one checkpoint interval — and the whole run must be bit-identical when
+repeated (state fingerprints equal).
 """
+
+import json
+import os
 
 import pytest
 
 from repro.errors import (
-    AdmissionRejected,
     SchedulerError,
     SchedulingDeadlineExceeded,
+    SnapshotError,
 )
 from repro.grug import tiny_cluster
-from repro.jobspec import Jobspec, simple_node_jobspec
-from repro.jobspec.build import (
-    ResourceRequest,
-    pool_jobspec,
-    rack_spread_jobspec,
-    slot,
-)
+from repro.jobspec import simple_node_jobspec
 from repro.recovery import restore_simulator, snapshot_state, state_diff
 from repro.recovery.diff import state_fingerprint
+from repro.recovery.snapshot import load_snapshot
 from repro.resilience import (
-    CircuitBreaker,
-    DegradeLevel,
+    CampaignSpec,
     FaultInjector,
     FaultModel,
     InvariantAuditor,
     OverloadConfig,
-    OverloadController,
     RetryPolicy,
     WorkBudget,
-    coarsen_jobspec,
 )
 from repro.sched import ClusterSimulator
-from repro.sched.job import CancelReason, JobState
+from repro.sched.job import CancelReason
+
+#: a snapshot written by the older overload controller, which also had shed
+#: and defer policies, circuit breakers and a degradation ladder: shed
+#: policy, three sheds, the ladder stepped down to COARSE
+OLD_SNAPSHOT = os.path.join(
+    os.path.dirname(__file__), "golden", "snapshot_shed_ladder.json"
+)
 
 
 def overload_sim(audit=True, queue="easy", **cfg):
@@ -56,8 +58,11 @@ def overload_sim(audit=True, queue="easy", **cfg):
 # ----------------------------------------------------------------------
 class TestConfig:
     def test_unknown_policy_rejected(self):
-        with pytest.raises(SchedulerError, match="unknown admission policy"):
-            OverloadConfig(admission_policy="drop")
+        """The admission policy is a setting the controller no longer has:
+        a config naming one is refused, whatever the policy."""
+        for policy in ("reject", "shed", "drop"):
+            with pytest.raises(SchedulerError, match="admission_policy"):
+                OverloadConfig.from_dict({"admission_policy": policy})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -66,20 +71,40 @@ class TestConfig:
             ("cycle_budget", 0),
             ("attempt_budget", -1),
             ("checkpoint_interval", 0),
+            # settings of the older controller: refused by name
             ("degrade_after", 0),
             ("breaker_window", 0),
         ],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(SchedulerError, match=field):
-            OverloadConfig(**{field: value})
+            OverloadConfig.from_dict({field: value})
 
     def test_dict_round_trip(self):
         cfg = OverloadConfig(
-            max_pending=5, admission_policy="shed", cycle_budget=1000,
-            attempt_budget=100, latency_threshold=80,
+            max_pending=5, cycle_budget=1000, attempt_budget=100,
+            checkpoint_interval=16,
         )
         assert OverloadConfig.from_dict(cfg.to_dict()) == cfg
+        assert sorted(cfg.to_dict()) == [
+            "attempt_budget", "checkpoint_interval", "cycle_budget",
+            "max_pending",
+        ]
+
+    def test_outdated_or_malformed_dict_raises_scheduler_error(self):
+        with pytest.raises(SchedulerError, match="degrade_after"):
+            OverloadConfig.from_dict({"max_pending": 3, "degrade_after": 2})
+        with pytest.raises(SchedulerError, match="mapping"):
+            OverloadConfig.from_dict([["max_pending", 3]])
+        with pytest.raises(SchedulerError, match="max_pending"):
+            OverloadConfig.from_dict({"max_pending": "3"})
+
+    def test_outdated_reproducer_raises_scheduler_error(self):
+        spec = CampaignSpec.from_seed(3).to_dict()
+        assert CampaignSpec.from_dict(spec) == CampaignSpec.from_seed(3)
+        spec["overload"] = dict(spec["overload"], degrade_after=2)
+        with pytest.raises(SchedulerError, match="degrade_after"):
+            CampaignSpec.from_dict(spec)
 
 
 # ----------------------------------------------------------------------
@@ -134,112 +159,13 @@ class TestWorkBudget:
         assert budget.attempts == 3
         assert budget.deadline_attempts == 0
 
-    def test_slow_attempts_counted(self):
-        budget = WorkBudget(
-            attempt_limit=100, checkpoint_interval=200, latency_threshold=10
-        )
-        budget.begin_attempt()
-        budget.charge(50)  # within budget, over the latency threshold
-        budget.begin_attempt()
-        budget.charge(5)
-        budget.finish()
-        assert budget.attempts == 2
-        assert budget.slow_attempts == 1
-
 
 # ----------------------------------------------------------------------
-# circuit breakers (cycle-count clock, no wall time)
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_trips_after_threshold_failures(self):
-        breaker = CircuitBreaker("b", window=4, failure_threshold=2)
-        breaker.record(True, 1)
-        breaker.record(False, 2)
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record(False, 3)
-        assert breaker.is_open
-        assert breaker.trips == 1
-
-    def test_cooldown_half_open_probe_closes(self):
-        breaker = CircuitBreaker(
-            "b", window=4, failure_threshold=1, cooldown=3, probes=2
-        )
-        breaker.record(False, 1)
-        assert breaker.is_open
-        breaker.tick(2)
-        assert breaker.is_open  # still cooling down
-        breaker.tick(4)
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record(True, 4)
-        assert breaker.state == CircuitBreaker.HALF_OPEN  # needs 2 probes
-        breaker.record(True, 5)
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker(
-            "b", window=4, failure_threshold=1, cooldown=2, probes=1
-        )
-        breaker.record(False, 1)
-        breaker.tick(3)
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record(False, 3)
-        assert breaker.is_open
-        assert breaker.trips == 2
-
-    def test_state_round_trips(self):
-        breaker = CircuitBreaker("b", window=4, failure_threshold=3)
-        breaker.record(False, 1)
-        breaker.record(True, 2)
-        clone = CircuitBreaker("b", window=4, failure_threshold=3)
-        clone.import_state(breaker.export_state())
-        assert clone.export_state() == breaker.export_state()
-        # one more failure in each must behave identically
-        breaker.record(False, 3)
-        clone.record(False, 3)
-        assert clone.state == breaker.state
-
-
-# ----------------------------------------------------------------------
-# jobspec coarsening (degraded-match request rewriting)
-# ----------------------------------------------------------------------
-class TestCoarsenJobspec:
-    def test_node_local_request_coarsens_to_whole_nodes(self):
-        coarse = coarsen_jobspec(
-            simple_node_jobspec(cores=4, gpus=1, nodes=2, duration=600)
-        )
-        assert coarse is not None
-        assert coarse.totals()["node"] == 2
-        assert coarse.duration == 600
-        # whole-node exclusive shape: nothing below the node level remains
-        assert {r.type for r in coarse.walk()} <= {"slot", "node"}
-        node = next(r for r in coarse.walk() if r.type == "node")
-        assert node.exclusive is True
-
-    def test_rack_constraint_not_expressible(self):
-        jobspec = rack_spread_jobspec(
-            racks=2, slots_per_rack=1, nodes_per_slot=1, cores_per_node=2
-        )
-        assert coarsen_jobspec(jobspec) is None
-
-    def test_no_node_total_not_expressible(self):
-        jobspec = pool_jobspec("memory", 8)
-        assert coarsen_jobspec(jobspec) is None
-
-    def test_property_predicate_not_expressible(self):
-        node = ResourceRequest(
-            type="node",
-            requires="vendor=amd",
-            with_=(slot(1, ResourceRequest(type="core", count=2)),),
-        )
-        assert coarsen_jobspec(Jobspec(resources=(node,))) is None
-
-
-# ----------------------------------------------------------------------
-# admission control through the simulator
+# the queue bound through the simulator
 # ----------------------------------------------------------------------
 class TestAdmission:
     def test_reject_over_bound(self):
-        sim = overload_sim(max_pending=2, admission_policy="reject")
+        sim = overload_sim(max_pending=2)
         # 4-core nodes: these each occupy a full node; 8 jobs >> 4 nodes
         for _ in range(8):
             sim.submit(simple_node_jobspec(cores=4, duration=500), at=10)
@@ -253,79 +179,17 @@ class TestAdmission:
         )
         assert "overload:" in report.summary()
 
-    def test_shed_evicts_lowest_priority(self):
-        sim = overload_sim(max_pending=1, admission_policy="shed")
-        for i in range(8):
-            sim.submit(
-                simple_node_jobspec(cores=4, duration=500),
-                at=10,
-                priority=i,  # ascending: every wave outranks the queue
-            )
-        report = sim.run()
-        shed = report.admission_shed
-        assert report.overload_shed == len(shed) > 0
-        assert all(j.cancel_reason is CancelReason.SHED for j in shed)
-        # the highest-priority submission must never be the victim
-        assert max(j.priority for j in report.jobs) not in {
-            j.priority for j in shed
-        }
-
-    def test_shed_new_job_when_nothing_outranked(self):
-        sim = overload_sim(max_pending=1, admission_policy="shed")
-        for i in range(8):
-            sim.submit(
-                simple_node_jobspec(cores=4, duration=500),
-                at=10,
-                priority=8 - i,  # descending: the new job is the weakest
-            )
-        report = sim.run()
-        shed = report.admission_shed
-        assert report.overload_shed == len(shed) > 0
-        # descending priorities: an arriving job never outranks the queue,
-        # so pressure sheds the newcomer itself, never an already-queued
-        # higher-priority job — the strongest submission always survives
-        strongest = max(report.jobs, key=lambda j: j.priority)
-        assert strongest.cancel_reason is not CancelReason.SHED
-        assert min(j.priority for j in shed) <= min(
-            j.priority for j in report.completed
-        )
-
-    def test_defer_parks_then_promotes(self):
-        sim = overload_sim(max_pending=2, admission_policy="defer")
-        for _ in range(8):
-            sim.submit(simple_node_jobspec(cores=4, duration=100), at=10)
-        report = sim.run()
-        assert report.overload_deferred > 0
-        assert report.overload_promoted == report.overload_deferred
-        assert report.overload_still_deferred == 0
-        # nothing is lost under defer: every job eventually runs
-        assert len(report.completed) == 8
-        assert "resumed" in report.summary()
-
-    def test_check_admission_raises_for_service_callers(self):
-        sim = overload_sim(max_pending=1, admission_policy="reject")
-        for _ in range(4):
-            sim.submit(simple_node_jobspec(cores=4, duration=500), at=10)
-        while sim.step():
-            if sim.now >= 10:
-                break
-        with pytest.raises(AdmissionRejected) as info:
-            sim.overload.check_admission()
-        assert info.value.policy == "reject"
-        assert info.value.depth >= 1
-
     def test_no_bound_admits_everything(self):
         sim = overload_sim(max_pending=None)
         for _ in range(6):
             sim.submit(simple_node_jobspec(cores=2, duration=100), at=5)
         report = sim.run()
         assert report.overload_rejected == 0
-        assert report.overload_shed == 0
         assert len(report.completed) == 6
 
 
 # ----------------------------------------------------------------------
-# deadlines + degradation ladder through the simulator
+# deadlines through the simulator
 # ----------------------------------------------------------------------
 class TestDeadlinesAndLadder:
     def test_tight_cycle_budget_cuts_cycles_with_bounded_overrun(self):
@@ -349,65 +213,6 @@ class TestDeadlinesAndLadder:
         report = sim.run()
         assert report.deadline_attempts > 0
 
-    def test_sustained_pressure_degrades_and_recovers(self):
-        sim = overload_sim(
-            cycle_budget=6,
-            checkpoint_interval=2,
-            degrade_after=1,
-            recover_after=2,
-        )
-        for i in range(10):
-            sim.submit(simple_node_jobspec(cores=2, duration=120), at=i * 3)
-        report = sim.run()
-        transitions = [
-            entry for entry in sim.event_log if entry[1] == "overload"
-        ]
-        assert transitions, "ladder never moved under sustained pressure"
-        assert any("full->coarse" in t[2] for t in transitions)
-        # pressure ends with the workload: the ladder must have stepped back
-        assert sim.overload.level is DegradeLevel.FULL
-        assert report.overload_level == "FULL"
-
-    def test_degraded_matches_are_whole_node_and_flagged(self):
-        sim = overload_sim(
-            cycle_budget=6,
-            checkpoint_interval=2,
-            degrade_after=1,
-            recover_after=50,  # stay degraded for the whole run
-        )
-        for i in range(10):
-            sim.submit(simple_node_jobspec(cores=2, duration=120), at=i * 3)
-        report = sim.run()
-        degraded = report.degraded
-        assert degraded, "no job was matched on the degraded path"
-        assert report.degraded_matches >= len(degraded)
-        for job in degraded:
-            assert job.degraded in ("COARSE", "NODECENTRIC")
-        InvariantAuditor(deep=True).check(sim)
-
-    def test_open_queue_breaker_floors_the_ladder(self):
-        sim = overload_sim(cycle_budget=1000)
-        controller = sim.overload
-        assert controller.effective_level() is DegradeLevel.FULL
-        controller._queue_breaker._trip(1)
-        assert controller.effective_level() is DegradeLevel.COARSE
-        controller._match_breaker._trip(1)
-        assert controller.effective_level() is DegradeLevel.NODECENTRIC
-
-    def test_breaker_trips_surface_in_report(self):
-        sim = overload_sim(
-            cycle_budget=5,
-            checkpoint_interval=2,
-            breaker_window=4,
-            breaker_failure_threshold=2,
-            breaker_cooldown=2,
-        )
-        for i in range(14):
-            sim.submit(simple_node_jobspec(cores=2, duration=200), at=i * 4)
-        report = sim.run()
-        assert report.breaker_trips > 0
-        assert "breaker trips" in report.summary()
-
 
 # ----------------------------------------------------------------------
 # snapshot round-trip of controller state
@@ -416,16 +221,15 @@ class TestOverloadSnapshot:
     def test_mid_run_round_trip_preserves_overload_state(self):
         sim = overload_sim(
             max_pending=2,
-            admission_policy="defer",
             cycle_budget=30,
             checkpoint_interval=8,
-            degrade_after=1,
         )
         for i in range(10):
             sim.submit(simple_node_jobspec(cores=4, duration=300), at=i * 5)
         for _ in range(25):
-            if not sim.step():
+            if sim.step() is None:
                 break
+        assert sim.overload.counters["rejected"] > 0
         restored = restore_simulator(snapshot_state(sim))
         assert state_diff(sim, restored) == []
         assert restored.overload.export_state() == sim.overload.export_state()
@@ -433,6 +237,29 @@ class TestOverloadSnapshot:
         sim.run()
         restored.run()
         assert state_diff(sim, restored) == []
+
+    def test_snapshot_of_the_replaced_controller_is_refused(self):
+        doc = load_snapshot(OLD_SNAPSHOT)
+        assert doc["overload"]["state"]["level"] == "COARSE"
+        with pytest.raises(SnapshotError, match="admission_policy") as info:
+            restore_simulator(doc)
+        assert "'overload'" in str(info.value)
+
+    def test_state_keys_of_the_replaced_controller_are_refused(self):
+        sim = overload_sim(max_pending=2)
+        doc = json.loads(json.dumps(snapshot_state(sim)))
+        for key in ("level", "breakers", "deferred", "consecutive_bad"):
+            stale = json.loads(json.dumps(doc))
+            stale["overload"]["state"][key] = 0
+            with pytest.raises(SnapshotError, match=key):
+                restore_simulator(stale)
+        stale = json.loads(json.dumps(doc))
+        stale["overload"]["state"]["counters"]["shed"] = 1
+        with pytest.raises(SnapshotError, match="shed"):
+            restore_simulator(stale)
+        del doc["overload"]["state"]
+        with pytest.raises(SnapshotError, match="'overload'"):
+            restore_simulator(doc)
 
 
 # ----------------------------------------------------------------------
@@ -466,12 +293,9 @@ def acceptance_sim():
         sanitize=True,
         overload=OverloadConfig(
             max_pending=4,
-            admission_policy="shed",
             cycle_budget=600,
             attempt_budget=200,
             checkpoint_interval=32,
-            degrade_after=2,
-            recover_after=3,
         ),
     )
     burst_workload(sim)
@@ -490,29 +314,21 @@ class TestAcceptance:
         finally:
             sim.fluxsan.deactivate()
 
-        # every job is accounted for: terminal, still active, or parked
-        total = len(report.jobs)
+        # every job is accounted for: terminal or still active
         originals = [j for j in report.jobs if not j.attempt]
         assert len(originals) == 40  # retries add failure resubmissions
-        terminal = [j for j in report.jobs if not j.is_active]
-        parked = report.overload_still_deferred
-        assert len(terminal) + parked + len(
-            [j for j in report.jobs if j.is_active]
-        ) == total
+        assert not [j for j in report.jobs if j.is_active]
 
         # overload accounting reconciles with per-job cancel reasons
         assert report.overload_rejected == len(report.admission_rejected)
-        assert report.overload_shed == len(report.admission_shed)
-        assert report.overload_shed > 0  # the burst actually shed work
-        assert report.degraded_matches >= len(report.degraded)
+        assert report.overload_rejected > 0  # the burst went over the bound
 
         # the cycle deadline was never overrun by more than one interval
         assert report.max_cycle_overrun <= 32
 
-        # and the summary surfaces all of it
+        # and the summary surfaces it
         summary = report.summary()
-        assert "overload:" in summary
-        assert "shed" in summary and "degraded" in summary
+        assert "overload:" in summary and "rejected" in summary
 
     def test_campaign_is_deterministic(self):
         fingerprints = []

@@ -461,12 +461,11 @@ def test_crash_equivalence(tmp_path, point, seed):
 
 
 def overload_chaos_sim(seed, recovery_dir=None):
-    """chaos_sim plus admission pressure: tight queue bound, shed policy.
+    """chaos_sim plus admission pressure: a queue bound of one.
 
-    The same-tick burst with ascending priorities forces the shed path (each
-    wave evicts the weakest queued job), so every ``admit.*`` crash point —
-    including the mid-shed cut between victim cancellation and the
-    admission completing — is actually reached.
+    The same-tick burst takes the queue over its bound again and again, so
+    both ``admit.*`` crash points — before the rejection is journaled and
+    after the job is canceled — are actually reached.
     """
     graph = tiny_cluster()
     sim = ClusterSimulator(
@@ -479,7 +478,6 @@ def overload_chaos_sim(seed, recovery_dir=None):
         audit=InvariantAuditor(deep=True),
         overload=OverloadConfig(
             max_pending=1,
-            admission_policy="shed",
             cycle_budget=400,
             attempt_budget=200,
             checkpoint_interval=16,
@@ -533,7 +531,8 @@ def test_overload_crash_equivalence(tmp_path, point, seed):
     InvariantAuditor(deep=True).check(recovered)
     report = recovered.report()
     assert report.overload_enabled
-    assert report.overload_shed > 0
+    assert report.overload_rejected > 0
+    assert report.overload_rejected == len(report.admission_rejected)
 
 
 class TestRecoveryPath:
@@ -815,7 +814,7 @@ class TestSnapshotSalvage:
 # snapshot idempotence property (satellite: snapshot -> restore -> snapshot)
 # ----------------------------------------------------------------------
 def enriched_sim(seed):
-    """Randomized workload carrying overload, quarantine and degraded state."""
+    """Randomized workload carrying overload and quarantine state."""
     import random as _random
 
     rng = _random.Random(seed)
@@ -826,10 +825,8 @@ def enriched_sim(seed):
         retry_policy=RetryPolicy(max_retries=2, jitter=0.3, seed=seed),
         overload=OverloadConfig(
             max_pending=3,
-            admission_policy="defer",
             cycle_budget=300,
             attempt_budget=120,
-            degrade_after=1,
             checkpoint_interval=16,
         ),
         integrity=IntegrityConfig(scrub_window=None, auto_repair=False),

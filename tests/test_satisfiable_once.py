@@ -32,11 +32,10 @@ from repro.jobspec import (
     simple_node_jobspec,
     slot,
 )
+from repro.match.policy import make_policy
 from repro.obs import Observer
 from repro.recovery import IntegrityConfig, apply_corruption
 from repro.recovery.snapshot import restore_simulator, snapshot_state
-from repro.resilience import OverloadConfig
-from repro.resilience.overload import DegradeLevel
 from repro.resource import ResourceGraph, coarsen_pools, refine_pool
 from repro.resource.jgf import from_jgf, to_jgf
 from repro.sched import CancelReason
@@ -337,29 +336,15 @@ def test_a_shape_with_requires_follows_an_in_place_properties_edit():
     assert not traverser.satisfiable(spec)
 
 
-def test_policy_swap_around_a_degraded_match_starts_from_an_empty_memo(
-    monkeypatch,
-):
-    sim = ClusterSimulator(
-        small(), "low", overload=OverloadConfig(max_pending=10**6)
-    )
-    traverser, spec = sim.traverser, nodes_jobspec(2, 60)
+def test_policy_swap_starts_from_an_empty_memo():
+    traverser, spec = Traverser(small(), "low"), nodes_jobspec(2, 60)
     assert traverser.satisfiable(spec) and traverser.satisfiable(spec)
     assert hits(traverser) == 1
-    asked = []
-    allocate = traverser.allocate
-
-    def asking(jobspec, at=0):
-        asked.append(
-            (traverser.policy.name, traverser.satisfiable(jobspec),
-             hits(traverser))
-        )
-        return allocate(jobspec, at=at)
-
-    monkeypatch.setattr(traverser, "allocate", asking)
-    sim.overload._degraded_allocate(traverser, spec, DegradeLevel.NODECENTRIC)
-    assert asked == [("first", True, 1)]  # walked under the swapped policy
-    assert traverser.policy.name == "low"
+    low = traverser.policy
+    traverser.policy = make_policy("first")
+    # walked under the swapped policy
+    assert traverser.satisfiable(spec) and hits(traverser) == 1
+    traverser.policy = low
     assert traverser.satisfiable(spec) and hits(traverser) == 1  # and again
     assert traverser.satisfiable(spec) and hits(traverser) == 2
 

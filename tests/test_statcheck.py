@@ -658,12 +658,12 @@ class TestOVL001:
         assert (v.rule, v.line) == ("OVL001", 4)
         assert "re-raise" in v.message
 
-    def test_admission_and_base_flagged(self):
+    def test_deadline_return_and_base_flagged(self):
         src = (
             "def f():\n"
             "    try:\n"
             "        g()\n"
-            "    except AdmissionRejected:\n"
+            "    except SchedulingDeadlineExceeded:\n"
             "        return None\n"
             "    try:\n"
             "        g()\n"
@@ -698,6 +698,7 @@ class TestOVL001:
             "src/repro/resilience/overload.py",
             "src/repro/match/traverser.py",
             "src/repro/sched/simulator.py",
+            "src/repro/recovery/integrity.py",
         ):
             assert rules_hit(src, path, select=["OVL001"]) == []
 

@@ -140,7 +140,7 @@ class TestDecisionRecorder:
         NULL_WHY.fail("count")
         NULL_WHY.end_attempt("failed")
         NULL_WHY.skipped(1, 0.0, "backfill")
-        NULL_WHY.event(1, 0.0, "shed")
+        NULL_WHY.event(1, 0.0, "admission-reject")
         assert NULL_WHY.mark() == 0
         assert NULL_WHY.export() == {}
 
@@ -228,7 +228,7 @@ class TestExplainScenarios:
             cluster64(),
             queue="fcfs",
             observe=True,
-            overload=OverloadConfig(max_pending=1, admission_policy="reject"),
+            overload=OverloadConfig(max_pending=1),
         )
         jobs = [
             sim.submit(nodes_jobspec(64, duration=1000), at=i)
@@ -236,33 +236,8 @@ class TestExplainScenarios:
         ]
         report = sim.run()
         text = report.explain(jobs[-1].job_id)
-        assert "admission-reject" in text and "policy=reject" in text
+        assert "admission-reject (bound=1, depth=2" in text
         assert "canceled (admission-reject)" in text
-
-    def test_degraded_mode_match(self):
-        # cycle_budget=75 is the 64-node sweet spot: FULL-detail cycles
-        # blow the budget (the DFS walks all 73 vertices) while the
-        # coarse whole-node rewrite fits, so the ladder descends and the
-        # degraded attempt lands.
-        sim = ClusterSimulator(
-            cluster64(),
-            match_policy="first",
-            queue="easy",
-            observe=True,
-            overload=OverloadConfig(
-                cycle_budget=75,
-                checkpoint_interval=2,
-                degrade_after=1,
-                recover_after=50,
-            ),
-        )
-        for i in range(10):
-            sim.submit(simple_node_jobspec(cores=2, duration=120), at=i * 3)
-        report = sim.run()
-        assert report.degraded, "expected at least one degraded match"
-        text = report.explain(report.degraded[0].job_id)
-        assert "degraded_coarse -> matched level=COARSE" in text
-        assert "[degraded=COARSE]" in text
 
     def test_summary_mentions_provenance(self):
         sim = ClusterSimulator(cluster64(), queue="fcfs", observe=True)
