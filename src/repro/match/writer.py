@@ -8,13 +8,17 @@ underlying resource manager uses to contain, bind and execute the job.  The
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Container, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from ..errors import RecoveryError
 from ..resource import ResourceGraph, ResourceVertex
 from ..resource.vertex import PLANNER_KINDS
 
-__all__ = ["Selection", "Allocation", "planner_owner_index"]
+__all__ = [
+    "Selection", "Allocation", "exclusive_conflicts", "planner_owner_index",
+]
 
 
 def planner_owner_index(graph: ResourceGraph) -> Dict[int, Tuple[str, str]]:
@@ -343,3 +347,61 @@ class Allocation:
         body = ",".join(f"{t}:{n}" for t, n in sorted(by_type.items()))
         flag = " reserved" if self.reserved else ""
         return f"t=[{self.at},{self.end}){flag} {{{body}}}"
+
+
+#: one selection of one allocation, as :func:`exclusive_conflicts` names it:
+#: ``(selection, owner, allocation)``
+Hold = Tuple[Selection, object, Allocation]
+
+
+def exclusive_conflicts(
+    graph: ResourceGraph,
+    subsystem: str,
+    holds: Iterable[Tuple[object, Allocation]],
+    fresh: Optional[Container[int]] = None,
+) -> Iterator[Tuple[Hold, Hold]]:
+    """Exclusivity conflicts among ``(owner, allocation)`` pairs.
+
+    Yields ``(hold, use)``: an exclusive hold of one owner and a use by
+    another owner in an overlapping window, either of the hold's own vertex
+    or of a vertex below it in ``subsystem`` (nothing of another owner lives
+    inside an exclusive subtree).  ``fresh`` names the allocation ids a
+    conflict must involve — one that was not there at a previous check
+    needs one; None is every pair.  The auditor (owner = job id) and FluxSan
+    (owner = allocation id) both ask this.
+    """
+    if fresh is not None and not fresh:
+        return
+    ancestry = graph.ancestry
+    # one entry per selection; the exclusive ones indexed by vertex — all
+    # of them, and those of a fresh allocation, which is all an older
+    # selection is held to
+    entries: List[Tuple[Selection, object, Allocation, bool]] = []
+    held: Dict[int, List[int]] = {}
+    held_fresh: Dict[int, List[int]] = {}
+    for owner, alloc in holds:
+        is_fresh = fresh is None or alloc.alloc_id in fresh
+        for sel in alloc.selections:
+            if sel.exclusive:
+                uid = sel.vertex.uniq_id
+                held.setdefault(uid, []).append(len(entries))
+                if is_fresh:
+                    held_fresh.setdefault(uid, []).append(len(entries))
+            entries.append((sel, owner, alloc, is_fresh))
+    for k, (sel_k, owner_k, alloc_k, fresh_k) in enumerate(entries):
+        holders = held if fresh_k else held_fresh
+        # same vertex: an exclusive hold vs. any overlapping use
+        for i in holders.get(sel_k.vertex.uniq_id, ()):
+            sel_i, owner_i, alloc_i, _ = entries[i]
+            if i != k and owner_i != owner_k and _overlap(alloc_i, alloc_k):
+                yield (sel_i, owner_i, alloc_i), (sel_k, owner_k, alloc_k)
+        # subtree: nothing of another owner below an exclusive hold
+        for above in ancestry(sel_k.vertex, subsystem)[1]:
+            for i in holders.get(above, ()):
+                sel_i, owner_i, alloc_i, _ = entries[i]
+                if owner_i != owner_k and _overlap(alloc_i, alloc_k):
+                    yield (sel_i, owner_i, alloc_i), (sel_k, owner_k, alloc_k)
+
+
+def _overlap(a: Allocation, b: Allocation) -> bool:
+    return a.at < b.end and b.at < a.end

@@ -39,9 +39,10 @@ demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from ..errors import FluxionError
+from ..match.writer import exclusive_conflicts
 from ..recovery.integrity import ExpectedState, IntegrityConfig, expected_state
 from ..sched.job import JobState
 
@@ -294,58 +295,30 @@ class InvariantAuditor:
         the traverser's subsystem.  ``entered`` narrows it to the pairs an
         allocation in it takes part in (a conflict that was not there at
         the previous audit needs one); None is every pair."""
-        if entered is not None and not entered:
-            return
-        subsystem = sim.traverser.subsystem
-        ancestry = sim.graph.ancestry
-        # entries: one per live selection of an active job; the exclusive
-        # ones indexed by vertex — all of them, and those of an entered
-        # allocation, which is all an older selection is held to
-        entries: List[Tuple[object, int, object, bool]] = []
-        held: Dict[int, List[int]] = {}
-        held_entered: Dict[int, List[int]] = {}
-        for job in active:
-            for alloc in job.allocations:
-                fresh = entered is None or alloc.alloc_id in entered
-                for sel in alloc.selections:
-                    if sel.exclusive:
-                        uid = sel.vertex.uniq_id
-                        held.setdefault(uid, []).append(len(entries))
-                        if fresh:
-                            held_entered.setdefault(uid, []).append(len(entries))
-                    entries.append((sel, job.job_id, alloc, fresh))
-        for k, (sel_k, job_k, alloc_k, fresh) in enumerate(entries):
-            holders = held if fresh else held_entered
-            vertex_k = sel_k.vertex
-            # same vertex: an exclusive hold vs. any overlapping use
-            for i in holders.get(vertex_k.uniq_id, ()):
-                _, job_i, alloc_i, _ = entries[i]
-                if i != k and job_i != job_k and _overlap(alloc_i, alloc_k):
-                    out.append(
-                        Violation(
-                            "exclusivity",
-                            vertex_k.name,
-                            f"exclusive hold by job {job_i} over "
-                            f"[{alloc_i.at},{alloc_i.end})",
-                            f"job {job_k} also holds it over "
-                            f"[{alloc_k.at},{alloc_k.end})",
-                        )
-                    )
-            # subtree: nothing of another job below an exclusive hold
-            for above in ancestry(vertex_k, subsystem)[1]:
-                for i in holders.get(above, ()):
-                    sel_i, job_i, alloc_i, _ = entries[i]
-                    if job_i != job_k and _overlap(alloc_i, alloc_k):
-                        out.append(
-                            Violation(
-                                "exclusivity",
-                                vertex_k.name,
-                                f"free: inside job {job_i}'s exclusive "
-                                f"{sel_i.vertex.name} subtree",
-                                f"held by job {job_k} over "
-                                f"[{alloc_k.at},{alloc_k.end})",
-                            )
-                        )
+        holds = ((job.job_id, alloc) for job in active for alloc in job.allocations)
+        for (sel_i, job_i, alloc_i), (sel_k, job_k, alloc_k) in exclusive_conflicts(
+            sim.graph, sim.traverser.subsystem, holds, entered
+        ):
+            if sel_i.vertex is sel_k.vertex:
+                expected = (
+                    f"exclusive hold by job {job_i} over "
+                    f"[{alloc_i.at},{alloc_i.end})"
+                )
+                actual = f"job {job_k} also holds it over "
+            else:
+                expected = (
+                    f"free: inside job {job_i}'s exclusive "
+                    f"{sel_i.vertex.name} subtree"
+                )
+                actual = f"held by job {job_k} over "
+            out.append(
+                Violation(
+                    "exclusivity",
+                    sel_k.vertex.name,
+                    expected,
+                    actual + f"[{alloc_k.at},{alloc_k.end})",
+                )
+            )
 
     def _check_job_states(
         self, sim: "ClusterSimulator", jobs: List["Job"], out: List[Violation]
@@ -451,7 +424,3 @@ class InvariantAuditor:
                             f"[{alloc.at},{alloc.end})",
                         )
                     )
-
-
-def _overlap(a: object, b: object) -> bool:
-    return a.at < b.end and b.at < a.end

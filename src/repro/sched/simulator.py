@@ -298,7 +298,7 @@ class ClusterSimulator:
         Pass ``True`` for a default auditor or an auditor instance.
     sanitize:
         Activate the :class:`~repro.statcheck.FluxSan` runtime sanitizer for
-        this simulator's lifetime (span double-free, exclusive-overlap and
+        this simulator's lifetime (span double-free, exclusivity and
         SDFU-divergence checks).  Also enabled globally by setting the
         ``FLUXSAN=1`` environment variable.
     observe:

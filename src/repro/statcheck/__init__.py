@@ -23,8 +23,9 @@ checks them mechanically:
 * :mod:`repro.statcheck.sanitizer` — **FluxSan**, an opt-in runtime
   sanitizer (``FLUXSAN=1`` or ``ClusterSimulator(..., sanitize=True)``)
   that wraps the Planner/PlannerMulti/graph/traverser hot paths with
-  checking proxies: span double-free, overlapping exclusive holds, SDFU
-  divergence from ground truth, and a dual-run nondeterminism detector.
+  checking proxies: span double-free, the auditor's exclusivity rule per
+  booking, SDFU divergence from the one independent reference, and a
+  dual-run nondeterminism detector.
 
 See ``docs/static_analysis.md`` for the rule catalogue and suppression
 policy.

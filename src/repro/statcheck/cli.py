@@ -109,9 +109,9 @@ def _list_rules(out: Callable[[str], None]) -> int:
             out(f"  {rule_id}  {rule_cls.summary}")
         out("")
     out("FluxSan runtime sanitizer (--dual-run PRESET / FLUXSAN=1):")
-    out("  span double-free, exclusive-overlap, SDFU divergence, graph")
-    out("  status sanity, dual-run nondeterminism (runtime checks; no")
-    out("  static rule ids)")
+    out("  span double-free, exclusivity, SDFU divergence, graph status")
+    out("  sanity, dual-run nondeterminism (runtime checks; no static")
+    out("  rule ids)")
     return 0
 
 

@@ -1,38 +1,24 @@
 """FluxSan: opt-in runtime sanitizer for span-safety and determinism.
 
-FluxSan wraps the Planner/PlannerMulti/graph/traverser hot paths with
-checking proxies while at least one :class:`FluxSan` instance is active
-(``with FluxSan() as san:``, or for a whole simulation
-``ClusterSimulator(..., sanitize=True)`` / environment ``FLUXSAN=1``).
-Four checks, all raising :class:`~repro.errors.SanitizerError` with a
-usable report:
+While at least one :class:`FluxSan` is active (``with FluxSan():``,
+``ClusterSimulator(..., sanitize=True)`` or ``FLUXSAN=1``), refcounted
+class-level proxies on the planners, the graph and the traverser check
+what no other guard sees, raising :class:`~repro.errors.SanitizerError`:
 
-* **span double-free** — releasing a planner span twice.  The error names
-  the span, the planner, and the call site of the *first* free, which is
-  the information a plain :class:`SpanNotFoundError` cannot give.
-* **overlapping exclusive holds** — two live allocations touching the same
-  vertex in overlapping windows while either holds it exclusively.  The
-  planners' X_LIMIT accounting makes this impossible through the normal
-  booking path, so seeing it means state was corrupted (typically by a
-  recovery-rewiring or manual ``install_allocation`` bug).
-* **SDFU divergence** — after every booking, the pruning-filter spans the
-  traverser actually wrote are compared against an independent recompute of
-  the Scheduler-Driven Filter Update from the allocation's selections
-  (explicit amounts plus exclusive-subtree extras, §3.4).
-* **graph status sanity** — draining an already-down vertex or resuming an
-  already-up one indicates a lost guard in the failure/repair path.
+* **span double-free** — the error names the call site of the *first*
+  free, which a plain :class:`SpanNotFoundError` cannot give;
+* **SDFU divergence** — every booking's filter spans against
+  :func:`reference_sdfu_charges`, the tree's one independent recompute of
+  §3.4.  The auditor cannot see a wrong charge: its expected table comes
+  from the same :func:`~repro.match.traverser.sdfu_charges` that booked;
+* **double drain / resume** — a lost guard in the failure/repair path;
+* **exclusivity**, at the call that broke it — the auditor's rule
+  (:func:`~repro.match.writer.exclusive_conflicts`), allocations as owners.
 
-Determinism is checked by :func:`dual_run`: build the same simulation
-twice from a zero-argument factory, step both in lockstep, and diff
-:func:`~repro.recovery.state_fingerprint` after every event.  Any
-divergence — a wall-clock read, unseeded RNG, or iteration-order leak —
-surfaces as a named fingerprint path at the first event it poisons.
-
-Proxies are installed by class-level patching with activation
-refcounting: nested/overlapping FluxSan activations compose, and the
-original methods are restored when the last instance deactivates.  The
-overhead is deliberately unbounded (ground-truth recomputes); FluxSan is
-a debugging and CI tool, not a production mode.
+:func:`dual_run` steps two builds of one simulation in lockstep and diffs
+:func:`~repro.recovery.state_fingerprint` after every event, so a
+wall-clock read, unseeded RNG or iteration-order leak surfaces at the
+first event it poisons.  FluxSan is a debugging and CI tool.
 """
 
 from __future__ import annotations
@@ -42,20 +28,23 @@ from __future__ import annotations
 # MetricsRegistry would make the sanitizer depend on the layer it audits.
 # fluxlint: disable-file=OBS001
 
+import sys
 import threading
-import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SanitizerError
 from ..match.traverser import Traverser
-from ..match.writer import Allocation
+from ..match.writer import Allocation, Selection, exclusive_conflicts
 from ..planner.multi import PlannerMulti
 from ..planner.planner import Planner
 from ..resource.graph import ResourceGraph
 from ..resource.vertex import ResourceVertex
 
-__all__ = ["FluxSan", "DualRunReport", "dual_run"]
+__all__ = [
+    "FluxSan", "DualRunReport", "dual_run",
+    "reference_exclusive_tops", "reference_sdfu_charges",
+]
 
 #: per-planner cap on remembered freed-span sites (oldest evicted first)
 _FREED_SITE_LIMIT = 1024
@@ -70,21 +59,18 @@ _SAN_LOCK = threading.Lock()
 
 def _call_site() -> str:
     """Innermost stack frame outside the sanitizer and planner internals."""
-    for frame in reversed(traceback.extract_stack()):
-        filename = frame.filename.replace("\\", "/")
-        if any(fragment in filename for fragment in _SKIP_SITE_FRAGMENTS):
-            continue
-        return f"{frame.filename}:{frame.lineno} in {frame.name}"
+    frame = sys._getframe(1)
+    while frame is not None:
+        code = frame.f_code
+        filename = code.co_filename.replace("\\", "/")
+        if not any(fragment in filename for fragment in _SKIP_SITE_FRAGMENTS):
+            return f"{code.co_filename}:{frame.f_lineno} in {code.co_name}"
+        frame = frame.f_back
     return "<unknown>"
 
 
 class FluxSan:
     """Activatable bundle of runtime invariant checks.
-
-    Parameters
-    ----------
-    check_double_free / check_exclusive / check_sdfu / check_status:
-        Toggle individual checks (all on by default).
 
     Use as a context manager, or call :meth:`activate` / :meth:`deactivate`
     explicitly.  :attr:`stats` counts checks performed; :meth:`report`
@@ -94,26 +80,13 @@ class FluxSan:
     _active: List["FluxSan"] = []  # guarded-by: _SAN_LOCK
     _originals: Dict[Tuple[type, str], Callable] = {}  # guarded-by: _SAN_LOCK
 
-    def __init__(
-        self,
-        check_double_free: bool = True,
-        check_exclusive: bool = True,
-        check_sdfu: bool = True,
-        check_status: bool = True,
-    ) -> None:
-        self.check_double_free = check_double_free
-        self.check_exclusive = check_exclusive
-        self.check_sdfu = check_sdfu
-        self.check_status = check_status
+    def __init__(self) -> None:
         #: id(planner) -> {span_id: call site of the free}
         self._freed: Dict[int, Dict[int, str]] = {}
-        self.stats: Dict[str, int] = {
-            "frees_tracked": 0,
-            "double_frees": 0,
-            "exclusive_checks": 0,
-            "sdfu_checks": 0,
-            "status_checks": 0,
-        }
+        self.stats: Dict[str, int] = dict.fromkeys((
+            "frees_tracked", "double_frees", "exclusive_checks",
+            "sdfu_checks", "status_checks",
+        ), 0)
 
     # ------------------------------------------------------------------
     # activation / patching
@@ -151,7 +124,7 @@ class FluxSan:
         return (
             "FluxSan: "
             f"{self.stats['frees_tracked']} frees tracked, "
-            f"{self.stats['exclusive_checks']} exclusive-overlap checks, "
+            f"{self.stats['exclusive_checks']} exclusivity checks, "
             f"{self.stats['sdfu_checks']} SDFU ground-truth checks, "
             f"{self.stats['status_checks']} status checks, "
             f"{self.stats['double_frees']} double-frees caught"
@@ -161,10 +134,7 @@ class FluxSan:
     # span double-free
     # ------------------------------------------------------------------
     def _pre_rem_span(self, planner: object, span_id: int) -> None:
-        if not self.check_double_free:
-            return
-        has = planner.has_span(span_id)
-        if has:
+        if planner.has_span(span_id):
             return
         site = self._freed.get(id(planner), {}).get(span_id)
         if site is not None:
@@ -175,8 +145,6 @@ class FluxSan:
             )
 
     def _post_rem_span(self, planner: object, span_id: int) -> None:
-        if not self.check_double_free:
-            return
         sites = self._freed.setdefault(id(planner), {})
         if len(sites) >= _FREED_SITE_LIMIT:
             sites.pop(next(iter(sites)))
@@ -189,51 +157,36 @@ class FluxSan:
         self._freed.get(id(planner), {}).pop(span_id, None)
 
     # ------------------------------------------------------------------
-    # allocation checks (exclusive overlap + SDFU ground truth)
+    # allocation checks (exclusivity + SDFU ground truth)
     # ------------------------------------------------------------------
-    def _check_allocation(
-        self, traverser: Traverser, alloc: Allocation, booked: bool
-    ) -> None:
-        if self.check_exclusive:
-            self._check_exclusive_overlap(traverser, alloc)
-        if self.check_sdfu and booked:
-            self._check_sdfu(traverser, alloc)
-
-    def _check_exclusive_overlap(
-        self, traverser: Traverser, alloc: Allocation
-    ) -> None:
+    def _check_exclusive(self, traverser: Traverser, alloc: Allocation) -> None:
+        """The auditor's exclusivity rule, on the one allocation just booked
+        or installed, with allocations as owners: the first conflict raises."""
         self.stats["exclusive_checks"] += 1
-        mine: Dict[int, Any] = {}
-        for sel in alloc.selections:
-            if not sel.passthrough:
-                mine[sel.vertex.uniq_id] = sel
-        for other in traverser.allocations.values():
-            if other.alloc_id == alloc.alloc_id:
-                continue
-            if not (alloc.at < other.end and other.at < alloc.end):
-                continue
-            for osel in other.selections:
-                sel = mine.get(osel.vertex.uniq_id)
-                if sel is None:
-                    continue
-                if sel.exclusive or (osel.exclusive and not osel.passthrough):
-                    raise SanitizerError(
-                        "overlapping allocations on exclusively-held vertex "
-                        f"{sel.vertex.name!r}: allocation {alloc.alloc_id} "
-                        f"[{alloc.at},{alloc.end}) vs allocation "
-                        f"{other.alloc_id} [{other.at},{other.end}) "
-                        f"(exclusive={sel.exclusive}/{osel.exclusive}); "
-                        "planner X-accounting was bypassed or corrupted"
-                    )
+        holds = ((a.alloc_id, a) for a in traverser.allocations.values())
+        for (sel_i, aid_i, alloc_i), (sel_k, aid_k, alloc_k) in exclusive_conflicts(
+            traverser.graph, traverser.subsystem, holds, (alloc.alloc_id,)
+        ):
+            top, used = sel_i.vertex.name, sel_k.vertex.name
+            inside = sel_i.vertex is not sel_k.vertex
+            raise SanitizerError(
+                f"overlapping allocations on exclusively-held vertex {used!r}"
+                + (f" inside exclusively-held {top!r}" if inside else "")
+                + f": allocation {aid_i} holds {top!r} exclusively over "
+                f"[{alloc_i.at},{alloc_i.end}) and allocation {aid_k} uses "
+                f"{used!r} over [{alloc_k.at},{alloc_k.end}); "
+                "planner X-accounting was bypassed or corrupted"
+            )
 
     def _check_sdfu(self, traverser: Traverser, alloc: Allocation) -> None:
-        """Compare the filter spans actually booked for ``alloc`` against an
-        independent recompute of the SDFU charges from its selections."""
+        """Compare the filter spans actually booked for ``alloc`` against
+        :func:`reference_sdfu_charges` of its selections."""
         graph = traverser.graph
-        prune_types = set(graph.prune_types)
-        expected = _expected_sdfu_charges(
-            graph, traverser.subsystem, alloc, prune_types
+        reference = reference_sdfu_charges(
+            graph, traverser.subsystem, alloc.selections
         )
+        owner = {id(graph.vertex(uid).prune_filters): uid for uid in reference}
+        expected = {uid: counts for uid, counts in reference.items() if counts}
         actual: Dict[int, Dict[str, int]] = {}
         for planner, span_id in alloc._span_records:
             if not isinstance(planner, PlannerMulti):
@@ -242,6 +195,12 @@ class FluxSan:
                 raise SanitizerError(
                     f"allocation {alloc.alloc_id} records filter span "
                     f"{span_id} that the filter does not hold"
+                )
+            uid = owner.get(id(planner))
+            if uid is None:
+                raise SanitizerError(
+                    f"SDFU divergence on allocation {alloc.alloc_id}: span "
+                    f"{span_id} booked on a filter no selection charges"
                 )
             per_type: Dict[str, int] = {}
             for rtype, sid in planner.get_span(span_id).items():
@@ -254,14 +213,13 @@ class FluxSan:
                         f"[{span.start},{span.end}) but the allocation is "
                         f"[{alloc.at},{alloc.end})"
                     )
-            actual[id(planner)] = per_type
+            actual[uid] = per_type
         if expected != actual:
-            names = _filter_owner_names(graph)
             raise SanitizerError(
                 "SDFU divergence on allocation "
                 f"{alloc.alloc_id} [{alloc.at},{alloc.end}): expected filter "
-                f"charges {_render_charges(expected, names)} but the "
-                f"traverser booked {_render_charges(actual, names)}"
+                f"charges {_render_charges(graph, expected)} but the "
+                f"traverser booked {_render_charges(graph, actual)}"
             )
         self.stats["sdfu_checks"] += 1
 
@@ -269,8 +227,6 @@ class FluxSan:
     # graph status sanity
     # ------------------------------------------------------------------
     def _pre_mark(self, vertex: ResourceVertex, target: str) -> None:
-        if not self.check_status:
-            return
         self.stats["status_checks"] += 1
         if vertex.status == target:
             verb = "drain" if target == "down" else "resume"
@@ -282,98 +238,89 @@ class FluxSan:
 
 
 # ----------------------------------------------------------------------
-# independent SDFU recompute (the ground truth the check compares against)
+# the independent SDFU reference
 # ----------------------------------------------------------------------
-def _expected_sdfu_charges(
-    graph: ResourceGraph,
-    subsystem: str,
-    alloc: Allocation,
-    prune_types: set,
+def reference_exclusive_tops(
+    graph: ResourceGraph, selections: Sequence[Selection], subsystem: str
+) -> List[Selection]:
+    """Reference for :func:`~repro.match.traverser.exclusive_top_selections`:
+    the exclusive selections none of whose :meth:`ResourceGraph.ancestors`
+    is exclusively selected too."""
+    exclusive = [s for s in selections if s.exclusive and not s.passthrough]
+    held = {s.vertex.uniq_id for s in exclusive}
+    return [
+        sel for sel in exclusive
+        if held.isdisjoint(
+            v.uniq_id for v in graph.ancestors(sel.vertex, subsystem)
+        )
+    ]
+
+
+def reference_sdfu_charges(
+    graph: ResourceGraph, subsystem: str, selections: Sequence[Selection]
 ) -> Dict[int, Dict[str, int]]:
-    """What §3.4 says the filters must be charged for ``alloc``.
+    """What §3.4 says the filters must be charged for ``selections``.
 
-    Explicit (non-pass-through, amount-carrying) selections charge their
-    amount to every ancestor filter tracking their type; top-level exclusive
-    selections additionally charge their whole subtree totals (minus
-    explicitly selected descendants) to their own filter and every ancestor
-    filter.  Charges that net to zero or less are dropped.
+    The reference for :func:`~repro.match.traverser.sdfu_charges`, with its
+    contract — ``{uniq_id: {type: quantity}}`` in the same key order, a
+    filter that tracks none of the charged types keeping an empty bucket —
+    but derived by walking :meth:`ResourceGraph.ancestors` and
+    :meth:`ResourceGraph.subtree_totals`, never the graph's
+    structure-derived table.  Explicit (non-pass-through, amount-carrying)
+    selections charge their amount to every ancestor filter; top-level
+    exclusive selections also charge their subtree totals, minus the
+    vertex itself and explicitly selected descendants, to their own filter
+    and every ancestor filter.
     """
-    if not prune_types:
-        return {}
+    prune_types = set(graph.prune_types)
     charges: Dict[int, Dict[str, int]] = {}
-    # Nested under = a descendant of, in the traverser's subsystem.
-    above: Dict[int, List[ResourceVertex]] = {
-        sel.vertex.uniq_id: list(graph.ancestors(sel.vertex, subsystem))
-        for sel in alloc.selections
-        if not sel.passthrough
+    if not prune_types:
+        return charges
+    above = {
+        s.vertex.uniq_id: list(graph.ancestors(s.vertex, subsystem))
+        for s in selections if not s.passthrough
     }
-    above_ids = {uid: {v.uniq_id for v in ancs} for uid, ancs in above.items()}
 
-    def charge(vertex: ResourceVertex, counts: Dict[str, int],
-               include_self: bool) -> None:
-        targets = above[vertex.uniq_id]
-        if include_self:
-            targets = [vertex] + targets
+    def charge(targets: List[ResourceVertex], counts: Dict[str, int]) -> None:
         for target in targets:
             filters = target.prune_filters
             if filters is None:
                 continue
-            bucket = charges.setdefault(id(filters), {})
+            bucket = charges.setdefault(target.uniq_id, {})
             for rtype, qty in counts.items():
                 if filters.tracks(rtype):
                     bucket[rtype] = bucket.get(rtype, 0) + qty
 
-    explicit = [
-        sel for sel in alloc.selections if not sel.passthrough and sel.amount
-    ]
+    explicit = [s for s in selections if not s.passthrough and s.amount]
     for sel in explicit:
         if sel.type in prune_types:
-            charge(sel.vertex, {sel.type: sel.amount}, include_self=False)
-
-    exclusive = [
-        sel for sel in alloc.selections if sel.exclusive and not sel.passthrough
-    ]
-    for sel in exclusive:
-        uid = sel.vertex.uniq_id
-        if any(other.vertex.uniq_id in above_ids[uid] for other in exclusive):
-            continue  # nested under another exclusive hold
+            charge(above[sel.vertex.uniq_id], {sel.type: sel.amount})
+    tops = reference_exclusive_tops(graph, selections, subsystem)
+    # what is explicitly booked below each top, by type
+    below: Dict[int, Dict[str, int]] = {sel.vertex.uniq_id: {} for sel in tops}
+    for sel in explicit:
+        for anc in above[sel.vertex.uniq_id]:
+            booked = below.get(anc.uniq_id)
+            if booked is not None:
+                booked[sel.type] = booked.get(sel.type, 0) + sel.amount
+    for sel in tops:
+        vertex = sel.vertex
+        booked = below[vertex.uniq_id]
+        totals = graph.subtree_totals(vertex, subsystem)  # a fresh dict
+        totals[vertex.type] -= vertex.size
         extras = {
-            rtype: total
-            for rtype, total in graph.subtree_totals(
-                sel.vertex, subsystem
-            ).items()
-            if rtype in prune_types
+            rtype: qty - booked.get(rtype, 0) for rtype, qty in totals.items()
+            if rtype in prune_types and qty > booked.get(rtype, 0)
         }
-        extras[sel.type] = extras.get(sel.type, 0) - sel.vertex.size
-        for other in explicit:
-            if uid in above_ids[other.vertex.uniq_id]:
-                if other.type in extras:
-                    extras[other.type] -= other.amount
-        extras = {rtype: qty for rtype, qty in extras.items() if qty > 0}
         if extras:
-            charge(sel.vertex, extras, include_self=True)
-
-    return {
-        fid: {rtype: qty for rtype, qty in bucket.items() if qty > 0}
-        for fid, bucket in charges.items()
-        if any(qty > 0 for qty in bucket.values())
-    }
+            charge([vertex] + above[vertex.uniq_id], extras)
+    return charges
 
 
-def _filter_owner_names(graph: ResourceGraph) -> Dict[int, str]:
-    names: Dict[int, str] = {}
-    for vertex in graph.vertices():
-        if vertex.prune_filters is not None:
-            names[id(vertex.prune_filters)] = vertex.name
-    return names
-
-
-def _render_charges(
-    charges: Dict[int, Dict[str, int]], names: Dict[int, str]
-) -> str:
+def _render_charges(graph: ResourceGraph, charges: Dict[int, Dict[str, int]]) -> str:
     rendered = {
-        names.get(fid, f"<filter {fid}>"): dict(sorted(bucket.items()))
-        for fid, bucket in charges.items()
+        graph.vertex(uid).name: dict(sorted(bucket.items()))
+        for uid, bucket in charges.items()
     }
     return repr(dict(sorted(rendered.items()))) if rendered else "{}"
 
@@ -432,8 +379,10 @@ def _wrap_add_span(original: Callable) -> Callable:
 def _wrap_book(original: Callable) -> Callable:
     def _book(self: Traverser, *args: Any, **kwargs: Any) -> Allocation:
         alloc = original(self, *args, **kwargs)
-        for sanitizer in FluxSan.active():
-            sanitizer._check_allocation(self, alloc, booked=True)
+        if alloc is not None:
+            for sanitizer in FluxSan.active():
+                sanitizer._check_exclusive(self, alloc)
+                sanitizer._check_sdfu(self, alloc)
         return alloc
 
     _book.__doc__ = original.__doc__
@@ -444,9 +393,8 @@ def _wrap_install(original: Callable) -> Callable:
     def install_allocation(self: Traverser, alloc: Allocation) -> None:
         original(self, alloc)
         for sanitizer in FluxSan.active():
-            # Recovery re-installs book no new filter spans, so only the
-            # overlap check applies here.
-            sanitizer._check_allocation(self, alloc, booked=False)
+            # a recovery re-install books no new filter spans
+            sanitizer._check_exclusive(self, alloc)
 
     install_allocation.__doc__ = original.__doc__
     return install_allocation
@@ -496,9 +444,7 @@ class DualRunReport:
         more = len(self.diffs) - 5
         if more > 0:
             shown += f"; ... {more} more"
-        return (
-            f"dual run DIVERGED at event {self.diverged_at}: {shown}"
-        )
+        return f"dual run DIVERGED at event {self.diverged_at}: {shown}"
 
 
 def dual_run(
@@ -541,11 +487,8 @@ def dual_run(
         when_second = second.step()
         if when_first != when_second:
             report = DualRunReport(
-                events=events,
-                diverged_at=events,
-                diffs=[
-                    f"event time: {when_first!r} != {when_second!r}"
-                ],
+                events=events, diverged_at=events,
+                diffs=[f"event time: {when_first!r} != {when_second!r}"],
             )
             if raise_on_divergence:
                 raise SanitizerError(report.summary())

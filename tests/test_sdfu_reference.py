@@ -1,10 +1,12 @@
 """``sdfu_charges`` / ``exclusive_top_selections`` against their oracle.
 
-The functions below are the pairwise (quadratic in the selection count)
-implementations the traverser shipped with, kept here as the reference: the
-linear versions must return the same charges *in the same key order*,
-because ``Traverser._book`` books filter spans in that order and the repair
-engine, the integrity scrubber and FluxSan re-derive it.
+The oracle is FluxSan's SDFU reference (:func:`reference_sdfu_charges`,
+:func:`reference_exclusive_tops`), derived by walking
+``graph.ancestors()`` / ``graph.subtree_totals()`` rather than the graph's
+structure-derived table.  The traverser's linear versions must return the
+same charges *in the same key order*, because ``Traverser._book`` books
+filter spans in that order and the repair engine and the integrity scrubber
+re-derive it.
 """
 
 import random
@@ -23,77 +25,10 @@ from repro.match import Traverser
 from repro.match.traverser import exclusive_top_selections, sdfu_charges
 from repro.match.writer import Selection
 from repro.resource import CONTAINMENT, ResourceGraph
-
-
-def nested_under(graph, subsystem, inner, outer):
-    """``inner`` is a proper descendant of ``outer`` in ``subsystem`` — by
-    graph ancestry (a path prefix is the tree special case of it)."""
-    return any(v is outer for v in graph.ancestors(inner, subsystem))
-
-
-def reference_tops(graph, selections, subsystem):
-    exclusive = [s for s in selections if s.exclusive and not s.passthrough]
-    return [
-        sel
-        for sel in exclusive
-        if not any(
-            nested_under(graph, subsystem, sel.vertex, other.vertex)
-            for other in exclusive
-        )
-    ]
-
-
-def reference_charges(graph, subsystem, selections):
-    prune_types = set(graph.prune_types)
-    updates = {}
-    if not prune_types:
-        return updates
-
-    anc_cache = {}
-
-    def charge(vertex, counts):
-        ancs = anc_cache.get(vertex.uniq_id)
-        if ancs is None:
-            ancs = [
-                anc
-                for anc in graph.ancestors(vertex, subsystem)
-                if anc.prune_filters is not None
-            ]
-            anc_cache[vertex.uniq_id] = ancs
-        for anc in ancs:
-            filters = anc.prune_filters
-            bucket = updates.setdefault(anc.uniq_id, {})
-            for rtype, qty in counts.items():
-                if filters.tracks(rtype):
-                    bucket[rtype] = bucket.get(rtype, 0) + qty
-
-    explicit = [s for s in selections if not s.passthrough and s.amount]
-    for sel in explicit:
-        if sel.type in prune_types:
-            charge(sel.vertex, {sel.type: sel.amount})
-    for sel in reference_tops(graph, selections, subsystem):
-        vertex = sel.vertex
-        extras = {
-            t: n
-            for t, n in graph.subtree_totals(vertex, subsystem).items()
-            if t in prune_types
-        }
-        extras[vertex.type] = extras.get(vertex.type, 0) - vertex.size
-        for other in explicit:
-            if nested_under(graph, subsystem, other.vertex, vertex):
-                if other.type in extras:
-                    extras[other.type] -= other.amount
-        extras = {t: n for t, n in extras.items() if n > 0}
-        if not extras:
-            continue
-        own = vertex.prune_filters
-        if own is not None:
-            bucket = updates.setdefault(vertex.uniq_id, {})
-            for rtype, qty in extras.items():
-                if own.tracks(rtype):
-                    bucket[rtype] = bucket.get(rtype, 0) + qty
-        charge(vertex, extras)
-    return updates
+from repro.statcheck.sanitizer import (
+    reference_exclusive_tops,
+    reference_sdfu_charges,
+)
 
 
 def ordered(charges):
@@ -102,11 +37,11 @@ def ordered(charges):
 
 
 def assert_same(graph, selections):
-    assert [
-        id(s) for s in exclusive_top_selections(graph, selections, CONTAINMENT)
-    ] == [id(s) for s in reference_tops(graph, selections, CONTAINMENT)]
+    tops = exclusive_top_selections(graph, selections, CONTAINMENT)
+    reference = reference_exclusive_tops(graph, selections, CONTAINMENT)
+    assert [id(s) for s in tops] == [id(s) for s in reference]
     assert ordered(sdfu_charges(graph, CONTAINMENT, selections)) == ordered(
-        reference_charges(graph, CONTAINMENT, selections)
+        reference_sdfu_charges(graph, CONTAINMENT, selections)
     )
 
 

@@ -780,7 +780,7 @@ class TestFluxSanDoubleFree:
 
 
 # ----------------------------------------------------------------------
-# FluxSan: exclusive overlap + SDFU ground truth
+# FluxSan: exclusivity + SDFU ground truth
 # ----------------------------------------------------------------------
 class TestFluxSanAllocationChecks:
     def test_clean_workload_passes_all_checks(self):
@@ -809,6 +809,81 @@ class TestFluxSanAllocationChecks:
             with pytest.raises(SanitizerError) as exc:
                 t.install_allocation(clone)
         assert "exclusively-held vertex" in str(exc.value)
+
+    def test_planted_overlap_below_exclusive_top_caught(self):
+        from repro.grug import tiny_cluster
+        from repro.jobspec import Jobspec, ResourceRequest, slot
+        from repro.match.writer import Selection
+
+        g = tiny_cluster(racks=2, nodes_per_rack=2, cores=2)
+        t = Traverser(g, policy="first")
+        rack = Jobspec(
+            resources=(ResourceRequest(
+                type="rack", count=1, exclusive=True,
+                with_=(slot(1, ResourceRequest(type="node", count=1)),),
+            ),),
+            duration=100,
+        )
+        alloc = t.allocate(rack, at=0)
+        assert alloc is not None
+        (top,) = [s.vertex for s in alloc.selections if s.type == "rack"]
+        held = {s.vertex.uniq_id for s in alloc.selections}
+        other = next(
+            v for v in g.children(top) if v.type == "node"
+            and v.uniq_id not in held
+        )
+        clone = Allocation(
+            alloc_id=alloc.alloc_id + 1000,
+            at=alloc.at,
+            duration=alloc.duration,
+            reserved=False,
+            selections=[Selection(other, other.size, True)],
+        )
+        with FluxSan():
+            with pytest.raises(SanitizerError) as exc:
+                t.install_allocation(clone)
+        assert f"inside exclusively-held {top.name!r}" in str(exc.value)
+
+    def test_sdfu_defect_only_the_reference_sees(self, monkeypatch):
+        """A dropped filter charge books consistently wrong spans: the
+        auditor's expected table comes from the same ``sdfu_charges``, so
+        only FluxSan's independent reference catches it."""
+        from repro.grug import tiny_cluster
+        from repro.match import traverser as traverser_mod
+        from repro.workloads.trace import synthetic_trace
+
+        original = traverser_mod.sdfu_charges
+
+        def drop_first_charge(graph, subsystem, selections):
+            charges = original(graph, subsystem, selections)
+            for uid, counts in charges.items():
+                if counts:
+                    del charges[uid]
+                    break
+            return charges
+
+        monkeypatch.setattr(traverser_mod, "sdfu_charges", drop_first_charge)
+        monkeypatch.delenv("FLUXSAN", raising=False)
+
+        def run(sanitize):
+            sim = ClusterSimulator(tiny_cluster(), audit=True, sanitize=sanitize)
+            try:
+                for job in synthetic_trace(
+                    n_jobs=8, seed=3, max_nodes=2, min_duration=60,
+                    max_duration=600, arrival_spread=300,
+                ):
+                    sim.submit(job.to_jobspec(), at=job.submit_time)
+                sim.run()
+            finally:
+                if sim.fluxsan is not None:
+                    sim.fluxsan.deactivate()
+            return sim
+
+        sim = run(sanitize=False)
+        assert sim.auditor.collect(sim) == []
+        with pytest.raises(SanitizerError) as exc:
+            run(sanitize=True)
+        assert "SDFU" in str(exc.value)
 
     def test_planted_sdfu_divergence_caught(self):
         class SabotagedTraverser(Traverser):
