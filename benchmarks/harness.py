@@ -82,7 +82,7 @@ def fig6a_run_one(
         "jobs": len(times) - 1,
         "mean_ms": statistics.mean(times) * 1e3,
         "total_s": sum(times),
-        "visits": traverser.stats["visits"],
+        "visits": traverser.metrics.counter("dfu.visits").value,
     }
 
 

@@ -37,7 +37,7 @@ def fill(lod: str, prune: bool) -> dict:
         "vertices": graph.vertex_count,
         "jobs": jobs,
         "ms_per_match": elapsed / (jobs + 1) * 1e3,
-        "visits": traverser.stats["visits"],
+        "visits": traverser.metrics.counter("dfu.visits").value,
     }
 
 

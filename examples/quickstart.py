@@ -83,7 +83,7 @@ attributes:
     traverser.remove_all()
     print(f"\nfreed everything; active allocations: "
           f"{len(traverser.allocations)}")
-    print(f"traverser stats: {traverser.stats}")
+    print(f"traverser counters: {traverser.metrics.as_dict()}")
 
     # -- Bonus: an observed simulation ------------------------------------
     # observe=None defers to the environment: FLUXOBS=1 turns on the

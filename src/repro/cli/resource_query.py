@@ -232,7 +232,9 @@ class ResourceQuery:
         self._print(f"INFO: totals: {totals}")
 
     def _cmd_stats(self) -> None:
-        stats = ", ".join(f"{k}={v}" for k, v in self.traverser.stats.items())
+        counter = self.traverser.metrics.counter
+        keys = ("visits", "matched", "failed", "reserve_iters")
+        stats = ", ".join(f"{k}={counter('dfu.' + k).value}" for k in keys)
         self._print(f"INFO: {stats}")
         self._print(
             f"INFO: active allocations: {len(self.traverser.allocations)}"

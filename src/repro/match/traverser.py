@@ -23,7 +23,6 @@ selected paths only — the filters are never recomputed from scratch.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import (
@@ -33,7 +32,7 @@ from ..errors import (
     SchedulingDeadlineExceeded,
 )
 from ..jobspec import Jobspec, ResourceRequest
-from ..obs import NULL_OBSERVER, Counter, MetricsRegistry, Observer
+from ..obs import NULL_OBSERVER, MetricsRegistry, Observer
 from ..resource import CONTAINMENT, ResourceGraph, ResourceVertex
 from ..resource.vertex import X_LIMIT
 from .policy import MatchPolicy, make_policy
@@ -154,33 +153,6 @@ def allocation_bookings(
         if counts:
             bookings.append((graph.vertex(uid), "filter", counts))
     return bookings
-
-
-class _StatsView(Mapping):
-    """Deprecated read-only dict view over registry-backed counters.
-
-    Kept so pre-observability callers (``t.stats["visits"]``,
-    ``dict(t.stats)``) keep working; new code should read
-    :attr:`Traverser.metrics` instead.
-    """
-
-    __slots__ = ("_counters",)
-
-    def __init__(self, counters: Dict[str, Counter]) -> None:
-        self._counters = counters
-
-    def __getitem__(self, key: str) -> int:
-        return self._counters[key].value
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def __repr__(self) -> str:
-        return repr({key: counter.value
-                     for key, counter in self._counters.items()})
 
 
 def _tracked_slice(
@@ -348,12 +320,6 @@ class Traverser:
         self._c_satisfiable_hits = self.metrics.counter(
             "dfu.satisfiable_hits",
             "satisfiable() calls answered from a remembered shape")
-        self._stats_view = _StatsView({
-            "visits": self._c_visits,
-            "matched": self._c_matched,
-            "failed": self._c_failed,
-            "reserve_iters": self._c_reserve,
-        })
         #: observer hooks: called with the Allocation after a booking is
         #: registered / after a removal completes (used by the recovery
         #: journal; None disables).
@@ -370,18 +336,6 @@ class Traverser:
         #: three differs, never exported, snapshotted or fingerprinted.
         self._satisfiable_yes: Set[Tuple[object, bool]] = set()
         self._satisfiable_under: Tuple[object, ...] = ()
-
-    @property
-    def stats(self) -> _StatsView:
-        """Deprecated: read-only dict view of :attr:`metrics` counters."""
-        return self._stats_view
-
-    @stats.setter
-    def stats(self, values: "Mapping[str, int]") -> None:
-        # Snapshot restore (repro.recovery.snapshot) assigns a plain dict;
-        # write the values through to the backing counters.
-        for key, counter in self._stats_view._counters.items():
-            counter.value = int(values.get(key, 0))
 
     # ------------------------------------------------------------------
     # public operations

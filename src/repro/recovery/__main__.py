@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import FluxionError
@@ -101,7 +102,7 @@ def _monitor_for(sim: ClusterSimulator) -> IntegrityMonitor:
 
 
 def _findings_json(findings: List[Finding]) -> List[Dict[str, Any]]:
-    return [finding.to_dict() for finding in findings]
+    return [asdict(finding) for finding in findings]
 
 
 def _repair_all(

@@ -26,6 +26,7 @@ from typing import Any, Dict, List
 
 from ..match.writer import planner_owner_index
 from ..sched.simulator import _FAIL, _REPAIR, ClusterSimulator
+from .snapshot import LAYER_SECTIONS
 
 __all__ = ["state_fingerprint", "state_diff"]
 
@@ -76,7 +77,7 @@ def state_fingerprint(sim: ClusterSimulator) -> Dict[str, Any]:
             ref = graph.vertex(ref).name
         events.append([when, kind, eseq, ref, data])
 
-    return {
+    fingerprint = {
         "now": sim.now,
         "vertices": vertices,
         "allocations": allocations,
@@ -105,17 +106,14 @@ def state_fingerprint(sim: ClusterSimulator) -> Dict[str, Any]:
             [graph.vertex(uid).name, t0, t1, nodes]
             for uid, t0, t1, nodes in sim._downtime
         ),
-        # Overload accounting (rejections, deadline cuts, worst overrun)
-        # feeds the report, so it is part of logical equivalence (None =
-        # disabled).
-        "overload": (
-            None if sim.overload is None else sim.overload.export_state()
-        ),
-        # Scrub cursor and quarantine set steer future integrity decisions.
-        "integrity": (
-            None if sim.integrity is None else sim.integrity.export_state()
-        ),
     }
+    # An optional layer's state steers its future decisions and feeds the
+    # report (None = the layer is absent).
+    for name, layer in LAYER_SECTIONS.items():
+        if layer.fingerprinted:
+            held = getattr(sim, name)
+            fingerprint[name] = None if held is None else held.export_state()
+    return fingerprint
 
 
 def _walk(a: Any, b: Any, path: str, out: List[str]) -> None:

@@ -43,12 +43,13 @@ import hashlib
 import json
 import random
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import FluxionError, IntegrityError, SchedulingDeadlineExceeded
 from ..match.traverser import allocation_bookings
 from ..resource.vertex import PLANNER_KINDS
+from ..settings import GuardSettings, _refuse_unknown
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..match.writer import Allocation
@@ -124,15 +125,6 @@ class Finding:
     kind: str  # structure | span-missing | span-drift | span-orphan | tree-drift
     planner: Optional[str]  # plans | xplans | filter | None (structure)
     detail: str
-
-    def to_dict(self) -> dict:
-        """JSON-able form (fsck reports, chaos artifacts)."""
-        return {
-            "vertex": self.vertex,
-            "kind": self.kind,
-            "planner": self.planner,
-            "detail": self.detail,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +426,7 @@ def scan_planners(
 # configuration
 # ----------------------------------------------------------------------
 @dataclass
-class IntegrityConfig:
+class IntegrityConfig(GuardSettings):
     """Tuning for the online scrubber.
 
     scrub_window:
@@ -454,56 +446,15 @@ class IntegrityConfig:
         (``python -m repro.recovery fsck --repair``) finishes the job.
     """
 
+    error = IntegrityError
+    #: outages are expected state now, so there are no orphans to skip
+    retired = frozenset({"check_orphans"})
+
     scrub_window: Optional[int] = 8
     scrub_every: int = 1
     scrub_budget: Optional[int] = None
     checkpoint_interval: int = 32
     auto_repair: bool = True
-
-    def __post_init__(self) -> None:
-        if self.scrub_window is not None and self.scrub_window < 1:
-            raise IntegrityError(
-                f"scrub_window must be >= 1, got {self.scrub_window}"
-            )
-        if self.scrub_every < 1:
-            raise IntegrityError(
-                f"scrub_every must be >= 1, got {self.scrub_every}"
-            )
-        if self.scrub_budget is not None and self.scrub_budget < 1:
-            raise IntegrityError(
-                f"scrub_budget must be >= 1, got {self.scrub_budget}"
-            )
-        if self.checkpoint_interval < 1:
-            raise IntegrityError(
-                f"checkpoint_interval must be >= 1, "
-                f"got {self.checkpoint_interval}"
-            )
-
-    def to_dict(self) -> dict:
-        """JSON-able form (snapshot / chaos reproducer serialisation)."""
-        return {
-            "scrub_window": self.scrub_window,
-            "scrub_every": self.scrub_every,
-            "scrub_budget": self.scrub_budget,
-            "checkpoint_interval": self.checkpoint_interval,
-            "auto_repair": self.auto_repair,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IntegrityConfig":
-        """Rebuild from :meth:`to_dict` output.
-
-        ``check_orphans`` (retired: outages are expected state now) is
-        accepted and ignored so older snapshots restore; any other unknown
-        key raises :class:`IntegrityError`.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known - {"check_orphans"})
-        if unknown:
-            raise IntegrityError(
-                f"unknown IntegrityConfig field(s): {', '.join(unknown)}"
-            )
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 # ----------------------------------------------------------------------
@@ -769,7 +720,15 @@ class IntegrityMonitor:
         }
 
     def import_state(self, state: dict) -> None:
-        """Restore :meth:`export_state` output (after :meth:`attach`)."""
+        """Restore :meth:`export_state` output (after :meth:`attach`); a key
+        or counter this monitor does not own raises IntegrityError."""
+        _refuse_unknown(
+            "integrity state", state, self.export_state(), IntegrityError
+        )
+        _refuse_unknown(
+            "integrity counters", state["counters"], self.counters,
+            IntegrityError,
+        )
         self.cursor = int(state["cursor"])
         self.cycles_seen = int(state["cycles_seen"])
         self.quarantined = {

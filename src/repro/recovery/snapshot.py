@@ -4,10 +4,12 @@ A snapshot captures everything a :class:`~repro.sched.ClusterSimulator`
 needs to resume: the resource graph (as JGF, including down/drained status
 and pruning-filter placement), every planner's spans (per-vertex ``plans``
 and ``xplans`` plus pruning-filter aggregates), active and reserved
-allocations, job and queue-policy state, the pending event heap, retry-policy
-RNG state and the accounting counters.  The document is wrapped with a
-SHA-256 checksum; a half-written or bit-rotted snapshot file fails
-verification and recovery falls back to an older one.
+allocations, job and queue-policy state, the pending event heap, the
+accounting counters, and one section per optional layer
+(:data:`LAYER_SECTIONS`: its settings and its state).  The document is
+wrapped with a SHA-256 checksum; a half-written or bit-rotted snapshot file
+fails verification and recovery falls back to an older one.  A section that
+verifies but cannot be read raises :class:`SnapshotError` naming it.
 
 Restores are *exact*: planner spans come back under their original ids (so
 future auto-assigned ids match), the event heap keeps its sequence
@@ -21,18 +23,27 @@ import hashlib
 import heapq
 import json
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from operator import attrgetter
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
-from ..errors import RecoveryError, SchedulerError, SnapshotError
+from ..errors import FluxionError, RecoveryError, SnapshotError
 from ..match.writer import Allocation, planner_owner_index
+from ..resilience.overload import OverloadConfig
+from ..resilience.retry import RetryPolicy
 from ..resource.jgf import from_jgf, to_jgf
 from ..resource.vertex import PLANNER_KINDS
 from ..sched.job import Job
 from ..sched.simulator import _FAIL, _REPAIR, ClusterSimulator
+from ..settings import Settings, _refuse_unknown
+from .integrity import IntegrityConfig
 
 __all__ = [
     "SNAPSHOT_VERSION",
     "REBUILDABLE_SECTIONS",
+    "LAYER_SECTIONS",
     "snapshot_state",
     "restore_simulator",
     "write_snapshot",
@@ -48,6 +59,44 @@ SNAPSHOT_VERSION = 1
 REBUILDABLE_SECTIONS = frozenset(
     {"planners", "traverser_stats", "event_log", "recovery_stats"}
 )
+
+#: the keys of the ``traverser_stats`` section; each holds the traverser's
+#: ``dfu.<key>`` counter
+_TRAVERSER_STATS = ("visits", "matched", "failed", "reserve_iters")
+
+
+class _Layer(NamedTuple):
+    """How one optional layer crosses a restart."""
+
+    settings: type  # what the layer's ClusterSimulator keyword takes
+    state_key: str  # the section key of the layer's export_state()
+    settings_of: Callable[[Any], Settings]  # the layer's settings object
+    fingerprinted: bool  # whether state_fingerprint compares that state
+
+
+#: The optional layers that survive a restart, one snapshot section each,
+#: named as the layer's :class:`ClusterSimulator` keyword and attribute:
+#: ``{"config": settings.to_dict(), state_key: layer.export_state()}``, or
+#: None when the layer is absent.
+LAYER_SECTIONS: Dict[str, _Layer] = {
+    # The fingerprint leaves the jitter stream's position out (ROADMAP 7(a)
+    # decides where it belongs).
+    "retry_policy": _Layer(RetryPolicy, "rng_state", lambda p: p, False),
+    "overload": _Layer(OverloadConfig, "state", attrgetter("config"), True),
+    "integrity": _Layer(IntegrityConfig, "state", attrgetter("config"), True),
+}
+
+
+@contextmanager
+def _section(name: str) -> Iterator[None]:
+    """Raise whatever a malformed section ``name`` makes its reader raise as
+    one SnapshotError naming the section."""
+    try:
+        yield
+    except (
+        FluxionError, KeyError, TypeError, ValueError, AttributeError
+    ) as exc:
+        raise SnapshotError(f"snapshot section {name!r}: {exc}") from None
 
 
 def _section_digest(value: Any) -> str:
@@ -79,26 +128,6 @@ def _planner_states(sim: ClusterSimulator) -> Dict[str, Dict[str, Any]]:
     return out
 
 
-def _retry_policy_state(sim: ClusterSimulator) -> Optional[Dict[str, Any]]:
-    policy = sim.retry_policy
-    if policy is None:
-        return None
-    state = policy._rng.getstate()
-    return {
-        "config": {
-            "max_retries": policy.max_retries,
-            "backoff_base": policy.backoff_base,
-            "backoff_factor": policy.backoff_factor,
-            "backoff_cap": policy.backoff_cap,
-            "jitter": policy.jitter,
-            "priority_boost": policy.priority_boost,
-            "checkpoint_period": policy.checkpoint_period,
-            "seed": policy.seed,
-        },
-        "rng_state": [state[0], list(state[1]), state[2]],
-    }
-
-
 def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
     """Serialise the complete simulator state at journal sequence ``seq``.
 
@@ -118,7 +147,8 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
     for job in sim.jobs.values():
         for alloc in job.allocations:
             all_allocs.setdefault(alloc.alloc_id, alloc)
-    return {
+    metrics = sim.traverser.metrics
+    doc = {
         "version": SNAPSHOT_VERSION,
         "seq": seq,
         "now": sim.now,
@@ -139,7 +169,9 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
         # What the queue-policy state under config.queue_state is keyed on
         # (graph.structure keys only what a restored run derives afresh).
         "graph_changes": [sim.graph.freed, sim.graph.unplanned],
-        "traverser_stats": dict(sim.traverser.stats),
+        "traverser_stats": {
+            key: metrics.counter("dfu." + key).value for key in _TRAVERSER_STATS
+        },
         "jobs": [job.to_record() for _, job in sorted(sim.jobs.items())],
         "next_job_id": sim._next_job_id,
         "events": events,
@@ -160,42 +192,15 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
             [sim.graph.vertex(uid).name, t0, t1, nodes]
             for uid, t0, t1, nodes in sim._downtime
         ],
-        "retry_policy": _retry_policy_state(sim),
         "recovery_stats": dict(sim.recovery_stats),
-        # Optional overload-protection state (absent/None = disabled; older
-        # snapshots without the key restore exactly as before, and one
-        # carrying settings of an older controller is refused).
-        "overload": (
-            None
-            if sim.overload is None
-            else {
-                "config": sim.overload.config.to_dict(),
-                "state": sim.overload.export_state(),
-            }
-        ),
-        # Optional integrity-scrubber state (same contract as "overload").
-        "integrity": (
-            None
-            if sim.integrity is None
-            else {
-                "config": sim.integrity.config.to_dict(),
-                "state": sim.integrity.export_state(),
-            }
-        ),
     }
-
-
-def _overload_section(
-    read: Callable[[Any], Any], section: Dict[str, Any], key: str
-) -> Any:
-    """``read(section[key])``, with a malformed or outdated ``overload``
-    section (a setting an older controller had) raised as SnapshotError."""
-    try:
-        return read(section[key])
-    except (SchedulerError, KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(
-            f"snapshot section 'overload' ({key}): {exc}"
-        ) from None
+    for name, layer in LAYER_SECTIONS.items():
+        held = getattr(sim, name)
+        doc[name] = None if held is None else {
+            "config": layer.settings_of(held).to_dict(),
+            layer.state_key: held.export_state(),
+        }
+    return doc
 
 
 def restore_simulator(
@@ -224,37 +229,23 @@ def restore_simulator(
         )
     graph = from_jgf(doc["graph"])
     config = doc["config"]
-    retry_policy = None
-    retry_state = doc.get("retry_policy")
-    if retry_state is not None:
-        from ..resilience.retry import RetryPolicy
-
-        retry_policy = RetryPolicy(**retry_state["config"])
-        version, internal, gauss = retry_state["rng_state"]
-        retry_policy._rng.setstate((version, tuple(internal), gauss))
-    overload_doc = doc.get("overload")
-    overload_config = None
-    if overload_doc is not None:
-        from ..resilience.overload import OverloadConfig
-
-        overload_config = _overload_section(
-            OverloadConfig.from_dict, overload_doc, "config"
-        )
-    integrity_doc = doc.get("integrity")
-    integrity_config = None
-    if integrity_doc is not None:
-        from .integrity import IntegrityConfig
-
-        integrity_config = IntegrityConfig.from_dict(integrity_doc["config"])
+    # A snapshot written before a layer existed has no section for it.
+    layers = {n: doc[n] for n in LAYER_SECTIONS if doc.get(n) is not None}
+    settings: Dict[str, Any] = {}
+    for name, section in layers.items():
+        layer = LAYER_SECTIONS[name]
+        with _section(name):
+            _refuse_unknown(
+                "section", section, ("config", layer.state_key), SnapshotError
+            )
+            settings[name] = layer.settings.from_dict(section["config"])
     sim = ClusterSimulator(
         graph,
         match_policy=config["match_policy"],
         queue=config["queue"],
         prune=config["prune"],
-        retry_policy=retry_policy,
         audit=config["audit"],
-        overload=overload_config,
-        integrity=integrity_config,
+        **settings,
     )
     by_name = {v.name: v for v in graph.vertices()}
 
@@ -299,7 +290,10 @@ def restore_simulator(
         sim.traverser._next_alloc_id, int(doc["next_alloc_id"])
     )
     if "traverser_stats" not in salvaged:
-        sim.traverser.stats = dict(doc["traverser_stats"])
+        stats = doc["traverser_stats"]
+        metrics = sim.traverser.metrics
+        for key in _TRAVERSER_STATS:
+            metrics.counter("dfu." + key).value = int(stats.get(key, 0))
     # Last graph mutation of the restore: rebuilding the graph counted its
     # own construction.  A snapshot without the key predates the counters
     # and carries no queue-policy state keyed on them either.
@@ -341,10 +335,11 @@ def restore_simulator(
         # counter existed restore with it at 0 rather than missing.
         sim.recovery_stats.update(doc["recovery_stats"])
     sim.recovery_stats["snapshot_sections_rebuilt"] += len(salvaged)
-    if overload_doc is not None:
-        _overload_section(sim.overload.import_state, overload_doc, "state")
-    if integrity_doc is not None:
-        sim.integrity.import_state(integrity_doc["state"])
+    for name, section in layers.items():
+        with _section(name):
+            getattr(sim, name).import_state(
+                section[LAYER_SECTIONS[name].state_key]
+            )
     return sim
 
 

@@ -34,12 +34,13 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import FluxionError, SchedulerError
 from ..grug.presets import tiny_cluster
 from ..jobspec import Jobspec
 from ..jobspec.build import simple_node_jobspec
+from ..settings import Settings
 from .auditor import InvariantAuditor, InvariantViolation
 from .faults import FaultInjector, FaultModel
 from .overload import OverloadConfig
@@ -78,7 +79,7 @@ _CRASH_POOL = (
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Settings):
     """One fully determined chaos scenario (a pure function of ``seed``)."""
 
     seed: int
@@ -171,39 +172,15 @@ class CampaignSpec:
             corruption=corruption,
         )
 
-    def to_dict(self) -> dict:
-        """JSON-able form (reproducer artifacts)."""
-        return {
-            "seed": self.seed,
-            "racks": self.racks,
-            "nodes_per_rack": self.nodes_per_rack,
-            "cores": self.cores,
-            "queue": self.queue,
-            "match_policy": self.match_policy,
-            "steady_jobs": self.steady_jobs,
-            "steady_spacing": self.steady_spacing,
-            "bursts": [list(burst) for burst in self.bursts],
-            "faults": self.faults,
-            "fault_mtbf": self.fault_mtbf,
-            "fault_mttr": self.fault_mttr,
-            "fault_horizon": self.fault_horizon,
-            "crash_point": self.crash_point,
-            "crash_nth": self.crash_nth,
-            "overload": self.overload,
-            "corruption": self.corruption,
-        }
-
     @classmethod
-    def from_dict(cls, data: dict) -> "CampaignSpec":
-        """Rebuild from :meth:`to_dict` output; an overload setting that no
-        longer exists raises SchedulerError naming it."""
-        data = dict(data)
-        data["bursts"] = tuple(tuple(burst) for burst in data.get("bursts", ()))
-        if data.get("overload") is not None:
-            data["overload"] = OverloadConfig.from_dict(
-                data["overload"]
-            ).to_dict()
-        return cls(**data)
+    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
+        """Rebuild from :meth:`to_dict` output; an unknown key, or an
+        overload setting that no longer exists, raises SchedulerError
+        naming it."""
+        spec = super().from_dict(data)
+        if spec.overload is not None:
+            OverloadConfig.from_dict(spec.overload)
+        return replace(spec, bursts=tuple(map(tuple, spec.bursts)))
 
 
 @dataclass

@@ -23,10 +23,11 @@ interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, Optional, TYPE_CHECKING
 
-from ..errors import SchedulingDeadlineExceeded, SchedulerError
+from ..errors import SchedulingDeadlineExceeded
+from ..settings import GuardSettings, _refuse_unknown
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..sched.job import Job
@@ -35,21 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = ["OverloadConfig", "OverloadController", "WorkBudget"]
 
 
-def _refuse_unknown(
-    what: str, given: Iterable[str], known: Iterable[str]
-) -> None:
-    """Raise naming every key of ``given`` that ``known`` does not list."""
-    known = sorted(known)
-    unknown = sorted(set(given) - set(known))
-    if unknown:
-        raise SchedulerError(
-            f"{what}: unknown key(s) {unknown}; known: {known}"
-        )
-
-
 @dataclass
-class OverloadConfig:
-    """Tuning knobs for :class:`OverloadController`.
+class OverloadConfig(GuardSettings):
+    """Tuning knobs for :class:`OverloadController`.  Nothing is retired:
+    a document naming a setting of the older controller is refused.
 
     Parameters
     ----------
@@ -72,30 +62,6 @@ class OverloadConfig:
     attempt_budget: Optional[int] = None
     checkpoint_interval: int = 64
 
-    def __post_init__(self) -> None:
-        for name, value in self.to_dict().items():
-            if value is None and name != "checkpoint_interval":
-                continue
-            if type(value) is not int or value < 1:
-                raise SchedulerError(
-                    f"{name} must be an integer >= 1, got {value!r}"
-                )
-
-    def to_dict(self) -> dict:
-        """JSON-able form (snapshot / chaos reproducer serialisation)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OverloadConfig":
-        """Rebuild from :meth:`to_dict` output; a key this class does not
-        own (a setting of an older controller) raises SchedulerError."""
-        if not isinstance(data, dict):
-            raise SchedulerError(
-                f"overload config must be a mapping, got {type(data).__name__}"
-            )
-        _refuse_unknown("overload config", data, (f.name for f in fields(cls)))
-        return cls(**data)
-
 
 class WorkBudget:
     """Deterministic work budget for one dispatch cycle.
@@ -106,7 +72,8 @@ class WorkBudget:
     compares spend against the limits and raises
     :class:`~repro.errors.SchedulingDeadlineExceeded` — cycle scope first
     (more severe), then attempt scope — so overrun is bounded by one
-    checkpoint interval.
+    checkpoint interval.  The guard settings it is built from have checked
+    its limits.
     """
 
     __slots__ = (
@@ -130,10 +97,6 @@ class WorkBudget:
         attempt_limit: Optional[int] = None,
         checkpoint_interval: int = 64,
     ) -> None:
-        if checkpoint_interval < 1:
-            raise SchedulerError(
-                f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
-            )
         self.cycle_limit = cycle_limit
         self.attempt_limit = attempt_limit
         self.checkpoint_interval = checkpoint_interval
@@ -331,9 +294,7 @@ class OverloadController:
     def import_state(self, state: dict) -> None:
         """Restore :meth:`export_state` output; a key this controller does
         not own (state of an older controller) raises SchedulerError."""
-        _refuse_unknown(
-            "overload state", state, ("max_cycle_overrun", "counters")
-        )
+        _refuse_unknown("overload state", state, self.export_state())
         _refuse_unknown("overload counters", state["counters"], self.counters)
         self.max_cycle_overrun = int(state["max_cycle_overrun"])
         self.counters.update(state["counters"])

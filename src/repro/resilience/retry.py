@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import SchedulerError
+from ..settings import Settings
 
 __all__ = ["RetryPolicy"]
 
 
 @dataclass
-class RetryPolicy:
+class RetryPolicy(Settings):
     """How killed jobs are resubmitted.
 
     Parameters
@@ -85,3 +86,13 @@ class RetryPolicy:
         if self.jitter:
             raw *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
         return max(0, int(round(raw)))
+
+    def export_state(self) -> list:
+        """Where the jitter stream stands, JSON-able (snapshots)."""
+        version, internal, gauss = self._rng.getstate()
+        return [version, list(internal), gauss]
+
+    def import_state(self, state: list) -> None:
+        """Restore :meth:`export_state` output."""
+        version, internal, gauss = state
+        self._rng.setstate((version, tuple(internal), gauss))

@@ -316,8 +316,7 @@ class ClusterSimulator:
         behaviour.
     integrity:
         Online state-integrity scrubbing (:mod:`repro.recovery.integrity`):
-        an :class:`~repro.recovery.IntegrityConfig` (or a pre-built
-        :class:`~repro.recovery.IntegrityMonitor`) runs a work-budgeted
+        an :class:`~repro.recovery.IntegrityConfig` runs a work-budgeted
         fluxfsck pass at the head of every scheduling cycle, quarantining
         and repairing corrupted vertices before matching reads them.
         ``None`` (default) disables scrubbing.
@@ -334,7 +333,7 @@ class ClusterSimulator:
         sanitize: bool = False,
         observe: "Observer | bool | None" = None,
         overload: "OverloadConfig | None" = None,
-        integrity: "IntegrityConfig | IntegrityMonitor | None" = None,
+        integrity: "IntegrityConfig | None" = None,
     ) -> None:
         self.graph = graph
         self.obs = _resolve_observer(observe)
@@ -413,11 +412,7 @@ class ClusterSimulator:
         if integrity is not None:
             from ..recovery.integrity import IntegrityMonitor
 
-            self.integrity = (
-                integrity
-                if isinstance(integrity, IntegrityMonitor)
-                else IntegrityMonitor(integrity)
-            )
+            self.integrity = IntegrityMonitor(integrity)
             self.integrity.attach(self)
 
     # ------------------------------------------------------------------

@@ -53,7 +53,8 @@ def run_scale_workload(racks: int = 4, nodes_per_rack: int = 16) -> dict:
     jobs = 0
     while traverser.allocate(jobspec, at=0) is not None:
         jobs += 1
-    return {"jobs": jobs, "visits": traverser.stats["visits"]}
+    visits = traverser.metrics.counter("dfu.visits").value
+    return {"jobs": jobs, "visits": visits}
 
 
 def run_hotprofile(

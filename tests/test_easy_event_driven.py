@@ -245,7 +245,8 @@ def test_random_traces_match_reference(seed):
     # The point of the change: fewer bookings, so fewer events pushed.
     assert changed._event_seq < reference._event_seq
     assert (
-        changed.traverser.stats["failed"] < reference.traverser.stats["failed"]
+        changed.traverser.metrics.counter("dfu.failed").value
+        < reference.traverser.metrics.counter("dfu.failed").value
     )
 
 

@@ -319,7 +319,7 @@ class TestPruning:
             t = Traverser(g, policy="low", prune=prune)
             while t.allocate(simple_node_jobspec(cores=8, duration=1000), at=0):
                 pass
-            return t.stats["visits"]
+            return t.metrics.counter("dfu.visits").value
 
         assert fill(True) < fill(False)
 
@@ -549,7 +549,7 @@ class TestBookingIsAllOrNothing:
         assert t.allocate(exclusive_rack(1), at=0) is None
         obs.why.end_attempt("failed")
         assert booked_spans(g) == before
-        assert t.stats["failed"] == 1 and not t.allocations
+        assert t.metrics.counter("dfu.failed").value == 1 and not t.allocations
         (attempt,) = obs.why.export()["jobs"]["1"]["attempts"]
         assert [f["kind"] for f in attempt["fails"]] == ["booking"]
 

@@ -380,13 +380,6 @@ class TestSimulatorIntegration:
         counters_b = {k: v for k, v in snap_b.items() if isinstance(v, int)}
         assert counters_a == counters_b and counters_a
 
-    def test_traverser_stats_view_still_reads_like_dict(self):
-        sim, _ = run_observed()
-        stats = sim.traverser.stats
-        assert stats["matched"] == sim.traverser.metrics.counter("dfu.matched").value
-        assert set(stats) >= {"visits", "matched", "failed", "reserve_iters"}
-        assert dict(stats)["visits"] == stats["visits"]
-
     def test_fluxobs_env_enables(self, monkeypatch):
         monkeypatch.setenv("FLUXOBS", "1")
         sim, report = run_observed(observe=None)

@@ -75,11 +75,11 @@ class TestFig2PruningAndSdfu:
     def test_rack1_subtree_pruned(self):
         g1, t1 = self.build()
         t1.allocate_orelse_reserve(nodes_jobspec(2, duration=1), now=0)
-        pruned_visits = t1.stats["visits"]
+        pruned_visits = t1.metrics.counter("dfu.visits").value
         g2, t2 = self.build()
         t2.prune = False
         t2.allocate_orelse_reserve(nodes_jobspec(2, duration=1), now=0)
-        unpruned_visits = t2.stats["visits"]
+        unpruned_visits = t2.metrics.counter("dfu.visits").value
         assert pruned_visits < unpruned_visits
 
     def test_sdfu_updates_ancestors_of_selection_only(self):

@@ -9,6 +9,7 @@ truncated or corrupt trailing record is dropped — never half-applied — and
 corruption *inside* the journal body refuses recovery.
 """
 
+import hashlib
 import json
 import os
 
@@ -47,7 +48,13 @@ from repro.recovery import (
     write_snapshot,
 )
 from repro.recovery.journal import Journal, frame_record
-from repro.resilience import InvariantAuditor, OverloadConfig, RetryPolicy
+from repro.resilience import (
+    CampaignSpec,
+    InvariantAuditor,
+    OverloadConfig,
+    RetryPolicy,
+)
+from repro.resilience.chaos import _build_simulator, _submission_plan
 from repro.resource import ResourceGraph
 from repro.resource.jgf import from_jgf, to_jgf
 from repro.sched import ClusterSimulator
@@ -857,6 +864,111 @@ def test_snapshot_restore_snapshot_byte_identical(seed):
     blob_a = json.dumps(doc_a, sort_keys=True, separators=(",", ":"))
     blob_b = json.dumps(doc_b, sort_keys=True, separators=(",", ":"))
     assert blob_a == blob_b
+
+
+# ----------------------------------------------------------------------
+# the optional layers' sections: one format, one refusal contract
+# ----------------------------------------------------------------------
+def _sha256(value):
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+#: (section, damage, a name the refusal must carry besides the section's)
+MALFORMED_SECTIONS = [
+    pytest.param(
+        "retry_policy", lambda s: s["config"].update(jiter=0.2), "jiter",
+        id="retry_policy-unknown-setting",
+    ),
+    pytest.param(
+        "retry_policy", lambda s: s["config"].update(max_retries="2"), None,
+        id="retry_policy-wrong-typed-setting",
+    ),
+    pytest.param(
+        "retry_policy", lambda s: s.pop("rng_state"), "rng_state",
+        id="retry_policy-missing-state",
+    ),
+    pytest.param(
+        "retry_policy", lambda s: s.update(rng_seed=7), "rng_seed",
+        id="retry_policy-unknown-state-key",
+    ),
+    pytest.param(
+        "overload", lambda s: s["config"].update(degrade_after=2),
+        "degrade_after", id="overload-unknown-setting",
+    ),
+    pytest.param(
+        "overload", lambda s: s["config"].update(max_pending="3"),
+        "max_pending", id="overload-wrong-typed-setting",
+    ),
+    pytest.param(
+        "overload", lambda s: s["state"].pop("max_cycle_overrun"),
+        "max_cycle_overrun", id="overload-missing-state",
+    ),
+    pytest.param(
+        "overload", lambda s: s["state"]["counters"].update(shed=1), "shed",
+        id="overload-unknown-counter",
+    ),
+    pytest.param(
+        "integrity", lambda s: s["config"].update(scrub_windw=4),
+        "scrub_windw", id="integrity-unknown-setting",
+    ),
+    pytest.param(
+        "integrity", lambda s: s["config"].update(scrub_every="x"),
+        "scrub_every", id="integrity-wrong-typed-setting",
+    ),
+    pytest.param(
+        "integrity", lambda s: s["state"].pop("cursor"), "cursor",
+        id="integrity-missing-state",
+    ),
+    pytest.param(
+        "integrity", lambda s: s["state"]["counters"].update(shed=1), "shed",
+        id="integrity-unknown-counter",
+    ),
+]
+
+#: SHA-256 of the snapshot a seeded corruption campaign takes at t=1500
+#: with retry, overload, integrity and audit attached (wall-clock
+#: ``sched_time`` dropped), and of that campaign's reproducer spec
+SNAPSHOT_SHA256 = (
+    "39baf4b31cc8410a25e3a659d16ef5aacae917d8c4cd6c3abc78f924281e5a65"
+)
+SPEC_SHA256 = (
+    "011d92b25759baaf2e4310aa90216a0270ad2e1c9e43e95d5d345c0747786b3b"
+)
+
+
+class TestSectionContract:
+    @pytest.fixture(scope="class")
+    def layered_doc(self):
+        """A snapshot with every optional layer's section, as JSON."""
+        return json.dumps(snapshot_state(enriched_sim(0)))
+
+    @pytest.mark.parametrize("section, damage, names", MALFORMED_SECTIONS)
+    def test_a_malformed_section_is_a_snapshot_error_naming_it(
+        self, layered_doc, section, damage, names
+    ):
+        doc = json.loads(layered_doc)
+        damage(doc[section])
+        with pytest.raises(SnapshotError, match=f"'{section}'") as info:
+            restore_simulator(doc)
+        if names is not None:
+            assert names in str(info.value)
+
+    def test_the_snapshot_format_is_pinned(self):
+        spec = CampaignSpec.corruption_from_seed(3)
+        sim = _build_simulator(spec)
+        for at, jobspec, priority, actual in _submission_plan(spec):
+            sim.submit(jobspec, at=at, priority=priority, actual_duration=actual)
+        sim.run(until=1500)
+        doc = snapshot_state(sim)
+        assert doc["config"]["audit"]
+        for name in ("retry_policy", "overload", "integrity"):
+            assert doc[name] is not None
+        for job in doc["jobs"]:
+            job.pop("sched_time", None)
+        assert _sha256(doc) == SNAPSHOT_SHA256
+        assert _sha256(spec.to_dict()) == SPEC_SHA256
 
 
 # ----------------------------------------------------------------------
