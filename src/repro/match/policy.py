@@ -15,12 +15,14 @@ Two hooks:
     as the variation-aware policy (§5.2) which picks the window of nodes
     with the smallest performance-class spread.  Policies that implement it
     must set ``needs_full_feasible = True`` so the traverser materialises
-    the feasible set (otherwise candidates are evaluated lazily).
+    the feasible set.  Candidates are evaluated lazily, as the walk finds
+    them, only under a policy that keeps discovery order (only ``first``)
+    and for a request without sub-requests that is not a pool quantity fill.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import MatchError
 from ..jobspec import ResourceRequest
@@ -36,8 +38,17 @@ __all__ = [
     "VariationAware",
     "VariationGreedy",
     "POLICIES",
+    "keeps_discovery_order",
     "make_policy",
 ]
+
+
+def keeps_discovery_order(policy: "MatchPolicy") -> bool:
+    """The one test of "does this policy rank?" (the walk asks it too): no
+    own ``key`` or ``order``, and no whole feasible set needed."""
+    cls = type(policy)
+    return (cls.key is MatchPolicy.key and cls.order is MatchPolicy.order
+            and not policy.needs_full_feasible)
 
 
 class MatchPolicy:
@@ -46,25 +57,31 @@ class MatchPolicy:
     #: Registry name.
     name = "first"
     #: When True the traverser materialises the full feasible candidate set
-    #: and calls :meth:`choose`; when False it evaluates candidates lazily
-    #: in :meth:`key` order (cheaper).
+    #: and calls :meth:`choose`; when False it tries them one by one in
+    #: :meth:`key` order (lazily only where the module docstring says).
     needs_full_feasible = False
 
     def key(self, vertex: ResourceVertex, request: ResourceRequest) -> Any:
         """Sort key for candidate ordering (lower = preferred).
 
-        Returning None for every vertex keeps discovery order.
+        None for every vertex keeps discovery order, for some a MatchError.
         """
         return None
 
-    def order(
-        self, candidates: List, request: ResourceRequest
-    ) -> List:
-        """Order candidate entries (``entry.vertex`` is the vertex)."""
-        probe = self.key(candidates[0].vertex, request) if candidates else None
-        if probe is None:
+    def order(self, candidates: Iterable, request: ResourceRequest) -> Iterable:
+        """Order candidate entries (``entry.vertex`` is the vertex); those
+        of a policy that keeps discovery order may be a lazy walk."""
+        if keeps_discovery_order(self):
             return candidates
-        return sorted(candidates, key=lambda c: self.key(c.vertex, request))
+        keys = [self.key(c.vertex, request) for c in candidates]
+        unkeyed = keys.count(None)
+        if unkeyed == len(keys):
+            return candidates
+        if unkeyed:
+            raise MatchError(f"match policy {self.name!r}: key is None for "
+                             f"{unkeyed} of {len(keys)} {request.type!r} candidates")
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        return [candidates[i] for i in ranked]
 
     def choose(
         self,

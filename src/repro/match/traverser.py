@@ -23,7 +23,8 @@ selected paths only — the filters are never recomputed from scratch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     AllocationNotFoundError,
@@ -35,7 +36,7 @@ from ..jobspec import Jobspec, ResourceRequest
 from ..obs import NULL_OBSERVER, MetricsRegistry, Observer
 from ..resource import CONTAINMENT, ResourceGraph, ResourceVertex
 from ..resource.vertex import X_LIMIT
-from .policy import MatchPolicy, make_policy
+from .policy import MatchPolicy, keeps_discovery_order, make_policy
 from .writer import Allocation, Selection
 
 if False:  # pragma: no cover - annotation-only imports
@@ -179,7 +180,9 @@ class Candidate:
 
     Slotted plain class: ``_collect`` materialises one per matching vertex
     per dispatch, so the per-instance dict a dataclass would carry is pure
-    hot-path overhead (PRF003).  Treated as immutable.
+    hot-path overhead (PRF003).  Treated as immutable.  ``_collect`` sets
+    the slots without ``__init__`` (which would cost more than its yield,
+    EXPERIMENTS.md E22), so a new field goes there too.
     """
 
     __slots__ = ("vertex", "via")
@@ -692,7 +695,12 @@ class Traverser:
         demand = request.unit_demand
         why = self.obs.why
         pre = why.mark() if why.enabled else 0
-        candidates = self._collect(parent, request, at, duration, tentative, demand)
+        walk = self._collect(parent, request, at, duration, tentative, demand)
+        if self._walk_stops(request):
+            first = next(walk, None)
+            candidates = None if first is None else chain((first,), walk)
+        else:
+            candidates = list(walk)
         if not candidates:
             if why.enabled:
                 # No prune event fired during the walk → nothing of this
@@ -712,18 +720,30 @@ class Traverser:
         ordered = self.policy.order(candidates, request)
         mark = tentative.mark()
         length = len(out)
-        if quantity_mode:
-            ok = self._fill_quantity(
-                ordered, request, at, duration, exclusive, tentative, out
-            )
-        else:
-            ok = self._fill_count(
-                ordered, request, at, duration, exclusive, demand, tentative, out
-            )
+        try:
+            if quantity_mode:
+                ok = self._fill_quantity(
+                    ordered, request, at, duration, exclusive, tentative, out
+                )
+            else:
+                ok = self._fill_count(
+                    ordered, request, at, duration, exclusive, demand, tentative, out
+                )
+        finally:
+            walk.close()  # a walk the fill stopped accounts its work here
         if not ok:
             tentative.rollback(mark)
             del out[length:]
         return ok
+
+    def _walk_stops(self, request: ResourceRequest) -> bool:
+        """Whether the fill of ``request`` pulls candidates from the walk,
+        which ends once the request is filled.  The fill holds only the
+        candidate (never descended into) and its via path (passed), so the
+        rest of the walk reads what the full walk read; a nested match would
+        write below its candidate, where a DAG walk may still pass."""
+        return (not request.with_ and request.type not in self.graph.pool_types
+                and keeps_discovery_order(self.policy))
 
     def _fill_quantity(
         self,
@@ -776,7 +796,7 @@ class Traverser:
 
     def _fill_count(
         self,
-        ordered: List[Candidate],
+        ordered: Iterable[Candidate],
         request: ResourceRequest,
         at: Optional[int],
         duration: int,
@@ -788,7 +808,8 @@ class Traverser:
         """Select distinct vertices (``request.count`` up to
         ``request.max_count``), matching children inside each; greedy with
         per-candidate fallback (no cross-subtree backtracking, mirroring
-        Fluxion's one-pass DFS)."""
+        Fluxion's one-pass DFS).  Pulls no candidate past the last one it
+        needs, so a lazy ``ordered`` ends the walk there."""
         needed = request.max_count
         # demand is fixed for the whole fill, so feasibility checks across
         # candidates share one tracked-slice cache.
@@ -809,8 +830,6 @@ class Traverser:
         selected = 0
         used: set = set()
         for candidate in preference:
-            if selected == needed:
-                break
             vertex = candidate.vertex
             if vertex.uniq_id in used:
                 continue
@@ -834,6 +853,8 @@ class Traverser:
                 continue
             used.add(vertex.uniq_id)
             selected += 1
+            if selected == needed:
+                break
         if selected < request.count:
             why = self.obs.why
             if why.enabled:
@@ -855,9 +876,10 @@ class Traverser:
         duration: int,
         tentative: _Tentative,
         demand: Dict[str, int],
-    ) -> List[Candidate]:
-        """Gather candidate vertices of ``request.type`` reachable from
-        ``parent`` (or the subsystem roots), pruning infeasible subtrees."""
+    ) -> Iterator[Candidate]:
+        """The DFU walk: yield candidates of ``request.type`` under ``parent``
+        (or the roots) in discovery order, pruning infeasible subtrees; its
+        work is accounted when it ends, drained or closed by the caller."""
         rtype = request.type
         predicate = request.predicate
         graph = self.graph
@@ -873,7 +895,6 @@ class Traverser:
         siblings, via = iter(frontier), ()
         stack: List[Tuple[Iterator[ResourceVertex], tuple]] = []
         visited: set = set()
-        results: List[Candidate] = []
         tracer = self.obs.tracer
         traced = tracer.enabled
         if traced:
@@ -887,6 +908,7 @@ class Traverser:
         prune = self.prune
         subsystem = self.subsystem
         children_toward = graph.children_toward
+        new_candidate = object.__new__
         tentative_x = tentative.x
         check_status = not tentative.assume_up
         tracked_cache: Dict[Tuple[str, ...], Dict[str, int]] = {}
@@ -916,7 +938,10 @@ class Traverser:
                         continue
                     if vertex.type == rtype:
                         if predicate is None or predicate(vertex):
-                            results.append(Candidate(vertex, via))
+                            candidate = new_candidate(Candidate)
+                            candidate.vertex = vertex
+                            candidate.via = via
+                            yield candidate
                         elif why_on:
                             why_prune("predicate", rtype, vertex.name)
                         continue
@@ -962,9 +987,7 @@ class Traverser:
             if filter_misses:
                 self._c_filter_misses.inc(filter_misses)
             if traced:
-                tracer.end(visits=visits, candidates=len(results),
-                           pruned=filter_hits)
-        return results
+                tracer.end(visits=visits, pruned=filter_hits)
 
     def _vertex_fits(
         self,

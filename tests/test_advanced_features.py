@@ -259,6 +259,25 @@ class TestCallbackPolicy:
         assert alloc.nodes()[0].id == 3
         assert t.policy.name == "reverse"
 
+    @pytest.mark.parametrize("key, picked", [
+        # None for every vertex keeps discovery order
+        (lambda v, r: None, 0),
+        # None for some vertices only is refused, whichever comes first
+        # (the last one used to die in sorted(), the first one to turn the
+        # ranking off without a word)
+        (lambda v, r: None if v.id == 3 else -v.id, MatchError),
+        (lambda v, r: None if v.id == 0 else -v.id, MatchError),
+    ], ids=["all-none", "last-none", "first-none"])
+    def test_key_that_is_none(self, key, picked):
+        g = tiny_cluster(racks=1, nodes_per_rack=4)
+        t = Traverser(g, policy=CallbackPolicy(key=key, name="partial"))
+        if picked is MatchError:
+            with pytest.raises(MatchError, match="'partial'.* 1 of 4 'node'"):
+                t.allocate(nodes_jobspec(1, duration=10), at=0)
+            return
+        alloc = t.allocate(nodes_jobspec(1, duration=10), at=0)
+        assert alloc.nodes()[0].id == picked
+
     def test_custom_choose_hook(self):
         g = tiny_cluster(racks=1, nodes_per_rack=4)
         def pick_middle(feasible, needed, request):

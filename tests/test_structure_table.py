@@ -199,10 +199,13 @@ def test_skipping_walk_selects_what_the_full_walk_selects(
 
 def test_skipped_leaves_are_what_the_visit_count_lost():
     """Med LOD, one job: under each node the walk for ``memory`` no longer
-    visits 40 cores, 4 gpus and 8 ssds (and likewise for the others)."""
+    visits 40 cores, 4 gpus and 8 ssds (and likewise for the others), and
+    the walk for the 10 cores, a leaf request under ``first``, ends at the
+    tenth of the node's 40 cores."""
     _, visits = fill(build_lod("med", 1, 1), "first", True, FIG6A, limit=1)
-    # cluster + rack + node, then core / memory / ssd under the node
-    assert visits == 3 + 40 + 8 + 8
+    # cluster + rack + node, then 10 cores, and the memory and ssd pools
+    # (a pool fill walks them all) under the node
+    assert visits == 3 + 10 + 8 + 8
 
 
 # ----------------------------------------------------------------------

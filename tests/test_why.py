@@ -16,6 +16,7 @@ from repro.jobspec import (
     simple_node_jobspec,
 )
 from repro.jobspec.build import slot
+from repro.match import Traverser
 from repro.obs import (
     NULL_WHY,
     DecisionRecorder,
@@ -266,6 +267,42 @@ class TestExplainScenarios:
         report = sim.run()
         table = render_cycle_summary(report.provenance)
         assert "cycle" in table and "matched" in table
+
+    @pytest.mark.parametrize("drain, kind", [
+        ("rack", "no_candidates"),  # the walk finds no node at all
+        ("nodes", "count"),  # it finds two of the three asked for
+    ])
+    def test_refusal_reads_the_same_whether_the_walk_stops(
+        self, drain, kind, monkeypatch
+    ):
+        """A ``first`` node walk ends once the request is filled; one that
+        is refused was never filled, so it reports what the full walk does."""
+
+        def refused():
+            graph = cluster64()
+            traverser = Traverser(graph, "first", obs=Observer())
+            assert traverser.allocate(nodes_jobspec(56, duration=1000), at=0)
+            rack = graph.find(type="rack")[7]
+            if drain == "rack":
+                graph.mark_down(rack)
+            else:
+                assert traverser.allocate(nodes_jobspec(4, duration=1000), at=0)
+                free = [v for v in graph.children(rack)
+                        if v.type == "node"][4:6]
+                for node in free:
+                    graph.mark_down(node)
+            why = traverser.obs.why
+            why.begin_attempt(1, 0.0, "allocate")
+            assert traverser.allocate(nodes_jobspec(3, duration=10), at=0) is None
+            why.end_attempt("failed")
+            (attempt,) = why.export()["jobs"]["1"]["attempts"]
+            return attempt
+
+        stopping = refused()
+        monkeypatch.setattr(Traverser, "_walk_stops", lambda self, request: False)
+        assert refused() == stopping
+        assert stopping["fails"][-1]["kind"] == kind
+        assert stopping["prune"]["filter|rack"] == 7
 
 
 # ----------------------------------------------------------------------
