@@ -12,6 +12,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..resource import ResourceGraph
+from ..resource.vertex import X_LIMIT
 from ..sched import Job, JobState, SimulationReport
 
 __all__ = [
@@ -28,16 +29,21 @@ def utilization_timeline(
     """Exact (time, in_use, total) steps for one resource type.
 
     Walks every span booked on every ``rtype`` vertex and builds the event
-    profile; consecutive entries describe half-open intervals
-    ``[t_i, t_{i+1})``.  An empty graph (no bookings) yields a single step at
-    the plan start with zero use.
+    profile of the vertices' effective view: a pool quantity uses its
+    request, an exclusive hold the whole pool.  Consecutive entries describe
+    half-open intervals ``[t_i, t_{i+1})``.  An empty graph (no bookings)
+    yields a single step at the plan start with zero use.
     """
     total = sum(v.size for v in graph.vertices(rtype))
     deltas: Dict[int, int] = defaultdict(int)
     for vertex in graph.vertices(rtype):
-        for span in vertex.plans.spans():
-            deltas[span.start] += span.request
-            deltas[span.end] -= span.request
+        held = [(s.start, s.end, s.request) for s in vertex.plans.spans()] + [
+            (s.start, s.end, vertex.size)
+            for s in vertex.xplans.spans() if s.request == X_LIMIT
+        ]
+        for start, end, used in held:
+            deltas[start] += used
+            deltas[end] -= used
     if not deltas:
         return [(graph.plan_start, 0, total)]
     timeline = []

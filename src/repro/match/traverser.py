@@ -140,16 +140,13 @@ def allocation_bookings(
     the auditor, the scrubber, fsck and snapshot salvage).  It mirrors
     :meth:`Traverser._book` / :meth:`Traverser._sdfu` entry for entry and
     in the same order, so the list lines up with ``Allocation._span_records``
-    (``tests/test_expected_state.py`` pins the mirror): per selection a
-    ``plans`` span of its amount when that is non-zero and an ``xplans``
-    span of ``X_LIMIT`` when exclusive, else 1; then per charged filter a
+    (``tests/test_expected_state.py`` pins the mirror): per selection the
+    one span :attr:`Selection.booking` names; then per charged filter a
     ``filter`` bundle of its per-type counts.
     """
-    bookings: List[Tuple[ResourceVertex, str, object]] = []
-    for sel in selections:
-        if sel.amount:
-            bookings.append((sel.vertex, "plans", sel.amount))
-        bookings.append((sel.vertex, "xplans", X_LIMIT if sel.exclusive else 1))
+    bookings: List[Tuple[ResourceVertex, str, object]] = [
+        (sel.vertex,) + sel.booking for sel in selections
+    ]
     for uid, counts in sdfu_charges(graph, subsystem, selections).items():
         if counts:
             bookings.append((graph.vertex(uid), "filter", counts))
@@ -210,7 +207,9 @@ class Candidate:
 class _Tentative:
     """Journalled tentative bookings for one in-progress match.
 
-    Quantities and exclusivity levels claimed so far are tracked per vertex;
+    Quantities and exclusivity levels claimed so far are tracked per vertex,
+    each where :attr:`Selection.booking` will book it (a pool quantity in
+    ``qty``, an exclusive, shared or pass-through level in ``x``);
     ``mark``/``rollback`` undo failed sub-matches cheaply.  ``assume_up``
     makes the walk of this match treat every drained vertex as in service.
     """
@@ -571,8 +570,12 @@ class Traverser:
         Extension succeeds only when every booked vertex (and filter) has the
         capacity free over the added segment — reservations made after this
         allocation physically block it, so walltime extensions can never
-        invalidate the schedule.  All-or-nothing: on failure the allocation
-        is left exactly as it was and :class:`MatchError` is raised.
+        invalidate the schedule.  A span extends against its own planner
+        only, so a selection with an amount first asks the vertex's
+        effective view (:meth:`ResourceVertex.avail_during`): a pool
+        quantity must meet no exclusive hold, and an exclusive hold no pool
+        quantity.  All-or-nothing: on failure the allocation is left exactly
+        as it was and :class:`MatchError` is raised.
         """
         try:
             alloc = self.allocations[alloc_id]
@@ -581,8 +584,16 @@ class Traverser:
         if new_end == alloc.end:
             return alloc
         old_end = alloc.end
+        added = new_end - old_end
         done = []
         try:
+            for sel in alloc.selections:
+                if added > 0 and sel.amount and not sel.vertex.avail_during(
+                    old_end, added, sel.amount
+                ):
+                    raise PlannerError(
+                        f"{sel.vertex.name} is in use in [{old_end},{new_end})"
+                    )
             for planner, span_id in alloc._span_records:
                 planner.update_span_end(span_id, new_end)
                 done.append((planner, span_id))
@@ -773,7 +784,6 @@ class Traverser:
                 continue
             take = min(avail, remaining)
             tentative.add_qty(uid, take)
-            tentative.add_x(uid, 1)
             # Pool quantities are owned by amount, not by exclusivity: the
             # allocated units can never be shared, and locking the whole pool
             # would block other jobs from the remaining units (an exclusive
@@ -840,10 +850,8 @@ class Traverser:
                 continue
             mark = tentative.mark()
             length = len(out)
-            amount = vertex.size if exclusive else 0
-            tentative.add_qty(vertex.uniq_id, amount)
             tentative.add_x(vertex.uniq_id, X_LIMIT if exclusive else 1)
-            out.append(Selection(vertex, amount, exclusive))
+            out.append(Selection(vertex, vertex.size if exclusive else 0, exclusive))
             self._book_passthrough(candidate.via, at, duration, tentative, out)
             if children and not self._match_requests(
                 vertex, children, at, duration, exclusive, tentative, out
@@ -1000,14 +1008,15 @@ class Traverser:
         tracked_cache: Optional[Dict[Tuple[str, ...], Dict[str, int]]] = None,
     ) -> bool:
         uid = vertex.uniq_id
-        if exclusive:
-            avail = self._avail_qty(vertex, at, duration) - tentative.qty.get(uid, 0)
-            if avail < vertex.size:
-                return False
-            need_x = X_LIMIT
-        else:
-            need_x = 1
+        # Every hold but a pool quantity is in the x-plan, so it answers
+        # first; an exclusive fit then asks the pool for no quantity held.
+        need_x = X_LIMIT if exclusive else 1
         if self._avail_x(vertex, at, duration) - tentative.x.get(uid, 0) < need_x:
+            return False
+        if exclusive and (
+            self._avail_qty(vertex, at, duration) - tentative.qty.get(uid, 0)
+            < vertex.size
+        ):
             return False
         if (
             self.prune
@@ -1061,18 +1070,15 @@ class Traverser:
         """Book ``selections``, all or nothing: None (nothing left booked)
         when a planner refuses a span the match did not foresee — an
         exclusive selection's subtree charge can exceed what an outage
-        window has left in an ancestor's filter."""
+        window has left in an ancestor's filter.  Each selection books the
+        one span :attr:`Selection.booking` names."""
         records: List[Tuple[object, int]] = []
         try:
             for sel in selections:
-                vertex = sel.vertex
-                if sel.amount:
-                    records.append(
-                        (vertex.plans, vertex.plans.add_span(at, duration, sel.amount))
-                    )
-                level = X_LIMIT if sel.exclusive else 1
+                kind, request = sel.booking
+                planner = sel.vertex.planner_of(kind)
                 records.append(
-                    (vertex.xplans, vertex.xplans.add_span(at, duration, level))
+                    (planner, planner.add_span(at, duration, request))
                 )
             self._sdfu(selections, at, duration, records)
         except PlannerError as exc:

@@ -14,7 +14,7 @@ from typing import (
 
 from ..errors import RecoveryError
 from ..resource import ResourceGraph, ResourceVertex
-from ..resource.vertex import PLANNER_KINDS
+from ..resource.vertex import PLANNER_KINDS, X_LIMIT
 
 __all__ = [
     "Selection", "Allocation", "exclusive_conflicts", "planner_owner_index",
@@ -42,9 +42,14 @@ class Selection:
 
     ``amount`` is the pool quantity taken (0 for shared pass-through
     vertices, which participate only for exclusivity tracking); ``exclusive``
-    marks a whole-pool exclusive hold; ``passthrough`` marks interior
-    vertices on the path between the request level and the selected
-    resources.
+    marks a whole-pool exclusive hold, whose ``amount`` is always the
+    vertex's size; ``passthrough`` marks interior vertices on the path
+    between the request level and the selected resources.
+
+    A selection books exactly one span, in the planner that carries its
+    fact (:attr:`booking`): an exclusive hold ``X_LIMIT`` in ``xplans``, a
+    pool-quantity fill its ``amount`` in ``plans``, a shared or pass-through
+    selection 1 in ``xplans``.
 
     Slotted plain class (PRF003): every match emits one Selection per
     booked vertex, and the per-instance dict a dataclass carries is
@@ -87,6 +92,18 @@ class Selection:
     @property
     def type(self) -> str:
         return self.vertex.type
+
+    @property
+    def booking(self) -> Tuple[str, int]:
+        """The one span this selection books: ``(planner kind, request)``.
+
+        The booking rule, for the traverser, the expected-state derivation
+        and planned outages alike."""
+        if self.exclusive:
+            return "xplans", X_LIMIT
+        if self.amount:
+            return "plans", self.amount
+        return "xplans", 1
 
 
 class Allocation:

@@ -740,6 +740,16 @@ class IntegrityMonitor:
 # ----------------------------------------------------------------------
 # seeded corruption injection (chaos / test support)
 # ----------------------------------------------------------------------
+def _held_planner(vertex: "ResourceVertex") -> Optional[object]:
+    """The vertex planner holding spans that ``span`` and ``point`` damage:
+    ``plans`` when a pool quantity stands there, else ``xplans`` (every
+    other hold), else None."""
+    for planner in (vertex.plans, vertex.xplans):
+        if planner.span_count:
+            return planner
+    return None
+
+
 def corruption_targets(sim: "ClusterSimulator", kind: str) -> List[str]:
     """Vertex names where :func:`apply_corruption` would have an effect."""
     names: List[str] = []
@@ -747,7 +757,7 @@ def corruption_targets(sim: "ClusterSimulator", kind: str) -> List[str]:
         if kind == "structure":
             names.append(vertex.name)
         elif kind in ("span", "point"):
-            if vertex.plans.span_count:
+            if vertex.held:
                 names.append(vertex.name)
         elif kind == "aggregate":
             filters = vertex.prune_filters
@@ -765,26 +775,31 @@ def apply_corruption(
 ) -> bool:
     """Deterministically damage live state on ``vertex`` (test hook).
 
-    Kinds: ``span`` tampers a plans span-registry window; ``point`` bumps a
-    plans scheduled-point's usage; ``aggregate`` bumps a pruning-filter
-    point's usage (the paper's aggregate DFU data); ``structure`` perturbs
-    the vertex ``size`` field.  The damage is a pure function of
-    ``(vertex name, kind, salt)`` so journal replay re-applies it exactly.
-    Returns False (and changes nothing) when the vertex has no state of the
-    requested kind — keeping a journaled no-op replayable as a no-op.
+    Kinds: ``span`` tampers a span-registry window; ``point`` bumps a
+    scheduled-point's usage — both in the vertex planner that holds spans
+    (``plans`` for a pool quantity, else ``xplans``); ``aggregate`` bumps a
+    pruning-filter point's usage (the paper's aggregate DFU data);
+    ``structure`` perturbs the vertex ``size`` field.  The damage is a pure
+    function of ``(vertex name, kind, salt)`` so journal replay re-applies
+    it exactly.  Returns False (and changes nothing) when the vertex has no
+    state of the requested kind — keeping a journaled no-op replayable as a
+    no-op.
     """
     rng = random.Random(salt ^ zlib.crc32(vertex.name.encode("utf-8")))
     if kind == "span":
-        registry = vertex.plans._spans
-        if not registry:
+        planner = _held_planner(vertex)
+        if planner is None:
             return False
+        registry = planner._spans
         sid = sorted(registry)[rng.randrange(len(registry))]
         start, end, request, metadata = registry[sid]
         registry[sid] = (start, end + 1 + rng.randrange(7), request, metadata)
         return True
     if kind in ("point", "aggregate"):
         if kind == "point":
-            planner = vertex.plans
+            planner = _held_planner(vertex)
+            if planner is None:
+                return False
         else:
             filters = vertex.prune_filters
             if filters is None:

@@ -51,7 +51,10 @@ __all__ = [
     "load_snapshot_salvage",
 ]
 
-SNAPSHOT_VERSION = 1
+#: 2: each selection books one span (:attr:`Selection.booking`); a version-1
+#: document also holds a ``plans`` span per exclusive hold, which would
+#: restore as spans no allocation accounts for
+SNAPSHOT_VERSION = 2
 
 #: sections :func:`load_snapshot_salvage` may drop: each can be rebuilt from
 #: the rest of the document (planners from the allocation table) or holds
@@ -222,6 +225,12 @@ def restore_simulator(
     if bad:
         raise SnapshotError(
             f"cannot restore without critical section(s): {sorted(bad)}"
+        )
+    if doc.get("version") == 1:
+        raise SnapshotError(
+            "snapshot version 1 predates the one-span booking rule (an "
+            "exclusive hold books only its xplans span, a pool quantity only "
+            f"its plans span); version {SNAPSHOT_VERSION} cannot restore it"
         )
     if doc.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(

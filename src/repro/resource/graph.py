@@ -265,10 +265,10 @@ class ResourceGraph:
         :func:`repro.sched.elastic.shrink` for whole-subtree operations.
         """
         self._require(vertex)
-        if not force and vertex.plans.span_count:
+        if not force and vertex.held:
             raise ResourceGraphError(
-                f"vertex {vertex.name} has {vertex.plans.span_count} active "
-                "allocations; pass force=True to remove anyway"
+                f"vertex {vertex.name} is held by active allocations; "
+                "pass force=True to remove anyway"
             )
         for subsystem in list(self._out):
             for edge in list(self._out[subsystem].get(vertex.uniq_id, [])):
@@ -591,7 +591,7 @@ class ResourceGraph:
             )
         installed = 0
         for vertex in targets:
-            if vertex.plans.span_count:
+            if vertex.held:
                 raise ResourceGraphError(
                     "cannot (re)install pruning filters while allocations exist"
                 )

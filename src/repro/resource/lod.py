@@ -27,9 +27,7 @@ __all__ = ["coarsen_pools", "refine_pool"]
 
 
 def _require_idle(vertices: Sequence[ResourceVertex]) -> None:
-    busy = [
-        v.name for v in vertices if v.plans.span_count or v.xplans.span_count
-    ]
+    busy = [v.name for v in vertices if v.held]
     if busy:
         raise ResourceGraphError(
             f"cannot change granularity of allocated pools: {busy[:5]}"

@@ -2,9 +2,10 @@
 
 A vertex is a *resource pool*: one or more indistinguishable resources of the
 same kind, collectively represented as a quantity (``size``).  A singleton
-resource (a core, a node) is a pool of size one.  Each vertex owns a
-:class:`~repro.planner.Planner` tracking its pool's allocation state over
-time, and may additionally carry a :class:`~repro.planner.PlannerMulti`
+resource (a core, a node) is a pool of size one.  Each vertex owns two
+:class:`~repro.planner.Planner` objects tracking its pool's allocation state
+over time (pool quantities and exclusivity, one fact each), and may
+additionally carry a :class:`~repro.planner.PlannerMulti`
 pruning filter summarising the aggregate availability of configured
 lower-level resource types in its subtree (§3.4).
 """
@@ -61,11 +62,15 @@ class ResourceVertex:
         Canonical hierarchical path per subsystem, set when the first in-edge
         of a subsystem is added (e.g. ``{"containment": "/cluster0/rack3/node42"}``).
     plans:
-        Planner tracking this pool's own allocations over time.
+        Pool-quantity planner: a pool-quantity fill books its amount here
+        and nothing else books here, so it holds pool quantities only.
     xplans:
-        Exclusivity-tracking planner: shared allocations book 1 unit,
-        exclusive allocations book all X_LIMIT units, so an exclusive hold
-        conflicts with any other use while shared holds coexist.
+        Exclusivity planner, holding every exclusivity fact: shared and
+        pass-through selections book 1 unit, exclusive holds (and planned
+        outages) all X_LIMIT units, so an exclusive hold conflicts with any
+        other hold while shared holds coexist.  An exclusive hold uses the
+        whole pool without a ``plans`` span: what is in use is read through
+        the effective view (:meth:`avail_resources_during`).
     prune_filters:
         Optional PlannerMulti summarising subtree availability per tracked
         type (installed by the graph store on high-level vertices, §3.4).
@@ -128,13 +133,30 @@ class ResourceVertex:
         or ``filter`` (None when no pruning filter is installed here)."""
         return self.prune_filters if kind == "filter" else getattr(self, kind)
 
+    @property
+    def held(self) -> bool:
+        """Whether any span stands here, in either planner: an allocation,
+        a reservation or an outage holds the vertex."""
+        return bool(self.plans.span_count or self.xplans.span_count)
+
+    # The effective view: the quantity in use is what ``plans`` holds, or
+    # the whole pool while an exclusive hold (all X_LIMIT units of
+    # ``xplans``) covers the time.
     def avail_during(self, at: int, duration: int, request: int = 1) -> bool:
-        """Convenience: is ``request`` of this pool free over the window?"""
-        return self.plans.avail_during(at, duration, request)
+        """Is ``request`` of this pool free over the window?"""
+        return self.avail_resources_during(at, duration) >= request
 
     def avail_resources_during(self, at: int, duration: int) -> int:
-        """Convenience: minimum free pool quantity over the window."""
+        """Minimum free pool quantity over the window."""
+        if not self.xplans.avail_during(at, duration, 1):
+            return 0
         return self.plans.avail_resources_during(at, duration)
+
+    def avail_resources_at(self, at: int) -> int:
+        """Free pool quantity at instant ``at``."""
+        if not self.xplans.avail_at(at, 1):
+            return 0
+        return self.plans.avail_resources_at(at)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

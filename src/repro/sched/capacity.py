@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..errors import ResourceGraphError
+from ..match.writer import Selection
 from ..resource import ResourceGraph, ResourceVertex
-from ..resource.vertex import X_LIMIT
 
 __all__ = ["CapacitySchedule", "Outage"]
 
@@ -39,11 +39,11 @@ class Outage:
 class CapacitySchedule:
     """Planned-outage manager over one resource graph.
 
-    Outages are booked exactly like exclusive allocations: full pool size on
-    every vertex of the subtree, the exclusivity level on their x-planners,
-    and subtree totals into every pruning filter above — so matching,
-    reservations and ``avail_time_first`` all see the window without any
-    special-casing.
+    Outages are booked exactly like exclusive allocations: an exclusive hold
+    on every vertex of the subtree (its one span, the exclusivity level on
+    the x-planner) and subtree totals into every pruning filter above — so
+    matching, reservations and ``avail_time_first`` all see the window
+    without any special-casing.
     """
 
     def __init__(self, graph: ResourceGraph) -> None:
@@ -60,18 +60,17 @@ class CapacitySchedule:
         """What an outage of ``vertex`` books, in booking order.
 
         ``(vertex, planner kind, booked)`` triples like
-        :func:`~repro.match.traverser.allocation_bookings`: the full pool
-        and the exclusivity level on every vertex of the subtree, then the
-        subtree's totals of each tracked type into the filters on the vertex
-        and above.  :meth:`add_outage` books exactly this list, so it lines
-        up with ``Outage._span_records``.
+        :func:`~repro.match.traverser.allocation_bookings`: an exclusive
+        hold's one span on every vertex of the subtree, then the subtree's
+        totals of each tracked type into the filters on the vertex and
+        above.  :meth:`add_outage` books exactly this list, so it lines up
+        with ``Outage._span_records``.
         """
         subtree = [vertex] + list(self.graph.descendants(vertex))
-        out: List[Tuple[ResourceVertex, str, object]] = []
-        for v in subtree:
-            if v.size:
-                out.append((v, "plans", v.size))
-            out.append((v, "xplans", X_LIMIT))
+        out: List[Tuple[ResourceVertex, str, object]] = [
+            (v,) + Selection(v, v.size, exclusive=True).booking
+            for v in subtree
+        ]
         prune_types = set(self.graph.prune_types)
         totals: Dict[str, int] = {}
         for v in subtree:
@@ -95,13 +94,25 @@ class CapacitySchedule:
     ) -> Outage:
         """Take ``vertex`` and its subtree offline over ``[start, start+duration)``.
 
-        Raises :class:`ResourceGraphError` when any affected vertex already
-        has conflicting bookings in the window (drain jobs first, or pick a
-        window the planners show as free).
+        Raises when any affected vertex already has conflicting bookings in
+        the window (drain jobs first, or pick a window the planners show as
+        free): :class:`ResourceGraphError` for a quantity in use there, the
+        planner's error for a hold the outage's own spans meet.
         """
+        bookings = self.bookings(vertex)
+        for v, kind, _ in bookings:
+            # An exclusive hold's span cannot see a pool quantity: ask the
+            # effective view for the whole pool first.
+            if kind != "filter" and not v.avail_during(
+                start, duration, v.size
+            ):
+                raise ResourceGraphError(
+                    f"outage of {vertex.name}: {v.name} is in use in "
+                    f"[{start},{start + duration})"
+                )
         records: List[Tuple[object, int]] = []
         try:
-            for v, kind, booked in self.bookings(vertex):
+            for v, kind, booked in bookings:
                 planner = v.planner_of(kind)
                 records.append(
                     (planner, planner.add_span(start, duration, booked))
@@ -142,7 +153,7 @@ class CapacitySchedule:
         """Schedulable capacity of ``rtype`` at instant ``at`` (excludes both
         outages and job allocations)."""
         return sum(
-            v.plans.avail_resources_at(at) for v in self.graph.vertices(rtype)
+            v.avail_resources_at(at) for v in self.graph.vertices(rtype)
         )
 
     def offline_at(self, at: int) -> List[Outage]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..errors import ResourceGraphError
+from ..errors import PlannerError, ResourceGraphError
 from ..grug.recipe import _build_level
 from ..jobspec import Jobspec
 from ..match import Allocation, Traverser
@@ -129,11 +129,7 @@ def shrink_subtree(
     """
     doomed = [vertex] + list(graph.descendants(vertex))
     if not force:
-        busy = [
-            v.name
-            for v in doomed
-            if v.plans.span_count or v.xplans.span_count
-        ]
+        busy = [v.name for v in doomed if v.held]
         if busy:
             raise ResourceGraphError(
                 f"subtree of {vertex.name} has active allocations on "
@@ -161,8 +157,10 @@ def resize_pool(
 ) -> None:
     """Change a pool vertex's schedulable quantity (e.g. add memory).
 
-    Shrinking below the amount currently allocated at any time raises, and
-    so does a cut larger than a filter above totals, with nothing changed.
+    Shrinking below the amount in use at any time raises, and so does a cut
+    larger than a filter above totals, with nothing changed.  What is in
+    use is the vertex's effective view: an exclusive hold uses the whole
+    pool.
     """
     delta = new_size - vertex.size
     if delta == 0:
@@ -170,7 +168,16 @@ def resize_pool(
     _refuse_beyond_totals(
         graph, vertex, {vertex.type: delta}, False, f"{vertex.name} gives up"
     )
-    vertex.plans.resize(new_size)
+    plans = vertex.plans
+    cut = plans.total - new_size
+    if cut > 0 and not vertex.avail_during(
+        plans.plan_start, plans.plan_end - plans.plan_start, cut
+    ):
+        raise PlannerError(
+            f"cannot shrink {vertex.name} to {new_size}: more is in use "
+            "within the plan"
+        )
+    plans.resize(new_size)
     vertex.size = new_size
     _reshaped(graph, vertex)
     graph.note_change(structural=True)

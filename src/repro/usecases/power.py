@@ -132,7 +132,7 @@ class PowerAwareScheduler:
             self.graph.vertices("facility_power")
         )
         return {
-            vertex.path("containment"): vertex.plans.avail_resources_at(at)
+            vertex.path("containment"): vertex.avail_resources_at(at)
             for vertex in pools
         }
 

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.grug import tiny_cluster
-from repro.jobspec import simple_node_jobspec
+from repro.jobspec import nodes_jobspec, simple_node_jobspec
 from repro.recovery import (
     CORRUPTION_KINDS,
     IntegrityConfig,
@@ -298,9 +298,11 @@ class TestFsckCLI:
             wrapper = json.load(open(path))
             doc = wrapper["snapshot"]
             for planners in doc["planners"].values():
-                plans = planners.get("plans")
-                if plans and plans.get("spans"):
-                    plans["spans"][0]["end"] += 5000
+                # whole-node holds book only xplans spans
+                for kind in ("plans", "xplans"):
+                    held = planners.get(kind)
+                    if held and held.get("spans"):
+                        held["spans"][0]["end"] += 5000
             payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
             wrapper["sha256"] = hashlib.sha256(
                 payload.encode("utf-8")
@@ -328,6 +330,8 @@ def test_corruption_matrix(site, seed):
     loss = result.loss
     assert loss["fsck_exit"] == 0
     if site in ("live-span", "live-aggregate"):
+        # the site's own kind, not the structure fallback
+        assert loss["kind"] == site.split("-")[1]
         assert loss["applied"]
         assert loss["detected"] >= 1
         assert loss["unrepaired"] == 0
@@ -338,6 +342,33 @@ def test_corruption_matrix(site, seed):
     else:
         assert loss["strict_refused"]
         assert loss["sections_rebuilt"] == ["planners"]
+
+
+def test_every_kind_finds_a_target_on_whole_nodes():
+    """Whole-node holds book ``xplans`` spans only; the matrix still has
+    something of every kind to damage, so it cannot pass by finding
+    nothing."""
+    sim = ClusterSimulator(
+        tiny_cluster(), match_policy="first", queue="easy",
+        integrity=IntegrityConfig(scrub_window=None), audit=True,
+    )
+    for i in range(4):
+        sim.submit(nodes_jobspec(2, duration=500), at=i * 50)
+    sim.run(until=300)
+    assert sim.traverser.allocations
+    assert not any(v.plans.span_count for v in sim.graph.vertices())
+    for kind in CORRUPTION_KINDS:
+        targets = corruption_targets(sim, kind)
+        assert targets, f"no {kind} targets on whole nodes"
+        assert sim.inject_corruption(
+            kind, sim.graph.vertex_by_name(targets[0]), salt=7
+        )
+    counters = sim.integrity.counters
+    assert counters["detected"] >= len(CORRUPTION_KINDS)
+    assert counters["unrepaired"] == 0 and not sim.integrity.quarantined
+    assert sim.integrity.scan() == []
+    sim.run()
+    InvariantAuditor(deep=True).check(sim)
 
 
 def test_corruption_campaign_deterministic():

@@ -72,8 +72,11 @@ class TestBasicAllocate:
         t = Traverser(g, policy="low")
         alloc = t.allocate(simple_node_jobspec(cores=4, duration=100), at=0)
         for core in alloc.vertices_of_type("core"):
-            assert core.plans.avail_resources_at(50) == 0
-            assert core.plans.avail_resources_at(100) == 1
+            # an exclusive hold is booked in xplans alone: read the effective
+            # view, where it uses the whole pool
+            assert core.avail_resources_at(50) == 0
+            assert core.avail_resources_at(100) == 1
+            assert core.plans.span_count == 0 and core.xplans.span_count == 1
 
     def test_unsatisfiable_count_returns_none(self):
         g = build_cluster(cores=4)

@@ -22,7 +22,7 @@ from repro.grug import tiny_cluster
 from repro.jobspec import simple_node_jobspec
 from repro.recovery import restore_simulator, snapshot_state, state_diff
 from repro.recovery.diff import state_fingerprint
-from repro.recovery.snapshot import load_snapshot
+from repro.recovery.snapshot import SNAPSHOT_VERSION, load_snapshot
 from repro.resilience import (
     CampaignSpec,
     FaultInjector,
@@ -241,6 +241,10 @@ class TestOverloadSnapshot:
     def test_snapshot_of_the_replaced_controller_is_refused(self):
         doc = load_snapshot(OLD_SNAPSHOT)
         assert doc["overload"]["state"]["level"] == "COARSE"
+        with pytest.raises(SnapshotError, match="version 1"):
+            restore_simulator(doc)
+        # under the current booking rule, the overload section alone
+        doc["version"] = SNAPSHOT_VERSION
         with pytest.raises(SnapshotError, match="admission_policy") as info:
             restore_simulator(doc)
         assert "'overload'" in str(info.value)

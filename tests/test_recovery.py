@@ -32,6 +32,7 @@ from repro.match.writer import planner_owner_index
 from repro.planner import Planner, PlannerMulti
 from repro.recovery import (
     CRASH_POINTS,
+    SNAPSHOT_VERSION,
     CrashInjector,
     IntegrityConfig,
     RecoveryManager,
@@ -379,7 +380,7 @@ class TestSnapshot:
         sim = saturated_sim()
         path = str(tmp_path / "snap.json")
         write_snapshot(snapshot_state(sim), path)
-        assert load_snapshot(path)["version"] == 1
+        assert load_snapshot(path)["version"] == SNAPSHOT_VERSION
         blob = open(path, "rb").read()
         flipped = blob.replace(b'"now":', b'"noW":', 1)
         assert flipped != blob
@@ -929,9 +930,11 @@ MALFORMED_SECTIONS = [
 
 #: SHA-256 of the snapshot a seeded corruption campaign takes at t=1500
 #: with retry, overload, integrity and audit attached (wall-clock
-#: ``sched_time`` dropped), and of that campaign's reproducer spec
+#: ``sched_time`` dropped), and of that campaign's reproducer spec.  Version
+#: 2 (one span per selection) moved ``version``, the ``planners`` section,
+#: ``allocations.*.spans`` and the planners' ``next_span_id``.
 SNAPSHOT_SHA256 = (
-    "39baf4b31cc8410a25e3a659d16ef5aacae917d8c4cd6c3abc78f924281e5a65"
+    "84b5ffa21953417d3f556e3a81a47d2dfaf886cd6bc1c1ecd087572000273d89"
 )
 SPEC_SHA256 = (
     "011d92b25759baaf2e4310aa90216a0270ad2e1c9e43e95d5d345c0747786b3b"
@@ -954,6 +957,17 @@ class TestSectionContract:
             restore_simulator(doc)
         if names is not None:
             assert names in str(info.value)
+
+    def test_a_version_1_document_is_refused_naming_the_booking_rule(
+        self, layered_doc
+    ):
+        """Its extra ``plans`` span per exclusive hold would restore as
+        spans no allocation accounts for."""
+        doc = json.loads(layered_doc)
+        doc["version"] = 1
+        with pytest.raises(SnapshotError, match="version 1") as info:
+            restore_simulator(doc)
+        assert "booking rule" in str(info.value)
 
     def test_the_snapshot_format_is_pinned(self):
         spec = CampaignSpec.corruption_from_seed(3)

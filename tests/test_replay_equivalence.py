@@ -23,6 +23,13 @@ their ``event_log`` and schedule digests did not move.  All nine
 fingerprints were re-pinned once more when the degradation ladder left and
 took ``Job.degraded`` (``jobs.*.degraded``, always None here) with it: each
 new pin is the SHA-256 of the previous fingerprint with that key removed.
+They moved a third time when each selection came to book one span (an
+exclusive hold only its ``xplans`` span, a pool quantity only its ``plans``
+span): that moves the span tables, ``allocations.*.spans`` and the planners'
+``next_span_id`` while allocations are live.  Every scenario ends drained,
+so the final fingerprints differ in ``vertices.*.plans.next_span_id`` alone,
+and in ``vertices.*.xplans.next_span_id`` too on the three ``med_lod`` runs;
+all 18 ``event_log`` and schedule digests stayed byte-identical.
 To print the table for the current tree::
 
     PYTHONPATH=src python tests/test_replay_equivalence.py
@@ -117,47 +124,47 @@ SCENARIOS = {
 PINNED = {
     "faulty-conservative": (
         "5583ff332b7e339d5023b705b92a41ca8438a4f43fa2c1c195cb6e401eeefd16",
-        "95f38c8b05fa7d3728fa7a6bb19e92d823040ed488abaa546af566b8b6390ba1",
+        "0d3eff7d534e082aaa210db36f2f930745fab308e1e6e2877c1fe30b8b679782",
         "dd1c824574c25ec058e4c8800127a135ec841da5eba5e9c6d22505960031f4d9",
     ),
     "faulty-easy": (
         "f3138dbdeb364c84ffd8bdc1199da081a61ee9b66a7d3818fd1471da8157cc99",
-        "bff6b0a5fba9f698c88e8855eea2a060c05bd4c8321f1a4c213ebc18ee7dd55b",
+        "387d126d498b47c14d7c10b85409df17b03991379f6072b23e560743a36ed420",
         "d08b809bdf32cd78a2882cb374fd241f7af0bfb2dced5611446f7e5a528a2ef1",
     ),
     "faulty-fcfs": (
         "7d0d7f5bb11d42048b0ebde0e6f1a4017e94d27de5b3edcec7ad945e40adc486",
-        "d3bf4eeb438bdbb15169fd07d482a2073d12a9be9ab4fd5b6eae96698d0e5a9f",
+        "cb934f3d24cc7d5565cbd5652c6445a3edecca6f174f2fe24f7b826ff20b0a8b",
         "03cb92bc9870ed13ce888fc69b722c89c8f07b2463ba2e270bf4fde7191fbf01",
     ),
     "med_lod-conservative": (
         "77cd8c179b4e36efd76b7cabea438684a4bc8b7b6f106b47470b5074780020b4",
-        "1ee3a38feabb7bc91e6a68c7656b53b55aa8c3165636b88ec84ce28613563c78",
+        "63fcaf8a5f52a2f283691e3a8bed4f81d022818062911eb4c03f4bdb29bb6a5f",
         "1c223fc72f562f5577a0405cdaad8bee4fb476cb86d2d42666fe52d86f1cdf00",
     ),
     "med_lod-easy": (
         "bfe491cb00ab062bbdd0b4af433a8242c6b627ae366d593b647c8d459ce41acd",
-        "d6ac29370346b2c6556be2220b3ee60f7c16985552bef490a6d49de5e486bb89",
+        "2dc58319f77df9a9a8dac19947c95131c65c4f7467f4032d16b5b49b4a7d7b48",
         "e160284483544175ff140473bedb9cd9f0f57e1069eac896be6dc812b21ddded",
     ),
     "med_lod-fcfs": (
         "31f6cd7265abca9f50cfdc488b9ac07689a1b403d1f3415a98e0de48c753beeb",
-        "be53da5af77e72f736b34aca8bb8b789d6af6fa1594d2a135e55589a966ffbd4",
+        "3360d3a2a4b27511b02c97e7e139e6bf2c711a1135fe35741aa8cce3c1ed1e3f",
         "f0405e982585c1152258469622ef0102eb5ed096d54cb9bc8e203e1b94b3db57",
     ),
     "node_lod-conservative": (
         "7dcbc99d003e2235bf26ea37dc7c00972500823a0f9830735a177d27a844bf5b",
-        "ca775656edfe11427af3d471f1cd67f1dab75bbccf2b8041064f864d6623d6d1",
+        "1c8eeb208f1d8428a4081f16ea04a49d1320f6ffe52b971e7427eb25a55dfe34",
         "5de5e364edbd49483c3e34e747ea98e7be74f580af54709a4179eabbb4030254",
     ),
     "node_lod-easy": (
         "95010250124202ff7a6bb91b42356c081533e8dd0e45da8f5e1a109b668a775e",
-        "b9cca63dbf11603093f50271325a6b1701721bdd87a63bc8c7db6737158ca8c7",
+        "08f321b56cd5299e296bd02f5c8226223aec234daccdf16a05548d3178ba886b",
         "ce31552964bc7082c6423d1abea2e5af3672ddf60da983e5c6776f3f74b9d1c9",
     ),
     "node_lod-fcfs": (
         "f9158bff48f71c7fefe3c7c96af53cf25bbee3c0f9aefd15e694c5dc9991bece",
-        "797f2dfe9cfa9b18468615e74fc24c1a002e5fe295b964ba07cd9a4d27c89d21",
+        "8d1b944ca5995885f3ef2fae77d086b89791f4da0c55dccca12e6b1006a3ae5a",
         "136865a820d276b2de29aeb3f6d56b55c6e8525d0c908e134bfc474bc54f52ba",
     ),
 }

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.errors import ResourceGraphError, SubsystemError
+from repro.grug import quartz
+from repro.jobspec import nodes_jobspec
+from repro.match import Traverser
 from repro.resource import CONTAINMENT, ResourceGraph
 
 
@@ -23,6 +26,14 @@ def small_graph():
             mem = g.add_vertex("memory", size=32)
             g.add_edge(node, mem)
     return g
+
+
+def whole_nodes_allocated():
+    """A quartz slice with two whole nodes allocated through their rack."""
+    graph = quartz(2, 4)
+    alloc = Traverser(graph).allocate(nodes_jobspec(2), at=0)
+    assert alloc is not None
+    return graph, alloc
 
 
 class TestVertexCreation:
@@ -198,6 +209,16 @@ class TestVertexRemoval:
             small_graph.remove_vertex(node)
         small_graph.remove_vertex(node, force=True)
 
+    def test_remove_rack_a_live_allocation_passes_through_refused(self):
+        """The rack holds no ``plans`` span, only the pass-through's
+        ``xplans`` one: held all the same."""
+        graph, alloc = whole_nodes_allocated()
+        rack = graph.parents(alloc.nodes()[0])[0]
+        assert not rack.plans.span_count and rack.xplans.span_count
+        with pytest.raises(ResourceGraphError, match=rack.name):
+            graph.remove_vertex(rack)
+        assert rack in graph.children(graph.root)
+
     def test_foreign_vertex_rejected(self, small_graph):
         other = ResourceGraph().add_vertex("node")
         with pytest.raises(ResourceGraphError):
@@ -265,6 +286,14 @@ class TestPruningFilters:
         small_graph.root.plans.add_span(0, 10, 1)
         with pytest.raises(ResourceGraphError):
             small_graph.install_pruning_filters(["core"])
+
+    def test_reinstall_under_a_live_allocation_rejected(self):
+        """Whole nodes book no ``plans`` span anywhere; the root's
+        pass-through ``xplans`` span still holds it."""
+        graph, _ = whole_nodes_allocated()
+        assert not any(v.plans.span_count for v in graph.vertices())
+        with pytest.raises(ResourceGraphError, match="allocations exist"):
+            graph.install_pruning_filters(["node"])
 
     def test_prune_types_recorded(self, small_graph):
         small_graph.install_pruning_filters(["core", "memory"], at_types=["node"])
