@@ -333,7 +333,6 @@ def run_campaign(
             sim.run()
         # The chaos harness IS the recovery consumer: it absorbs the
         # injected crash and replays the journal, like a restarted daemon.
-        # fluxlint: disable-next-line=EXC002 (vetted recovery handler)
         except SimulatedCrash:
             crashed = True
             sim = recover(workdir)

@@ -1,13 +1,13 @@
 """statcheck: project-specific static analysis (fluxlint) + runtime sanitizer (FluxSan).
 
-PRs 1-2 made the scheduler crash-consistent; correctness of recovery replay
-rests on three whole-codebase invariants:
+Correctness of recovery replay and of the paper's model rests on
+whole-codebase invariants:
 
 * **determinism** — no wall-clock reads or unseeded randomness on any code
   path that feeds scheduler state (replay re-executes journaled commands and
   must reproduce identical decisions);
-* **journaling** — every state mutation in a simulator command handler is
-  appended to the write-ahead journal *before* it is applied;
+* **journaling** — a method that journals appends its record *before* it
+  does anything to its object;
 * **span safety** — planner spans are freed exactly once, exclusive holds
   never overlap, and the pruning filters (SDFU) never diverge from the
   allocations that fed them.
@@ -17,9 +17,10 @@ checks them mechanically:
 
 * :mod:`repro.statcheck.core` / :mod:`repro.statcheck.rules` — **fluxlint**,
   an AST lint engine with project-specific rules (DET001, EXC001, FLT001,
-  MUT001, JRN001, API001), per-line suppression via
+  INT001, JRN001, OBS001, OVL001), per-line suppression via
   ``# fluxlint: disable=RULE`` and text/JSON reporters.  Run it with
-  ``python -m repro.statcheck src/repro``.
+  ``python -m repro.statcheck src/repro``; the tree is held at zero
+  findings.
 * :mod:`repro.statcheck.sanitizer` — **FluxSan**, an opt-in runtime
   sanitizer (``FLUXSAN=1`` or ``ClusterSimulator(..., sanitize=True)``)
   that wraps the Planner/PlannerMulti/graph/traverser hot paths with
@@ -44,16 +45,11 @@ from .core import (
     lint_source,
     register_rule,
 )
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 from .sanitizer import DualRunReport, FluxSan, dual_run
 
-# Importing the rule modules populates the one registry in ``core`` as a
-# side effect: the AST rules, the interprocedural analyses (SPAN001, DET002,
-# EXC002, JRN002) and the profile-guided perf rules (PRF001-PRF004).
+# Importing the rule module populates the one registry in ``core``.
 from . import rules as _rules  # noqa: F401  (registration import)
-from . import hot as _hot  # noqa: F401  (registration import)
-from .cache import LintCache
-from .flow import FlowEngine, analyze_sources
 
 __all__ = [
     "LintEngine",
@@ -67,10 +63,6 @@ __all__ = [
     "register_rule",
     "render_text",
     "render_json",
-    "render_sarif",
-    "LintCache",
-    "FlowEngine",
-    "analyze_sources",
     "FluxSan",
     "DualRunReport",
     "dual_run",

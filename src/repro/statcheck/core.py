@@ -7,10 +7,8 @@ Rules are :class:`ast.NodeVisitor` subclasses registered through
 :func:`register_rule`; each owns one rule id and decides with
 :meth:`LintRule.applies_to` which files it inspects.
 
-The registry here is the rule catalogue for the whole package: the
-interprocedural (``flow``) and profile-guided (``perf``) rules register
-through the same decorator under their own ``kind``, and every engine picks
-its rules with :func:`resolve_rules`.
+The registry here is the one rule catalogue: ``--list-rules``,
+``--select`` / ``--ignore`` and the JSON reporter's summaries all read it.
 
 Suppression directives, checked per emitted violation:
 
@@ -38,10 +36,8 @@ __all__ = [
     "LintParseError",
     "SourceModule",
     "LintRule",
-    "RULE_KINDS",
     "register_rule",
     "all_rules",
-    "resolve_rules",
     "LintEngine",
     "lint_source",
     "lint_paths",
@@ -140,7 +136,6 @@ class LintRule(ast.NodeVisitor):
 
     rule_id: str = ""
     summary: str = ""
-    kind: str = "lint"
 
     def __init__(self, module: SourceModule) -> None:
         self.module = module
@@ -165,58 +160,23 @@ class LintRule(ast.NodeVisitor):
             )
 
 
-#: the engines a rule can belong to; ``kind`` on a rule class names one
-RULE_KINDS = ("lint", "flow", "perf")
-
-#: every registered rule of every kind, keyed by rule id
-_REGISTRY: Dict[str, type] = {}
+#: every registered rule, keyed by rule id
+_REGISTRY: Dict[str, Type[LintRule]] = {}
 
 
-def register_rule(rule_cls: type) -> type:
-    """Class decorator adding ``rule_cls`` to the one rule registry.
-
-    Rule ids are unique across kinds: the id alone picks the class, its
-    summary and the engine (``rule_cls.kind``) that runs it.
-    """
+def register_rule(rule_cls: Type[LintRule]) -> Type[LintRule]:
+    """Class decorator adding ``rule_cls`` to the one rule registry."""
     if not rule_cls.rule_id:
         raise ValueError(f"{rule_cls.__name__} has no rule_id")
-    if rule_cls.kind not in RULE_KINDS:
-        raise ValueError(
-            f"{rule_cls.__name__} has kind {rule_cls.kind!r}; "
-            f"expected one of {RULE_KINDS}"
-        )
     if rule_cls.rule_id in _REGISTRY:
         raise ValueError(f"duplicate rule id {rule_cls.rule_id}")
     _REGISTRY[rule_cls.rule_id] = rule_cls
     return rule_cls
 
 
-def all_rules(kind: Optional[str] = None) -> Dict[str, type]:
-    """The registered rules keyed by rule id; of one ``kind``, or all."""
-    return {
-        rule_id: rule_cls
-        for rule_id, rule_cls in _REGISTRY.items()
-        if kind is None or rule_cls.kind == kind
-    }
-
-
-def resolve_rules(
-    kind: str,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[type]:
-    """The ``kind`` rules to run, in id order: ``select`` (default: every
-    rule of the kind) minus ``ignore``.  Ids of no such rule raise."""
-    registry = all_rules(kind)
-    chosen = {r.upper() for r in select} if select is not None else set(registry)
-    dropped = {r.upper() for r in ignore} if ignore is not None else set()
-    unknown = (chosen | dropped) - set(registry)
-    if unknown:
-        raise FluxionError(
-            f"unknown {kind} rule ids: {sorted(unknown)}; "
-            f"known: {sorted(registry)}"
-        )
-    return [registry[rule_id] for rule_id in sorted(chosen - dropped)]
+def all_rules() -> Dict[str, Type[LintRule]]:
+    """The registered rules keyed by rule id."""
+    return dict(_REGISTRY)
 
 
 class LintEngine:
@@ -225,9 +185,11 @@ class LintEngine:
     Parameters
     ----------
     select:
-        Rule ids to run (default: every registered lint rule).
+        Rule ids to run (default: every registered rule).
     ignore:
         Rule ids to exclude after selection.
+
+    Ids of no registered rule raise :class:`FluxionError`.
     """
 
     def __init__(
@@ -235,7 +197,18 @@ class LintEngine:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
     ) -> None:
-        self.rules: List[Type[LintRule]] = resolve_rules("lint", select, ignore)
+        chosen = (
+            {r.upper() for r in select} if select is not None else set(_REGISTRY)
+        )
+        dropped = {r.upper() for r in ignore} if ignore is not None else set()
+        unknown = (chosen | dropped) - set(_REGISTRY)
+        if unknown:
+            raise FluxionError(
+                f"unknown rule ids: {sorted(unknown)}; known: {sorted(_REGISTRY)}"
+            )
+        self.rules: List[Type[LintRule]] = [
+            _REGISTRY[rule_id] for rule_id in sorted(chosen - dropped)
+        ]
 
     # ------------------------------------------------------------------
     def lint_source(self, source: str, path: str = "<string>") -> List[Violation]:
@@ -247,15 +220,9 @@ class LintEngine:
                 violations.extend(rule_cls(module).run())
         return sorted(violations)
 
-    def lint_file(self, path: str, cache: Optional["object"] = None) -> List[Violation]:
+    def lint_file(self, path: str) -> List[Violation]:
         with open(path, "rb") as handle:
             raw = handle.read()
-        key = None
-        if cache is not None:
-            key = cache.key(_normalize(path), raw)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
         try:
             source = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -264,51 +231,15 @@ class LintEngine:
             raise LintParseError(
                 f"{_normalize(path)}:0: cannot decode as UTF-8: {exc}"
             ) from exc
-        violations = self.lint_source(source, _normalize(path))
-        if cache is not None and key is not None:
-            cache.put(key, violations)
-        return violations
+        return self.lint_source(source, _normalize(path))
 
-    def lint_paths(
-        self,
-        paths: Sequence[str],
-        jobs: int = 1,
-        cache: Optional["object"] = None,
-    ) -> Tuple[List[Violation], int]:
-        """Lint files and directory trees; returns (violations, files seen).
-
-        ``jobs > 1`` fans the file list out over a multiprocessing pool;
-        ``cache`` is a :class:`repro.statcheck.cache.LintCache` (results are
-        keyed by content hash, so hits skip parsing entirely).
-        """
+    def lint_paths(self, paths: Sequence[str]) -> Tuple[List[Violation], int]:
+        """Lint files and directory trees; returns (violations, files seen)."""
         files = list(_expand(paths))
         violations: List[Violation] = []
-        if jobs > 1 and len(files) > 1:
-            violations = self._lint_parallel(files, jobs, cache)
-        else:
-            for path in files:
-                violations.extend(self.lint_file(path, cache=cache))
+        for path in files:
+            violations.extend(self.lint_file(path))
         return sorted(violations), len(files)
-
-    def _lint_parallel(
-        self,
-        files: Sequence[str],
-        jobs: int,
-        cache: Optional["object"],
-    ) -> List[Violation]:
-        import multiprocessing
-
-        rule_ids = [rule_cls.rule_id for rule_cls in self.rules]
-        cache_root = getattr(cache, "root", None)
-        tasks = [(path, rule_ids, cache_root) for path in files]
-        violations: List[Violation] = []
-        with multiprocessing.Pool(processes=min(jobs, len(files))) as pool:
-            for ok, payload in pool.imap_unordered(_lint_worker, tasks):
-                if not ok:
-                    pool.terminate()
-                    raise LintParseError(payload)
-                violations.extend(payload)
-        return violations
 
 
 def _normalize(path: str) -> str:
@@ -336,29 +267,6 @@ def _expand(paths: Sequence[str]) -> Iterable[str]:
             raise FluxionError(f"no such file or directory: {path}")
 
 
-#: per-process engine cache for the --jobs worker pool, keyed by rule ids
-_WORKER_ENGINES: Dict[Tuple[str, ...], "LintEngine"] = {}
-
-
-def _lint_worker(task: Tuple[str, List[str], Optional[str]]) -> Tuple[bool, "object"]:
-    """Pool worker: lint one file, returning (ok, violations-or-error)."""
-    path, rule_ids, cache_root = task
-    key = tuple(rule_ids)
-    engine = _WORKER_ENGINES.get(key)
-    if engine is None:
-        engine = LintEngine(select=rule_ids)
-        _WORKER_ENGINES[key] = engine
-    cache = None
-    if cache_root is not None:
-        from .cache import LintCache
-
-        cache = LintCache(root=cache_root, rule_ids=rule_ids)
-    try:
-        return True, engine.lint_file(path, cache=cache)
-    except (LintParseError, OSError, FluxionError) as exc:
-        return False, str(exc)
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -373,9 +281,6 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    jobs: int = 1,
-    cache: Optional["object"] = None,
 ) -> Tuple[List[Violation], int]:
     """Convenience wrapper: lint files/trees with a fresh engine."""
-    engine = LintEngine(select=select, ignore=ignore)
-    return engine.lint_paths(paths, jobs=jobs, cache=cache)
+    return LintEngine(select=select, ignore=ignore).lint_paths(paths)

@@ -1,4 +1,4 @@
-"""fluxlint output renderers: human text, machine JSON, and SARIF 2.1.0."""
+"""fluxlint output renderers: human text and machine JSON."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ from typing import Dict, List
 
 from .core import Violation, all_rules
 
-__all__ = ["render_text", "render_json", "render_sarif", "SARIF_SCHEMA_URI"]
-
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-SARIF_VERSION = "2.1.0"
+__all__ = ["render_text", "render_json"]
 
 
 def render_text(
@@ -40,7 +34,7 @@ def render_text(
 
 def render_json(violations: List[Violation], files_checked: int) -> str:
     """A stable JSON document for CI annotation tooling."""
-    catalogue = _rule_catalogue()
+    catalogue = {rule_id: rule.summary for rule_id, rule in all_rules().items()}
     payload = {
         "violations": [
             {
@@ -57,69 +51,3 @@ def render_json(violations: List[Violation], files_checked: int) -> str:
         "violation_count": len(violations),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _rule_catalogue() -> Dict[str, str]:
-    """Every known rule id -> one-line summary."""
-    return {rule_id: rule_cls.summary for rule_id, rule_cls in all_rules().items()}
-
-
-def render_sarif(violations: List[Violation], files_checked: int = 0) -> str:
-    """A minimal SARIF 2.1.0 log: one run, one result per violation.
-
-    The document carries the pieces CI code-scanning upload endpoints
-    require: ``$schema``/``version``, a tool driver with a rule catalogue,
-    and per-result ``ruleId`` + physical location (1-based line/column;
-    SARIF columns are 1-based while our columns are 0-based AST offsets).
-    """
-    catalogue = _rule_catalogue()
-    used = sorted({violation.rule for violation in violations})
-    rules = [
-        {
-            "id": rule_id,
-            "shortDescription": {"text": catalogue.get(rule_id, rule_id)},
-        }
-        for rule_id in used
-    ]
-    rule_index = {rule_id: index for index, rule_id in enumerate(used)}
-    results = [
-        {
-            "ruleId": violation.rule,
-            "ruleIndex": rule_index[violation.rule],
-            "level": "error",
-            "message": {"text": violation.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": violation.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": max(violation.line, 1),
-                            "startColumn": violation.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for violation in violations
-    ]
-    document = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "fluxlint",
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "properties": {"filesChecked": files_checked},
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)

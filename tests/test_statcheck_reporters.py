@@ -1,4 +1,4 @@
-"""Golden-file tests for the fluxlint reporters (text / JSON / SARIF).
+"""Golden-file tests for the fluxlint reporters (text / JSON).
 
 The golden files under ``tests/golden/`` pin the exact bytes each reporter
 emits for a fixed violation list, so any formatting drift — field renames,
@@ -16,35 +16,27 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
-
-from repro.statcheck import (
-    Violation,
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.statcheck.cli import main
-from repro.statcheck.reporters import SARIF_SCHEMA_URI
+from repro.statcheck import Violation, render_json, render_text
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
-# A fixed, representative violation list: one flow rule reported at a
-# 0-based column, one with a call chain in the message, one classic rule.
+# A fixed, representative violation list: three rules, three files, reported
+# at 0-based columns.
 VIOLATIONS = [
     Violation(
         "src/repro/planner/book.py",
         4,
         4,
-        "SPAN001",
-        "span handle 'sid' assigned here leaks on the fall-through path",
+        "EXC001",
+        "except Exception: pass silently discards failures adjacent to "
+        "SimulatedCrash; handle or narrow it",
     ),
     Violation(
         "src/repro/sched/clock.py",
         4,
         11,
-        "DET002",
-        "call into sample() reaches nondeterminism: sample -> raw_stamp",
+        "DET001",
+        "wall-clock read time.time() is not replayable",
     ),
     Violation(
         "src/repro/sched/simulator.py",
@@ -66,7 +58,6 @@ def regenerate():
     outputs = {
         "statcheck_report.txt": render_text(VIOLATIONS, files_checked=3),
         "statcheck_report.json": render_json(VIOLATIONS, files_checked=3),
-        "statcheck_report.sarif": render_sarif(VIOLATIONS, files_checked=3),
         "statcheck_empty.txt": render_text([], files_checked=7),
     }
     for name, text in outputs.items():
@@ -90,93 +81,7 @@ class TestGoldenJSON:
         rendered = render_json(VIOLATIONS, files_checked=3) + "\n"
         assert rendered == _golden("statcheck_report.json")
 
-    def test_flow_rule_summary_is_populated(self):
+    def test_rule_summaries_are_populated(self):
         document = json.loads(render_json(VIOLATIONS, files_checked=3))
-        by_rule = {v["rule"]: v for v in document["violations"]}
-        assert by_rule["SPAN001"]["summary"]  # flow rules are in the catalogue
-        assert by_rule["JRN001"]["summary"]
-
-
-class TestGoldenSARIF:
-    def test_report_matches_golden(self):
-        rendered = render_sarif(VIOLATIONS, files_checked=3) + "\n"
-        assert rendered == _golden("statcheck_report.sarif")
-
-    def test_sarif_210_shape(self):
-        """Validate the structural pieces code-scanning uploaders require,
-        without a jsonschema dependency."""
-        document = json.loads(render_sarif(VIOLATIONS, files_checked=3))
-        assert document["$schema"] == SARIF_SCHEMA_URI
-        assert document["version"] == "2.1.0"
-        (run,) = document["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "fluxlint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == sorted(rule_ids)
-        for rule in driver["rules"]:
-            assert rule["shortDescription"]["text"]
-        assert len(run["results"]) == len(VIOLATIONS)
-        for result in run["results"]:
-            assert result["level"] == "error"
-            assert driver["rules"][result["ruleIndex"]]["id"] == result["ruleId"]
-            (location,) = result["locations"]
-            region = location["physicalLocation"]["region"]
-            assert region["startLine"] >= 1
-            assert region["startColumn"] >= 1
-            artifact = location["physicalLocation"]["artifactLocation"]
-            assert artifact["uriBaseId"] == "SRCROOT"
-        assert run["properties"]["filesChecked"] == 3
-
-    def test_columns_are_one_based(self):
-        document = json.loads(render_sarif(VIOLATIONS, files_checked=3))
-        regions = [
-            result["locations"][0]["physicalLocation"]["region"]
-            for result in document["runs"][0]["results"]
-        ]
-        by_line = {region["startLine"]: region for region in regions}
-        # Violation col 4 -> SARIF startColumn 5, col 11 -> 12.
-        assert by_line[88]["startColumn"] == 9
-
-    def test_empty_run_is_valid(self):
-        document = json.loads(render_sarif([], files_checked=0))
-        (run,) = document["runs"]
-        assert run["results"] == []
-        assert run["tool"]["driver"]["rules"] == []
-
-
-class TestParallelDeterminism:
-    """The machine-readable reporters must emit byte-identical documents
-    whatever ``--jobs`` fan-out produced the violations — CI diffs SARIF
-    uploads, and a worker-ordering leak would churn them on every run."""
-
-    @pytest.fixture()
-    def fixture_tree(self, tmp_path):
-        """A small tree with violations spread over several files so a
-        parallel run actually interleaves workers."""
-        for index in range(6):
-            path = tmp_path / f"mod_{index}.py"
-            path.write_text(
-                "import time\n"
-                f"def f_{index}(x=[]):\n"
-                f"    x.append(time.time())\n"
-                "    return x\n"
-            )
-        return tmp_path
-
-    def _render(self, fixture_tree, fmt, jobs, capsys):
-        code = main(
-            ["--format", fmt, "--jobs", str(jobs), str(fixture_tree)]
-        )
-        assert code == 1
-        return capsys.readouterr().out
-
-    @pytest.mark.parametrize("fmt", ["json", "sarif"])
-    def test_output_identical_across_jobs(self, fixture_tree, capsys, fmt):
-        golden = self._render(fixture_tree, fmt, 1, capsys)
-        for jobs in (2, 4):
-            assert self._render(fixture_tree, fmt, jobs, capsys) == golden
-
-    def test_text_output_identical_across_jobs(self, fixture_tree, capsys):
-        golden = self._render(fixture_tree, "text", 1, capsys)
-        for jobs in (2, 4):
-            assert self._render(fixture_tree, "text", jobs, capsys) == golden
+        for violation in document["violations"]:
+            assert violation["summary"]  # every rule is in the catalogue
