@@ -131,7 +131,10 @@ def sdfu_charges(
 
 
 def allocation_bookings(
-    graph: ResourceGraph, subsystem: str, selections: List[Selection]
+    graph: ResourceGraph,
+    subsystem: str,
+    selections: List[Selection],
+    charges: Optional[Dict[int, Dict[str, int]]] = None,
 ) -> List[Tuple[ResourceVertex, str, object]]:
     """What one allocation books: ``(vertex, planner kind, booked)`` triples.
 
@@ -142,12 +145,16 @@ def allocation_bookings(
     in the same order, so the list lines up with ``Allocation._span_records``
     (``tests/test_expected_state.py`` pins the mirror): per selection the
     one span :attr:`Selection.booking` names; then per charged filter a
-    ``filter`` bundle of its per-type counts.
+    ``filter`` bundle of its per-type counts.  ``charges`` is what
+    :func:`sdfu_charges` gave for ``selections`` at booking, when the
+    traverser handed it over; None derives it.
     """
     bookings: List[Tuple[ResourceVertex, str, object]] = [
         (sel.vertex,) + sel.booking for sel in selections
     ]
-    for uid, counts in sdfu_charges(graph, subsystem, selections).items():
+    if charges is None:
+        charges = sdfu_charges(graph, subsystem, selections)
+    for uid, counts in charges.items():
         if counts:
             bookings.append((graph.vertex(uid), "filter", counts))
     return bookings
@@ -162,7 +169,7 @@ def _tracked_slice(
     Filters at the same graph level track identical type sets, so one
     ``_collect``/``_fill_count`` pass re-derives the same dict thousands of
     times; keying on ``filters.types`` collapses that to one comprehension
-    per distinct set (PRF001: dict built per visited vertex otherwise).
+    per distinct set (a dict built per visited vertex otherwise).
     """
     key = filters.types
     tracked = cache.get(key)
@@ -177,7 +184,7 @@ class Candidate:
 
     Slotted plain class: ``_collect`` materialises one per matching vertex
     per dispatch, so the per-instance dict a dataclass would carry is pure
-    hot-path overhead (PRF003).  Treated as immutable.  ``_collect`` sets
+    hot-path overhead.  Treated as immutable.  ``_collect`` sets
     the slots without ``__init__`` (which would cost more than its yield,
     EXPERIMENTS.md E22), so a new field goes there too.
     """
@@ -327,6 +334,11 @@ class Traverser:
         #: journal; None disables).
         self.on_book = None
         self.on_remove = None
+        #: ``{alloc id: sdfu_charges}`` of bookings no verifier has counted
+        #: yet, handed over so the expected state need not derive them
+        #: again (:func:`allocation_bookings`).  None keeps nothing: the
+        #: expected state a verifier keeps switches it on and drains it.
+        self.charges: Optional[Dict[int, Dict[int, Dict[str, int]]]] = None
         #: cooperative work budget (repro.resilience.overload): when an
         #: OverloadController attaches one for the duration of a dispatch
         #: cycle, candidate collection and the reservation search charge it
@@ -539,6 +551,8 @@ class Traverser:
             planner.rem_span(span_id)
         alloc._span_records.clear()
         alloc._bookings = None
+        if self.charges is not None:
+            self.charges.pop(alloc_id, None)
         self.graph.note_change(planned=now is not None and alloc.end <= now)
         if self.on_remove is not None:
             self.on_remove(alloc)
@@ -910,7 +924,7 @@ class Traverser:
         budget = self.budget
         filter_hits = 0
         filter_misses = 0
-        # Hot-loop hoists (PRF002): bind per-call invariants to locals so the
+        # Hot-loop hoists: bind per-call invariants to locals so the
         # DFS body — run once per visited vertex — skips repeated attribute
         # lookups; memoize the tracked demand slice per filter type-set.
         prune = self.prune
@@ -922,7 +936,7 @@ class Traverser:
         tracked_cache: Dict[Tuple[str, ...], Dict[str, int]] = {}
         # Decision provenance (null-twin pattern): one hoisted bool guards
         # every probe, so a disabled recorder costs a local truth test on
-        # the prune paths only; the bound method is hoisted too (PRF002).
+        # the prune paths only; the bound method is hoisted too.
         why = self.obs.why
         why_on = why.enabled
         why_prune = why.prune
@@ -1080,7 +1094,7 @@ class Traverser:
                 records.append(
                     (planner, planner.add_span(at, duration, request))
                 )
-            self._sdfu(selections, at, duration, records)
+            charges = self._sdfu(selections, at, duration, records)
         except PlannerError as exc:
             for planner, span_id in reversed(records):
                 planner.rem_span(span_id)
@@ -1098,6 +1112,8 @@ class Traverser:
         )
         self._next_alloc_id += 1
         self.allocations[alloc.alloc_id] = alloc
+        if self.charges is not None:
+            self.charges[alloc.alloc_id] = charges
         if self.on_book is not None:
             self.on_book(alloc)
         return alloc
@@ -1108,7 +1124,7 @@ class Traverser:
         at: int,
         duration: int,
         records: List[Tuple[object, int]],
-    ) -> None:
+    ) -> Dict[int, Dict[str, int]]:
         """Scheduler-Driven Filter Update (§3.4, Fig. 2).
 
         Book the selected amounts into the pruning filters of every ancestor
@@ -1117,7 +1133,8 @@ class Traverser:
         selections additionally charge their full subtree totals (minus any
         explicitly selected descendants) so filters reflect that the subtree
         is closed to other jobs.  The charge computation itself lives in
-        :func:`sdfu_charges`, which :func:`allocation_bookings` shares.
+        :func:`sdfu_charges`, which :func:`allocation_bookings` shares;
+        the charges are returned for :attr:`charges`.
         """
         updates = sdfu_charges(self.graph, self.subsystem, selections)
         booked = 0
@@ -1129,3 +1146,4 @@ class Traverser:
             booked += 1
         if booked:
             self._c_sdfu_updates.inc(booked)
+        return updates

@@ -9,7 +9,7 @@ underlying resource manager uses to contain, bind and execute the job.  The
 from __future__ import annotations
 
 from typing import (
-    Any, Container, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+    Any, Collection, Dict, Iterator, List, Mapping, Optional, Tuple,
 )
 
 from ..errors import RecoveryError
@@ -17,7 +17,7 @@ from ..resource import ResourceGraph, ResourceVertex
 from ..resource.vertex import PLANNER_KINDS, X_LIMIT
 
 __all__ = [
-    "Selection", "Allocation", "exclusive_conflicts", "planner_owner_index",
+    "Selection", "Allocation", "ExclusivityIndex", "planner_owner_index",
 ]
 
 
@@ -51,7 +51,7 @@ class Selection:
     pool-quantity fill its ``amount`` in ``plans``, a shared or pass-through
     selection 1 in ``xplans``.
 
-    Slotted plain class (PRF003): every match emits one Selection per
+    Slotted plain class: every match emits one Selection per
     booked vertex, and the per-instance dict a dataclass carries is
     measurable overhead at fill-the-machine rates.  Treated as immutable.
     """
@@ -132,7 +132,7 @@ class Allocation:
         the one it counted).  Selections never change once booked, so the
         derivation is kept instead of repeated.
 
-    Slotted plain class (PRF003): one Allocation per successful match.
+    Slotted plain class: one Allocation per successful match.
     Mirrors the former (non-frozen) dataclass: equality compares all
     fields and instances are unhashable.
     """
@@ -366,59 +366,141 @@ class Allocation:
         return f"t=[{self.at},{self.end}){flag} {{{body}}}"
 
 
-#: one selection of one allocation, as :func:`exclusive_conflicts` names it:
-#: ``(selection, owner, allocation)``
+#: one selection of one allocation, as :meth:`ExclusivityIndex.conflicts`
+#: names it: ``(selection, owner, allocation)``
 Hold = Tuple[Selection, object, Allocation]
 
+#: what a vertex nothing is indexed under holds (never mutated)
+_NONE: Dict[int, List[Selection]] = {}
 
-def exclusive_conflicts(
-    graph: ResourceGraph,
-    subsystem: str,
-    holds: Iterable[Tuple[object, Allocation]],
-    fresh: Optional[Container[int]] = None,
-) -> Iterator[Tuple[Hold, Hold]]:
-    """Exclusivity conflicts among ``(owner, allocation)`` pairs.
 
-    Yields ``(hold, use)``: an exclusive hold of one owner and a use by
-    another owner in an overlapping window, either of the hold's own vertex
-    or of a vertex below it in ``subsystem`` (nothing of another owner lives
-    inside an exclusive subtree).  ``fresh`` names the allocation ids a
-    conflict must involve — one that was not there at a previous check
-    needs one; None is every pair.  The auditor (owner = job id) and FluxSan
-    (owner = allocation id) both ask this.
+class ExclusivityIndex:
+    """The one exclusivity rule, over a kept set of allocations.
+
+    Nothing of another owner may use an exclusively held vertex, or a vertex
+    below it in ``subsystem``, in an overlapping window.  Two maps are kept
+    up to date as allocations are added and discarded: the exclusive holds
+    by vertex, and the uses (every selection) by vertex and by each of its
+    ancestors.  Asking about some allocations then costs what they select
+    times the depth of the graph, not the whole set.  The expected state
+    the auditor reads keeps one (owner = job id); FluxSan keeps one per
+    traverser (owner = allocation id); a full audit is an index built from
+    nothing, asked about every allocation.  An index is of one
+    :attr:`ResourceGraph.shape`: when that moves, build a new one.
     """
-    if fresh is not None and not fresh:
-        return
-    ancestry = graph.ancestry
-    # one entry per selection; the exclusive ones indexed by vertex — all
-    # of them, and those of a fresh allocation, which is all an older
-    # selection is held to
-    entries: List[Tuple[Selection, object, Allocation, bool]] = []
-    held: Dict[int, List[int]] = {}
-    held_fresh: Dict[int, List[int]] = {}
-    for owner, alloc in holds:
-        is_fresh = fresh is None or alloc.alloc_id in fresh
+
+    __slots__ = ("graph", "subsystem", "allocs", "held", "uses")
+
+    def __init__(self, graph: ResourceGraph, subsystem: str) -> None:
+        self.graph = graph
+        self.subsystem = subsystem
+        #: ``{alloc id: allocation}`` indexed
+        self.allocs: Dict[int, Allocation] = {}
+        #: ``{vertex uniq id: {alloc id: [exclusive selections of it]}}``
+        self.held: Dict[int, Dict[int, List[Selection]]] = {}
+        #: ``{vertex uniq id: {alloc id: [selections of it or below it]}}``
+        self.uses: Dict[int, Dict[int, List[Selection]]] = {}
+
+    def _keys(self, sel: Selection) -> Tuple[int, ...]:
+        """The vertex of ``sel`` and every ancestor of it."""
+        vertex = sel.vertex
+        return (vertex.uniq_id,) + self.graph.ancestry(vertex, self.subsystem)[1]
+
+    def add(self, alloc: Allocation) -> None:
+        aid = alloc.alloc_id
+        self.allocs[aid] = alloc
+        held, uses, keys = self.held, self.uses, self._keys
         for sel in alloc.selections:
             if sel.exclusive:
-                uid = sel.vertex.uniq_id
-                held.setdefault(uid, []).append(len(entries))
-                if is_fresh:
-                    held_fresh.setdefault(uid, []).append(len(entries))
-            entries.append((sel, owner, alloc, is_fresh))
-    for k, (sel_k, owner_k, alloc_k, fresh_k) in enumerate(entries):
-        holders = held if fresh_k else held_fresh
-        # same vertex: an exclusive hold vs. any overlapping use
-        for i in holders.get(sel_k.vertex.uniq_id, ()):
-            sel_i, owner_i, alloc_i, _ = entries[i]
-            if i != k and owner_i != owner_k and _overlap(alloc_i, alloc_k):
-                yield (sel_i, owner_i, alloc_i), (sel_k, owner_k, alloc_k)
-        # subtree: nothing of another owner below an exclusive hold
-        for above in ancestry(sel_k.vertex, subsystem)[1]:
-            for i in holders.get(above, ()):
-                sel_i, owner_i, alloc_i, _ = entries[i]
-                if owner_i != owner_k and _overlap(alloc_i, alloc_k):
-                    yield (sel_i, owner_i, alloc_i), (sel_k, owner_k, alloc_k)
+                held.setdefault(sel.vertex.uniq_id, {}).setdefault(
+                    aid, []).append(sel)
+            for uid in keys(sel):
+                uses.setdefault(uid, {}).setdefault(aid, []).append(sel)
+
+    def discard(self, alloc_id: int) -> None:
+        alloc = self.allocs.pop(alloc_id, None)
+        if alloc is None:
+            return
+        held, uses = self.held, self.uses
+        for uid in {s.vertex.uniq_id for s in alloc.selections if s.exclusive}:
+            _drop(held, uid, alloc_id)
+        for uid in {uid for sel in alloc.selections for uid in self._keys(sel)}:
+            _drop(uses, uid, alloc_id)
+
+    def sync(self, live: Mapping[int, Allocation]) -> None:
+        """Index exactly the allocations of ``live`` (same ids, same
+        objects)."""
+        allocs = self.allocs
+        for aid in [aid for aid, alloc in allocs.items()
+                    if live.get(aid) is not alloc]:
+            self.discard(aid)
+        if len(allocs) != len(live):
+            for aid, alloc in live.items():
+                if aid not in allocs:
+                    self.add(alloc)
+
+    def conflicts(
+        self,
+        entered: Optional[Collection[int]] = None,
+        owners: Optional[Mapping[int, object]] = None,
+    ) -> Iterator[Tuple[Hold, Hold]]:
+        """Exclusivity conflicts among the indexed allocations.
+
+        Yields ``(hold, use)``: an exclusive hold of one owner and a use by
+        another owner in an overlapping window, of the hold's own vertex or
+        of a vertex below it.  ``entered`` names the allocation ids a
+        conflict must involve (one that was not there at a previous check
+        needs one); None is every pair.  ``owners`` maps an allocation id to
+        its owner, and an allocation it does not name holds nothing; None
+        makes each allocation its own owner (its id).
+        """
+        allocs, held, uses, keys = self.allocs, self.held, self.uses, self._keys
+        for aid in allocs if entered is None else entered:
+            alloc = allocs.get(aid)
+            owner = aid if owners is None else owners.get(aid)
+            if alloc is None or owner is None:
+                continue
+            for sel in alloc.selections:
+                # an exclusive hold on this vertex or above it
+                for uid in keys(sel):
+                    for other, sels in held.get(uid, _NONE).items():
+                        found = _pair(allocs, owners, other, owner, alloc)
+                        if found is not None:
+                            for hold in sels:
+                                yield (hold,) + found, (sel, owner, alloc)
+                if entered is None or not sel.exclusive:
+                    continue
+                # a use of this vertex or below it that did not enter (one
+                # that did asked about its own holds above)
+                for other, sels in uses.get(sel.vertex.uniq_id, _NONE).items():
+                    if other in entered:
+                        continue
+                    found = _pair(allocs, owners, other, owner, alloc)
+                    if found is not None:
+                        for use in sels:
+                            yield (sel, owner, alloc), (use,) + found
 
 
-def _overlap(a: Allocation, b: Allocation) -> bool:
-    return a.at < b.end and b.at < a.end
+def _drop(index: Dict[int, Dict[int, List[Selection]]], uid: int, aid: int) -> None:
+    by_alloc = index[uid]
+    del by_alloc[aid]
+    if not by_alloc:
+        del index[uid]
+
+
+def _pair(
+    allocs: Mapping[int, Allocation],
+    owners: Optional[Mapping[int, object]],
+    other: int,
+    owner: object,
+    alloc: Allocation,
+) -> Optional[Tuple[object, Allocation]]:
+    """``(owner, allocation)`` of indexed allocation ``other`` when it
+    belongs to another owner than ``owner`` and overlaps ``alloc``."""
+    other_owner = other if owners is None else owners.get(other)
+    if other_owner is None or other_owner == owner:
+        return None
+    found = allocs[other]
+    if found.at < alloc.end and alloc.at < found.end:
+        return other_owner, found
+    return None

@@ -67,7 +67,7 @@ class Span:
     from :meth:`~repro.planner.Planner.add_span`.  A planner keeps a plain
     record per span and builds this view on demand.  Treated as immutable:
     updates go through :meth:`replace` (slotted plain class rather than a
-    dataclass — ``__slots__`` drops the per-instance dict; PRF003).
+    dataclass — ``__slots__`` drops the per-instance dict).
     ``metadata`` defaults to the shared, read-only :data:`NO_METADATA`.
     """
 

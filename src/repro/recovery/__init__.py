@@ -15,7 +15,8 @@ write-ahead journal so *nothing* is lost between snapshots:
   failures on mid-stream damage for bounded, accounted loss);
 * :mod:`~repro.recovery.integrity` — the "fluxfsck" online scrubber:
   :class:`IntegrityMonitor` cross-checks planner/allocation/graph state
-  against content checksums each cycle, quarantining corrupted vertices;
+  against the expected spans and the attach-time structure each cycle,
+  quarantining corrupted vertices;
 * :mod:`~repro.recovery.repair` — :class:`RepairEngine`, the journaled
   repair actions the scrubber and snapshot salvage both use;
 * :mod:`~repro.recovery.crash` — :class:`CrashInjector` killing the
@@ -39,7 +40,7 @@ from .integrity import (
     apply_corruption,
     corruption_targets,
     expected_span_table,
-    structure_checksum,
+    structure_drift,
 )
 from .journal import Journal, read_journal, read_journal_salvage
 from .manager import RecoveryManager, recover
@@ -67,7 +68,7 @@ __all__ = [
     "apply_corruption",
     "corruption_targets",
     "expected_span_table",
-    "structure_checksum",
+    "structure_drift",
     "RepairEngine",
     "Journal",
     "read_journal",

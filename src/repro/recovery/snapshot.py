@@ -102,9 +102,16 @@ def _section(name: str) -> Iterator[None]:
         raise SnapshotError(f"snapshot section {name!r}: {exc}") from None
 
 
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _section_digest(value: Any) -> str:
-    payload = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(_canonical(value))
 
 
 def _planner_states(sim: ClusterSimulator) -> Dict[str, Dict[str, Any]]:
@@ -357,21 +364,25 @@ def write_snapshot(doc: Dict[str, Any], path: str) -> None:
 
     The write goes through a temporary file + ``os.replace`` so a crash
     mid-write can never leave a half-written file under the final name.
+    The file holds ``_canonical({"sha256": ..., "sections": ...,
+    "snapshot": doc})``, built from one serialization of each section.
     """
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    wrapper = {
-        "sha256": digest,
-        # Per-section digests let salvage recovery localise damage: a bad
-        # rebuildable section is dropped instead of discarding the file.
-        "sections": {key: _section_digest(value) for key, value in doc.items()},
-        "snapshot": doc,
-    }
+    # One serialization per section: with string keys, ``_canonical(doc)``
+    # is the sections' texts in key order.
+    texts = {key: _canonical(value) for key, value in doc.items()}
+    payload = "{" + ",".join(
+        f"{json.dumps(key)}:{texts[key]}" for key in sorted(texts)
+    ) + "}"
+    # Per-section digests let salvage recovery localise damage: a bad
+    # rebuildable section is dropped instead of discarding the file.
+    sections = {key: _sha256(text) for key, text in texts.items()}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        # dumps, not dump: same bytes, but json.dump(fp) streams through
-        # the pure-Python encoder and is the bulk of a snapshot's cost.
-        handle.write(json.dumps(wrapper, sort_keys=True, separators=(",", ":")))
+        # the wrapper's keys in sorted order: sections, sha256, snapshot
+        handle.write(
+            f'{{"sections":{_canonical(sections)},'
+            f'"sha256":"{_sha256(payload)}","snapshot":{payload}}}'
+        )
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -391,9 +402,7 @@ def load_snapshot(path: str) -> Dict[str, Any]:
     ):
         raise SnapshotError(f"snapshot {path!r} has no checksum wrapper")
     doc = wrapper["snapshot"]
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if digest != wrapper["sha256"]:
+    if _section_digest(doc) != wrapper["sha256"]:
         raise SnapshotError(f"snapshot {path!r} fails checksum verification")
     # The per-section digests are salvage metadata outside the global
     # checksum; verify them too so no byte of the file is unprotected.

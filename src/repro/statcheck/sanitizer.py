@@ -13,7 +13,8 @@ what no other guard sees, raising :class:`~repro.errors.SanitizerError`:
   from the same :func:`~repro.match.traverser.sdfu_charges` that booked;
 * **double drain / resume** — a lost guard in the failure/repair path;
 * **exclusivity**, at the call that broke it — the auditor's rule
-  (:func:`~repro.match.writer.exclusive_conflicts`), allocations as owners.
+  (:class:`~repro.match.writer.ExclusivityIndex`, one kept per traverser),
+  allocations as owners.
 
 :func:`dual_run` steps two builds of one simulation in lockstep and diffs
 :func:`~repro.recovery.state_fingerprint` after every event, so a
@@ -30,12 +31,13 @@ from __future__ import annotations
 
 import sys
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SanitizerError
 from ..match.traverser import Traverser
-from ..match.writer import Allocation, Selection, exclusive_conflicts
+from ..match.writer import Allocation, ExclusivityIndex, Selection
 from ..planner.multi import PlannerMulti
 from ..planner.planner import Planner
 from ..resource.graph import ResourceGraph
@@ -83,6 +85,11 @@ class FluxSan:
     def __init__(self) -> None:
         #: id(planner) -> {span_id: call site of the free}
         self._freed: Dict[int, Dict[int, str]] = {}
+        #: traverser -> (graph shape, its allocations indexed for the
+        #: exclusivity rule); weak, so a finished run's traverser can go
+        self._exclusive: "weakref.WeakKeyDictionary[Traverser, tuple]" = (
+            weakref.WeakKeyDictionary()
+        )
         self.stats: Dict[str, int] = dict.fromkeys((
             "frees_tracked", "double_frees", "exclusive_checks",
             "sdfu_checks", "status_checks",
@@ -161,11 +168,20 @@ class FluxSan:
     # ------------------------------------------------------------------
     def _check_exclusive(self, traverser: Traverser, alloc: Allocation) -> None:
         """The auditor's exclusivity rule, on the one allocation just booked
-        or installed, with allocations as owners: the first conflict raises."""
+        or installed, with allocations as owners: the first conflict raises.
+        The index is kept per traverser and brought in step with its live
+        allocations first."""
         self.stats["exclusive_checks"] += 1
-        holds = ((a.alloc_id, a) for a in traverser.allocations.values())
-        for (sel_i, aid_i, alloc_i), (sel_k, aid_k, alloc_k) in exclusive_conflicts(
-            traverser.graph, traverser.subsystem, holds, (alloc.alloc_id,)
+        shape = traverser.graph.shape
+        kept = self._exclusive.get(traverser)
+        if kept is None or kept[0] != shape:
+            kept = self._exclusive[traverser] = (
+                shape, ExclusivityIndex(traverser.graph, traverser.subsystem)
+            )
+        index = kept[1]
+        index.sync(traverser.allocations)
+        for (sel_i, aid_i, alloc_i), (sel_k, aid_k, alloc_k) in index.conflicts(
+            (alloc.alloc_id,)
         ):
             top, used = sel_i.vertex.name, sel_k.vertex.name
             inside = sel_i.vertex is not sel_k.vertex

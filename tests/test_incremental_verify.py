@@ -253,7 +253,7 @@ def cold_vertex(sim, kind):
 @pytest.mark.parametrize("kind", [k for k in CORRUPTION_KINDS if k != "structure"])
 def test_cold_corruption_reaches_the_auditor_within_the_bound(kind):
     """No monitor: the auditor's own slice of the rotation gets there.
-    (Nothing but a structure checksum notices a changed ``size``, so that
+    (Nothing but the structure comparison notices a changed ``size``, so that
     kind needs the monitor; point damage needs ``deep``.)"""
     sim, bound = cold_sim(audit=InvariantAuditor(deep=True))
     vertex = cold_vertex(sim, kind)

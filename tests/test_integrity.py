@@ -26,9 +26,9 @@ from repro.recovery import (
     apply_corruption,
     corruption_targets,
     expected_span_table,
-    structure_checksum,
+    structure_drift,
 )
-from repro.recovery.integrity import vertex_structure
+from repro.recovery.integrity import ExpectedState, vertex_structure
 from repro.recovery.__main__ import main as fsck_main
 from repro.resilience import InvariantAuditor
 from repro.resilience.chaos import (
@@ -55,17 +55,28 @@ def busy_sim(**kwargs):
 # checksums and targeting
 # ----------------------------------------------------------------------
 class TestChecksums:
-    def test_structure_checksum_deterministic(self):
+    def test_structure_of_identical_runs_compares_equal(self):
         a, b = busy_sim(), busy_sim()
         for va, vb in zip(a.graph.vertices(), b.graph.vertices()):
-            assert structure_checksum(va) == structure_checksum(vb)
+            assert structure_drift(va, vertex_structure(vb)) == []
 
-    def test_structure_checksum_tracks_damage(self):
+    def test_structure_drift_names_the_damaged_field(self):
         sim = busy_sim()
         vertex = sim.graph.vertex_by_name("node0")
-        before = structure_checksum(vertex)
+        before = vertex_structure(vertex)
         apply_corruption(sim, vertex, "structure", salt=5)
-        assert structure_checksum(vertex) != before
+        assert structure_drift(vertex, before) == ["size"]
+        vertex.properties["rogue"] = 1
+        assert structure_drift(vertex, before) == ["size", "properties"]
+        state = ExpectedState(sim)
+        state.refresh()
+        [finding] = [
+            f for f in state.scan(vertex, baseline=before)
+            if f.kind == "structure"
+        ]
+        assert finding.detail == (
+            "size, properties differ from the attach-time baseline"
+        )
 
     def test_corruption_targets_are_applicable(self):
         sim = busy_sim()
@@ -223,7 +234,7 @@ class TestElasticChangeReachesTheBaseline:
         resize_pool(graph, graph.vertex_by_name("memory0"), 32)
         assert graph.reshaped is None
 
-    def test_grown_vertices_are_checksummed(self):
+    def test_grown_vertices_enter_the_baseline(self):
         sim = elastic_sim()
         created = grow(
             sim.graph, sim.graph.find(type="rack")[0],
