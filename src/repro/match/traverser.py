@@ -79,7 +79,9 @@ def sdfu_charges(
     above a vertex, what is nested under what and what an exclusive hold
     closes below itself are read from the graph's structure-derived table
     (:meth:`ResourceGraph.ancestry`, :meth:`~ResourceGraph.tracked_below`),
-    never re-derived per job.
+    never re-derived per job.  Explicit amounts are summed per (filter
+    chain, type) and each chain walked once: the dict, key and bucket order
+    included, is the one a walk per selection builds.
     """
     prune_types = graph.prune_types
     updates: Dict[int, Dict[str, int]] = {}
@@ -87,16 +89,21 @@ def sdfu_charges(
         return updates
     ancestry = graph.ancestry
 
-    def charge(vertex: ResourceVertex, rtype: str, qty: int) -> None:
-        for anc in ancestry(vertex, subsystem)[0]:
+    def charge(holders: Tuple[ResourceVertex, ...], rtype: str, qty: int) -> None:
+        for anc in holders:
             bucket = updates.setdefault(anc.uniq_id, {})
             if anc.prune_filters.tracks(rtype):
                 bucket[rtype] = bucket.get(rtype, 0) + qty
 
     explicit = [s for s in selections if not s.passthrough and s.amount]
+    # first-seen order: every key and bucket lands where its first charge did
+    sums: Dict[Tuple[Tuple[ResourceVertex, ...], str], int] = {}
     for sel in explicit:
         if sel.type in prune_types:
-            charge(sel.vertex, sel.type, sel.amount)
+            key = (ancestry(sel.vertex, subsystem)[0], sel.type)
+            sums[key] = sums.get(key, 0) + sel.amount
+    for (holders, rtype), qty in sums.items():
+        charge(holders, rtype, qty)
     # Exclusive subtree extras: a top-level exclusive hold consumes its
     # whole subtree, so charge what is below it minus explicit bookings.
     # A childless one has nothing below it.
@@ -126,7 +133,7 @@ def sdfu_charges(
                 bucket = updates.setdefault(vertex.uniq_id, {})
                 if own.tracks(rtype):
                     bucket[rtype] = bucket.get(rtype, 0) + qty
-            charge(vertex, rtype, qty)
+            charge(ancestry(vertex, subsystem)[0], rtype, qty)
     return updates
 
 
@@ -765,10 +772,13 @@ class Traverser:
         """Whether the fill of ``request`` pulls candidates from the walk,
         which ends once the request is filled.  The fill holds only the
         candidate (never descended into) and its via path (passed), so the
-        rest of the walk reads what the full walk read; a nested match would
-        write below its candidate, where a DAG walk may still pass."""
-        return (not request.with_ and request.type not in self.graph.pool_types
-                and keeps_discovery_order(self.policy))
+        rest of the walk reads what the full walk read.  A nested match
+        also writes below its candidate: where the subsystem is a tree the
+        walk never reaches that again, but a DAG walk may still pass there,
+        so a request with sub-requests stops only on a tree."""
+        return (keeps_discovery_order(self.policy)
+                and request.type not in self.graph.pool_types
+                and (not request.with_ or self.graph.is_tree(self.subsystem)))
 
     def _fill_quantity(
         self,

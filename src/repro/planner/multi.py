@@ -247,8 +247,7 @@ class PlannerMulti:
         try:
             for rtype, sid in booked.items():
                 planner = self._planners[rtype]
-                # an unknown sid: update_span_end raises SpanNotFoundError
-                old_end = planner.span_windows().get(sid, (None, None))[1]
+                old_end = planner.get_span(sid).end
                 planner.update_span_end(sid, new_end)
                 done.append((planner, sid, old_end))
         except PlannerError:

@@ -94,8 +94,6 @@ class Planner:
 
     def _ensure_tree(self) -> None:
         """Materialise the SP tree and the permanent base point."""
-        if self._sp is not None:
-            return
         self._sp = SPTree()
         # Permanent base point: the state from plan_start until the first span.
         self._base_point = ScheduledPoint(self.plan_start, 0, self.total, ref_count=1)
@@ -179,7 +177,7 @@ class Planner:
         while point is not None and point.key < end:
             if point.remaining < lowest:
                 lowest = point.remaining
-            point = sp.successor(point)
+            point = point.next
         return lowest
 
     def avail_during(self, at: int, duration: int, request: int) -> bool:
@@ -198,7 +196,7 @@ class Planner:
         while point is not None and point.key < end:
             if point.remaining < request:
                 return False
-            point = sp.successor(point)
+            point = point.next
         return True
 
     def next_event_time(self, after: int) -> Optional[int]:
@@ -281,8 +279,13 @@ class Planner:
         ``Allocation._span_records`` — must keep resolving).  The id must be
         positive and unused; the auto-assignment counter advances past it so
         later spans never collide.
+
+        Costs one ``floor`` descent and walks along the time links: one
+        checks the window, one charges it (the indexed tree's range walk
+        instead); a missing boundary point is linked in after its neighbour.
         """
-        self._check_window(start, duration)
+        if duration <= 0 or start < self.plan_start or start + duration > self.plan_end:
+            self._check_window(start, duration)
         if request < 0:
             raise PlannerError(f"negative request: {request}")
         if request > self.total:
@@ -298,18 +301,27 @@ class Planner:
                     f"span id {span_id} already in use"
                     f" ({self.resource_type or 'resource'})"
                 )
-        if not self.avail_during(start, duration, request):
-            raise PlannerError(
-                f"request {request}x[{start},{start + duration}) unavailable"
-                f" ({self.resource_type or 'resource'})"
-            )
-        self._ensure_tree()
+        if self._sp is None:
+            self._ensure_tree()  # a fresh tree holds the whole pool: it fits
+        sp = self._sp
         end = start + duration
-        start_point = self._get_or_create_point(start)
-        end_point = self._get_or_create_point(end)
-        start_point.ref_count += 1
-        end_point.ref_count += 1
-        self._shift(start, end, request)
+        first = last = point = sp.floor(start)
+        while point is not None and point.key < end:
+            if point.remaining < request:
+                raise PlannerError(
+                    f"request {request}x[{start},{end}) unavailable"
+                    f" ({self.resource_type or 'resource'})"
+                )
+            last, point = point, point.next
+        # `last` governs `end`; `point` is the first point at or after it
+        if first.key != start:
+            split = sp.split_after(first, start)
+            last, first = (split if last is first else last), split
+        if point is None or point.key != end:
+            point = sp.split_after(last, end)
+        first.ref_count += 1
+        point.ref_count += 1
+        sp.charge(first, end, request)
         if span_id is None:
             span_id = self._next_span_id
             self._next_span_id += 1
@@ -319,11 +331,13 @@ class Planner:
         return span_id
 
     def rem_span(self, span_id: int) -> Span:
-        """Release the span with ``span_id`` and return it."""
+        """Release the span with ``span_id`` and return it: one ``find``,
+        then one walk along the time links to its end point."""
         span = self.get_span(span_id)
-        self._shift(span.start, span.end, -span.request)
-        self._release_point(span.start)
-        self._release_point(span.end)
+        first = self._sp.find(span.start)
+        last = self._sp.charge(first, span.end, -span.request)
+        self._release(first)
+        self._release(last)
         del self._spans[span_id]
         return span
 
@@ -361,7 +375,7 @@ class Planner:
         else:
             # Truncation: release the tail [new_end, old_end).
             self._shift(new_end, span.end, -span.request)
-        self._release_point(span.end)
+        self._release(self._sp.find(span.end))
         start, _, request, metadata = self._spans[span_id]
         self._spans[span_id] = (start, new_end, request, metadata)
         return span.replace(end=new_end)
@@ -524,13 +538,10 @@ class Planner:
         governing = self._sp.floor(time)
         if governing.key == time:
             return governing
-        return self._sp.insert_node(
-            ScheduledPoint(time, governing.in_use, governing.remaining)
-        )
+        return self._sp.split_after(governing, time)
 
-    def _release_point(self, time: int) -> None:
-        point = self._sp.find(time)
-        assert point is not None, f"missing scheduled point at t={time}"
+    def _release(self, point: Optional[ScheduledPoint]) -> None:
+        assert point is not None, "missing scheduled point"
         point.ref_count -= 1
         if point.ref_count == 0 and point is not self._base_point:
             self._sp.delete_node(point)
@@ -540,8 +551,8 @@ class Planner:
         if self._sp is None:
             assert not self._spans
             return
-        # Red-black and time order; where the tree is indexed, every node's
-        # remaining-resource range against a recomputation.
+        # Red-black and time order, the time links; where the tree is
+        # indexed, every node's remaining range against a recomputation.
         self._sp.check_invariants()
         points = list(self._sp)
         assert points and points[0] is self._base_point

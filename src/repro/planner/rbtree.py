@@ -201,22 +201,34 @@ class RBTree:
         key = z.key
         y = self.nil
         x = self.root
+        left = False
         while x is not self.nil:
             y = x
             if key == x.key:
                 raise KeyError(f"duplicate key: {key!r}")
-            x = x.left if key < x.key else x.right
+            left = key < x.key
+            x = x.left if left else x.right
+        return self._attach(z, y, left)
+
+    def _attach(self, z: RBNode, parent: RBNode, left: bool) -> RBNode:
+        """Hang the fresh node ``z`` as a leaf on the ``left`` (or right) of
+        ``parent`` (the sentinel: as the root), rebalance and return it.  A
+        caller that already knows that place calls this with no descent."""
         z.left = z.right = self.nil
-        z.parent = y
-        if y is self.nil:
+        z.parent = parent
+        if parent is self.nil:
             self.root = z
-        elif key < y.key:
-            y.left = z
+        elif left:
+            parent.left = z
         else:
-            y.right = z
+            parent.right = z
         self._size += 1
-        self._refresh_up(z)
-        self._insert_fixup(z)
+        if self._augment is not None:
+            self._refresh_up(z)
+        if parent.red:
+            self._insert_fixup(z)
+        elif parent is self.nil:
+            z.red = _BLACK
         return z
 
     def delete_node(self, z: RBNode) -> None:
@@ -249,7 +261,7 @@ class RBTree:
             y.left.parent = y
             y.red = z.red
         self._size -= 1
-        if refresh_from is not nil:
+        if refresh_from is not nil and self._augment is not None:
             self._refresh_up(refresh_from)
         if not y_was_red:
             self._delete_fixup(x)
@@ -299,10 +311,6 @@ class RBTree:
             x = x.left
         return x
 
-    def _refresh_one(self, node: RBNode) -> None:
-        if self._augment is not None and node is not self.nil:
-            node.aug = self._augment(node)
-
     def _refresh_up(self, node: RBNode) -> None:
         if self._augment is None:
             return
@@ -324,8 +332,8 @@ class RBTree:
             x.parent.right = y
         y.left = x
         x.parent = y
-        self._refresh_one(x)
-        self._refresh_one(y)
+        if self._augment is not None:
+            x.aug, y.aug = self._augment(x), self._augment(y)
 
     def _right_rotate(self, x: RBNode) -> None:
         y = x.left
@@ -341,8 +349,8 @@ class RBTree:
             x.parent.left = y
         y.right = x
         x.parent = y
-        self._refresh_one(x)
-        self._refresh_one(y)
+        if self._augment is not None:
+            x.aug, y.aug = self._augment(x), self._augment(y)
 
     def _transplant(self, u: RBNode, v: RBNode) -> None:
         if u.parent is self.nil:

@@ -39,15 +39,21 @@ class ScheduledPoint(RBNode):
         Number of spans whose start or end boundary is this point.  A point
         whose ref count drops to zero carries no information (its state equals
         its predecessor's) and is removed from the tree.
+    prev, next:
+        The neighbouring points in time order (None at either end), kept by
+        the :class:`~repro.planner.trees.SPTree` that holds the point: a
+        window is walked along them, never by climbing the tree.
     """
 
-    __slots__ = ("in_use", "remaining", "ref_count")
+    __slots__ = ("in_use", "remaining", "ref_count", "prev", "next")
 
     def __init__(self, time: int, in_use: int, remaining: int, ref_count: int = 0):
         RBNode.__init__(self, time, None)
         self.in_use = in_use
         self.remaining = remaining
         self.ref_count = ref_count
+        self.prev: Optional["ScheduledPoint"] = None
+        self.next: Optional["ScheduledPoint"] = None
 
     @property
     def time(self) -> int:

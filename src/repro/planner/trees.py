@@ -4,9 +4,10 @@
 :class:`~repro.planner.rbtree.RBTree` whose nodes are the
 :class:`~repro.planner.span.ScheduledPoint` s themselves, keyed by time.  The
 time-based queries are the tree's own — the state at time *t* is
-``floor(t)``, later points are ``successor``s — and, once :meth:`SPTree.index`
-has switched it on, an index of remaining resource over the same nodes: each
-node carries the ``(lowest, highest)`` ``remaining`` of its subtree, so the
+``floor(t)``, and each later point one ``next`` link on, since the tree
+links every point to its neighbours in time on each insert and delete —
+and, once :meth:`SPTree.index` has switched it on, so is an index of
+remaining resource over the same nodes: each node carries the ``(lowest, highest)`` ``remaining`` of its subtree, so the
 earliest later point that covers a request, and the earliest that falls
 short of it, are each one ``O(log N)`` descent.  Those two descents are what
 the earliest-time question (EarliestAt) needs; the paper answers it from a
@@ -44,9 +45,78 @@ def _remaining_range(node: ScheduledPoint) -> Tuple[int, int]:
 
 class SPTree(RBTree):
     """Scheduled-point tree: its nodes are :class:`ScheduledPoint` s, keyed
-    by time (link one in with :meth:`insert_node`)."""
+    by time (link one in with :meth:`insert_node`, or next to the point
+    before it with :meth:`split_after`), each linked to its neighbours in
+    time."""
 
     __slots__ = ()
+
+    # ------------------------------------------------------------------
+    # the time links
+    # ------------------------------------------------------------------
+    def _attach(
+        self, z: ScheduledPoint, parent: ScheduledPoint, left: bool
+    ) -> ScheduledPoint:
+        # A new leaf's neighbour in time is the node it hangs from.
+        if parent is self.nil:
+            before = after = None
+        elif left:
+            before, after = parent.prev, parent
+        else:
+            before, after = parent, parent.next
+        z.prev, z.next = before, after
+        if before is not None:
+            before.next = z
+        if after is not None:
+            after.prev = z
+        return RBTree._attach(self, z, parent, left)
+
+    def delete_node(self, z: ScheduledPoint) -> None:
+        before, after = z.prev, z.next
+        if before is not None:
+            before.next = after
+        if after is not None:
+            after.prev = before
+        RBTree.delete_node(self, z)
+        z.prev = z.next = None
+
+    def check_invariants(self) -> None:
+        """Red-black, order and index invariants, and the time links: they
+        follow the in-order walk, and ``prev`` and ``next`` agree."""
+        RBTree.check_invariants(self)
+        before = None
+        for point in self:
+            assert point.prev is before, f"prev link broken at t={point.key}"
+            if before is not None:
+                assert before.next is point, f"next link broken at t={before.key}"
+            before = point
+        assert before is None or before.next is None, "next link past the end"
+
+    def split_after(self, node: ScheduledPoint, time: int) -> ScheduledPoint:
+        """Link in a new point at ``time``, which lies between ``node`` and
+        the point after it, holding ``node``'s state; return it.  No
+        descent: the new leaf hangs right of ``node`` or, where that place
+        is taken, left of the next point, the leftmost of that subtree."""
+        point = ScheduledPoint(time, node.in_use, node.remaining)
+        if node.right is self.nil:
+            return self._attach(point, node, False)
+        return self._attach(point, node.next, True)
+
+    def charge(
+        self, first: ScheduledPoint, end: int, delta: int
+    ) -> Optional[ScheduledPoint]:
+        """Charge ``delta`` units to ``first`` and every later point before
+        ``end``, keeping the index, if there is one, in step; return the
+        first point at or after ``end`` (None when there is none)."""
+        point, indexed = first, self._augment is not None
+        while point is not None and point.key < end:
+            if not indexed:
+                point.in_use += delta
+                point.remaining -= delta
+            point = point.next
+        if indexed:
+            self._shift_indexed(self.root, first.key, end, delta)
+        return point
 
     # ------------------------------------------------------------------
     # the remaining-resource index
@@ -67,14 +137,9 @@ class SPTree(RBTree):
     def shift(self, start: int, end: int, delta: int) -> None:
         """Charge ``delta`` units (negative: release) to every point with
         start <= time < end, keeping the index, if there is one, in step."""
-        if self.augmented:
-            self._shift_indexed(self.root, start, end, delta)
-            return
         point = self.ceiling(start)
-        while point is not None and point.key < end:
-            point.in_use += delta
-            point.remaining -= delta
-            point = self.successor(point)
+        if point is not None:
+            self.charge(point, end, delta)
 
     def _shift_indexed(
         self, point: ScheduledPoint, start: int, end: int, delta: int

@@ -516,6 +516,20 @@ class ResourceGraph:
             }
         return kept
 
+    def is_tree(self, subsystem: str = CONTAINMENT) -> bool:
+        """True when no vertex has two parents in ``subsystem``, kept in the
+        structure-derived table: a walk there meets what lies below a
+        vertex only through that vertex."""
+        table = self._table()
+        key = ("tree", subsystem)
+        kept = table.get(key)
+        if kept is None:
+            inn = self._in.get(subsystem)
+            if inn is None:
+                raise SubsystemError(f"unknown subsystem: {subsystem!r}")
+            kept = table[key] = all(len(edges) <= 1 for edges in inn.values())
+        return kept
+
     @property
     def pool_types(self) -> FrozenSet[str]:
         """Types with a pool (``size != 1``) anywhere in the store, kept in

@@ -121,6 +121,26 @@ def test_detect_quarantine_repair(kind):
     assert "integrity:" in report.summary()
 
 
+def test_a_broken_time_link_is_tree_drift_until_rebuilt():
+    """A scheduled point linked past its neighbour: the planner's own
+    invariants trip, the deep scrub reports ``tree-drift`` for that planner,
+    and ``rebuild()``, which throws the tree away, mends it."""
+    sim = busy_sim()
+    vertex = sim.graph.vertex_by_name("node0")
+    planner = vertex.xplans
+    points = list(planner._sp)
+    assert len(points) >= 3
+    points[0].next = points[2]
+    state = ExpectedState(sim)
+    state.refresh()
+    findings = state.scan(vertex)
+    assert [(f.kind, f.planner) for f in findings] == [("tree-drift", "xplans")]
+    assert "next link broken" in findings[0].detail
+    planner.rebuild()
+    assert state.scan(vertex) == []
+    planner.check_invariants()
+
+
 def test_detect_only_when_auto_repair_off():
     sim = busy_sim(
         integrity=IntegrityConfig(scrub_window=None, auto_repair=False)

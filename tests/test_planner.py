@@ -520,6 +520,59 @@ def test_property_index_built_on_demand_answers_as_one_kept_all_along(
     assert {s.span_id for s in early.spans()} == {s.span_id for s in late.spans()}
 
 
+def _linked(planner):
+    """Point times along the ``next`` links, and along ``prev`` backwards."""
+    point, forward, last = planner._sp.minimum(), [], None
+    while point is not None:
+        forward.append(point.key)
+        last, point = point, point.next
+    backward = []
+    while last is not None:
+        backward.append(last.key)
+        last = last.prev
+    return forward, backward[::-1]
+
+
+@given(ops_strategy)
+@settings(max_examples=150, deadline=None)
+def test_property_time_links_follow_the_tree(ops):
+    """Random adds, removals, end moves, resizes and rebuilds on a planner
+    never indexed and on one indexed from its first span: after every step
+    the time links walk the tree's in-order sequence both ways, and every
+    window answer equals the list-based baseline's."""
+    from repro.baselines import ListPlanner
+
+    plain, indexed = Planner(16, 0, 260), Planner(16, 0, 260)
+    model = ListPlanner(16, 0, 260)
+    live = []
+    for op in ops:
+        sid = live[op[1] % len(live)] if op[0] in ("rem", "end") and live else None
+        outcome = _apply(plain, op, sid)
+        assert repr(_apply(indexed, op, sid)) == repr(outcome), op
+        if not isinstance(outcome, PlannerError):
+            assert _apply_to_model(model, op, sid) == outcome
+            if op[0] == "add":
+                live.append(outcome)
+            elif op[0] == "rem" and sid is not None:
+                live.remove(sid)
+        _force_index(indexed)
+        assert not plain.indexed
+        for planner in (plain, indexed):
+            planner.check_invariants()
+            if planner._sp is not None:
+                in_order = [point.key for point in planner._sp]
+                assert _linked(planner) == (in_order, in_order)
+            for request, duration, at in _PROBES:
+                assert planner.avail_during(at, duration, request) == (
+                    model.avail_during(at, duration, request)
+                )
+                assert planner.avail_resources_during(at, duration) == min(
+                    model.avail_resources_at(t) for t in range(at, at + duration)
+                )
+            for at in range(0, 260, 13):
+                assert planner.avail_resources_at(at) == model.avail_resources_at(at)
+
+
 def _tree_shape(planner):
     """In-order (key, colour, augmentation) of every node of the SP tree."""
     return [(point.key, point.red, point.aug) for point in planner._sp]

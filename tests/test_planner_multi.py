@@ -64,6 +64,21 @@ class TestBooking:
         assert rack_filter.avail_during(0, 100, {"core": 40})
         rack_filter.check_invariants()
 
+    def test_refused_extension_restores_every_type(self, rack_filter):
+        sid = rack_filter.add_span(0, 100, {"core": 10, "gpu": 1})
+        rack_filter.add_span(100, 50, {"gpu": 4})
+        # cores may run on past 100, gpus may not: the core span's end,
+        # moved first, must come back.
+        with pytest.raises(PlannerError):
+            rack_filter.update_span_end(sid, 120)
+        core, gpu = (rack_filter.planner(t) for t in ("core", "gpu"))
+        assert [s.end for s in core.spans()] == [100]
+        assert sorted(s.end for s in gpu.spans()) == [100, 150]
+        assert rack_filter.avail_during(100, 50, {"core": 40})
+        rack_filter.check_invariants()
+        rack_filter.update_span_end(sid, 90)
+        assert [s.end for s in core.spans()] == [90]
+
     def test_rem_unknown_span(self, rack_filter):
         with pytest.raises(SpanNotFoundError):
             rack_filter.rem_span(123)

@@ -142,6 +142,13 @@ MATCHED = {
         [nested_exclusive_jobspec(), nodes_jobspec(2),
          simple_node_jobspec(cores=2, memory=20, gpus=1)],
     ),
+    # cores and 16+4 GB of memory on each of two nodes: two types, each
+    # selected more than once, on two filter chains that share the rack
+    "two-types-two-chains": (
+        lambda: tiny_cluster(racks=1, nodes_per_rack=2,
+                             prune_types=("core", "memory")),
+        [simple_node_jobspec(cores=3, memory=20, nodes=2)],
+    ),
 }
 
 
@@ -154,6 +161,33 @@ def test_matched_selection_sets(name):
         alloc = traverser.allocate(jobspec, at=0)
         assert alloc is not None, jobspec.summary()
         assert_same(graph, alloc.selections)
+
+
+def test_charges_summed_per_chain_keep_the_order_of_first_charge():
+    """Selections alternating two types across the chains of two nodes:
+    the per-chain sums must leave every key and every bucket where the
+    first selection to charge it put it."""
+    graph = tiny_cluster(racks=2, nodes_per_rack=2,
+                         prune_types=("core", "memory"))
+    first, second = (graph.by_path(f"/cluster0/rack0/node{i}") for i in (0, 1))
+
+    def picks(node, rtype):
+        return [v for v in graph.children(node) if v.type == rtype]
+
+    core_a, core_b = picks(first, "core")[:2], picks(second, "core")[:2]
+    memory_a, memory_b = picks(first, "memory"), picks(second, "memory")
+    selections = [
+        Selection(memory_b[0], 3, False), Selection(core_a[0], 1, False),
+        Selection(core_b[0], 1, False), Selection(memory_a[0], 5, False),
+        Selection(core_a[1], 1, False), Selection(memory_b[1], 2, False),
+        Selection(core_b[1], 1, False),
+    ]
+    assert_same(graph, selections)
+    charges = sdfu_charges(graph, CONTAINMENT, selections)
+    assert ordered(charges)[:2] == [
+        (second.uniq_id, [("memory", 5), ("core", 2)]),
+        (graph.by_path("/cluster0/rack0").uniq_id, [("memory", 10), ("core", 4)]),
+    ]
 
 
 @pytest.mark.parametrize("seed", range(40))

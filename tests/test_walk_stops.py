@@ -1,9 +1,10 @@
 """The walk that stops decides nothing.
 
-Under a policy that keeps discovery order, a request without sub-requests
-that is not a pool quantity fill takes its candidates straight from the DFU
-walk, and the walk ends once the request is filled
-(``Traverser._walk_stops``, the one predicate that chooses it).  Every
+Under a policy that keeps discovery order, a request that is not a pool
+quantity fill — and, when it has sub-requests, is matched in a subsystem
+that is a tree — takes its candidates straight from the DFU walk, and the
+walk ends once the request is filled (``Traverser._walk_stops``, the one
+predicate that chooses it).  Every
 scenario here runs twice: as is, and with that predicate forced off, so
 every walk is drained to its end.  The two runs must make the same
 decisions — the same ``event_log``, the same selections for every
@@ -11,11 +12,13 @@ allocation, the same ``satisfiable`` answers — and no call of the stopping
 run may visit more vertices than the same call of the full one.
 """
 
+import random
+
 import pytest
 
-from repro import Traverser
-from repro.grug import rabbit_system
-from repro.jobspec import Jobspec, ResourceRequest
+from repro import ClusterSimulator, Traverser
+from repro.grug import build_lod, rabbit_system, tiny_cluster
+from repro.jobspec import Jobspec, ResourceRequest, simple_node_jobspec
 from repro.match.policy import POLICIES, keeps_discovery_order, make_policy
 from repro.usecases.rabbit import global_storage_job, node_local_storage_job
 
@@ -82,6 +85,74 @@ def test_scenarios_decide_the_same(queue, seed, monkeypatch):
     assert_no_more_visits(visits, full_visits)
 
 
+def two_nodes_three_cores(duration):
+    """``node[2] -> core[3]``: two shared nodes, three cores on each."""
+    return Jobspec(
+        resources=(ResourceRequest(
+            type="node", count=2,
+            with_=(ResourceRequest(type="core", count=3),),
+        ),),
+        duration=duration,
+    )
+
+
+#: graph, then the nested jobspecs drawn from on it (by duration)
+NESTED = {
+    "tiny": (
+        lambda: tiny_cluster(2, 3, cores=4),
+        (lambda d: simple_node_jobspec(cores=2, memory=12, duration=d),
+         two_nodes_three_cores),
+    ),
+    "med-lod": (
+        lambda: build_lod("med", 2, 3),
+        (lambda d: simple_node_jobspec(cores=16, memory=8, ssds=1, duration=d),
+         two_nodes_three_cores),
+    ),
+}
+
+
+def nested_scenario(graph_name, seed, queue):
+    """Seeded nested jobs, enough to queue behind one another, run to the
+    end under ``first``; every input drawn before the run."""
+    build, shapes = NESTED[graph_name]
+    rng = random.Random(seed)
+    sim = ClusterSimulator(build(), "first", queue=queue)
+    t = 0
+    for _ in range(48):
+        t += rng.choice([0, 0, 7, 23])
+        duration = rng.randrange(40, 900)
+        sim.submit(
+            rng.choice(shapes)(duration), at=t,
+            actual_duration=rng.choice([None, duration // 2]),
+        )
+    sim.run()
+    return sim
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("queue", ["fcfs", "easy", "conservative"])
+@pytest.mark.parametrize("graph_name", sorted(NESTED))
+def test_nested_requests_decide_the_same(graph_name, queue, seed, monkeypatch):
+    """A node request with sub-requests on a tree: its walk stops once the
+    nodes are filled, and the run decides what the full walks decided."""
+    build, shapes = NESTED[graph_name]
+    traverser = Traverser(build(), "first")
+    assert all(traverser._walk_stops(shape(10).resources[0]) for shape in shapes)
+
+    def scenario():
+        return nested_scenario(graph_name, seed, queue)
+
+    sim, decisions, visits = run(monkeypatch, scenario, stop=True)
+    full_sim, full_decisions, full_visits = run(monkeypatch, scenario, stop=False)
+    assert sim.event_log == full_sim.event_log
+    assert schedule(sim) == schedule(full_sim)
+    assert decisions == full_decisions
+    # the machine filled up: some match was refused or reserved
+    assert any(answer is None or answer[1] for verb, answer in decisions
+               if verb != "satisfiable")
+    assert_no_more_visits(visits, full_visits)
+
+
 #: a leaf request walked through the rabbit DAG (rabbits hang under the
 #: cluster and under their chassis), beside the two storage jobs, whose
 #: leaf ``core`` and ``ip`` requests stop and whose pools do not
@@ -109,6 +180,22 @@ def test_rabbit_dag_leaf_requests_decide_the_same(monkeypatch):
     assert_no_more_visits(visits, full_visits)
 
 
+def test_rabbit_dag_nested_requests_take_the_full_walk(monkeypatch):
+    """On a DAG a nested match writes below its candidate, where the walk
+    may still pass: the predicate stays off and the answers are the
+    full walk's."""
+    jobspecs = [node_local_storage_job(1, 2, 2, 300),
+                two_nodes_three_cores(300)]
+    traverser = Traverser(rabbits(), "first")
+    assert not traverser._walk_stops(jobspecs[1].resources[0])
+    stopping = run(monkeypatch, lambda: fill(rabbits(), "first", True, jobspecs), True)
+    full = run(monkeypatch, lambda: fill(rabbits(), "first", True, jobspecs), False)
+    (picked, _), decisions, visits = stopping
+    assert picked and picked == full[0][0]
+    assert decisions == full[1]
+    assert all(s <= f for s, f in zip(visits, full[2]))
+
+
 def test_a_pool_request_takes_the_full_walk(monkeypatch):
     """An ssd quantity fill aggregates units across pools, so it walks them
     all either way."""
@@ -129,7 +216,13 @@ def test_the_stop_is_chosen_from_policy_and_request_alone():
     )
     assert [name for name in POLICIES
             if keeps_discovery_order(make_policy(name))] == ["first"]
+    tree = tiny_cluster()
+    assert not graph.is_tree() and tree.is_tree()
     for name in POLICIES:
         traverser = Traverser(graph, name)
         assert traverser._walk_stops(leaf) is (name == "first")
         assert not traverser._walk_stops(nested)
+        # on a tree, the nested request stops under the same policies
+        traverser = Traverser(tree, name)
+        assert traverser._walk_stops(leaf) is (name == "first")
+        assert traverser._walk_stops(nested) is (name == "first")

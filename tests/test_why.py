@@ -304,6 +304,45 @@ class TestExplainScenarios:
         assert stopping["fails"][-1]["kind"] == kind
         assert stopping["prune"]["filter|rack"] == 7
 
+    def test_nested_refusal_reads_the_same_whether_the_walk_stops(
+        self, monkeypatch
+    ):
+        """Filters off, ``node[2] -> core[3]``: the second node's cores fall
+        short inside it, a drained node is pruned after that, and only the
+        last node fits, so the request is refused.  The nested walk stops
+        on this tree, yet reports what the full walk does."""
+
+        def refused():
+            graph = tiny_cluster(racks=2, nodes_per_rack=2, cores=4)
+            traverser = Traverser(graph, "first", prune=False, obs=Observer())
+            assert traverser.allocate(nodes_jobspec(1, duration=1000), at=0)
+            assert traverser.allocate(simple_node_jobspec(cores=1), at=0)
+            nodes = graph.find(type="node")
+            graph.mark_down(graph.find(type="core")[5])  # one on nodes[1]
+            graph.mark_down(nodes[2])
+            request = ResourceRequest(
+                type="node", count=2,
+                with_=(ResourceRequest(type="core", count=3),),
+            )
+            assert traverser._walk_stops(request) is stopped
+            why = traverser.obs.why
+            why.begin_attempt(1, 0.0, "allocate")
+            jobspec = Jobspec(resources=(request,), duration=10)
+            assert traverser.allocate(jobspec, at=0) is None
+            why.end_attempt("failed")
+            (attempt,) = why.export()["jobs"]["1"]["attempts"]
+            return attempt
+
+        stopped = True
+        stopping = refused()
+        monkeypatch.setattr(Traverser, "_walk_stops", lambda self, request: False)
+        stopped = False
+        assert refused() == stopping
+        assert [(f["kind"], f["type"]) for f in stopping["fails"]] == [
+            ("count", "core"), ("count", "node"),
+        ]
+        assert stopping["prune"] == {"down|core": 1, "down|node": 1}
+
 
 # ----------------------------------------------------------------------
 # determinism: dual runs must be byte-identical (FluxSan requirement)
