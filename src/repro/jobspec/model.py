@@ -238,10 +238,11 @@ class Jobspec:
         Counts multiply down the tree (``rack:2 with node:3`` totals 6
         nodes); slots multiply their children but contribute nothing
         themselves; moldable ranges count their minimum.  No match can use
-        less, so the traverser holds these totals against the containment
-        root's pruning filter before walking anything: ``allocate`` fails
-        at once when the window cannot cover them, and
-        ``allocate_orelse_reserve`` skips to the first time it can (§3.4).
+        less, so the traverser holds these totals against the pruning
+        filters of the root and of its children before walking anything:
+        ``allocate`` fails at once when the window cannot cover them, and
+        ``allocate_orelse_reserve`` skips to the first time the root's
+        filter can (§3.4).
         """
         return dict(self.total_demand)
 

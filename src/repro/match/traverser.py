@@ -13,6 +13,10 @@ resource set.  Three operations mirror Fluxion's match verbs:
   ignoring current allocations; answered once per jobspec shape until the
   graph's structure changes.
 
+Gates (§3.4): before any walk, a timed match is refused when the root's
+pruning filter, or the sum of its children's, cannot cover the jobspec's
+totals over the window.
+
 Pruning (§3.4): while collecting candidates the traverser consults each
 interior vertex's pruning filter with the request's per-unit subtree demand
 and skips subtrees that cannot satisfy it; exclusively-held vertices are
@@ -659,25 +663,8 @@ class Traverser:
                         plan_end=self.graph.plan_end,
                     )
                 return None
-            root = self._bounding_root() if self.prune else None
-            if root is not None:
-                # Root-aggregate gate (§3.4): no selection uses less than
-                # the jobspec's totals, so when the root filter cannot cover
-                # them over the window the walk below would only rediscover
-                # that, one subtree at a time.
-                if not root.prune_filters.avail_during(
-                    at, duration, jobspec.total_demand
-                ):
-                    self._c_filter_hits.inc()
-                    if why.enabled:
-                        # What the walk reports when it is cut at the root.
-                        first = jobspec.resources[0]
-                        if first.is_slot:
-                            first = first.with_[0]
-                        why.prune("filter", root.type, root.name)
-                        why.fail("no_candidates", type=first.type, under="")
-                    return None
-                self._c_filter_misses.inc()
+            if self.prune and self._gated(at, duration, jobspec):
+                return None
         tentative = _Tentative(assume_up)
         out: List[Selection] = []
         ok = self._match_requests(
@@ -686,6 +673,62 @@ class Traverser:
         if ok:
             self._c_matched.inc()
             return out
+        return None
+
+    def _gated(self, at: int, duration: int, jobspec: Jobspec) -> bool:
+        """The gates (§3.4): True when the filters show the jobspec's totals
+        cannot be free over the window, so the match is refused without a
+        walk.  No match uses less than the totals, and a filter never shows
+        less than its subtree has free (DESIGN.md, "the gates").  Cut 1 is
+        the bounding root's filter.  The sum over
+        :meth:`ResourceGraph.cover` follows: the root's children (cut 2,
+        asked only when cut 1 passes) or, with several roots, the roots
+        themselves.  A refusal counts one filter hit and charges no work
+        budget."""
+        totals = jobspec.total_demand
+        why = self.obs.why
+        root = self._bounding_root()
+        if root is not None:
+            if not root.prune_filters.avail_during(at, duration, totals):
+                self._c_filter_hits.inc()
+                if why.enabled:
+                    # What the walk reports when it is cut at the root.
+                    first = jobspec.resources[0]
+                    if first.is_slot:
+                        first = first.with_[0]
+                    why.prune("filter", root.type, root.name)
+                    why.fail("no_candidates", type=first.type, under="")
+                return True
+            self._c_filter_misses.inc()
+        short = self._cover_short(at, duration, totals)
+        if short is None:
+            return False
+        self._c_filter_hits.inc()
+        if why.enabled:
+            rtype, have, need = short
+            why.fail("cover", type=rtype, have=have, need=need)
+        return True
+
+    def _cover_short(
+        self, at: int, duration: int, totals: Dict[str, int]
+    ) -> Optional[Tuple[str, int, int]]:
+        """The first demanded type whose :meth:`ResourceGraph.cover`
+        planners, summed, have less than the need free throughout the
+        window, as ``(type, have, need)``; None when every type is covered
+        or abstains.  Each sum stops once it reaches the need."""
+        cover = self.graph.cover
+        subsystem = self.subsystem
+        for rtype, need in totals.items():
+            planners = cover(subsystem, rtype) if need > 0 else None
+            if planners is None:
+                continue
+            have = 0
+            for planner in planners:
+                have += planner.avail_resources_during(at, duration)
+                if have >= need:
+                    break
+            else:
+                return rtype, have, need
         return None
 
     def _match_requests(

@@ -77,6 +77,7 @@ FAIL_KINDS: Tuple[str, ...] = (
     "reserve_exhausted",  # reservation search ran out of candidate times
     "deadline",           # attempt cut short by a scheduling deadline
     "booking",            # a planner refused a span of the match; rolled back
+    "cover",              # the cut's filters, summed, fall short of the totals
 )
 
 _REASON_LABELS = {
@@ -97,6 +98,7 @@ _FAIL_LABELS = {
     "reserve_exhausted": "reservation search exhausted",
     "deadline": "scheduling deadline",
     "booking": "booking refused, match rolled back",
+    "cover": "child-filter sum short",
 }
 
 SCHEMA = "fluxwhy-v1"

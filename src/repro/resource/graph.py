@@ -33,7 +33,7 @@ from typing import (
 )
 
 from ..errors import ResourceGraphError, SubsystemError
-from ..planner import PlannerMulti
+from ..planner import Planner, PlannerMulti
 from .edge import CONTAINMENT, CONTAINS, ResourceEdge
 from .types import DEFAULT_REGISTRY, ResourceTypeRegistry
 from .vertex import ResourceVertex
@@ -150,9 +150,10 @@ class ResourceGraph:
     def _table(self) -> Dict[tuple, Any]:
         """Everything this class keeps that only the structure decides —
         roots, children, children worth visiting, ancestry, tracked totals,
-        pool types — under one rule: dropped whole when :attr:`shape` moves
-        and when :meth:`install_pruning_filters` runs.  Nothing in it reads
-        a status; nothing is derived before it is asked for."""
+        pool types, the gate's cuts — under one rule: dropped whole when
+        :attr:`shape` moves and when :meth:`install_pruning_filters` runs.
+        Nothing in it reads a status; nothing is derived before it is asked
+        for."""
         shape = self.structure - self.drains
         if shape != self._derived_at:
             self._derived_at = shape
@@ -514,6 +515,43 @@ class ResourceGraph:
             kept = table[key] = {
                 t: n for t, n in totals.items() if n > 0 and t in self.prune_types
             }
+        return kept
+
+    def cover(
+        self, subsystem: str, rtype: str
+    ) -> Optional[Tuple[Planner, ...]]:
+        """The ``rtype`` planners of the pruning filters on a *cut* of
+        ``subsystem``: vertices whose subtrees together hold every vertex
+        of that type.  With one root the cut is its children, with several
+        the roots themselves.  A member holding none of the type is left
+        out; None when the type is not a pruning type, when the one root is
+        itself of the type, or when a member holds the type without a
+        filter that tracks it.  Kept in the structure-derived table; the
+        traverser's gate sums these planners' window minima (§3.4)."""
+        table = self._table()
+        key = ("cover", subsystem, rtype)
+        if key in table:
+            return table[key]
+        kept: Optional[Tuple[Planner, ...]] = None
+        roots = self.roots(subsystem)
+        members: Tuple[ResourceVertex, ...] = tuple(roots)
+        if len(roots) == 1:
+            members = () if roots[0].type == rtype else self.children_tuple(
+                roots[0], subsystem)
+        if rtype in self.prune_types and members:
+            planners: List[Planner] = []
+            for member in members:
+                holds = (member.type == rtype and member.size > 0) or (
+                    rtype in self.tracked_below(member, subsystem))
+                if not holds:
+                    continue
+                filters = member.prune_filters
+                if filters is None or not filters.tracks(rtype):
+                    break
+                planners.append(filters.planner(rtype))
+            else:
+                kept = tuple(planners)
+        table[key] = kept
         return kept
 
     def is_tree(self, subsystem: str = CONTAINMENT) -> bool:

@@ -119,7 +119,8 @@ BY_SEED = object()
 
 
 def random_scenario(
-    seed, queue, match_policy="low", calm=False, watch=None, overload=BY_SEED
+    seed, queue, match_policy="low", calm=False, watch=None, overload=BY_SEED,
+    build=None,
 ):
     """Build, drive and drain one seeded scenario under ``queue``.
 
@@ -136,11 +137,16 @@ def random_scenario(
     bind.  ``calm`` leaves out what can legitimately push a reserved start
     later — lost capacity and queue jumping — for the start-time oracles.
     ``watch`` is called with the simulator before anything is submitted.
+    ``build`` makes the machine instead of the default ``tiny_cluster``: at
+    least three racks and twelve nodes, each node with cores.
     """
     if overload is BY_SEED:
         overload = OverloadConfig(**NEVER_BINDS) if seed % 2 else None
     rng = random.Random(seed)
-    graph = tiny_cluster(3, 4, cores=2, gpus=0, memory_pools=0)
+    if build is None:
+        graph = tiny_cluster(3, 4, cores=2, gpus=0, memory_pools=0)
+    else:
+        graph = build()
     racks = graph.find(type="rack")
     nodes = graph.find(type="node")
     graph.mark_down(racks[2])

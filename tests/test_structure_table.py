@@ -2,8 +2,8 @@
 two things the traverser reads from it.
 
 * after any sequence of structure changes a long-lived graph's SDFU chain,
-  ancestor ids, children worth visiting, tracked totals, children and roots
-  equal a derivation from nothing on a JGF round-trip of the same graph
+  ancestor ids, children worth visiting, tracked totals, children, roots
+  and the gate's cuts equal a derivation from nothing on a JGF round-trip of the same graph
   (property test, over ``test_satisfiable_once``'s op generator), and
   ``install_pruning_filters`` on a live graph drops the chains;
 * the walk that skips childless vertices of another type selects what the
@@ -73,6 +73,30 @@ def assert_table_as_from_nothing(graph):
         assert graph.tracked_below(vertex) == {
             t: n for t, n in below.items() if n > 0 and t in graph.prune_types
         }, vertex.name
+    for rtype in TYPES:
+        assert graph.cover(CONTAINMENT, rtype) == cover_from_nothing(
+            graph, fresh, rtype), rtype
+
+
+def cover_from_nothing(graph, fresh, rtype):
+    """``graph.cover`` by plain walks of ``fresh``: the ``rtype`` planners
+    of the one root's children (or of the roots), None where a member
+    holding the type has no filter tracking it."""
+    roots = fresh.roots()
+    members = roots
+    if len(roots) == 1:
+        members = [] if roots[0].type == rtype else fresh.children(roots[0])
+    if rtype not in graph.prune_types or not members:
+        return None
+    planners = []
+    for member in members:
+        if not fresh.subtree_totals(member).get(rtype):
+            continue
+        filters = graph.vertex_by_name(member.name).prune_filters
+        if filters is None or not filters.tracks(rtype):
+            return None
+        planners.append(filters.planner(rtype))
+    return tuple(planners)
 
 
 @given(st.lists(

@@ -29,6 +29,9 @@ from repro.obs import (
 from repro.obs.__main__ import main
 from repro.resilience import OverloadConfig
 from repro.sched import ClusterSimulator
+from repro.sched.capacity import CapacitySchedule
+
+from .test_gate import staircase
 
 
 def cluster64(**kw):
@@ -185,6 +188,25 @@ class TestExplainScenarios:
         assert "aggregate-filter miss: cluster x1 subtree(s) pruned" in text
         assert "(e.g. cluster0)" in text
         assert "allocate -> matched" in text  # eventually runs
+
+    def test_child_filter_sum_short(self):
+        """A staircase: rack0 keeps a node free early, rack1 one free
+        late, every other node is out.  Some node is free at every instant,
+        so the root filter passes; the racks' filters, summed over the
+        window, hold none, so the gate refuses without a walk.  The
+        reservation search then finds rack1's node free from t=50."""
+        graph = cluster64()
+        racks = graph.find(type="rack")
+        for rack in racks[2:]:
+            CapacitySchedule(graph).add_outage(rack, 0, 10_000)
+        staircase(graph, racks[:2])
+        sim = ClusterSimulator(graph, queue="conservative", observe=True)
+        job = sim.submit(nodes_jobspec(1, duration=100), at=0)
+        report = sim.run()
+        text = report.explain(job.job_id)
+        assert "1. child-filter sum short: have=0, need=1, type=node" in text
+        assert "allocate_orelse_reserve -> reserved" in text
+        assert job.start_time == 50
 
     def test_planner_time_conflict(self):
         sim = ClusterSimulator(
