@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SIM = "src/repro/sched/simulator.py"
-TRAVERSER = "src/repro/match/traverser.py"
+WRITER = "src/repro/match/writer.py"
 
 #: guard name -> command run from the copy's root (PYTHONPATH=src)
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
@@ -51,22 +51,26 @@ Edit = Tuple[str, str, str]
 PLANTS: Dict[str, Tuple[str, str, List[Edit], List[str]]] = {
     "book-rollback": (
         "SPAN001",
-        "Traverser._book drops its rollback loop: a refused booking leaks "
-        "the spans it already took",
-        [(TRAVERSER,
-          "            for planner, span_id in reversed(records):\n"
-          "                planner.rem_span(span_id)\n"
-          "            why = self.obs.why\n",
-          "            why = self.obs.why\n")],
+        "book drops its rollback loop: a refused booking leaks the spans "
+        "it already took",
+        [(WRITER,
+          "    except BaseException:\n"
+          "        for planner, span_id in reversed(records):\n"
+          "            planner.rem_span(span_id)\n"
+          "        raise\n",
+          "    except BaseException:\n"
+          "        raise\n")],
         ["tier-1 booking tests"],
     ),
     "sdfu-record": (
         "SPAN001",
-        "_sdfu drops the filters.add_span result: a removed allocation "
-        "leaves its filter charge behind",
-        [(TRAVERSER,
-          "records.append((filters, filters.add_span(at, duration, counts)))",
-          "filters.add_span(at, duration, counts)")],
+        "book writes a filter span without recording it: a removed "
+        "allocation leaves its filter charge behind",
+        [(WRITER,
+          "            records.append((planner, planner.add_span(start, duration, booked)))\n",
+          "            span_id = planner.add_span(start, duration, booked)\n"
+          "            if kind != \"filter\":\n"
+          "                records.append((planner, span_id))\n")],
         ["dual-run tiny", "dual-run tiny-faulty"],
     ),
     "cycle-clock": (

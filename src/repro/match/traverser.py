@@ -20,9 +20,11 @@ totals over the window.
 Pruning (§3.4): while collecting candidates the traverser consults each
 interior vertex's pruning filter with the request's per-unit subtree demand
 and skips subtrees that cannot satisfy it; exclusively-held vertices are
-skipped outright.  After a successful match, the Scheduler-Driven Filter
-Update (SDFU) books the selected amounts into every ancestor filter along the
-selected paths only — the filters are never recomputed from scratch.
+skipped outright.  After a successful match, :meth:`Traverser._book` books
+:func:`~repro.match.writer.allocation_bookings` of the selections — their
+spans, then the Scheduler-Driven Filter Update (SDFU) of every ancestor
+filter along the selected paths only — through
+:func:`~repro.match.writer.book`.
 """
 
 from __future__ import annotations
@@ -41,134 +43,12 @@ from ..obs import NULL_OBSERVER, MetricsRegistry, Observer
 from ..resource import CONTAINMENT, ResourceGraph, ResourceVertex
 from ..resource.vertex import X_LIMIT
 from .policy import MatchPolicy, keeps_discovery_order, make_policy
-from .writer import Allocation, Selection
+from .writer import Allocation, Selection, allocation_bookings, book
 
 if False:  # pragma: no cover - annotation-only imports
     from ..resilience.overload import WorkBudget
 
-__all__ = [
-    "Traverser",
-    "Candidate",
-    "allocation_bookings",
-    "exclusive_top_selections",
-    "sdfu_charges",
-]
-
-
-def exclusive_top_selections(
-    graph: ResourceGraph, selections: List[Selection], subsystem: str
-) -> List[Selection]:
-    """Exclusive selections not nested under another exclusive selection:
-    none of their ancestors in ``subsystem`` is exclusively selected too."""
-    exclusive = [s for s in selections if s.exclusive and not s.passthrough]
-    held = {s.vertex.uniq_id for s in exclusive}
-    return [
-        s for s in exclusive
-        if held.isdisjoint(graph.ancestry(s.vertex, subsystem)[1])
-    ]
-
-
-def sdfu_charges(
-    graph: ResourceGraph, subsystem: str, selections: List[Selection]
-) -> Dict[int, Dict[str, int]]:
-    """Per-ancestor pruning-filter charges for a selection set (§3.4).
-
-    Pure function of the graph and the selections: returns
-    ``{ancestor uniq_id: {type: quantity}}`` in the deterministic order the
-    charges are discovered — the same order :meth:`Traverser._book` books
-    filter spans in.  Called by SDFU at booking time and by
-    :func:`allocation_bookings`, nobody else.  Every count is positive; a
-    filter that tracks none of the charged types keeps an empty bucket,
-    which books nothing.  Linear in the selections: who holds a filter
-    above a vertex, what is nested under what and what an exclusive hold
-    closes below itself are read from the graph's structure-derived table
-    (:meth:`ResourceGraph.ancestry`, :meth:`~ResourceGraph.tracked_below`),
-    never re-derived per job.  Explicit amounts are summed per (filter
-    chain, type) and each chain walked once: the dict, key and bucket order
-    included, is the one a walk per selection builds.
-    """
-    prune_types = graph.prune_types
-    updates: Dict[int, Dict[str, int]] = {}
-    if not prune_types:
-        return updates
-    ancestry = graph.ancestry
-
-    def charge(holders: Tuple[ResourceVertex, ...], rtype: str, qty: int) -> None:
-        for anc in holders:
-            bucket = updates.setdefault(anc.uniq_id, {})
-            if anc.prune_filters.tracks(rtype):
-                bucket[rtype] = bucket.get(rtype, 0) + qty
-
-    explicit = [s for s in selections if not s.passthrough and s.amount]
-    # first-seen order: every key and bucket lands where its first charge did
-    sums: Dict[Tuple[Tuple[ResourceVertex, ...], str], int] = {}
-    for sel in explicit:
-        if sel.type in prune_types:
-            key = (ancestry(sel.vertex, subsystem)[0], sel.type)
-            sums[key] = sums.get(key, 0) + sel.amount
-    for (holders, rtype), qty in sums.items():
-        charge(holders, rtype, qty)
-    # Exclusive subtree extras: a top-level exclusive hold consumes its
-    # whole subtree, so charge what is below it minus explicit bookings.
-    # A childless one has nothing below it.
-    children = graph.children_tuple
-    tops = exclusive_top_selections(
-        graph,
-        [s for s in selections if s.exclusive and children(s.vertex, subsystem)],
-        subsystem,
-    )
-    if not tops:
-        return updates
-    below: Dict[int, Dict[str, int]] = {sel.vertex.uniq_id: {} for sel in tops}
-    for sel in explicit:
-        for uid in ancestry(sel.vertex, subsystem)[1]:
-            booked = below.get(uid)
-            if booked is not None:
-                booked[sel.type] = booked.get(sel.type, 0) + sel.amount
-    for sel in tops:
-        vertex = sel.vertex
-        booked = below[vertex.uniq_id]
-        own = vertex.prune_filters
-        for rtype, total in graph.tracked_below(vertex, subsystem).items():
-            qty = total - booked.get(rtype, 0)
-            if qty <= 0:
-                continue
-            if own is not None:
-                bucket = updates.setdefault(vertex.uniq_id, {})
-                if own.tracks(rtype):
-                    bucket[rtype] = bucket.get(rtype, 0) + qty
-            charge(ancestry(vertex, subsystem)[0], rtype, qty)
-    return updates
-
-
-def allocation_bookings(
-    graph: ResourceGraph,
-    subsystem: str,
-    selections: List[Selection],
-    charges: Optional[Dict[int, Dict[str, int]]] = None,
-) -> List[Tuple[ResourceVertex, str, object]]:
-    """What one allocation books: ``(vertex, planner kind, booked)`` triples.
-
-    The single statement of the booking rules for everything that has to
-    know what the planners *should* hold (the expected-state table behind
-    the auditor, the scrubber, fsck and snapshot salvage).  It mirrors
-    :meth:`Traverser._book` / :meth:`Traverser._sdfu` entry for entry and
-    in the same order, so the list lines up with ``Allocation._span_records``
-    (``tests/test_expected_state.py`` pins the mirror): per selection the
-    one span :attr:`Selection.booking` names; then per charged filter a
-    ``filter`` bundle of its per-type counts.  ``charges`` is what
-    :func:`sdfu_charges` gave for ``selections`` at booking, when the
-    traverser handed it over; None derives it.
-    """
-    bookings: List[Tuple[ResourceVertex, str, object]] = [
-        (sel.vertex,) + sel.booking for sel in selections
-    ]
-    if charges is None:
-        charges = sdfu_charges(graph, subsystem, selections)
-    for uid, counts in charges.items():
-        if counts:
-            bookings.append((graph.vertex(uid), "filter", counts))
-    return bookings
+__all__ = ["Traverser", "Candidate"]
 
 
 def _tracked_slice(
@@ -345,11 +225,10 @@ class Traverser:
         #: journal; None disables).
         self.on_book = None
         self.on_remove = None
-        #: ``{alloc id: sdfu_charges}`` of bookings no verifier has counted
-        #: yet, handed over so the expected state need not derive them
-        #: again (:func:`allocation_bookings`).  None keeps nothing: the
-        #: expected state a verifier keeps switches it on and drains it.
-        self.charges: Optional[Dict[int, Dict[int, Dict[str, int]]]] = None
+        #: keep the list each booking wrote as ``Allocation._bookings``, so
+        #: the expected state need not derive it again; switched on by the
+        #: expected state a verifier keeps
+        self.keep_bookings = False
         #: cooperative work budget (repro.resilience.overload): when an
         #: OverloadController attaches one for the duration of a dispatch
         #: cycle, candidate collection and the reservation search charge it
@@ -562,8 +441,6 @@ class Traverser:
             planner.rem_span(span_id)
         alloc._span_records.clear()
         alloc._bookings = None
-        if self.charges is not None:
-            self.charges.pop(alloc_id, None)
         self.graph.note_change(planned=now is not None and alloc.end <= now)
         if self.on_remove is not None:
             self.on_remove(alloc)
@@ -1129,7 +1006,7 @@ class Traverser:
         return vertex.xplans.avail_resources_during(at, duration)
 
     # ------------------------------------------------------------------
-    # booking and SDFU
+    # booking
     # ------------------------------------------------------------------
     def _book(
         self, selections: List[Selection], at: int, duration: int, reserved: bool
@@ -1137,24 +1014,20 @@ class Traverser:
         """Book ``selections``, all or nothing: None (nothing left booked)
         when a planner refuses a span the match did not foresee — an
         exclusive selection's subtree charge can exceed what an outage
-        window has left in an ancestor's filter.  Each selection books the
-        one span :attr:`Selection.booking` names."""
-        records: List[Tuple[object, int]] = []
+        window has left in an ancestor's filter.  What is booked is
+        :func:`allocation_bookings` of the selections: one span each, then
+        the SDFU filter charges, which ``sdfu.updates`` counts."""
+        bookings = allocation_bookings(self.graph, self.subsystem, selections)
         try:
-            for sel in selections:
-                kind, request = sel.booking
-                planner = sel.vertex.planner_of(kind)
-                records.append(
-                    (planner, planner.add_span(at, duration, request))
-                )
-            charges = self._sdfu(selections, at, duration, records)
+            records = book(bookings, at, duration)
         except PlannerError as exc:
-            for planner, span_id in reversed(records):
-                planner.rem_span(span_id)
             why = self.obs.why
             if why.enabled:
                 why.fail("booking", at=at, error=str(exc))
             return None
+        filters = len(bookings) - len(selections)
+        if filters:
+            self._c_sdfu_updates.inc(filters)
         alloc = Allocation(
             alloc_id=self._next_alloc_id,
             at=at,
@@ -1163,40 +1036,10 @@ class Traverser:
             selections=selections,
             _span_records=records,
         )
+        if self.keep_bookings:
+            alloc._bookings = bookings
         self._next_alloc_id += 1
         self.allocations[alloc.alloc_id] = alloc
-        if self.charges is not None:
-            self.charges[alloc.alloc_id] = charges
         if self.on_book is not None:
             self.on_book(alloc)
         return alloc
-
-    def _sdfu(
-        self,
-        selections: List[Selection],
-        at: int,
-        duration: int,
-        records: List[Tuple[object, int]],
-    ) -> Dict[int, Dict[str, int]]:
-        """Scheduler-Driven Filter Update (§3.4, Fig. 2).
-
-        Book the selected amounts into the pruning filters of every ancestor
-        along the selected paths, walking up only from what was chosen —
-        never recomputing aggregates from the whole graph.  Exclusive
-        selections additionally charge their full subtree totals (minus any
-        explicitly selected descendants) so filters reflect that the subtree
-        is closed to other jobs.  The charge computation itself lives in
-        :func:`sdfu_charges`, which :func:`allocation_bookings` shares;
-        the charges are returned for :attr:`charges`.
-        """
-        updates = sdfu_charges(self.graph, self.subsystem, selections)
-        booked = 0
-        for uid, counts in updates.items():
-            if not counts:
-                continue
-            filters = self.graph.vertex(uid).prune_filters
-            records.append((filters, filters.add_span(at, duration, counts)))
-            booked += 1
-        if booked:
-            self._c_sdfu_updates.inc(booked)
-        return updates

@@ -4,6 +4,10 @@ A successful traversal produces an :class:`Allocation` — the best-matching
 resource subgraph with per-vertex amounts and exclusivity — which the
 underlying resource manager uses to contain, bind and execute the job.  The
 ``to_rlite`` form mirrors Flux's R-lite allocation documents.
+
+What an allocation books is stated once, by :func:`allocation_bookings`
+(its selections' spans, then SDFU's filter charges, §3.4), and written in
+one place, :func:`book`, which planned outages share.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from ..resource.vertex import PLANNER_KINDS, X_LIMIT
 
 __all__ = [
     "Selection", "Allocation", "ExclusivityIndex", "planner_owner_index",
+    "allocation_bookings", "book", "exclusive_top_selections", "sdfu_charges",
 ]
 
 
@@ -125,12 +130,14 @@ class Allocation:
         planner-like is a Planner (vertex plans/xplans) or PlannerMulti
         (pruning filter).
     _bookings:
-        What those spans should hold, filled in by the first
+        What those spans should hold, :func:`allocation_bookings` of the
+        selections: the list :func:`book` wrote, kept at booking while the
+        traverser's ``keep_bookings`` is on, or else derived by the first
         :class:`~repro.recovery.integrity.ExpectedState` that counts the
-        allocation (None until then, and again once the spans are
+        allocation.  None until then, and again once the spans are
         released: the kept table re-counts an allocation whose memo is not
-        the one it counted).  Selections never change once booked, so the
-        derivation is kept instead of repeated.
+        the one it counted.  Selections never change once booked, so the
+        list is kept instead of derived again.
 
     Slotted plain class: one Allocation per successful match.
     Mirrors the former (non-frozen) dataclass: equality compares all
@@ -364,6 +371,142 @@ class Allocation:
         body = ",".join(f"{t}:{n}" for t, n in sorted(by_type.items()))
         flag = " reserved" if self.reserved else ""
         return f"t=[{self.at},{self.end}){flag} {{{body}}}"
+
+
+# ----------------------------------------------------------------------
+# the booking rule and the one writer
+# ----------------------------------------------------------------------
+def exclusive_top_selections(
+    graph: ResourceGraph, selections: List[Selection], subsystem: str
+) -> List[Selection]:
+    """Exclusive selections not nested under another exclusive selection:
+    none of their ancestors in ``subsystem`` is exclusively selected too."""
+    exclusive = [s for s in selections if s.exclusive and not s.passthrough]
+    held = {s.vertex.uniq_id for s in exclusive}
+    return [
+        s for s in exclusive
+        if held.isdisjoint(graph.ancestry(s.vertex, subsystem)[1])
+    ]
+
+
+def sdfu_charges(
+    graph: ResourceGraph, subsystem: str, selections: List[Selection]
+) -> Dict[int, Dict[str, int]]:
+    """Per-ancestor pruning-filter charges for a selection set (§3.4).
+
+    Pure function of the graph and the selections: returns
+    ``{ancestor uniq_id: {type: quantity}}`` in the deterministic order the
+    charges are discovered, which is the order the filter spans are booked
+    in.  Called by :func:`allocation_bookings`, nobody else.  Every count is
+    positive; a filter that tracks none of the charged types keeps an empty
+    bucket, which books nothing.  Linear in the selections: who holds a filter
+    above a vertex, what is nested under what and what an exclusive hold
+    closes below itself are read from the graph's structure-derived table
+    (:meth:`ResourceGraph.ancestry`, :meth:`~ResourceGraph.tracked_below`),
+    never re-derived per job.  Explicit amounts are summed per (filter
+    chain, type) and each chain walked once: the dict, key and bucket order
+    included, is the one a walk per selection builds.
+    """
+    prune_types = graph.prune_types
+    updates: Dict[int, Dict[str, int]] = {}
+    if not prune_types:
+        return updates
+    ancestry = graph.ancestry
+
+    def charge(holders: Tuple[ResourceVertex, ...], rtype: str, qty: int) -> None:
+        for anc in holders:
+            bucket = updates.setdefault(anc.uniq_id, {})
+            if anc.prune_filters.tracks(rtype):
+                bucket[rtype] = bucket.get(rtype, 0) + qty
+
+    explicit = [s for s in selections if not s.passthrough and s.amount]
+    # first-seen order: every key and bucket lands where its first charge did
+    sums: Dict[Tuple[Tuple[ResourceVertex, ...], str], int] = {}
+    for sel in explicit:
+        if sel.type in prune_types:
+            key = (ancestry(sel.vertex, subsystem)[0], sel.type)
+            sums[key] = sums.get(key, 0) + sel.amount
+    for (holders, rtype), qty in sums.items():
+        charge(holders, rtype, qty)
+    # Exclusive subtree extras: a top-level exclusive hold consumes its
+    # whole subtree, so charge what is below it minus explicit bookings.
+    # A childless one has nothing below it.
+    children = graph.children_tuple
+    tops = exclusive_top_selections(
+        graph,
+        [s for s in selections if s.exclusive and children(s.vertex, subsystem)],
+        subsystem,
+    )
+    if not tops:
+        return updates
+    below: Dict[int, Dict[str, int]] = {sel.vertex.uniq_id: {} for sel in tops}
+    for sel in explicit:
+        for uid in ancestry(sel.vertex, subsystem)[1]:
+            booked = below.get(uid)
+            if booked is not None:
+                booked[sel.type] = booked.get(sel.type, 0) + sel.amount
+    for sel in tops:
+        vertex = sel.vertex
+        booked = below[vertex.uniq_id]
+        own = vertex.prune_filters
+        for rtype, total in graph.tracked_below(vertex, subsystem).items():
+            qty = total - booked.get(rtype, 0)
+            if qty <= 0:
+                continue
+            if own is not None:
+                bucket = updates.setdefault(vertex.uniq_id, {})
+                if own.tracks(rtype):
+                    bucket[rtype] = bucket.get(rtype, 0) + qty
+            charge(ancestry(vertex, subsystem)[0], rtype, qty)
+    return updates
+
+
+def allocation_bookings(
+    graph: ResourceGraph, subsystem: str, selections: List[Selection]
+) -> List[Tuple[ResourceVertex, str, object]]:
+    """What one allocation books: ``(vertex, planner kind, booked)`` triples.
+
+    The booking rule, stated once: :meth:`Traverser._book
+    <repro.match.traverser.Traverser._book>` writes this list through
+    :func:`book`, and whatever has to know what the planners *should* hold
+    (the expected state behind the auditor, the scrubber, fsck and snapshot
+    salvage) derives it again; it lines up with ``Allocation._span_records``.
+    Per selection the one span :attr:`Selection.booking` names, then, the
+    Scheduler-Driven Filter Update (§3.4), per charged filter a ``filter``
+    bundle of its :func:`sdfu_charges` counts.
+    """
+    bookings: List[Tuple[ResourceVertex, str, object]] = [
+        (sel.vertex,) + sel.booking for sel in selections
+    ]
+    for uid, counts in sdfu_charges(graph, subsystem, selections).items():
+        if counts:
+            bookings.append((graph.vertex(uid), "filter", counts))
+    return bookings
+
+
+def book(
+    bookings: List[Tuple[ResourceVertex, str, object]], start: int, duration: int
+) -> List[Tuple[object, int]]:
+    """Write ``bookings`` over ``[start, start + duration)``, all or nothing.
+
+    The one place a span is written outside the planners: each
+    ``(vertex, kind, booked)`` goes into ``vertex.planner_of(kind)``, and
+    the ``(planner, span id)`` records come back in the same order.  On any
+    failure what was written is removed, in reverse order, and the error
+    re-raised.  BaseException on purpose: the rollback must also run when
+    the failure is a SimulatedCrash, which bypasses Exception so that
+    ordinary handlers cannot swallow it.
+    """
+    records: List[Tuple[object, int]] = []
+    try:
+        for vertex, kind, booked in bookings:
+            planner = vertex.planner_of(kind)
+            records.append((planner, planner.add_span(start, duration, booked)))
+    except BaseException:
+        for planner, span_id in reversed(records):
+            planner.rem_span(span_id)
+        raise
+    return records
 
 
 #: one selection of one allocation, as :meth:`ExclusivityIndex.conflicts`

@@ -20,7 +20,7 @@ subsystem (repairs live in :mod:`repro.recovery.repair`):
   within the same cycle, before the end-of-cycle auditor runs.
 * :class:`ExpectedState` — the one statement of what every planner should
   hold right now: each live allocation's spans as
-  :func:`~repro.match.traverser.allocation_bookings` derives them from its
+  :func:`~repro.match.writer.allocation_bookings` derives them from its
   selections, plus the spans of every planned outage.  One is kept per
   simulator (:func:`expected_state`) and brought up to date by comparing
   the live allocations and outages with the ones it last saw, so a cycle
@@ -45,8 +45,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import FluxionError, IntegrityError, SchedulingDeadlineExceeded
-from ..match.traverser import allocation_bookings
-from ..match.writer import ExclusivityIndex
+from ..match.writer import ExclusivityIndex, allocation_bookings
 from ..resource.vertex import PLANNER_KINDS
 from ..settings import GuardSettings, _refuse_unknown
 
@@ -133,7 +132,7 @@ class ExpectedState:
     """What every planner of one simulator should hold, kept across cycles.
 
     Live allocations contribute what
-    :func:`~repro.match.traverser.allocation_bookings` says their selections
+    :func:`~repro.match.writer.allocation_bookings` says their selections
     book; planned outages what :meth:`CapacitySchedule.bookings
     <repro.sched.capacity.CapacitySchedule.bookings>` says their subtree
     books.  Both lists come in booking order, so they pair off with the
@@ -142,11 +141,12 @@ class ExpectedState:
     :meth:`refresh` brings :attr:`table` up to date by comparing the live
     allocations and outages with the ones it last counted — same object,
     same window, same ``_bookings`` memo — which costs O(live allocations)
-    and asks nothing of the booking paths but the SDFU charges the
-    traverser hands over (:attr:`Traverser.charges
-    <repro.match.traverser.Traverser.charges>`, switched on by the kept
-    state).  Built with ``exclusive``, :attr:`exclusive` follows the same
-    allocations for the exclusivity rule; only the kept table and the full
+    and asks nothing of the booking paths but the list each booking wrote,
+    which the traverser keeps as ``_bookings`` once the kept state has
+    switched :attr:`Traverser.keep_bookings
+    <repro.match.traverser.Traverser.keep_bookings>` on.  Built with
+    ``exclusive``, :attr:`exclusive` follows the same allocations for the
+    exclusivity rule; only the kept table and the full
     audit read one.  Whoever verifies takes the difference from
     :attr:`changed` and :attr:`entered` and clears them.
     When :attr:`ResourceGraph.structure` has moved by more than
@@ -224,13 +224,12 @@ class ExpectedState:
             self.entered.pop(aid, None)
         if len(counted) != len(live):
             subsystem = traverser.subsystem
-            handed = traverser.charges or {}
             for aid, alloc in live.items():
                 if aid in counted:
                     continue
                 if alloc._bookings is None:
                     alloc._bookings = allocation_bookings(
-                        graph, subsystem, alloc.selections, handed.pop(aid, None)
+                        graph, subsystem, alloc.selections
                     )
                 counted[aid] = self._count(
                     alloc, alloc._bookings, alloc._span_records,
@@ -323,12 +322,11 @@ class ExpectedState:
 
 def expected_state(sim: "ClusterSimulator") -> ExpectedState:
     """The table kept for ``sim``, created when a guard first asks for it;
-    from then on the traverser hands its SDFU charges over."""
+    from then on the traverser keeps the list each booking wrote."""
     state = sim._expected_state
     if state is None:
         state = sim._expected_state = ExpectedState(sim, exclusive=True)
-        if sim.traverser.charges is None:
-            sim.traverser.charges = {}
+        sim.traverser.keep_bookings = True
     return state
 
 

@@ -172,10 +172,7 @@ class RepairEngine:
                 self.skipped_spans += 1
         alloc._span_records.clear()
         alloc._bookings = None
-        traverser = self.sim.traverser
-        traverser.allocations.pop(alloc.alloc_id, None)
-        if traverser.charges is not None:
-            traverser.charges.pop(alloc.alloc_id, None)
+        self.sim.traverser.allocations.pop(alloc.alloc_id, None)
         self.sim._started_allocs.discard(alloc.alloc_id)
         self.sim.graph.note_change()
         return released

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..errors import ResourceGraphError
-from ..match.writer import Selection
+from ..match.writer import Selection, book
 from ..resource import ResourceGraph, ResourceVertex
 
 __all__ = ["CapacitySchedule", "Outage"]
@@ -60,11 +60,12 @@ class CapacitySchedule:
         """What an outage of ``vertex`` books, in booking order.
 
         ``(vertex, planner kind, booked)`` triples like
-        :func:`~repro.match.traverser.allocation_bookings`: an exclusive
+        :func:`~repro.match.writer.allocation_bookings`: an exclusive
         hold's one span on every vertex of the subtree, then the subtree's
         totals of each tracked type into the filters on the vertex and
-        above.  :meth:`add_outage` books exactly this list, so it lines up
-        with ``Outage._span_records``.
+        above.  :meth:`add_outage` books exactly this list through
+        :func:`~repro.match.writer.book`, so it lines up with
+        ``Outage._span_records``.
         """
         subtree = [vertex] + list(self.graph.descendants(vertex))
         out: List[Tuple[ResourceVertex, str, object]] = [
@@ -110,28 +111,13 @@ class CapacitySchedule:
                     f"outage of {vertex.name}: {v.name} is in use in "
                     f"[{start},{start + duration})"
                 )
-        records: List[Tuple[object, int]] = []
-        try:
-            for v, kind, booked in bookings:
-                planner = v.planner_of(kind)
-                records.append(
-                    (planner, planner.add_span(start, duration, booked))
-                )
-        except BaseException:
-            # BaseException on purpose: rollback must also run when the
-            # failure is a SimulatedCrash (which bypasses Exception so that
-            # ordinary handlers cannot swallow it).  The bare raise keeps the
-            # original cause intact.
-            for planner, span_id in records:
-                planner.rem_span(span_id)
-            raise
         outage = Outage(
             outage_id=self._next_id,
             vertex=vertex,
             start=start,
             end=start + duration,
             reason=reason,
-            _span_records=records,
+            _span_records=book(bookings, start, duration),
         )
         self._next_id += 1
         self.outages[outage.outage_id] = outage

@@ -10,7 +10,7 @@ what no other guard sees, raising :class:`~repro.errors.SanitizerError`:
 * **SDFU divergence** — every booking's filter spans against
   :func:`reference_sdfu_charges`, the tree's one independent recompute of
   §3.4.  The auditor cannot see a wrong charge: its expected table comes
-  from the same :func:`~repro.match.traverser.sdfu_charges` that booked;
+  from the same :func:`~repro.match.writer.sdfu_charges` that booked;
 * **double drain / resume** — a lost guard in the failure/repair path;
 * **exclusivity**, at the call that broke it — the auditor's rule
   (:class:`~repro.match.writer.ExclusivityIndex`, one kept per traverser),
@@ -259,7 +259,7 @@ class FluxSan:
 def reference_exclusive_tops(
     graph: ResourceGraph, selections: Sequence[Selection], subsystem: str
 ) -> List[Selection]:
-    """Reference for :func:`~repro.match.traverser.exclusive_top_selections`:
+    """Reference for :func:`~repro.match.writer.exclusive_top_selections`:
     the exclusive selections none of whose :meth:`ResourceGraph.ancestors`
     is exclusively selected too."""
     exclusive = [s for s in selections if s.exclusive and not s.passthrough]
@@ -277,7 +277,7 @@ def reference_sdfu_charges(
 ) -> Dict[int, Dict[str, int]]:
     """What §3.4 says the filters must be charged for ``selections``.
 
-    The reference for :func:`~repro.match.traverser.sdfu_charges`, with its
+    The reference for :func:`~repro.match.writer.sdfu_charges`, with its
     contract — ``{uniq_id: {type: quantity}}`` in the same key order, a
     filter that tracks none of the charged types keeping an empty bucket —
     but derived by walking :meth:`ResourceGraph.ancestors` and

@@ -1,4 +1,15 @@
-"""Executable documentation: the README quickstart must keep working."""
+"""Executable documentation: the README quickstart must keep working, and
+every code reference in the paper mapping must name something that exists."""
+
+import ast
+import importlib
+import os
+import re
+
+import repro
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def test_readme_quickstart_snippet():
@@ -50,3 +61,72 @@ def test_api_doc_workflow_snippet():
     result = wf.execute(ClusterSimulator(graph))
     assert result.makespan == 600
     assert result.critical_path_respected()
+
+
+#: a code reference in backticks: ``path.py``, ``path.py::Name[.attr]`` or
+#: ``[module.]Class.attr``
+_REFERENCE = re.compile(
+    r"^(?:[\w/]+\.py(?:::[\w.]+)?|(?:[a-z_]\w*\.)*[A-Z]\w*\.\w+)$"
+)
+
+
+def _classes():
+    """``{class name: module name}`` for every class under ``src/repro``."""
+    found = {}
+    for folder, _, files in os.walk(SRC):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            module = os.path.relpath(path[:-3], os.path.dirname(SRC))
+            module = module.replace(os.sep, ".").removesuffix(".__init__")
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    found.setdefault(node.name, module)
+    return found
+
+
+def _defines(body, name):
+    """The statement of ``body`` that defines ``name``, or None."""
+    for node in body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name:
+            return node
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node
+    return None
+
+
+def _resolves(ref, classes):
+    if ".py" in ref:
+        path, _, name = ref.partition("::")
+        for base in (ROOT, SRC):
+            if os.path.isfile(os.path.join(base, path)):
+                break
+        else:
+            return False
+        with open(os.path.join(base, path), encoding="utf-8") as handle:
+            node = ast.parse(handle.read())
+        for part in name.split(".") if name else ():
+            node = _defines(node.body, part)
+            if node is None:
+                return False
+        return True
+    *prefix, cls, attr = ref.split(".")
+    module = "repro." + ".".join(prefix) if prefix else classes.get(cls)
+    if module is None:
+        return False
+    owner = getattr(importlib.import_module(module), cls, None)
+    return owner is not None and hasattr(owner, attr)
+
+
+def test_paper_mapping_references_resolve():
+    with open(os.path.join(ROOT, "docs", "paper_mapping.md"), encoding="utf-8") as f:
+        refs = sorted({r for r in re.findall(r"`([^`]+)`", f.read())
+                       if _REFERENCE.match(r)})
+    classes = _classes()
+    assert len(refs) >= 50
+    assert [r for r in refs if not _resolves(r, classes)] == []

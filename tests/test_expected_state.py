@@ -1,10 +1,10 @@
 """The single derivation of expected planner state, checked differentially.
 
-``allocation_bookings`` restates what ``Traverser._book`` / ``_sdfu`` write
-(the hot path is not built on it, so nothing but this file keeps the two in
-step): over seeded random jobspecs every span an allocation records must hold
-exactly the window and request/counts the derivation lists, in the same
-order, and the planners must hold nothing else.  Everything that needs
+``allocation_bookings`` is the list ``Traverser._book`` hands to ``book``:
+over seeded random jobspecs every span an allocation records must hold
+exactly the window and request/counts the derivation, made again from the
+selections alone, lists, in the same order, and the planners must hold
+nothing else.  Everything that needs
 "what should the planners hold" reads the table built from it — the scrubber,
 fsck, the auditor and snapshot salvage — so the second half checks the
 consumers on the state where the old copies disagreed: a planned outage.
@@ -24,7 +24,7 @@ from repro.jobspec import (
     slot,
 )
 from repro.errors import IntegrityError
-from repro.match.traverser import allocation_bookings
+from repro.match.writer import allocation_bookings
 from repro.recovery import IntegrityConfig, expected_span_table
 from repro.recovery.diff import state_fingerprint
 from repro.recovery.integrity import scan_planners

@@ -1,7 +1,7 @@
 """Each per-cycle guard pays once per fact, and answers as before.
 
 The guards keep what the run already holds instead of deriving it again:
-the SDFU charges the traverser computed at booking, an exclusivity index
+the bookings the traverser wrote, an exclusivity index
 kept as allocations enter and leave, the structure dict taken at attach
 time, one serialization per snapshot section.  Each kept or cheaper path
 is pinned here against the derivation it replaced:
@@ -12,7 +12,7 @@ is pinned here against the derivation it replaced:
       auditor reads it over live allocations only;
 (ii)  ``write_snapshot`` writes the bytes of ``json.dumps`` of the whole
       wrapper, non-ASCII keys and values included;
-(iii) the charges handed over at booking are ``sdfu_charges`` of the
+(iii) the bookings kept at booking are ``allocation_bookings`` of the
       selections, and an allocation installed by recovery derives its own.
 """
 
@@ -25,8 +25,12 @@ import pytest
 from repro import ClusterSimulator, nodes_jobspec, tiny_cluster
 from repro.errors import FluxionError
 from repro.jobspec import simple_node_jobspec
-from repro.match.traverser import sdfu_charges
-from repro.match.writer import Allocation, ExclusivityIndex, Selection
+from repro.match.writer import (
+    Allocation,
+    ExclusivityIndex,
+    Selection,
+    allocation_bookings,
+)
 from repro.recovery import RepairEngine, integrity
 from repro.recovery.integrity import expected_state
 from repro.recovery.snapshot import (
@@ -269,20 +273,34 @@ def test_snapshot_bytes_are_those_of_the_whole_wrapper(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (iii) the SDFU charges are handed over, once
+# (iii) the bookings are kept as written, once a verifier asks
 # ----------------------------------------------------------------------
-def test_handed_over_charges_are_those_of_the_selections(monkeypatch):
+def test_kept_bookings_are_those_of_the_selections(monkeypatch):
     calls = []
     derive = integrity.allocation_bookings
 
-    def watched(graph, subsystem, selections, charges=None):
-        calls.append((selections, charges))
-        return derive(graph, subsystem, selections, charges)
+    def watched(graph, subsystem, selections):
+        calls.append(selections)
+        return derive(graph, subsystem, selections)
 
     monkeypatch.setattr(integrity, "allocation_bookings", watched)
     graph = tiny_cluster(2, 4, cores=2, gpus=0, memory_pools=1)
     sim = ClusterSimulator(graph, "low", queue="easy", audit=True)
-    assert sim.traverser.charges is None  # no verifier has asked yet
+    traverser = sim.traverser
+    assert not traverser.keep_bookings  # no verifier has asked yet
+    kept, unkept = [], []
+    book = traverser._book
+
+    def booked(*args, **kwargs):
+        alloc = book(*args, **kwargs)
+        if alloc is not None:
+            (kept if alloc._bookings is not None else unkept).append(alloc)
+            if alloc._bookings is not None:
+                assert alloc._bookings == allocation_bookings(
+                    graph, traverser.subsystem, alloc.selections)
+        return alloc
+
+    traverser._book = booked
     rng = random.Random(5)
     for i in range(30):
         spec = rng.choice([
@@ -292,15 +310,13 @@ def test_handed_over_charges_are_those_of_the_selections(monkeypatch):
         ])
         sim.submit(spec, at=15 * i)
     sim.run()
-    subsystem = sim.traverser.subsystem
-    booked = [j.allocation for j in sim.jobs.values() if j.allocation]
-    handed = [(s, c) for s, c in calls if c is not None]
+    assert traverser.keep_bookings
     # every allocation but the first cycle's, booked before the kept state
-    # existed, came with its charges
-    assert len(handed) >= len(booked) - 1 and handed
-    for selections, charges in handed:
-        assert charges == sdfu_charges(graph, subsystem, selections)
-    assert sim.traverser.charges == {}  # drained or dropped, nothing kept
+    # existed, kept the list it wrote; only those were derived again
+    assert kept and len(unkept) <= 1
+    assert len(calls) <= len(unkept)
+    for selections in calls:
+        assert any(selections is alloc.selections for alloc in unkept)
 
     # recovery installs allocations without a booking: they derive theirs
     sim2 = ClusterSimulator(
@@ -312,5 +328,5 @@ def test_handed_over_charges_are_those_of_the_selections(monkeypatch):
     restored = restore_simulator(snapshot_state(sim2))
     calls.clear()
     restored.reschedule()
-    assert [c for _, c in calls] == [None] * len(restored.traverser.allocations)
+    assert len(calls) == len(restored.traverser.allocations)
     assert calls and restored.auditor.collect(restored) == []

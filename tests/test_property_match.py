@@ -259,7 +259,8 @@ def _random_jobspec(rng, shape):
         )
     if kind == "racks":
         # Shared racks only: an *exclusive* rack over a node in an outage
-        # window double-charges the filters and _sdfu raises (ROADMAP 5).
+        # window double-charges the filters and its booking is refused
+        # (ROADMAP 5).
         rack = ResourceRequest(
             type="rack", count=rng.randint(1, shape["racks"]),
             with_=(slot(1, ResourceRequest(type="node", count=1)),),

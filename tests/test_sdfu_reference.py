@@ -22,7 +22,7 @@ from repro.jobspec import (
     slot,
 )
 from repro.match import Traverser
-from repro.match.traverser import exclusive_top_selections, sdfu_charges
+from repro.match.writer import exclusive_top_selections, sdfu_charges
 from repro.match.writer import Selection
 from repro.resource import CONTAINMENT, ResourceGraph
 from repro.statcheck.sanitizer import (

@@ -833,10 +833,10 @@ class TestFluxSanAllocationChecks:
         auditor's expected table comes from the same ``sdfu_charges``, so
         only FluxSan's independent reference catches it."""
         from repro.grug import tiny_cluster
-        from repro.match import traverser as traverser_mod
+        from repro.match import writer
         from repro.workloads.trace import synthetic_trace
 
-        original = traverser_mod.sdfu_charges
+        original = writer.sdfu_charges
 
         def drop_first_charge(graph, subsystem, selections):
             charges = original(graph, subsystem, selections)
@@ -846,7 +846,7 @@ class TestFluxSanAllocationChecks:
                     break
             return charges
 
-        monkeypatch.setattr(traverser_mod, "sdfu_charges", drop_first_charge)
+        monkeypatch.setattr(writer, "sdfu_charges", drop_first_charge)
         monkeypatch.delenv("FLUXSAN", raising=False)
 
         def run(sanitize):
@@ -869,14 +869,20 @@ class TestFluxSanAllocationChecks:
             run(sanitize=True)
         assert "SDFU" in str(exc.value)
 
-    def test_planted_sdfu_divergence_caught(self):
-        class SabotagedTraverser(Traverser):
-            def _sdfu(self, *args, **kwargs):
-                return None  # drop every pruning-filter charge
+    def test_planted_sdfu_divergence_caught(self, monkeypatch):
+        from repro.match import traverser as traverser_mod
 
+        original = traverser_mod.allocation_bookings
+
+        def without_filters(graph, subsystem, selections):
+            # drop every pruning-filter charge
+            return [entry for entry in original(graph, subsystem, selections)
+                    if entry[1] != "filter"]
+
+        monkeypatch.setattr(traverser_mod, "allocation_bookings", without_filters)
         g = build_cluster()
         with FluxSan():
-            t = SabotagedTraverser(g, policy="first")
+            t = Traverser(g, policy="first")
             with pytest.raises(SanitizerError) as exc:
                 t.allocate(nodes_jobspec(1, duration=100), at=0)
         assert "SDFU" in str(exc.value)
