@@ -3,8 +3,10 @@
 A Planner tracks the state of a single resource pool over time, like a
 physical calendar planner.  Activities are *spans* — ``request`` units of the
 resource held for ``[start, start + duration)`` — and the state between spans
-is captured by *scheduled points*.  One balanced tree, keyed by time, holds
-the points (the SP tree):
+is captured by *scheduled points*.  While no two spans overlap, a planner
+keeps them as a start-sorted list of runs, so booking an idle calendar is one
+list insert; the first overlapping span books them into one balanced tree,
+keyed by time, which holds the points from then on (the SP tree):
 
 * as it stands it answers "how much is available at time t?" in
   ``O(log N)`` and "is the request satisfiable throughout a window?" in
@@ -24,7 +26,8 @@ reservation-based backfilling.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import PlannerError, SpanNotFoundError
 from ..obs import runtime as _obs_runtime
@@ -58,6 +61,7 @@ class Planner:
         "plan_end",
         "resource_type",
         "_sp",
+        "_runs",
         "_spans",
         "_next_span_id",
         "_base_point",
@@ -80,12 +84,13 @@ class Planner:
         self.plan_start = plan_start
         self.plan_end = plan_end
         self.resource_type = resource_type
-        # The SP tree and base point are created lazily on the first add_span:
-        # resource graphs hold two Planners per vertex and most vertices are
-        # never touched, so an empty Planner stays a tiny shell and answers
-        # queries directly from `total`.  The tree's remaining-resource index
-        # waits for the first earliest-time question (avail_time_first).
+        # Resource graphs hold two Planners per vertex and most vertices are
+        # never touched, so an empty Planner is a tiny shell that answers from
+        # `total`.  Disjoint spans are sorted (start, end, request) runs; the SP
+        # tree and base point come at the first overlapping add_span, and the
+        # tree's index at the first earliest-time question (avail_time_first).
         self._sp: Optional[SPTree] = None
+        self._runs: Optional[List[Tuple[int, int, int]]] = None
         # span id -> (start, end, request, metadata or None): ints only, so
         # the cyclic GC stops tracking the records (and then the dict).
         self._spans: Dict[int, tuple] = {}
@@ -93,11 +98,27 @@ class Planner:
         self._base_point: Optional[ScheduledPoint] = None
 
     def _ensure_tree(self) -> None:
-        """Materialise the SP tree and the permanent base point."""
+        """Materialise the SP tree and base point, and book the runs into it."""
         self._sp = SPTree()
         # Permanent base point: the state from plan_start until the first span.
         self._base_point = ScheduledPoint(self.plan_start, 0, self.total, ref_count=1)
         self._sp.insert_node(self._base_point)
+        runs, self._runs = self._runs, None
+        for run in runs or ():
+            self._tree_add(*run)
+
+    def _least(self, at: int, end: int) -> int:
+        """Least availability over ``[at, end)`` among the runs that meet it."""
+        runs = self._runs
+        i = bisect_left(runs, (at,))  # runs starting before `at`
+        if i and runs[i - 1][1] > at:
+            i -= 1
+        most, count = 0, len(runs)
+        while i < count and runs[i][0] < end:
+            if runs[i][2] > most:
+                most = runs[i][2]
+            i += 1
+        return self.total - most
 
     def _shift(self, start: int, end: int, delta: int) -> None:
         """Charge ``delta`` units (negative: release) to every scheduled point
@@ -120,8 +141,10 @@ class Planner:
 
     @property
     def point_count(self) -> int:
-        """Number of scheduled points currently held (including base)."""
-        return 1 if self._sp is None else len(self._sp)
+        """Number of scheduled points held, or a tree of the runs would hold."""
+        if self._sp is not None:
+            return len(self._sp)
+        return len({self.plan_start}.union(*(run[:2] for run in self._runs or ())))
 
     @property
     def indexed(self) -> bool:
@@ -156,7 +179,7 @@ class Planner:
         """Resource units available at instant ``at``."""
         self._check_time(at)
         if self._sp is None:
-            return self.total
+            return self.total if self._runs is None else self._least(at, at + 1)
         return self._sp.floor(at).remaining  # the base point covers every at
 
     def avail_at(self, at: int, request: int) -> bool:
@@ -171,7 +194,7 @@ class Planner:
             self._check_window(at, duration)
         sp = self._sp
         if sp is None:
-            return self.total
+            return self.total if self._runs is None else self._least(at, at + duration)
         point, end = sp.floor(at), at + duration
         lowest = point.remaining
         while point is not None and point.key < end:
@@ -191,7 +214,8 @@ class Planner:
             self._check_window(at, duration)
         sp = self._sp
         if sp is None:
-            return request <= self.total
+            runs = self._runs
+            return request <= (self._least(at, at + duration) if runs else self.total)
         point, end = sp.floor(at), at + duration
         while point is not None and point.key < end:
             if point.remaining < request:
@@ -200,14 +224,20 @@ class Planner:
         return True
 
     def next_event_time(self, after: int) -> Optional[int]:
-        """Earliest scheduled-point time strictly after ``after`` (or None).
+        """Earliest span boundary strictly after ``after`` (or None).
 
-        Availability can only change at scheduled points, so this is the
+        Availability can only change at span boundaries, so this is the
         next instant any time-based query could return a different answer.
         """
         if self._sp is None:
-            return None
+            runs = self._runs or ()
+            i = bisect_left(runs, (after + 1,))  # runs starting at or before `after`
+            if i and runs[i - 1][1] > after:
+                return runs[i - 1][1]
+            return runs[i][0] if i < len(runs) else None
         point = self._sp.ceiling(after + 1)
+        if point is self._base_point and point.ref_count == 1:
+            point = point.next  # the base point bounds no span
         return None if point is None else point.key
 
     def avail_time_first(
@@ -221,9 +251,9 @@ class Planner:
         calendar: from a candidate start to the first later point that falls
         short of the request — a fit if that lies a whole ``duration`` away —
         and from there to the next point that covers it.  Each hop is one
-        ``O(log N)`` descent of the indexed SP tree; the query changes
-        nothing.  (The paper's AVAILAT loop takes candidates out of a second
-        tree and puts them back: :mod:`repro.baselines.algorithm1`.)
+        ``O(log N)`` descent of the indexed SP tree (built here from the runs
+        if need be).  (The paper's AVAILAT loop takes candidates out of a
+        second tree and puts them back: :mod:`repro.baselines.algorithm1`.)
         """
         if duration <= 0:
             raise PlannerError(f"duration must be positive, got {duration}")
@@ -237,12 +267,14 @@ class Planner:
         at = max(on_or_after, self.plan_start)
         if at + duration > self.plan_end:
             return None
-        if self._sp is None:
+        if self._sp is None and self._runs is None:
             return at
         # The availability profile only changes at scheduled points, so the
         # earliest fit starts either exactly at `at` or at a later point.
         if self.avail_during(at, duration, request):
             return at
+        if self._sp is None:
+            self._ensure_tree()
         if not self._sp.indexed:
             self._sp.index()
         result, hops = self._sp.earliest_fit(at, duration, request)
@@ -280,9 +312,10 @@ class Planner:
         positive and unused; the auto-assignment counter advances past it so
         later spans never collide.
 
-        Costs one ``floor`` descent and walks along the time links: one
-        checks the window, one charges it (the indexed tree's range walk
-        instead); a missing boundary point is linked in after its neighbour.
+        Without a tree, a bisection of the runs and a list insert (the first
+        overlap builds the tree).  On the tree, one ``floor`` descent and walks
+        along the time links: one checks the window, one charges it (the
+        indexed tree's range walk instead); a missing point is split in.
         """
         if duration <= 0 or start < self.plan_start or start + duration > self.plan_end:
             self._check_window(start, duration)
@@ -301,10 +334,30 @@ class Planner:
                     f"span id {span_id} already in use"
                     f" ({self.resource_type or 'resource'})"
                 )
-        if self._sp is None:
-            self._ensure_tree()  # a fresh tree holds the whole pool: it fits
-        sp = self._sp
         end = start + duration
+        runs = self._runs
+        if self._sp is not None:
+            self._tree_add(start, end, request)
+        elif runs is None:
+            self._runs = [(start, end, request)]
+        else:
+            i = bisect_right(runs, (start, end, request))
+            if (i and runs[i - 1][1] > start) or (i < len(runs) and runs[i][0] < end):
+                self._ensure_tree()
+                self._tree_add(start, end, request)
+            else:
+                runs.insert(i, (start, end, request))
+        if span_id is None:
+            span_id = self._next_span_id
+            self._next_span_id += 1
+        else:
+            self._next_span_id = max(self._next_span_id, span_id + 1)
+        self._spans[span_id] = (start, end, request, metadata or None)
+        return span_id
+
+    def _tree_add(self, start: int, end: int, request: int) -> None:
+        """Book ``request`` units over ``[start, end)`` into the SP tree."""
+        sp = self._sp
         first = last = point = sp.floor(start)
         while point is not None and point.key < end:
             if point.remaining < request:
@@ -322,22 +375,20 @@ class Planner:
         first.ref_count += 1
         point.ref_count += 1
         sp.charge(first, end, request)
-        if span_id is None:
-            span_id = self._next_span_id
-            self._next_span_id += 1
-        else:
-            self._next_span_id = max(self._next_span_id, span_id + 1)
-        self._spans[span_id] = (start, end, request, metadata or None)
-        return span_id
 
     def rem_span(self, span_id: int) -> Span:
-        """Release the span with ``span_id`` and return it: one ``find``,
-        then one walk along the time links to its end point."""
+        """Release the span with ``span_id`` and return it: with no tree, one
+        bisection and a list delete; on the tree, one ``find``, then one walk
+        along the time links to its end point."""
         span = self.get_span(span_id)
-        first = self._sp.find(span.start)
-        last = self._sp.charge(first, span.end, -span.request)
-        self._release(first)
-        self._release(last)
+        if self._runs is not None:
+            del self._runs[bisect_left(self._runs, (span.start,))]
+            self._runs = self._runs or None  # an empty planner holds no list
+        else:
+            first = self._sp.find(span.start)
+            last = self._sp.charge(first, span.end, -span.request)
+            self._release(first)
+            self._release(last)
         del self._spans[span_id]
         return span
 
@@ -360,6 +411,8 @@ class Planner:
             raise PlannerError(
                 f"new end {new_end} exceeds horizon end {self.plan_end}"
             )
+        if self._sp is None:
+            self._ensure_tree()
         extending = new_end > span.end
         # Extension: the added segment must have the request available.
         if extending and not self.avail_during(
@@ -407,7 +460,7 @@ class Planner:
             records = [dict(record) for record in spans]
         next_id = self._next_span_id
         self._spans = {}
-        self._sp = None
+        self._sp = self._runs = None
         self._base_point = None
         for record in records:
             self.add_span(
@@ -496,6 +549,8 @@ class Planner:
         delta = new_total - self.total
         if delta == 0:
             return
+        if self._runs is not None:
+            self._ensure_tree()
         if self._sp is None:
             self.total = new_total
             return
@@ -547,9 +602,14 @@ class Planner:
             self._sp.delete_node(point)
 
     def check_invariants(self) -> None:
-        """Verify tree invariants and point-state consistency (test support)."""
+        """Check the runs, or the tree's points, against the registry (test support)."""
         if self._sp is None:
-            assert not self._spans
+            runs = self._runs or []
+            windows = sorted(record[:3] for record in self._spans.values())
+            assert self._runs != [] and runs == windows, "runs differ from registry"
+            for (_, end, _), (start, _, _) in zip(runs, runs[1:]):
+                assert end <= start, f"runs overlap at t={start}"
+            assert all(0 <= run[2] <= self.total for run in runs)
             return
         # Red-black and time order, the time links; where the tree is
         # indexed, every node's remaining range against a recomputation.

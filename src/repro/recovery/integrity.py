@@ -823,6 +823,7 @@ def apply_corruption(
                 t
                 for t in filters.types
                 if filters.planner(t)._sp is not None
+                or filters.planner(t).span_count
             ]
             if not candidates:
                 return False
@@ -830,7 +831,7 @@ def apply_corruption(
                 candidates[rng.randrange(len(candidates))]
             )
         if planner._sp is None:
-            return False
+            planner._ensure_tree()  # a planner holding runs: charge its tree
         points = list(planner._sp)
         point = points[rng.randrange(len(points))]
         # Points are unique in time, so this charges exactly one of them;

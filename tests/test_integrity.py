@@ -28,7 +28,7 @@ from repro.recovery import (
     expected_span_table,
     structure_drift,
 )
-from repro.recovery.integrity import ExpectedState, vertex_structure
+from repro.recovery.integrity import ExpectedState, _held_planner, vertex_structure
 from repro.recovery.__main__ import main as fsck_main
 from repro.resilience import InvariantAuditor
 from repro.resilience.chaos import (
@@ -124,10 +124,12 @@ def test_detect_quarantine_repair(kind):
 def test_a_broken_time_link_is_tree_drift_until_rebuilt():
     """A scheduled point linked past its neighbour: the planner's own
     invariants trip, the deep scrub reports ``tree-drift`` for that planner,
-    and ``rebuild()``, which throws the tree away, mends it."""
+    and ``rebuild()``, which throws the tree away, mends it.  node0's spans
+    do not overlap, so its planner holds runs until the tree is forced."""
     sim = busy_sim()
     vertex = sim.graph.vertex_by_name("node0")
     planner = vertex.xplans
+    planner._ensure_tree()
     points = list(planner._sp)
     assert len(points) >= 3
     points[0].next = points[2]
@@ -139,6 +141,64 @@ def test_a_broken_time_link_is_tree_drift_until_rebuilt():
     planner.rebuild()
     assert state.scan(vertex) == []
     planner.check_invariants()
+
+
+def _list_held(sim, kind):
+    """Targets of ``kind`` whose planner holds runs rather than a tree."""
+    names = []
+    for name in corruption_targets(sim, kind):
+        vertex = sim.graph.vertex_by_name(name)
+        if kind == "aggregate":
+            filters = vertex.prune_filters
+            held = [filters.planner(t) for t in filters.types
+                    if filters.planner(t)._sp is not None
+                    or filters.planner(t).span_count]
+        else:
+            held = [_held_planner(vertex)]
+        if all(planner._sp is None for planner in held):
+            names.append((name, held))
+    return names
+
+
+def test_a_span_corruption_of_runs_is_found_by_the_deep_scrub():
+    """A tampered registry window of a planner holding runs: the deep scrub
+    reports it in the same pass, as the runs differ from the registry
+    (``tree-drift``) or the window from the expected one (``span-drift``)."""
+    sim = busy_sim()
+    targets = _list_held(sim, "span")
+    assert targets
+    for name, _ in targets:
+        vertex = sim.graph.vertex_by_name(name)
+        state = ExpectedState(sim)
+        state.refresh()
+        assert state.scan(vertex) == []
+        assert apply_corruption(sim, vertex, "span", salt=4)
+        kinds = {f.kind for f in state.scan(vertex)}
+        assert "tree-drift" in kinds and kinds <= {"tree-drift", "span-drift"}, kinds
+
+
+@pytest.mark.parametrize("kind", ["point", "aggregate"])
+def test_a_point_corruption_of_runs_builds_the_tree_and_charges_one_point(kind):
+    """``point`` and ``aggregate`` damage a planner holding runs through its
+    tree, built for the purpose: exactly one point then disagrees with the
+    registry."""
+    sim = busy_sim()
+    targets = _list_held(sim, kind)
+    assert targets, f"no list-held {kind} target"
+    for name, held in targets:
+        assert apply_corruption(sim, sim.graph.vertex_by_name(name), kind, salt=7)
+        damaged = []
+        for planner in held:
+            assert planner._sp is not None and planner._runs is None
+            windows = planner.span_windows().values()
+            damaged += [
+                point.key for point in planner._sp
+                if point.in_use != sum(
+                    request for start, end, request in windows
+                    if start <= point.key < end
+                )
+            ]
+        assert len(damaged) == 1, (name, damaged)
 
 
 def test_detect_only_when_auto_repair_off():

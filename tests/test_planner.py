@@ -355,6 +355,21 @@ class TestNextEventTime:
         # The base point at t=0 exists, but events must be strictly later.
         assert p.next_event_time(0) == 10
 
+    def test_the_base_point_is_no_event_before_plan_start(self):
+        """Only span boundaries answer, whatever the planner held before:
+        the tree's base point at plan_start bounds no span of its own."""
+        fresh, listed, treed = (Planner(10, plan_start=100) for _ in range(3))
+        listed.rem_span(listed.add_span(150, 10, 2))
+        ids = [treed.add_span(150, 10, 2), treed.add_span(155, 10, 2)]
+        assert treed._sp is not None
+        for sid in ids:
+            treed.rem_span(sid)
+        for planner in (fresh, listed, treed):
+            assert planner.next_event_time(50) is None
+        treed.add_span(100, 5, 1)  # now plan_start is a span's start
+        assert treed.next_event_time(50) == 100
+        assert treed.next_event_time(100) == 105
+
 
 @given(
     spans_strategy,
@@ -428,11 +443,13 @@ ops_strategy = st.lists(
 
 def _apply(planner, op, sid):
     """Run ``op`` (on span ``sid``, for the ops that name one) on a Planner;
-    return the new span id, or the PlannerError raised, if any."""
+    return the new span id or earliest time, or the PlannerError raised."""
     kind, *args = op
     try:
         if kind == "add":
             return planner.add_span(*args)
+        if kind == "first":
+            return planner.avail_time_first(*args)
         if kind == "rebuild":
             planner.rebuild()
         elif kind == "resize":
@@ -452,6 +469,8 @@ def _apply_to_model(model, op, sid):
     kind, *args = op
     if kind == "add":
         return model.add_span(*args)
+    if kind == "first":
+        return model.avail_time_first(*args)
     if kind == "resize":
         model.total = args[0]
     elif kind == "rem" and sid is not None:
@@ -571,6 +590,133 @@ def test_property_time_links_follow_the_tree(ops):
                 )
             for at in range(0, 260, 13):
                 assert planner.avail_resources_at(at) == model.avail_resources_at(at)
+
+
+# ----------------------------------------------------------------------
+# spans that do not overlap are runs in a list; the first overlap builds
+# the tree
+# ----------------------------------------------------------------------
+list_ops_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 250), st.integers(1, 25),
+                  st.integers(0, 16)),
+        st.tuples(st.just("rem"), st.integers(0, 30)),
+        st.tuples(st.just("end"), st.integers(0, 30), st.integers(1, 260)),
+        st.tuples(st.just("resize"), st.integers(8, 24)),
+        st.tuples(st.just("first"), st.integers(0, 16), st.integers(1, 60),
+                  st.integers(0, 259)),
+    ),
+    max_size=30,
+)
+
+
+def _boundaries(model, after):
+    """The span boundaries of a ListPlanner strictly after ``after``."""
+    return sorted(
+        t for start, end, _ in model._spans.values() for t in (start, end)
+        if t > after
+    )
+
+
+@given(list_ops_strategy, st.integers(0, 30))
+@settings(max_examples=200, deadline=None)
+def test_property_runs_answer_as_the_tree_and_the_baseline(ops, force_at):
+    """One op sequence on a planner left to choose its form, on a twin whose
+    tree is forced at a random step, and on the list-based baseline: every
+    answer and span id agrees, the twins export the same state and count
+    the same points, and both pass their invariants after every op."""
+    from repro.baselines import ListPlanner
+
+    free, forced = Planner(16, 10, 260), Planner(16, 10, 260)
+    model = ListPlanner(16, 10, 260)
+    live = []
+    for step, op in enumerate(ops):
+        if step == force_at and forced._sp is None:
+            forced._ensure_tree()
+        sid = live[op[1] % len(live)] if op[0] in ("rem", "end") and live else None
+        outcome = _apply(free, op, sid)
+        assert repr(_apply(forced, op, sid)) == repr(outcome), op
+        if not isinstance(outcome, PlannerError):
+            assert _apply_to_model(model, op, sid) == outcome
+            if op[0] == "add":
+                live.append(outcome)
+            elif op[0] == "rem" and sid is not None:
+                live.remove(sid)
+        for planner in (free, forced):
+            planner.check_invariants()
+            for request, duration, at in _PROBES:
+                at = max(at, 10)
+                assert planner.avail_during(at, duration, request) == (
+                    model.avail_during(at, duration, request)
+                )
+                assert planner.avail_resources_during(at, duration) == min(
+                    model.avail_resources_at(t) for t in range(at, at + duration)
+                )
+            for at in range(10, 260, 7):
+                assert planner.avail_resources_at(at) == model.avail_resources_at(at)
+                assert planner.avail_at(at, 9) == model.avail_at(at, 9)
+            for after in (0, 9, 10, 57, 130, 259):
+                assert planner.next_event_time(after) == next(
+                    iter(_boundaries(model, after)), None
+                )
+        assert free.export_state() == forced.export_state()
+        assert free.point_count == forced.point_count == (
+            len({10, *_boundaries(model, -1)})
+        )
+        if step >= force_at:
+            assert forced._runs is None
+
+
+class TestListForm:
+    def test_the_first_overlapping_add_builds_the_tree(self):
+        p = Planner(8, 0, 100)
+        p.add_span(0, 10, 2)
+        p.add_span(20, 10, 3)
+        assert p._sp is None and p._runs == [(0, 10, 2), (20, 30, 3)]
+        assert p.point_count == 4
+        p.add_span(25, 10, 1)
+        assert p._runs is None and p._sp is not None
+        assert p.point_count == 6
+        assert [p.avail_resources_at(t) for t in (5, 22, 27, 32, 40)] == [6, 5, 4, 7, 8]
+        p.check_invariants()
+
+    def test_a_refused_overlapping_add_leaves_answers_unchanged(self):
+        p = Planner(8, 0, 100)
+        p.add_span(0, 10, 6)
+        p.add_span(40, 10, 2)
+        before = (
+            [p.avail_resources_at(t) for t in range(100)],
+            [p.next_event_time(t) for t in range(100)],
+            p.export_state(), p.point_count,
+        )
+        with pytest.raises(PlannerError, match=r"request 4x\[5,15\) unavailable"):
+            p.add_span(5, 10, 4)
+        assert (
+            [p.avail_resources_at(t) for t in range(100)],
+            [p.next_event_time(t) for t in range(100)],
+            p.export_state(), p.point_count,
+        ) == before
+        p.check_invariants()
+
+    def test_an_emptied_planner_holds_no_list(self):
+        p = Planner(8, 0, 100)
+        ids = [p.add_span(0, 10, 2), p.add_span(50, 10, 2)]
+        for sid in ids:
+            p.rem_span(sid)
+        assert p._runs is None and p._sp is None
+        assert p.point_count == 1 and p.next_event_time(0) is None
+        p.check_invariants()
+
+    def test_touching_spans_stay_runs(self):
+        p = Planner(4, 0, 100)
+        p.add_span(0, 10, 4)
+        p.add_span(10, 10, 4)
+        assert p._sp is None and len(p._runs) == 2
+        assert p.point_count == 3
+        assert (p.avail_resources_at(9), p.avail_resources_at(10)) == (0, 0)
+        assert p.avail_resources_at(20) == 4
+        assert p.next_event_time(0) == 10
+        p.check_invariants()
 
 
 def _tree_shape(planner):
