@@ -273,6 +273,18 @@ class Traverser:
                 self._c_failed.inc()
             return alloc
 
+    def could_fit(self, jobspec: Jobspec, at: int) -> bool:
+        """False when :meth:`allocate` at ``at`` is refused before any
+        walk: the window passes ``graph.plan_end``, or cut 1 (see
+        :meth:`_gated`) shows the totals are not free throughout it.  True
+        says only that cut 1 lets the request through.  Records nothing."""
+        duration = jobspec.duration
+        if at + duration > self.graph.plan_end:
+            return False
+        return not self.prune or self._cut1(
+            at, duration, jobspec.total_demand
+        ) is not False
+
     def allocate_orelse_reserve(
         self, jobspec: Jobspec, now: int = 0
     ) -> Optional[Allocation]:
@@ -552,6 +564,16 @@ class Traverser:
             return out
         return None
 
+    def _cut1(
+        self, at: int, duration: int, totals: Dict[str, int]
+    ) -> Optional[bool]:
+        """Cut 1: does the bounding root's filter show ``totals`` free
+        throughout the window?  None when there is no bounding root."""
+        root = self._bounding_root()
+        if root is None:
+            return None
+        return root.prune_filters.avail_during(at, duration, totals)
+
     def _gated(self, at: int, duration: int, jobspec: Jobspec) -> bool:
         """The gates (§3.4): True when the filters show the jobspec's totals
         cannot be free over the window, so the match is refused without a
@@ -564,18 +586,19 @@ class Traverser:
         budget."""
         totals = jobspec.total_demand
         why = self.obs.why
-        root = self._bounding_root()
-        if root is not None:
-            if not root.prune_filters.avail_during(at, duration, totals):
-                self._c_filter_hits.inc()
-                if why.enabled:
-                    # What the walk reports when it is cut at the root.
-                    first = jobspec.resources[0]
-                    if first.is_slot:
-                        first = first.with_[0]
-                    why.prune("filter", root.type, root.name)
-                    why.fail("no_candidates", type=first.type, under="")
-                return True
+        cut1 = self._cut1(at, duration, totals)
+        if cut1 is False:
+            self._c_filter_hits.inc()
+            if why.enabled:
+                # What the walk reports when it is cut at the root.
+                root = self._bounding_root()
+                first = jobspec.resources[0]
+                if first.is_slot:
+                    first = first.with_[0]
+                why.prune("filter", root.type, root.name)
+                why.fail("no_candidates", type=first.type, under="")
+            return True
+        if cut1:
             self._c_filter_misses.inc()
         short = self._cover_short(at, duration, totals)
         if short is None:

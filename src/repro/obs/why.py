@@ -17,8 +17,8 @@ dispatch cycle:
   (:class:`~repro.sched.queue._SchedAttempt` scope), with verb and
   outcome; a stretch of cycles that passed the job over
   without an attempt (EASY kept its reservation, or did not re-try a
-  refused backfill because nothing came free) is one record with a
-  repeat count, not a gap;
+  refused backfill because nothing it could use came free) is one record
+  with a repeat count, not a gap;
 * **match-failure attribution** — per-vertex prune reasons from the
   traverser (:data:`PRUNE_REASONS` taxonomy) aggregated into
   ``reason|type`` counts with bounded example vertices, plus
@@ -278,7 +278,8 @@ class DecisionRecorder:
         """A cycle passed ``job_id`` over without an attempt.
 
         ``verb`` says which answer was kept: ``backfill`` (refused, and
-        nothing came free since) or ``reservation`` (the head's stands).
+        nothing it could use came free since) or ``reservation`` (the
+        head's stands).
         Consecutive skips of one kind extend one record — ``vt`` is where
         the stretch began — so a long wait costs one line, not one per
         cycle.  Not an attempt: the attempt totals do not move.
@@ -480,7 +481,7 @@ def _skipped_line(attempt: Dict[str, Any]) -> str:
     since = f"since t={_fmt_vt(attempt.get('vt'))}"
     if attempt.get("verb") == "reservation":
         return f"reservation kept {times} {since}: nothing came back early"
-    return f"not re-tried {times} {since}: nothing came free"
+    return f"not re-tried {times} {since}: nothing it could use came free"
 
 
 def render_explain(

@@ -179,8 +179,11 @@ class EasyBackfill(QueuePolicy):
       asked again until capacity could have come free: ``graph.freed``
       moved (any release, booked ends included), or the clock crossed the
       booked end of a span nothing has released yet (see
-      :func:`_span_ended`).  A refusal cut short by a scheduling deadline
-      is no verdict and is never remembered.
+      :func:`_span_ended`).  Even then it stays refused while
+      :meth:`~repro.match.Traverser.could_fit` says no at ``now``: the
+      root filter still cannot cover it, so ``allocate`` would refuse it
+      before any walk.  A refusal cut short by a scheduling deadline is no
+      verdict and is never remembered.
     """
 
     name = "easy"
@@ -191,7 +194,8 @@ class EasyBackfill(QueuePolicy):
         self._head: Optional[Tuple[Job, int, Optional[int]]] = None
         #: ids of jobs refused by ``allocate(at=now)``: still refused while
         #: ``graph.freed`` reads ``_refused_gen`` and no booked span has
-        #: ended since ``_refused_at``
+        #: ended since ``_refused_at``, and re-checked by cut 1 when either
+        #: moves
         self._refused: Set[int] = set()
         self._refused_gen: Optional[int] = None
         self._refused_at = 0
@@ -204,7 +208,12 @@ class EasyBackfill(QueuePolicy):
         if self._refused_gen != graph.freed or _span_ended(
             traverser, self._refused_at, now
         ):
-            refused.clear()
+            # Still refused: the jobs cut 1 still refuses at ``now``.
+            refused = self._refused = {
+                job.job_id for job in pending
+                if job.job_id in refused
+                and not traverser.could_fit(job.jobspec, now)
+            }
             self._refused_gen = graph.freed
             self._refused_at = now
         obs = self.obs
@@ -227,8 +236,8 @@ class EasyBackfill(QueuePolicy):
                 if obs.enabled:
                     obs.metrics.counter(
                         "sched.backfill_skipped",
-                        "backfill candidates not re-tried: nothing came "
-                        "free since they were refused",
+                        "backfill candidates not re-tried: nothing they "
+                        "could use came free since they were refused",
                     ).inc()
                     obs.why.skipped(
                         job.job_id, float(now), "backfill", job.name

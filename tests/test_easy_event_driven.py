@@ -27,6 +27,7 @@ import pytest
 from repro import (
     ClusterSimulator,
     RetryPolicy,
+    Traverser,
     nodes_jobspec,
     simple_node_jobspec,
     tiny_cluster,
@@ -600,6 +601,87 @@ def test_schedule_moves_without_the_booked_end_test(
     assert reference.jobs[job_id].start_time == 100
     monkeypatch.setattr("repro.sched.queue._span_ended", lambda *args: False)
     assert schedule(build(EasyBackfill())) != schedule(reference)
+
+
+def freed_for_a_refused_job(policy):
+    """Job 4 is refused at t=10 with no node free; node 3's outage ends at
+    t=45 and job 2's end at t=50 frees node 2, so job 4 fits before the
+    head's reservation.  Asked about the memo's instant, t=0, the root
+    filter still sees the outage and only one node free."""
+    sim = small(policy)
+    CapacitySchedule(sim.graph).add_outage(
+        sim.graph.find(type="node")[3], 0, 45)
+    sim.submit(nodes_jobspec(2, 100), at=0)
+    sim.submit(nodes_jobspec(1, 50), at=0)
+    sim.submit(nodes_jobspec(4, 100), at=0)  # head: reserved at 100
+    sim.submit(nodes_jobspec(2, 40), at=10)
+    sim.run()
+    return sim
+
+
+def kept_without_a_recheck(monkeypatch, policy):
+    monkeypatch.setattr(Traverser, "could_fit", lambda self, *args: False)
+
+
+def rechecked_when_refused(monkeypatch, policy):
+    could_fit = Traverser.could_fit
+    monkeypatch.setattr(
+        Traverser, "could_fit",
+        lambda self, jobspec, at: could_fit(self, jobspec, policy._refused_at),
+    )
+
+
+@pytest.mark.parametrize(
+    "mutant", [kept_without_a_recheck, rechecked_when_refused]
+)
+def test_schedule_moves_without_the_recheck(mutant, monkeypatch):
+    """A release re-asks the refused jobs cut 1 lets through at ``now``:
+    keep them all, or ask cut 1 about the instant of the refusal, and job
+    4 misses the gap before the head."""
+    reference, _ = assert_same_outcome(freed_for_a_refused_job)
+    assert reference.jobs[4].start_time == 50
+    policy = EasyBackfill()
+    mutant(monkeypatch, policy)
+    changed = freed_for_a_refused_job(policy)
+    assert changed.event_log != reference.event_log
+    assert changed.jobs[4].start_time > 50
+
+
+def test_a_refusal_cut_1_let_through_is_asked_again():
+    """Job 4 wants two cores on one node while nodes 1 and 2 have one free
+    each: the root filter counts two cores, so only the walk refuses it.
+    Job 1's end re-asks it, and it takes node 0 before the head's start."""
+    sim = ClusterSimulator(
+        tiny_cluster(1, 3, cores=2, gpus=0, memory_pools=0), "low",
+        queue="easy",
+    )
+    sim.submit(simple_node_jobspec(2, duration=30), at=0)  # node 0
+    sim.submit(simple_node_jobspec(1, nodes=2, duration=100), at=0)
+    sim.submit(simple_node_jobspec(2, nodes=3, duration=100), at=0)  # head
+    waiting = sim.submit(simple_node_jobspec(2, duration=20), at=1)
+    sim.run(until=1)
+    assert sim.queue_policy.export_state()["refused"]["jobs"] == [4]
+    assert sim.traverser.could_fit(waiting.jobspec, 1)
+    sim.run()
+    assert waiting.start_time == 30
+    assert schedule(sim)[4][2][0] == "/cluster0/rack0/node0"
+
+
+def test_a_refusal_past_the_horizon_stays_refused():
+    """Job 3's window passes ``plan_end`` at every instant after t=50: a
+    plain filter query would raise, ``could_fit`` says no."""
+    sim = ClusterSimulator(tiny_cluster(8, 8, plan_end=1000), queue="easy")
+    for nodes, duration, at in (
+        (60, 300, 0), (64, 500, 1), (2, 950, 2), (1, 100, 100)
+    ):
+        sim.submit(nodes_jobspec(nodes, duration=duration), at=at)
+    sim.run()
+    assert sim.event_log == [
+        (0, "submit", 1), (1, "submit", 2), (2, "submit", 3),
+        (100, "submit", 4), (0, "start", 1), (100, "start", 4),
+        (200, "end", 4), (300, "start", 2), (300, "end", 1), (800, "end", 2),
+    ]
+    assert sim.jobs[3].state is JobState.PENDING
 
 
 def test_cut_short_refusal_is_not_remembered():

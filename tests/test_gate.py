@@ -18,6 +18,7 @@ import pytest
 from repro import ClusterSimulator, Traverser
 from repro.grug import quartz, rabbit_system, tiny_cluster
 from repro.jobspec import Jobspec, ResourceRequest, nodes_jobspec
+from repro.match import traverser as traverser_module
 from repro.resource import ResourceGraph
 from repro.sched.capacity import CapacitySchedule
 from repro.usecases.rabbit import global_storage_job, node_local_storage_job
@@ -29,33 +30,55 @@ from .test_walk_stops import run as record
 
 def run(monkeypatch, scenario, gate):
     """``test_walk_stops.run`` (the result, every match verb's decision and
-    visits) plus how many matches cut 2 refused."""
-    refused = []
+    visits) plus how many matches cut 2 refused and how many cut 1 did.
+
+    Every ``allocate`` also checks ``could_fit``: it says no exactly when
+    the call is refused without asking cut 2 — at the horizon or by cut 1
+    — and then nothing is booked."""
+    refused, cut_1, booked = [], [], []
     inner = Traverser._cover_short
+    allocate = Traverser.allocate
+    book = traverser_module.book
 
     def counted(self, *args):
         short = inner(self, *args) if gate else None
         refused.append(short is not None)
         return short
 
+    def checked(self, jobspec, at=0):
+        fits = self.could_fit(jobspec, at)
+        asked, books = len(refused), len(booked)
+        alloc = allocate(self, jobspec, at)
+        assert fits is (len(refused) > asked)
+        if not fits:
+            assert alloc is None and len(booked) == books
+            cut_1.append(at)
+        return alloc
+
+    def counted_book(*args):
+        booked.append(args)
+        return book(*args)
+
     with monkeypatch.context() as patch:
         patch.setattr(Traverser, "_cover_short", counted)
+        patch.setattr(Traverser, "allocate", checked)
+        patch.setattr(traverser_module, "book", counted_book)
         recorded = record(monkeypatch, scenario, stop=True)
-    return recorded + (sum(refused),)
+    return recorded + (sum(refused), len(cut_1))
 
 
 def assert_same_decisions(monkeypatch, scenario):
     """Run ``scenario`` gated and with cut 2 off; returns how many matches
-    cut 2 refused."""
-    sim, decisions, visits, refused = run(monkeypatch, scenario, True)
-    full, full_decisions, full_visits, _ = run(monkeypatch, scenario, False)
+    cut 2 refused and how many cut 1 did."""
+    sim, decisions, visits, refused, cut_1 = run(monkeypatch, scenario, True)
+    full, full_decisions, full_visits, _, _ = run(monkeypatch, scenario, False)
     assert sim.event_log == full.event_log
     assert schedule(sim) == schedule(full)
     assert decisions == full_decisions
     assert len(visits) == len(full_visits)
     assert all(g <= f for g, f in zip(visits, full_visits))
     assert (sum(visits) < sum(full_visits)) is (refused > 0)
-    return refused
+    return refused, cut_1
 
 
 MACHINES = {
@@ -72,10 +95,11 @@ MACHINES = {
 def test_scenarios_decide_the_same(machine, queue, seed, monkeypatch):
     """``test_easy_event_driven``'s generator — faults, drains, outages,
     cancels, truncations and a grown node — with and without cut 2.  On
-    every EASY trace cut 2 refuses something the root filter let through."""
-    refused = assert_same_decisions(monkeypatch, lambda: random_scenario(
+    every EASY trace cut 2 refuses something the root filter let through,
+    and cut 1 refuses something too."""
+    refused, cut_1 = assert_same_decisions(monkeypatch, lambda: random_scenario(
         seed, queue, build=MACHINES[machine]))
-    assert refused or queue != "easy"
+    assert (refused and cut_1) or queue != "easy"
 
 
 def storage_scenario(seed, queue):
