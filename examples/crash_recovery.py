@@ -40,7 +40,7 @@ def build_sim(state_dir=None):
     )
     if state_dir is not None:
         # Journal every command (fsync barriers on) and snapshot every
-        # 40 journal records; keep the 2 newest snapshots.
+        # 40 of them; keep the 2 newest snapshots.
         RecoveryManager(state_dir, snapshot_every=40, fsync=True).attach(sim)
     for i in range(12):
         actual = 1250 if i % 3 == 0 else None  # overrunners get killed

@@ -220,11 +220,6 @@ class Traverser:
         self._c_satisfiable_hits = self.metrics.counter(
             "dfu.satisfiable_hits",
             "satisfiable() calls answered from a remembered shape")
-        #: observer hooks: called with the Allocation after a booking is
-        #: registered / after a removal completes (used by the recovery
-        #: journal; None disables).
-        self.on_book = None
-        self.on_remove = None
         #: keep the list each booking wrote as ``Allocation._bookings``, so
         #: the expected state need not derive it again; switched on by the
         #: expected state a verifier keeps
@@ -454,17 +449,13 @@ class Traverser:
         alloc._span_records.clear()
         alloc._bookings = None
         self.graph.note_change(planned=now is not None and alloc.end <= now)
-        if self.on_remove is not None:
-            self.on_remove(alloc)
         return alloc
 
     def install_allocation(self, alloc: Allocation) -> None:
         """Register an externally rebuilt allocation (crash recovery).
 
         The allocation's planner spans must already be booked; this only
-        re-registers the record and keeps future alloc ids disjoint.  The
-        ``on_book`` hook is *not* fired — installation restores state, it
-        does not create it.
+        re-registers the record and keeps future alloc ids disjoint.
         """
         if alloc.alloc_id in self.allocations:
             raise MatchError(
@@ -1063,6 +1054,4 @@ class Traverser:
             alloc._bookings = bookings
         self._next_alloc_id += 1
         self.allocations[alloc.alloc_id] = alloc
-        if self.on_book is not None:
-            self.on_book(alloc)
         return alloc

@@ -16,8 +16,8 @@ subsystem (repairs live in :mod:`repro.recovery.repair`):
   structure with the attach-time baseline and its planners with what the
   live allocation table says they *should* hold.  Drift is quarantined
   (the vertex is drained so matching skips it), repaired through the
-  journaled repair engine, and re-verified — all
-  within the same cycle, before the end-of-cycle auditor runs.
+  repair engine, and re-verified — all within the same cycle, before the
+  end-of-cycle auditor runs.
 * :class:`ExpectedState` — the one statement of what every planner should
   hold right now: each live allocation's spans as
   :func:`~repro.match.writer.allocation_bookings` derives them from its
@@ -647,10 +647,6 @@ class IntegrityMonitor:
         sim = self.sim
         name = vertex.name
         kinds = sorted({f.kind for f in findings})
-        self._journal(
-            "integrity_detect", vertex=name, kinds=kinds,
-            findings=len(findings),
-        )
         self.counters["detected"] += len(findings)
         self._obs_count("integrity.detected", len(findings))
         was_up = vertex.status == "up"
@@ -687,14 +683,12 @@ class IntegrityMonitor:
         else:
             self.counters["unrepaired"] += 1
             self._obs_count("integrity.unrepaired")
-            self._journal("integrity_unrepaired", vertex=name)
 
     def _release(
         self, vertex: "ResourceVertex", was_up: bool, actions: List[str]
     ) -> None:
         sim = self.sim
         name = vertex.name
-        self._journal("integrity_repair", vertex=name, actions=actions)
         if was_up and vertex.status == "down":
             sim.graph.mark_up(vertex)
         self.quarantined.pop(name, None)
@@ -707,16 +701,8 @@ class IntegrityMonitor:
             )
 
     # ------------------------------------------------------------------
-    # journal / metrics plumbing
+    # metrics plumbing
     # ------------------------------------------------------------------
-    def _journal(self, kind: str, **fields: object) -> None:
-        sim = self.sim
-        if sim is None:
-            return
-        record = {"type": kind, "at": sim.now}
-        record.update(fields)
-        sim._journal(record)
-
     def _obs_count(self, name: str, amount: int = 1) -> None:
         sim = self.sim
         if sim is not None and sim.obs.enabled and amount:

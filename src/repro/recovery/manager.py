@@ -1,19 +1,20 @@
 """RecoveryManager: glue between a simulator, its journal and its snapshots.
 
 Attach a manager to a simulator and every top-level command (submit, cancel,
-fail, repair, scheduled failures/repairs, reschedule, and each event-heap
-dispatch) is appended to the write-ahead journal *before* it mutates state;
-allocation bookings/removals are journaled as observability effects.
-Snapshots are written on attach, on demand (:meth:`RecoveryManager.snapshot`)
-and every ``snapshot_every`` journal records.
+fail, repair, scheduled failures/repairs, reschedule, corrupt, and each
+event-heap dispatch) is appended to the write-ahead journal *before* it
+mutates state.  The journal holds these commands and nothing else: what a
+command does (allocations, retries, admission and repair decisions) follows
+from the command and the state it ran on.  Snapshots are written on attach,
+on demand (:meth:`RecoveryManager.snapshot`) and every ``snapshot_every``
+journaled commands.
 
 After a crash, :func:`recover` rebuilds a simulator from the newest valid
 snapshot and deterministically re-executes the journal suffix.  Replay pops
 heap events in the same order the dead scheduler did (verified record by
-record), regenerates internal effects (retry submissions, allocations) by
-re-running the real code paths, drops a torn journal tail, and re-attaches a
-manager so the recovered simulator keeps journaling where the dead one
-stopped.
+record), regenerates every effect by re-running the real code paths, drops
+a torn journal tail, and re-attaches a manager so the recovered simulator
+keeps journaling where the dead one stopped.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class RecoveryManager:
         Where the journal (``journal.wal``) and snapshots
         (``snapshot-<seq>.json``) live.  Created if missing.
     snapshot_every:
-        Write a snapshot automatically every N journal records (checked
+        Write a snapshot automatically every N journaled commands (checked
         between event dispatches).  ``None`` disables periodic snapshots.
     fsync:
         Per-record fsync barriers on the journal.
@@ -134,25 +135,9 @@ class RecoveryManager:
             self.journal_path, start_seq=start_seq, fsync=self.fsync
         )
         sim.recovery = self
-        sim.traverser.on_book = self._on_book
-        sim.traverser.on_remove = self._on_remove
         if initial_snapshot:
             self.snapshot()
         return self
-
-    def _on_book(self, alloc) -> None:
-        self.sim._journal(
-            {
-                "type": "alloc",
-                "alloc_id": alloc.alloc_id,
-                "at": alloc.at,
-                "duration": alloc.duration,
-                "reserved": alloc.reserved,
-            }
-        )
-
-    def _on_remove(self, alloc) -> None:
-        self.sim._journal({"type": "alloc_rm", "alloc_id": alloc.alloc_id})
 
     def record(self, record: Dict[str, Any]) -> int:
         """Append one record to the journal (called by the simulator)."""
@@ -214,8 +199,6 @@ class RecoveryManager:
             self._journal = None
         if self.sim is not None:
             self.sim.recovery = None
-            self.sim.traverser.on_book = None
-            self.sim.traverser.on_remove = None
             self.sim = None
 
 
@@ -276,12 +259,11 @@ def _replay(
 ) -> int:
     """Deterministically re-execute the journal suffix on ``sim``.
 
-    Only *commands* re-execute; records flagged ``internal`` and the
-    ``alloc``/``alloc_rm`` effects are regenerated by the commands that
-    originally produced them.  In ``salvage`` mode the journal may have
-    damage-induced gaps, so the first record that cannot re-execute (replay
-    divergence, missing referent) *stops* replay instead of raising; the
-    record and everything after it are dropped.  Returns the number of
+    The journal holds only commands, and each re-executes; any other
+    record type raises :class:`RecoveryError`.  In ``salvage`` mode the
+    journal may have damage-induced gaps, so the first record that cannot
+    re-execute (replay divergence, missing referent) *stops* replay instead
+    of raising; the record and everything after it are dropped.  Returns the number of
     records dropped this way (always 0 when not salvaging).
     """
     by_name = {v.name: v for v in sim.graph.vertices()}
@@ -314,8 +296,6 @@ def _replay_record(
 ) -> None:
     """Re-execute a single journal record (see :func:`_replay`)."""
     rtype = record["type"]
-    if record.get("internal") or rtype in ("alloc", "alloc_rm"):
-        return
     if rtype == "submit":
         sim.submit(
             parse_jobspec(record["jobspec"]),

@@ -1,13 +1,9 @@
-"""Journaled repair actions for the fluxfsck subsystem.
+"""Repair actions for the fluxfsck subsystem.
 
-Every mutation of graph/planner/allocation state in this module flows
-through :meth:`RepairEngine._journal_action` *before* the first raw write —
-enforced mechanically by fluxlint rule INT001.  The journal records are
-``internal`` effects (repairs always run inside a journaled command:
-a dispatched event's scrub pass, a replayed ``corrupt`` command, or a
-salvage restore), so replay regenerates them by re-running the command
-rather than re-applying the record; journaling them anyway leaves an audit
-trail an operator can correlate with ``integrity.*`` metrics.
+Repairs write nothing to the journal.  They always run inside a journaled
+command (a dispatched event's scrub pass, a replayed ``corrupt`` command)
+or a salvage restore, so replay regenerates them by re-running that
+command.  The ``integrity.*`` metrics count what they did.
 
 Repair strategies (tentpole spec):
 
@@ -42,7 +38,7 @@ __all__ = ["RepairEngine"]
 
 
 class RepairEngine:
-    """Deterministic, journaled state repair for one simulator instance."""
+    """Deterministic state repair for one simulator instance."""
 
     def __init__(
         self,
@@ -52,16 +48,6 @@ class RepairEngine:
         self.sim = sim
         self.monitor = monitor
         self.skipped_spans = 0
-
-    # ------------------------------------------------------------------
-    # journal plumbing (INT001: call before any raw write)
-    # ------------------------------------------------------------------
-    def _journal_action(self, action: str, **fields: object) -> None:
-        """Write-ahead record for one repair action (audit trail)."""
-        record = {"type": "repair_action", "action": action,
-                  "at": self.sim.now}
-        record.update(fields)
-        self.sim._journal(record)
 
     # ------------------------------------------------------------------
     # repair actions
@@ -81,7 +67,6 @@ class RepairEngine:
         )
         if base is None:
             return False
-        self._journal_action("restore-structure", vertex=vertex.name)
         vertex.size = base["size"]
         vertex.unit = base["unit"]
         vertex.rank = base["rank"]
@@ -104,10 +89,6 @@ class RepairEngine:
         reconstructed from scratch, so even unreadable trees repair.
         Returns the number of spans booked.
         """
-        self._journal_action(
-            "rebuild-planner", vertex=vertex.name, planner=pkind,
-            spans=len(want),
-        )
         planner = vertex.planner_of(pkind)
         if planner is None:
             return 0
@@ -162,7 +143,6 @@ class RepairEngine:
         :attr:`skipped_spans` instead of aborting — the enclosing repair
         rebuilds the planner afterwards.  Returns spans actually released.
         """
-        self._journal_action("release-allocation", alloc_id=alloc.alloc_id)
         released = 0
         for planner, span_id in list(alloc._span_records):
             try:
@@ -191,10 +171,6 @@ class RepairEngine:
         victims = affected_jobs(self.sim, vertex)
         if not victims:
             return 0
-        self._journal_action(
-            "evacuate", vertex=vertex.name,
-            jobs=[job.job_id for job in victims],
-        )
         for job in victims:
             for alloc in list(job.allocations):
                 self.release_allocation(alloc)

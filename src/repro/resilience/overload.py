@@ -180,9 +180,9 @@ class OverloadController:
 
     Attach one per :class:`~repro.sched.simulator.ClusterSimulator` (the
     simulator does this when constructed with ``overload=``).  Every
-    decision is a pure function of simulator + controller state: the
-    controller journals it as an ``internal`` record (audit trail only) and
-    recovery replay regenerates it by re-executing the enclosing command.
+    decision is a pure function of simulator + controller state, so the
+    controller journals nothing: recovery replay regenerates each decision
+    by re-executing the enclosing command.
     """
 
     def __init__(self, config: OverloadConfig) -> None:
@@ -206,9 +206,9 @@ class OverloadController:
         """Apply the queue bound to a just-dispatched submission.
 
         Returns True when the job was admitted (a scheduling cycle should
-        run), False when it was rejected.  A rejection is journaled *before*
-        the job is canceled (write-ahead order), so a crash between the two
-        replays cleanly.
+        run), False when it was rejected.  The submission's ``dispatch``
+        is already journaled, so a crash between the bound's verdict and
+        the cancel replays that dispatch and decides the same again.
         """
         from ..sched.job import CancelReason
 
@@ -220,10 +220,6 @@ class OverloadController:
         if depth <= cfg.max_pending:
             return True
         sim._crashpoint("admit.pre")
-        sim._journal({
-            "type": "admission", "at": sim.now, "job_id": job.job_id,
-            "action": "reject",
-        })
         self.counters["rejected"] += 1
         self._obs_count("overload.rejected")
         why = sim.obs.why

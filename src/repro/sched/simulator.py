@@ -119,7 +119,7 @@ class SimulationReport:
     corruption_repaired: int = 0
     #: vertices left quarantined (repair + evacuation both failed)
     corruption_unrepaired: int = 0
-    #: journaled repair actions applied
+    #: repair actions applied
     integrity_repair_actions: int = 0
     #: jobs requeued because their reservations were lost to corruption
     integrity_jobs_requeued: int = 0
@@ -763,18 +763,16 @@ class ClusterSimulator:
         self._event_seq += 1
 
     def _journal(self, record: dict) -> None:
-        """Append ``record`` to the attached write-ahead journal.
+        """Append the command ``record`` to the attached write-ahead journal.
 
-        Top-level calls journal *commands* (re-executed during recovery
-        replay); calls nested inside a command (``_applying > 0``) journal
-        observability *effects*, marked ``internal`` and skipped by replay
-        because re-executing the enclosing command regenerates them.  No-op
-        while replaying (the records being replayed are already on disk).
+        Only top-level calls journal: a call nested inside a command
+        (``_applying > 0``) is part of what that command does, and
+        re-executing the command during recovery replay does it again.
+        No-op while replaying (the records being replayed are already on
+        disk).
         """
-        if self.recovery is None or self._replaying:
+        if self.recovery is None or self._replaying or self._applying:
             return
-        if self._applying > 0:
-            record = dict(record, internal=True)
         self.recovery.record(record)
 
     def _crashpoint(self, name: str) -> None:

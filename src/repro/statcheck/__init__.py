@@ -17,7 +17,7 @@ checks them mechanically:
 
 * :mod:`repro.statcheck.core` / :mod:`repro.statcheck.rules` — **fluxlint**,
   an AST lint engine with project-specific rules (DET001, EXC001, FLT001,
-  INT001, JRN001, OBS001, OVL001), per-line suppression via
+  JRN001, OBS001, OVL001), per-line suppression via
   ``# fluxlint: disable=RULE`` and text/JSON reporters.  Run it with
   ``python -m repro.statcheck src/repro``; the tree is held at zero
   findings.

@@ -13,8 +13,6 @@ EXC001    no broad exception handlers that can swallow or starve
 FLT001    no ``==``/``!=`` on float-typed times (use repro.epsilon)
 JRN001    a method that journals does nothing to its object before
           the journal call
-INT001    repair-engine mutations of scheduler state go through a
-          journaled repair action (replay must regenerate repairs)
 OBS001    instrumentation goes through ``repro.obs``: no raw timer
           reads or hand-rolled stats-dict counters elsewhere
 OVL001    the work budget's deadline signal
@@ -35,7 +33,6 @@ __all__ = [
     "ExceptionSwallowRule",
     "FloatTimeEqualityRule",
     "JournalBeforeMutateRule",
-    "JournaledRepairRule",
     "ObservabilityFunnelRule",
     "OverloadSignalSwallowRule",
 ]
@@ -420,122 +417,6 @@ def _self_method(node: ast.Call) -> Optional[str]:
     ):
         return func.attr
     return None
-
-
-def _call_name(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-@register_rule
-class JournaledRepairRule(LintRule):
-    """INT001: repairs mutate scheduler state only via journaled actions.
-
-    Within ``recovery/repair.py``, any function that mutates graph, planner
-    or allocation state — a call to a known state mutator (``add_span``,
-    ``rem_span``, ``rebuild``, ``mark_down``, ...) or an assignment to an
-    attribute/subscript *not* rooted at ``self`` (the engine's own
-    bookkeeping is exempt) — must call ``self._journal_action(...)`` on an
-    earlier line of the same function.  Un-journaled repairs are invisible
-    to replay: a recovered simulator would re-diverge at exactly the state
-    the repair was supposed to fix.
-    """
-
-    rule_id = "INT001"
-    summary = "repair mutates scheduler state without journaling the action"
-
-    #: state mutators specific enough to repair targets that a call is a
-    #: mutation; generic container verbs (pop/clear/remove) are excluded
-    #: to keep the rule zero-false-positive on bookkeeping code
-    _MUTATOR_NAMES = {
-        "add_span", "rem_span", "update_span_end", "rebuild", "reset",
-        "resize", "import_state", "install_allocation", "mark_down",
-        "mark_up", "_kill", "transition",
-    }
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        return path.endswith("recovery/repair.py")
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check(node)
-
-    def _check(self, node: ast.AST) -> None:
-        if getattr(node, "name", "") == "_journal_action":
-            return  # the journaling primitive itself writes the record
-        journal_line = None
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            if _call_name(sub.func) == "_journal_action":
-                if journal_line is None or sub.lineno < journal_line:
-                    journal_line = sub.lineno
-        mutation = self._first_mutation(node)
-        if mutation is None:
-            return
-        if journal_line is None:
-            self.report(
-                mutation,
-                "repair mutates scheduler state on line "
-                f"{mutation.lineno} without any _journal_action() call; "
-                "journal the repair action first so replay regenerates it",
-            )
-        elif mutation.lineno < journal_line:
-            self.report(
-                mutation,
-                f"repair mutates scheduler state on line {mutation.lineno} "
-                f"before journaling on line {journal_line}; a crash in "
-                "between leaves an unjournaled, unreplayable repair",
-            )
-
-    def _first_mutation(self, node: ast.AST) -> Optional[ast.AST]:
-        found = None
-        for sub in ast.walk(node):
-            lineno = getattr(sub, "lineno", None)
-            if lineno is None:
-                continue
-            if found is not None and lineno >= found.lineno:
-                continue
-            if isinstance(sub, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign)
-                    else [sub.target]
-                )
-                for target in targets:
-                    if self._foreign_attribute_target(target):
-                        found = sub
-                        break
-            elif isinstance(sub, ast.Call):
-                func = sub.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in self._MUTATOR_NAMES
-                ):
-                    found = sub
-        return found
-
-    def _foreign_attribute_target(self, node: ast.AST) -> bool:
-        """True for ``other.attr[...] = ...`` where ``other`` is not self.
-
-        Plain subscripts of local names (``table[key] = v``) are local
-        bookkeeping, not scheduler state, and are left alone.
-        """
-        has_attribute = False
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            if isinstance(node, ast.Attribute):
-                has_attribute = True
-            node = node.value
-        return (
-            has_attribute
-            and isinstance(node, ast.Name)
-            and node.id != "self"
-        )
 
 
 @register_rule

@@ -128,6 +128,43 @@ class TestJournal:
         with pytest.raises(JournalCorruptError):
             read_journal(path)
 
+    #: the record types ``_replay_record`` re-executes
+    COMMANDS = {
+        "submit", "cancel", "sched_fail", "sched_repair", "fail", "repair",
+        "reschedule", "corrupt", "dispatch",
+    }
+
+    def test_the_journal_holds_commands_only(self, tmp_path):
+        # Admission rejections, bookings, retries, quarantines and repairs
+        # all happen here; none of them is written.
+        sim = overload_chaos_sim(0, recovery_dir=tmp_path,
+                                 integrity=IntegrityConfig(scrub_window=None))
+        sim.run(until=_CORRUPT_AT)
+        corrupt_a_span(sim, salt=1)
+        report = sim.run()
+        sim.recovery.close()
+        assert report.overload_rejected > 0
+        assert report.corruption_repaired >= 1
+        records, torn, _ = read_journal(str(tmp_path / "journal.wal"))
+        assert torn == 0
+        assert {r["type"] for r in records} <= self.COMMANDS
+        assert not [r for r in records if "internal" in r]
+        assert report.journal_records == len(records)
+
+    def test_a_record_that_is_not_a_command_is_refused(self, tmp_path):
+        from repro.recovery.manager import _replay
+
+        sim = saturated_sim()
+        RecoveryManager(str(tmp_path)).attach(sim)
+        sim.step()
+        sim.recovery.close()
+        fresh = recover(str(tmp_path))
+        alloc = {"type": "alloc", "seq": 42, "alloc_id": 0, "at": 0,
+                 "duration": 100, "reserved": False}
+        with pytest.raises(RecoveryError,
+                           match="journal record 42: unknown type 'alloc'"):
+            _replay(fresh, [alloc])
+
 
 # ----------------------------------------------------------------------
 # JGF round-trip over GRUG presets (satellite: round-trip gaps)
@@ -400,7 +437,7 @@ class TestSnapshot:
 # ----------------------------------------------------------------------
 # crash equivalence (the tentpole acceptance property)
 # ----------------------------------------------------------------------
-def chaos_sim(seed, recovery_dir=None):
+def chaos_sim(seed, recovery_dir=None, integrity=None):
     """A workload exercising reservations, walltime kills and failures."""
     graph = tiny_cluster()
     sim = ClusterSimulator(
@@ -412,6 +449,7 @@ def chaos_sim(seed, recovery_dir=None):
             checkpoint_period=100, seed=seed,
         ),
         audit=InvariantAuditor(deep=True),
+        integrity=integrity,
     )
     if recovery_dir is not None:
         RecoveryManager(str(recovery_dir), snapshot_every=7).attach(sim)
@@ -468,11 +506,11 @@ def test_crash_equivalence(tmp_path, point, seed):
     assert "recovery:" in report.summary()
 
 
-def overload_chaos_sim(seed, recovery_dir=None):
+def overload_chaos_sim(seed, recovery_dir=None, integrity=None):
     """chaos_sim plus admission pressure: a queue bound of one.
 
     The same-tick burst takes the queue over its bound again and again, so
-    both ``admit.*`` crash points — before the rejection is journaled and
+    both ``admit.*`` crash points — before the rejection is counted and
     after the job is canceled — are actually reached.
     """
     graph = tiny_cluster()
@@ -490,6 +528,7 @@ def overload_chaos_sim(seed, recovery_dir=None):
             attempt_budget=200,
             checkpoint_interval=16,
         ),
+        integrity=integrity,
     )
     if recovery_dir is not None:
         RecoveryManager(str(recovery_dir), snapshot_every=7).attach(sim)
@@ -541,6 +580,50 @@ def test_overload_crash_equivalence(tmp_path, point, seed):
     assert report.overload_enabled
     assert report.overload_rejected > 0
     assert report.overload_rejected == len(report.admission_rejected)
+
+
+_CORRUPT_AT = 250
+
+
+def corrupt_a_span(sim, salt):
+    """Issue the journaled ``corrupt`` command on the first span target.
+
+    The scrubber reads the whole graph (``scrub_window=None``), so the
+    command's own cycle detects, quarantines and repairs the damage.
+    """
+    target = corruption_targets(sim, "span")[0]
+    assert sim.inject_corruption("span", sim.graph.vertex_by_name(target),
+                                 salt=salt)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("point", ["cycle.booked", "cycle.post",
+                                   "end.released"])
+def test_crash_equivalence_across_an_auto_repair(tmp_path, point, seed):
+    """A crash after the scrubber repaired something recovers to the
+    uninterrupted run: the cycle points die inside the ``corrupt``
+    command, whose replay must repair again; ``end.released`` dies at the
+    next job end, after the repair is on disk or in the replayed suffix."""
+    scrub = IntegrityConfig(scrub_window=None)
+    assert scrub.auto_repair
+    control = chaos_sim(seed, integrity=scrub)
+    control.run(until=_CORRUPT_AT)
+    corrupt_a_span(control, salt=seed + 1)
+    assert control.integrity.counters["repaired"] >= 1
+    control.run()
+
+    sim = chaos_sim(seed, recovery_dir=tmp_path, integrity=scrub)
+    sim.run(until=_CORRUPT_AT)
+    CrashInjector(point).attach(sim)
+    with pytest.raises(SimulatedCrash):
+        corrupt_a_span(sim, salt=seed + 1)
+        sim.run()
+    assert sim.integrity.counters["repaired"] >= 1
+    recovered = recover(str(tmp_path))
+    recovered.run()
+    assert recovered.event_log == control.event_log
+    assert state_diff(control, recovered) == []
+    assert recovered.integrity.counters == control.integrity.counters
 
 
 class TestRecoveryPath:

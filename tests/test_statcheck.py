@@ -46,8 +46,7 @@ def rules_hit(source, path="mod.py", select=None):
 class TestEngine:
     def test_all_rules_registered(self):
         assert set(all_rules()) == {
-            "DET001", "EXC001", "FLT001", "INT001", "JRN001", "OBS001",
-            "OVL001",
+            "DET001", "EXC001", "FLT001", "JRN001", "OBS001", "OVL001",
         }
 
     def test_unknown_rule_id_rejected(self):
@@ -121,8 +120,7 @@ class TestOneRegistry:
         out = capsys.readouterr().out
         section = out.split("fluxlint AST rules:\n")[1].split("\n\n")[0]
         assert [line.split()[0] for line in section.splitlines()] == [
-            "DET001", "EXC001", "FLT001", "INT001", "JRN001", "OBS001",
-            "OVL001",
+            "DET001", "EXC001", "FLT001", "JRN001", "OBS001", "OVL001",
         ]
         # the runtime sanitizer has no static ids but is still listed
         assert "FluxSan" in out
@@ -464,83 +462,6 @@ class TestJRN001:
         (v,) = lint_source(src, "src/repro/recovery/monitor.py",
                            select=["JRN001"])
         assert "step() never journals" in v.message
-
-
-# ----------------------------------------------------------------------
-# INT001 — repairs journal their actions before mutating scheduler state
-# ----------------------------------------------------------------------
-INT_GOOD = """\
-class RepairEngine:
-    def _journal_action(self, action, **fields):
-        pass
-
-    def rebuild_planner(self, vertex):
-        self._journal_action("rebuild-planner", vertex=vertex.name)
-        vertex.plans.rebuild(spans=[])
-        table = {}
-        table["local"] = 1
-        self.stats["rebuilds"] = self.stats.get("rebuilds", 0) + 1
-"""
-
-INT_BAD_BEFORE = """\
-class RepairEngine:
-    def _journal_action(self, action, **fields):
-        pass
-
-    def release(self, planner, span_id):
-        planner.rem_span(span_id)
-        self._journal_action("release", span=span_id)
-"""
-
-INT_BAD_NEVER = """\
-class RepairEngine:
-    def restore(self, vertex):
-        vertex.status = "up"
-"""
-
-
-class TestINT001:
-    def test_journal_first_clean(self):
-        assert rules_hit(INT_GOOD, "src/repro/recovery/repair.py",
-                         select=["INT001"]) == []
-
-    def test_mutation_before_journal_flagged(self):
-        (v,) = lint_source(INT_BAD_BEFORE, "src/repro/recovery/repair.py",
-                           select=["INT001"])
-        assert v.rule == "INT001" and v.line == 6
-
-    def test_unjournaled_mutation_flagged(self):
-        (v,) = lint_source(INT_BAD_NEVER, "src/repro/recovery/repair.py",
-                           select=["INT001"])
-        assert "_journal_action" in v.message
-
-    def test_local_bookkeeping_and_self_state_exempt(self):
-        src = (
-            "class RepairEngine:\n"
-            "    def tally(self, findings):\n"
-            "        table = {}\n"
-            "        table['x'] = 1\n"
-            "        self.count += len(findings)\n"
-            "        self.seen['x'] = True\n"
-        )
-        assert rules_hit(src, "src/repro/recovery/repair.py",
-                         select=["INT001"]) == []
-
-    def test_rule_is_path_scoped(self):
-        assert rules_hit(INT_BAD_NEVER, "src/repro/sched/simulator.py",
-                         select=["INT001"]) == []
-
-    def test_repair_module_is_compliant(self):
-        # the live rule against the live module: the baseline stays empty
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "src", "repro", "recovery",
-            "repair.py",
-        )
-        with open(path) as handle:
-            source = handle.read()
-        assert lint_source(
-            source, "src/repro/recovery/repair.py", select=["INT001"]
-        ) == []
 
 
 # ----------------------------------------------------------------------
