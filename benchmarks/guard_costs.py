@@ -6,10 +6,12 @@ Runs the ledger's ``guarded_easy_64`` workload untraced at seed 7 (the full
 trace, then its first half, as a ledger rep does) with a ``perf_counter``
 wrapper around each piece of guard work: the expected-state refresh and
 the derivation of one allocation's bookings inside it, the auditor's
-planner / exclusivity / job-state checks, the scrub pass, the structure
-comparison and ``Planner.check_invariants`` inside it, the snapshot and
-its write, and one journal record.  Pieces nest (the scrub contains the
-structure check and ``check_invariants``), so the shares do not add up.
+planner / exclusivity / job-state checks, the monitor's end-of-cycle pass
+(which the auditor's planner check calls), the structure comparison and
+``Planner.check_invariants`` inside it, the snapshot and its write, and
+one journal record.  Pieces nest (the planner check contains the pass,
+the pass the structure check and ``check_invariants``), so the shares do
+not add up.
 It also counts how many spans each planner ``check_invariants`` read held.
 Then it times the same replay bare, with each default guard alone and
 with all of them, best of three, which is where a ledger tax ratio comes
@@ -48,7 +50,7 @@ PIECES: Dict[str, Tuple[object, str]] = {
     "audit: planners": (InvariantAuditor, "_check_planners"),
     "audit: exclusivity": (InvariantAuditor, "_check_exclusivity"),
     "audit: job states": (InvariantAuditor, "_check_job_states"),
-    "scrub pass": (integrity.IntegrityMonitor, "_scrub"),
+    "scrub pass": (integrity.IntegrityMonitor, "scrub_cycle"),
     "  structure check": (integrity, "structure_drift"),
     "  check_invariants": (Planner, "check_invariants"),
     "snapshot": (manager.RecoveryManager, "snapshot"),

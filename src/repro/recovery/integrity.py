@@ -10,14 +10,13 @@ long before a snapshot or restart would surface it.
 This module provides the *detection and containment* half of the fluxfsck
 subsystem (repairs live in :mod:`repro.recovery.repair`):
 
-* :class:`IntegrityMonitor` — an online scrubber that walks a rotating
-  window of vertices each scheduling cycle under a deterministic
-  :class:`~repro.resilience.overload.WorkBudget`, comparing each vertex's
-  structure with the attach-time baseline and its planners with what the
-  live allocation table says they *should* hold.  Drift is quarantined
-  (the vertex is drained so matching skips it), repaired through the
-  repair engine, and re-verified — all within the same cycle, before the
-  end-of-cycle auditor runs.
+* :class:`IntegrityMonitor` — the end-of-cycle pass over what the cycle
+  wrote (handed over by the invariant auditor) and a rotating window of
+  vertices, comparing a window vertex's structure with the attach-time
+  baseline and every planner it reads with what the live allocation table
+  says it *should* hold.  Drift is quarantined (the vertex is drained so
+  matching skips it), repaired through the repair engine and re-verified
+  before the auditor reports what stays unrepaired.
 * :class:`ExpectedState` — the one statement of what every planner should
   hold right now: each live allocation's spans as
   :func:`~repro.match.writer.allocation_bookings` derives them from its
@@ -26,8 +25,8 @@ subsystem (repairs live in :mod:`repro.recovery.repair`):
   the live allocations and outages with the ones it last saw, so a cycle
   pays for what it booked and released, not for the cluster;
   :func:`expected_span_table` is the same derivation from nothing.
-  :meth:`ExpectedState.scan` diffs one vertex against it; the scrubber,
-  fsck, the invariant auditor and snapshot salvage all read this table.
+  :meth:`ExpectedState.scan` diffs one vertex against it; the pass, fsck,
+  the invariant auditor and snapshot salvage all read this table.
 * :func:`apply_corruption` — a seeded, deterministic corruption injector
   used by the chaos harness and by :meth:`ClusterSimulator.inject_corruption`
   (which journals the injection as a replayable command, so crash-recovery
@@ -42,9 +41,9 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import FluxionError, IntegrityError, SchedulingDeadlineExceeded
+from ..errors import FluxionError, IntegrityError
 from ..match.writer import ExclusivityIndex, allocation_bookings
 from ..resource.vertex import PLANNER_KINDS
 from ..settings import GuardSettings, _refuse_unknown
@@ -293,19 +292,15 @@ class ExpectedState:
         self,
         vertex: "ResourceVertex",
         deep: bool = True,
-        budget: Optional[object] = None,
         baseline: Optional[dict] = None,
     ) -> List[Finding]:
         """Cross-check one vertex against the table (empty = clean).
 
-        The one verifier behind the auditor, the scrubber, fsck and
-        ``scan()``: :func:`scan_planners` on the vertex and, given the
-        ``baseline`` structure taken of it, :func:`structure_drift`.
-        ``budget`` is charged one unit for the vertex and one per span read.
+        The one verifier behind the end-of-cycle pass, fsck and ``scan()``:
+        :func:`scan_planners` on the vertex and, given the ``baseline``
+        structure taken of it, :func:`structure_drift`.
         """
         findings: List[Finding] = []
-        if budget is not None:
-            budget.charge()
         if baseline is not None:
             drift = structure_drift(vertex, baseline)
             if drift:
@@ -316,7 +311,7 @@ class ExpectedState:
                         "baseline",
                     )
                 )
-        findings.extend(scan_planners(vertex, self.table, deep, budget))
+        findings.extend(scan_planners(vertex, self.table, deep))
         return findings
 
 
@@ -405,7 +400,6 @@ def scan_planners(
     vertex: "ResourceVertex",
     expected: SpanTable,
     deep: bool = True,
-    budget: Optional[object] = None,
 ) -> List[Finding]:
     """Diff the planners of ``vertex`` against ``expected``.
 
@@ -413,7 +407,7 @@ def scan_planners(
     ``span-orphan`` per planner holding spans nothing accounts for and —
     with ``deep`` — one ``tree-drift`` per planner whose internal
     ``check_invariants()`` trips (O(points x spans), so the per-cycle auditor
-    leaves it off).  ``budget`` is charged one unit per span read.
+    leaves it off).
     """
     findings: List[Finding] = []
     name = vertex.name
@@ -425,8 +419,6 @@ def scan_planners(
         # Most planners of a large graph are idle with nothing expected.
         if want or planner.span_count:
             have = _held(planner, kind)
-            if budget is not None:
-                budget.charge(len(have))
             if have != want:
                 findings.extend(_diff(name, kind, have, want))
         if deep:
@@ -442,33 +434,29 @@ def scan_planners(
 # ----------------------------------------------------------------------
 @dataclass
 class IntegrityConfig(GuardSettings):
-    """Tuning for the online scrubber.
+    """Tuning for the integrity monitor.
 
     scrub_window:
-        Vertices examined per scrub pass (None = the whole graph every
-        pass).  The cursor rotates so every vertex is eventually covered.
-    scrub_every:
-        Run a scrub pass every N scheduling cycles (1 = every cycle).
-    scrub_budget:
-        Work-unit ceiling for one pass (a vertex or a span examined is one
-        unit), enforced through a
-        :class:`~repro.resilience.overload.WorkBudget`; None = unbounded.
-    checkpoint_interval:
-        Budget checkpoint cadence (see WorkBudget).
+        Vertices of the rotation read per pass (None = the whole graph
+        every pass).  The cursor rotates so every vertex is eventually
+        covered.
     auto_repair:
         Repair-and-release quarantined vertices within the same pass.  When
-        False the scrubber only detects and drains — operator tooling
-        (``python -m repro.recovery fsck --repair``) finishes the job.
+        False the monitor only detects and drains — operator tooling
+        (``python -m repro.recovery fsck --repair``) finishes the job — and
+        the auditor raises none of the findings it drained (a drained
+        vertex that still holds a job is a ``down-vertex`` violation, as
+        for any drain).
     """
 
     error = IntegrityError
-    #: outages are expected state now, so there are no orphans to skip
-    retired = frozenset({"check_orphans"})
+    #: no orphans to skip (outages are expected state); no head-of-cycle
+    #: scrub to pace or budget
+    retired = frozenset(
+        {"check_orphans", "scrub_every", "scrub_budget", "checkpoint_interval"}
+    )
 
     scrub_window: Optional[int] = 8
-    scrub_every: int = 1
-    scrub_budget: Optional[int] = None
-    checkpoint_interval: int = 32
     auto_repair: bool = True
 
 
@@ -476,21 +464,20 @@ class IntegrityConfig(GuardSettings):
 # the monitor
 # ----------------------------------------------------------------------
 class IntegrityMonitor:
-    """Per-cycle incremental verifier + quarantine coordinator.
+    """End-of-cycle verifier + quarantine coordinator.
 
     Attach to a :class:`~repro.sched.simulator.ClusterSimulator` (the
-    ``integrity=`` constructor parameter does this); the simulator calls
-    :meth:`scrub_cycle` at the start of every scheduling cycle, *before*
-    matching, so corrupted vertices are drained or repaired before any
-    placement decision can read them and before the end-of-cycle auditor
-    runs.
+    ``integrity=`` constructor parameter does this).  :meth:`scrub_cycle`
+    runs at the end of every scheduling cycle: inside the auditor's check,
+    which hands it what the cycle wrote, or alone on its window.
     """
 
     def __init__(self, config: Optional[IntegrityConfig] = None) -> None:
         self.config = config or IntegrityConfig()
         self.sim: Optional["ClusterSimulator"] = None
         self.cursor = 0
-        self.cycles_seen = 0
+        #: what a ``corrupt`` command damaged, for its own cycle's pass
+        self.damaged: Dict[int, "ResourceVertex"] = {}
         self.quarantined: Dict[str, str] = {}
         self.counters: Dict[str, int] = {
             "scrub_passes": 0,
@@ -521,7 +508,7 @@ class IntegrityMonitor:
 
         Called at attach and after restores.  An intentional change made
         later reaches the baseline through :attr:`ResourceGraph.reshaped`,
-        which :mod:`repro.sched.elastic` fills and every scrub empties.
+        which :mod:`repro.sched.elastic` fills and every pass empties.
         """
         sim = self.sim
         if sim is None:
@@ -554,17 +541,12 @@ class IntegrityMonitor:
     # scanning
     # ------------------------------------------------------------------
     def _scan_vertex(
-        self,
-        state: ExpectedState,
-        vertex: "ResourceVertex",
-        budget: Optional[object] = None,
+        self, state: ExpectedState, vertex: "ResourceVertex"
     ) -> List[Finding]:
-        return state.scan(
-            vertex, budget=budget, baseline=self._baseline.get(vertex.name)
-        )
+        return state.scan(vertex, baseline=self._baseline.get(vertex.name))
 
     def scan(self) -> List[Finding]:
-        """Full-graph unbudgeted scan (fsck / test support)."""
+        """Full-graph scan (fsck / test support)."""
         sim = self.sim
         if sim is None:
             raise IntegrityError("monitor is not attached to a simulator")
@@ -577,73 +559,70 @@ class IntegrityMonitor:
         return findings
 
     # ------------------------------------------------------------------
-    # the per-cycle scrub pass
+    # the end-of-cycle pass
     # ------------------------------------------------------------------
-    def scrub_cycle(self) -> None:
-        """One budgeted scrub pass: detect, quarantine, repair, release.
+    def scrub_cycle(
+        self,
+        state: Optional[ExpectedState] = None,
+        written: Sequence["ResourceVertex"] = (),
+        deep: bool = False,
+    ) -> List[Finding]:
+        """One pass: detect, quarantine, repair, release; returns the
+        findings that stay unrepaired.
 
-        Invoked by the simulator at the head of every scheduling cycle.
-        Deterministic given simulator state + the monitor's cursor, so
-        journal replay regenerates every quarantine/repair decision.  The
-        pass is the rotating feed of the verifier the auditor runs on what
-        a cycle wrote: with both attached, state nobody wrote to is re-read
-        here, within ceil(vertices / ``scrub_window``) passes.
+        ``written`` (what the cycle wrote, against ``state`` as the auditor
+        just refreshed it) is read as the auditor reads it, ``deep`` or not;
+        the window after the cursor and what a ``corrupt`` command damaged
+        deep and against the structure baseline; a vertex in both, that
+        way.  Alone, the monitor refreshes the kept table itself.
+        Deterministic given simulator state and the cursor, so journal
+        replay regenerates every quarantine and repair.
         """
         sim = self.sim
         if sim is None:
-            return
-        self.cycles_seen += 1
-        if (self.cycles_seen - 1) % self.config.scrub_every:
-            return
+            return []
         with sim.obs.tracer.span(
             "integrity.scrub", "integrity", vt=float(sim.now)
         ):
-            self._scrub(sim)
-
-    def _scrub(self, sim: "ClusterSimulator") -> None:
-        from ..resilience.overload import WorkBudget
-
-        self._adopt_reshaped()
-        state = expected_state(sim)
-        state.refresh()
-        ordered = state.order
-        if not ordered:
-            return
-        window = self.config.scrub_window or len(ordered)
-        window = min(window, len(ordered))
-        budget = WorkBudget(
-            cycle_limit=self.config.scrub_budget,
-            checkpoint_interval=self.config.checkpoint_interval,
-        )
-        dirty: List[Tuple["ResourceVertex", List[Finding]]] = []
-        scanned = 0
-        try:
+            self._adopt_reshaped()
+            if state is None:
+                state = expected_state(sim)
+                state.refresh()
+            order = state.order
+            window = min(self.config.scrub_window or len(order), len(order))
+            rotation: Dict[int, "ResourceVertex"] = {}
             for i in range(window):
-                vertex = ordered[(self.cursor + i) % len(ordered)]
-                findings = self._scan_vertex(state, vertex, budget)
-                scanned += 1
+                vertex = order[(self.cursor + i) % len(order)]
+                rotation[vertex.uniq_id] = vertex
+            if order:
+                self.cursor = (self.cursor + window) % len(order)
+            rotation.update(self.damaged)
+            self.damaged.clear()
+            read = [
+                (v, state.scan(v, deep=deep))
+                for v in written if v.uniq_id not in rotation
+            ]
+            read += [(v, self._scan_vertex(state, v)) for v in rotation.values()]
+            self.counters["scrub_passes"] += 1
+            self.counters["scrubbed_vertices"] += len(rotation)
+            self._obs_count("integrity.scrubbed", len(rotation))
+            unrepaired: List[Finding] = []
+            for vertex, findings in read:
                 if findings:
-                    dirty.append((vertex, findings))
-        except SchedulingDeadlineExceeded:
-            # Budget exhausted: the cursor only advances past what was
-            # actually scanned, so the next pass resumes exactly here.
-            pass
-        finally:
-            budget.finish()
-        self.cursor = (self.cursor + scanned) % len(ordered)
-        self.counters["scrub_passes"] += 1
-        self.counters["scrubbed_vertices"] += scanned
-        self._obs_count("integrity.scrubbed", scanned)
-        for vertex, findings in dirty:
-            self._handle_dirty(state, vertex, findings)
+                    unrepaired.extend(
+                        self._handle_dirty(state, vertex, findings)
+                    )
+            return unrepaired
 
     def _handle_dirty(
         self,
         state: ExpectedState,
         vertex: "ResourceVertex",
         findings: List[Finding],
-    ) -> None:
-        """Quarantine ``vertex`` and (``auto_repair``) repair it."""
+    ) -> List[Finding]:
+        """Quarantine ``vertex`` and (``auto_repair``) repair it; returns
+        what a repair left there (nothing without ``auto_repair``: the
+        drained vertex waits for operator tooling)."""
         sim = self.sim
         name = vertex.name
         kinds = sorted({f.kind for f in findings})
@@ -663,13 +642,13 @@ class IntegrityMonitor:
                 vt=float(sim.now), vertex=name, kinds=",".join(kinds),
             )
         if not self.config.auto_repair:
-            return
+            return []  # drained; operator tooling repairs it
         actions = self._engine.repair_vertex(vertex, findings, state.table)
         self.counters["repair_actions"] += len(actions)
         residual = self._scan_vertex(state, vertex)
         if not residual:
             self._release(vertex, was_up, actions)
-            return
+            return []
         # Last resort: shed everything the vertex carries, then retry once.
         # Evacuation is the only step that changes the allocation table.
         requeued = self._engine.evacuate_vertex(vertex)
@@ -678,11 +657,13 @@ class IntegrityMonitor:
         state.refresh()
         actions = self._engine.repair_vertex(vertex, residual, state.table)
         self.counters["repair_actions"] += len(actions)
-        if not self._scan_vertex(state, vertex):
+        residual = self._scan_vertex(state, vertex)
+        if not residual:
             self._release(vertex, was_up, actions)
         else:
             self.counters["unrepaired"] += 1
             self._obs_count("integrity.unrepaired")
+        return residual
 
     def _release(
         self, vertex: "ResourceVertex", was_up: bool, actions: List[str]
@@ -715,14 +696,15 @@ class IntegrityMonitor:
         """Dynamic scrubber state for snapshots and fingerprints."""
         return {
             "cursor": self.cursor,
-            "cycles_seen": self.cycles_seen,
             "quarantined": dict(sorted(self.quarantined.items())),
             "counters": dict(self.counters),
         }
 
     def import_state(self, state: dict) -> None:
         """Restore :meth:`export_state` output (after :meth:`attach`); a key
-        or counter this monitor does not own raises IntegrityError."""
+        or counter this monitor does not own raises IntegrityError.  The
+        cycle count an older snapshot carries is dropped: nothing reads it."""
+        state = {k: v for k, v in state.items() if k != "cycles_seen"}
         _refuse_unknown(
             "integrity state", state, self.export_state(), IntegrityError
         )
@@ -731,7 +713,6 @@ class IntegrityMonitor:
             IntegrityError,
         )
         self.cursor = int(state["cursor"])
-        self.cycles_seen = int(state["cycles_seen"])
         self.quarantined = {
             str(k): str(v) for k, v in state["quarantined"].items()
         }

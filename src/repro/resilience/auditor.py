@@ -9,7 +9,8 @@ each scheduling cycle wrote at the end of that cycle (attach it with
 ``ClusterSimulator(..., audit=True)``), the whole state on demand
 (:meth:`InvariantAuditor.collect`), and raises a structured
 :class:`InvariantViolation` carrying an expected-vs-actual diff per broken
-invariant.
+invariant — with an integrity monitor attached, only what the monitor's
+pass could not repair.
 
 Checked invariants
 ------------------
@@ -20,7 +21,7 @@ Checked invariants
   graph's :class:`~repro.sched.capacity.CapacitySchedule` outages booked,
   with matching windows and amounts (the diff of the kept
   :class:`~repro.recovery.integrity.ExpectedState` table against the
-  planners — the table the integrity scrubber repairs from);
+  planners — the table the integrity monitor repairs from);
 * **exclusivity** — no two active jobs overlap in time on a vertex either
   holds exclusively, including descendants of exclusively-held subtrees;
 * **job-state** — PENDING jobs hold nothing, RUNNING/RESERVED jobs hold a
@@ -46,6 +47,7 @@ from ..recovery.integrity import ExpectedState, IntegrityConfig, expected_state
 from ..sched.job import JobState
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..recovery.integrity import IntegrityMonitor
     from ..resource import ResourceVertex
     from ..sched.job import Job
     from ..sched.simulator import ClusterSimulator
@@ -94,9 +96,10 @@ class InvariantAuditor:
     allocations that entered or moved, ownership and state of the jobs
     that were or became active — and a rotating slice of the graph, so a
     planner nobody wrote to is still re-read within
-    ceil(vertices / slice) cycles.  With an integrity monitor attached
-    that slice is its scrub pass; without one it is :data:`SLICE`
-    vertices of the auditor's own.  :meth:`collect` is the full audit:
+    ceil(vertices / slice) cycles.  The simulator's auditor hands its
+    planner reads to the simulator's integrity monitor, whose window is
+    the slice; otherwise the slice is :data:`SLICE` vertices of the
+    auditor's own.  :meth:`collect` is the full audit:
     the same checks over every vertex, allocation and job, against a
     table derived from nothing.  An auditor's first check, and any check
     after the kept table was derived again (a vertex, an edge or a pool
@@ -165,22 +168,37 @@ class InvariantAuditor:
             or self._sim is not sim
             or self._rebuilds != state.rebuilds
         )
-        # a status flip books nothing: the table stands, the drains moved
-        moved = full or self._structure != graph.structure
-        closed = self._drained_subtrees(sim) if moved else self._closed
+        monitor = sim.integrity if per_cycle and sim.auditor is self else None
         if full:
             vertices = list(graph.vertices())
-            jobs = list(sim.jobs.values())
-            entered = None
         else:
             changed = state.changed
-            if sim.integrity is None:
+            if monitor is None:
                 order = state.order
                 for i in range(min(SLICE, len(order))):
                     vertex = order[(self._cursor + i) % len(order)]
                     changed[vertex.uniq_id] = vertex
                 self._cursor = (self._cursor + SLICE) % max(1, len(order))
             vertices = [changed[uid] for uid in sorted(changed)]
+        state.changed.clear()
+        if sim.obs.enabled:
+            metrics = sim.obs.metrics
+            metrics.counter(
+                "audit.vertices_checked", "vertices whose planners an audit read"
+            ).inc(len(vertices))
+            if full:
+                metrics.counter(
+                    "audit.full_checks", "audits of every vertex and job"
+                ).inc()
+        planners: List[Violation] = []
+        self._check_planners(state, vertices, monitor, planners)
+        # a status flip books nothing: the table stands, the drains moved
+        moved = full or self._structure != graph.structure
+        closed = self._drained_subtrees(sim) if moved else self._closed
+        if full:
+            jobs = list(sim.jobs.values())
+            entered = None
+        else:
             jobs = self._active + [
                 sim.jobs[job_id]
                 for job_id in range(self._next_job_id, sim._next_job_id)
@@ -193,46 +211,43 @@ class InvariantAuditor:
             self._structure = graph.structure
             self._active, self._next_job_id = active, sim._next_job_id
             self._closed = closed
-        if sim.obs.enabled:
-            metrics = sim.obs.metrics
-            metrics.counter(
-                "audit.vertices_checked", "vertices whose planners an audit read"
-            ).inc(len(vertices))
-            if full:
-                metrics.counter(
-                    "audit.full_checks", "audits of every vertex and job"
-                ).inc()
         out: List[Violation] = []
         owner = self._check_ownership(sim, jobs, out)
-        self._check_planners(state, vertices, out)
+        out.extend(planners)
         self._check_exclusivity(state, owner, entered, out)
         self._check_job_states(sim, jobs, out)
         self._check_down_vertices(
             closed, owner, active, None if moved else entered, out
         )
-        state.changed.clear()
         state.entered.clear()
         return out
 
     def _check_planners(
         self, state: ExpectedState, vertices: List["ResourceVertex"],
-        out: List[Violation],
+        monitor: Optional["IntegrityMonitor"], out: List[Violation],
     ) -> None:
         """**span-accounting** (and, ``deep``, **planner-invariants**): the
-        integrity scan's findings, reported instead of repaired."""
+        integrity scan's findings on ``vertices`` — through ``monitor``'s
+        pass, which repairs first, when given one."""
+        findings = []
+        if monitor is not None:
+            findings = monitor.scrub_cycle(state, vertices, self.deep)
+            changed = state.changed  # what an evacuation released
+            vertices = [changed.pop(uid) for uid in sorted(changed)]
         for vertex in vertices:
-            for finding in state.scan(vertex, deep=self.deep):
-                tree = finding.kind == "tree-drift"
-                out.append(
-                    Violation(
-                        "planner-invariants" if tree else "span-accounting",
-                        f"{finding.vertex}.{finding.planner}",
-                        "internal planner invariants hold"
-                        if tree
-                        else "the spans live allocations and outages booked",
-                        finding.detail,
-                    )
+            findings += state.scan(vertex, deep=self.deep)
+        for finding in findings:
+            tree = finding.kind == "tree-drift"
+            out.append(
+                Violation(
+                    "planner-invariants" if tree else "span-accounting",
+                    f"{finding.vertex}.{finding.planner}",
+                    "internal planner invariants hold"
+                    if tree
+                    else "the spans live allocations and outages booked",
+                    finding.detail,
                 )
+            )
 
     def _check_ownership(
         self, sim: "ClusterSimulator", jobs: List["Job"], out: List[Violation]

@@ -109,7 +109,7 @@ class SimulationReport:
     # -- state integrity (repro.recovery.integrity) ----------------------
     #: True when an IntegrityMonitor scrubbed this run
     integrity_enabled: bool = False
-    #: vertices examined by scrub passes over the whole run
+    #: window vertices the monitor's passes read over the whole run
     vertices_scrubbed: int = 0
     #: individual findings detected (checksum/span/tree drift)
     corruption_detected: int = 0
@@ -315,11 +315,11 @@ class ClusterSimulator:
         simulator.  ``None`` (default) keeps the historical unbounded
         behaviour.
     integrity:
-        Online state-integrity scrubbing (:mod:`repro.recovery.integrity`):
-        an :class:`~repro.recovery.IntegrityConfig` runs a work-budgeted
-        fluxfsck pass at the head of every scheduling cycle, quarantining
-        and repairing corrupted vertices before matching reads them.
-        ``None`` (default) disables scrubbing.
+        Online state-integrity repair (:mod:`repro.recovery.integrity`):
+        an :class:`~repro.recovery.IntegrityConfig` makes the pass at the
+        end of every scheduling cycle also read a rotating window and
+        quarantine and repair what it finds; the auditor then raises only
+        what stays unrepaired.  ``None`` (default) disables it.
     """
 
     def __init__(
@@ -359,8 +359,8 @@ class ClusterSimulator:
         #: walltime per job, fail/repair per vertex name
         self.event_log: List[tuple] = []
         self.retry_policy = retry_policy
-        #: what the planners should hold, kept for the auditor and the
-        #: scrubber (:func:`repro.recovery.integrity.expected_state` makes
+        #: what the planners should hold, kept for the end-of-cycle pass
+        #: (:func:`repro.recovery.integrity.expected_state` makes
         #: it when a guard first asks; derived state, never snapshotted)
         self._expected_state = None
         self.auditor = None
@@ -577,9 +577,9 @@ class ClusterSimulator:
 
         A journaled top-level command, exactly like :meth:`fail`: the
         ``corrupt`` record is written *before* the damage is applied, so
-        crash-recovery replay re-corrupts the restored state identically —
-        and the integrity scrubber then re-detects and re-repairs it,
-        regenerating every quarantine/repair effect deterministically.
+        crash-recovery replay re-corrupts the restored state identically,
+        and the monitor reads the vertex in the command's own cycle, so
+        replay regenerates every quarantine/repair effect there.
         Kinds are documented at
         :func:`~repro.recovery.integrity.apply_corruption`; returns False
         when the vertex holds no state of the requested kind.
@@ -595,7 +595,9 @@ class ClusterSimulator:
             applied = apply_corruption(self, vertex, kind, salt)
             if applied:
                 self.event_log.append((self.now, "corrupt", vertex.name))
-                # Run a cycle immediately (like fail()) so the scrubber sees
+                if self.integrity is not None:
+                    self.integrity.damaged[vertex.uniq_id] = vertex
+                # Run a cycle immediately (like fail()) so the monitor sees
                 # the damage before span releases can mask it.
                 self._cycle()
         finally:
@@ -1006,11 +1008,6 @@ class ClusterSimulator:
 
     def _run_cycle(self) -> None:
         self._crashpoint("cycle.pre")
-        if self.integrity is not None:
-            # Scrub before matching: corrupted vertices are quarantined or
-            # repaired before any placement decision can read them (and
-            # before the end-of-cycle auditor would trip on them).
-            self.integrity.scrub_cycle()
         pending = self._pending_jobs()
         if self.obs.enabled:
             self.obs.metrics.gauge(
@@ -1044,4 +1041,6 @@ class ClusterSimulator:
         self._queue = [j for j in queued if j.state in _QUEUED]
         if self.auditor is not None:
             self.auditor.check(self)
+        elif self.integrity is not None:
+            self.integrity.scrub_cycle()
         self._crashpoint("cycle.post")

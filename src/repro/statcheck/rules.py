@@ -500,9 +500,8 @@ class OverloadSignalSwallowRule(LintRule):
     does not re-raise lets the walk carry on past its budget: a bounded
     cycle turns back into an unbounded one, and the cut never reaches the
     accounting.  Only the overload package itself (``repro/resilience/``),
-    the budget-aware traverser, the simulator dispatch loop and the
-    integrity scrubber (whose private scrub budget bounds a scan, not a
-    scheduling decision) may absorb it."""
+    the budget-aware traverser and the simulator dispatch loop may absorb
+    it."""
 
     rule_id = "OVL001"
     summary = "handler swallows an overload-control signal"
@@ -512,10 +511,6 @@ class OverloadSignalSwallowRule(LintRule):
         "repro/resilience/",
         "repro/match/traverser.py",
         "repro/sched/simulator.py",
-        # The integrity scrubber runs under its own WorkBudget; an exhausted
-        # scrub budget ends the pass early (cursor keeps its place), it is
-        # not a scheduling verdict.
-        "repro/recovery/integrity.py",
     )
 
     @classmethod

@@ -255,3 +255,7 @@ def test_from_dict_ignores_the_retired_check_orphans():
     old = dict(IntegrityConfig(scrub_window=3).to_dict(), check_orphans=False)
     assert IntegrityConfig.from_dict(old) == IntegrityConfig(scrub_window=3)
     assert "check_orphans" not in IntegrityConfig().to_dict()
+    # the head-of-cycle scrub's cadence and work budget, as a parent wrote them
+    old.update(scrub_every=1, scrub_budget=None, checkpoint_interval=32)
+    assert IntegrityConfig.from_dict(old) == IntegrityConfig(scrub_window=3)
+    assert sorted(IntegrityConfig().to_dict()) == ["auto_repair", "scrub_window"]

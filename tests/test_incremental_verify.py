@@ -33,7 +33,7 @@ from repro.recovery import (
     corruption_targets,
     expected_span_table,
 )
-from repro.recovery.integrity import expected_state
+from repro.recovery.integrity import ExpectedState, expected_state
 from repro.recovery.snapshot import restore_simulator, snapshot_state
 from repro.resilience import InvariantAuditor, InvariantViolation
 from repro.resilience.auditor import SLICE
@@ -360,6 +360,69 @@ def test_observed_run_counts_the_work_beside_the_time():
     assert metrics["integrity.table_rebuilds"] == 1  # one kept table, one shape
     spans = [e["name"] for e in sim.obs.tracer.events if e["ph"] == "X"]
     assert spans.count("audit.check") == spans.count("integrity.scrub") == cycles
+
+
+def test_one_refresh_per_cycle(monkeypatch):
+    """Auditor and monitor read the planners in one pass: the kept table is
+    refreshed once per cycle (the head-of-cycle scrub took a second)."""
+    calls = []
+    refresh = ExpectedState.refresh
+
+    def counted(self):
+        calls.append(self)
+        return refresh(self)
+
+    monkeypatch.setattr(ExpectedState, "refresh", counted)
+    sim = small(audit=True, integrity=IntegrityConfig(), observe=True)
+    for i in range(6):
+        sim.submit(nodes_jobspec(2, duration=100), at=10 * i)
+    sim.run()
+    cycles = sim.metrics_snapshot()["sim.cycles"]
+    assert cycles > 6
+    assert len(calls) <= cycles + 1
+
+
+@pytest.mark.parametrize("kind", ["span", "point", "aggregate"])
+def test_damage_a_cycle_writes_to_is_repaired_not_raised(kind):
+    """Auditor and monitor: damage outside the window, on the cluster
+    vertex the next booking writes to, is read as written, handed to the
+    monitor and repaired in that cycle; the deep auditor raises nothing."""
+    sim, _ = cold_sim(
+        audit=InvariantAuditor(deep=True), integrity=IntegrityConfig()
+    )
+    order = expected_state(sim).order
+    while any(
+        order[(sim.integrity.cursor + i) % len(order)].name == "cluster0"
+        for i in range(SLICE)
+    ):
+        sim.reschedule()
+    vertex = sim.graph.vertex_by_name("cluster0")
+    assert apply_corruption(sim, vertex, kind, salt=3)
+    sim.submit(nodes_jobspec(1, duration=50), at=sim.now + 10)
+    sim.run(until=sim.now + 10)  # one cycle: the booking under cluster0
+    counters = sim.integrity.counters
+    assert counters["detected"] >= 1 and counters["repaired"] == 1
+    assert counters["unrepaired"] == 0
+    assert InvariantAuditor(deep=True).collect(sim) == []
+
+
+def test_without_auto_repair_drift_is_drained_not_raised():
+    """``auto_repair=False``: the pass quarantines (drains) the damaged
+    vertex and leaves it for operator tooling; the auditor raises none of
+    the findings on it, and the damage is still there to repair."""
+    sim, bound = cold_sim(
+        audit=InvariantAuditor(deep=True),
+        integrity=IntegrityConfig(auto_repair=False),
+    )
+    vertex = sim.graph.find(type="node")[-1]  # on rack 1, holds nothing
+    assert apply_corruption(sim, vertex, "structure", salt=3)
+    for _ in range(bound + 1):
+        sim.reschedule()
+    counters = sim.integrity.counters
+    assert counters["detected"] >= 1 and counters["repaired"] == 0
+    assert sim.integrity.quarantined == {vertex.name: "structure"}
+    assert vertex.status == "down"
+    assert [f.vertex for f in sim.integrity.scan()] == [vertex.name]
 
 
 # ----------------------------------------------------------------------

@@ -588,23 +588,41 @@ _CORRUPT_AT = 250
 def corrupt_a_span(sim, salt):
     """Issue the journaled ``corrupt`` command on the first span target.
 
-    The scrubber reads the whole graph (``scrub_window=None``), so the
-    command's own cycle detects, quarantines and repairs the damage.
+    The command counts as a write to the vertex, so its own cycle's
+    end-of-cycle pass detects, quarantines and repairs the damage.
     """
     target = corruption_targets(sim, "span")[0]
     assert sim.inject_corruption("span", sim.graph.vertex_by_name(target),
                                  salt=salt)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_drift_a_cycle_writes_to_is_repaired_not_raised(seed):
+    """The default window and a deep auditor: the ``corrupt`` command's
+    damage is repaired by the monitor, never raised (seed 0 raised at t=360
+    while a head-of-cycle scrub read only its window and the auditor the
+    vertices a later cycle wrote)."""
+    sim = chaos_sim(seed, integrity=IntegrityConfig())
+    assert sim.auditor.deep
+    sim.run(until=350)
+    corrupt_a_span(sim, salt=1)
+    sim.run()
+    counters = sim.integrity.counters
+    assert counters["detected"] >= 1 and counters["repaired"] >= 1
+    assert counters["unrepaired"] == 0
+    assert sim.integrity.scan() == []
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("point", ["cycle.booked", "cycle.post",
                                    "end.released"])
 def test_crash_equivalence_across_an_auto_repair(tmp_path, point, seed):
-    """A crash after the scrubber repaired something recovers to the
-    uninterrupted run: the cycle points die inside the ``corrupt``
-    command, whose replay must repair again; ``end.released`` dies at the
-    next job end, after the repair is on disk or in the replayed suffix."""
-    scrub = IntegrityConfig(scrub_window=None)
+    """A crash around the monitor's repair recovers to the uninterrupted
+    run: the cycle points die inside the ``corrupt`` command, whose replay
+    must repair again (``cycle.booked`` before its end-of-cycle pass,
+    ``cycle.post`` after it); ``end.released`` dies at the next job end,
+    after the repair is on disk or in the replayed suffix."""
+    scrub = IntegrityConfig()
     assert scrub.auto_repair
     control = chaos_sim(seed, integrity=scrub)
     control.run(until=_CORRUPT_AT)
@@ -618,7 +636,8 @@ def test_crash_equivalence_across_an_auto_repair(tmp_path, point, seed):
     with pytest.raises(SimulatedCrash):
         corrupt_a_span(sim, salt=seed + 1)
         sim.run()
-    assert sim.integrity.counters["repaired"] >= 1
+    repaired = sim.integrity.counters["repaired"]
+    assert repaired == 0 if point == "cycle.booked" else repaired >= 1
     recovered = recover(str(tmp_path))
     recovered.run()
     assert recovered.event_log == control.event_log
@@ -998,8 +1017,8 @@ MALFORMED_SECTIONS = [
         "scrub_windw", id="integrity-unknown-setting",
     ),
     pytest.param(
-        "integrity", lambda s: s["config"].update(scrub_every="x"),
-        "scrub_every", id="integrity-wrong-typed-setting",
+        "integrity", lambda s: s["config"].update(scrub_window="x"),
+        "scrub_window", id="integrity-wrong-typed-setting",
     ),
     pytest.param(
         "integrity", lambda s: s["state"].pop("cursor"), "cursor",
@@ -1015,9 +1034,12 @@ MALFORMED_SECTIONS = [
 #: with retry, overload, integrity and audit attached (wall-clock
 #: ``sched_time`` dropped), and of that campaign's reproducer spec.  Version
 #: 2 (one span per selection) moved ``version``, the ``planners`` section,
-#: ``allocations.*.spans`` and the planners' ``next_span_id``.
+#: ``allocations.*.spans`` and the planners' ``next_span_id``.  The
+#: head-of-cycle scrub's retirement took ``scrub_every``, ``scrub_budget``
+#: and ``checkpoint_interval`` out of ``integrity.config`` and
+#: ``cycles_seen`` out of ``integrity.state``; nothing else moved.
 SNAPSHOT_SHA256 = (
-    "84b5ffa21953417d3f556e3a81a47d2dfaf886cd6bc1c1ecd087572000273d89"
+    "376a21e648b82ba0e6a079990aee7f19e127a8346f858ab6fd4d9fe8dae8480b"
 )
 SPEC_SHA256 = (
     "011d92b25759baaf2e4310aa90216a0270ad2e1c9e43e95d5d345c0747786b3b"
