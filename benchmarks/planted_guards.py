@@ -77,7 +77,7 @@ PLANTS: Dict[str, Tuple[str, str, List[Edit], List[str]]] = {
         "DET002",
         "a time.time_ns() read two calls below _run_cycle "
         "(_run_cycle -> _pending_jobs -> _queued_jobs)",
-        [(SIM, "import heapq\nimport os\n", "import heapq\nimport os\nimport time\n"),
+        [(SIM, "import json\nimport os\n", "import json\nimport os\nimport time\n"),
          (SIM, "queue.sort(key=lambda j: j.job_id)",
           "queue.sort(key=lambda j: (j.job_id, time.time_ns()))")],
         ["fluxlint src/repro"],
@@ -102,14 +102,10 @@ PLANTS: Dict[str, Tuple[str, str, List[Edit], List[str]]] = {
         "fail() counts the failure through self._note_failure() before "
         "its journal call",
         [(SIM,
-          "        self._journal(\n"
-          '            {"type": "fail", "vertex": vertex.name, "resubmit": resubmit}\n'
-          "        )\n",
+          '        return self._command("fail", vertex, resubmit)\n',
           "        self._note_failure()\n"
-          "        self._journal(\n"
-          '            {"type": "fail", "vertex": vertex.name, "resubmit": resubmit}\n'
-          "        )\n"),
-         (SIM, "            self.failures += 1\n", ""),
+          '        return self._command("fail", vertex, resubmit)\n'),
+         (SIM, "        self.failures += 1\n", ""),
          (SIM, "    def _dispatch(self, when: int",
           "    def _note_failure(self) -> None:\n"
           "        self.failures += 1\n\n"

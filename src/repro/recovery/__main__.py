@@ -5,8 +5,8 @@ journal plus its snapshots — using the same machinery the online scrubber
 runs per cycle:
 
 * ``--check`` (default): load the newest valid snapshot, replay the journal
-  suffix **read-only** (no file is modified, no snapshot written) and run a
-  full-graph integrity scan.
+  suffix **read-only** (:func:`~repro.recovery.manager.load_state`: no file
+  is modified, no snapshot written) and run a full-graph integrity scan.
 * ``--repair``: same load, then drive every finding through the journaled
   :class:`~repro.recovery.repair.RepairEngine`, re-scan, and persist the
   repaired state as a fresh snapshot (the journal restarts so the repaired
@@ -25,72 +25,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import FluxionError
 from ..sched.simulator import ClusterSimulator
 from .integrity import Finding, IntegrityMonitor
-from .journal import read_journal, read_journal_salvage
-from .manager import _replay, _snapshot_files, recover
-from .snapshot import load_snapshot, load_snapshot_salvage, restore_simulator
+from .manager import load_state, recover
 
 __all__ = ["main"]
-
-
-def _load_readonly(
-    directory: str, salvage: bool
-) -> Tuple[ClusterSimulator, Dict[str, Any]]:
-    """Restore snapshot + journal suffix without touching any file.
-
-    Mirrors :func:`~repro.recovery.manager.recover` minus every side
-    effect: no torn-tail truncation, no journal rewrite, no manager attach,
-    no snapshot write.  Raises :class:`~repro.errors.FluxionError` when the
-    state cannot be loaded.
-    """
-    candidates = _snapshot_files(directory)
-    if not candidates:
-        raise FluxionError(f"no snapshot found in {directory!r}")
-    doc = None
-    salvaged: List[str] = []
-    used = None
-    errors: List[str] = []
-    for path in candidates:
-        try:
-            doc = load_snapshot(path)
-            used = path
-            break
-        except FluxionError as exc:
-            errors.append(str(exc))
-        if salvage:
-            loaded = load_snapshot_salvage(path)
-            if loaded is not None:
-                doc, salvaged = loaded
-                used = path
-                break
-    if doc is None:
-        raise FluxionError(
-            f"no loadable snapshot in {directory!r}: " + "; ".join(errors)
-        )
-    journal_path = os.path.join(directory, "journal.wal")
-    if salvage:
-        records, journal_loss = read_journal_salvage(journal_path)
-    else:
-        records, torn, _ = read_journal(journal_path)
-        journal_loss = {"torn": torn, "crc_skipped": 0, "skipped": []}
-    sim = restore_simulator(doc, salvaged=salvaged)
-    suffix = [r for r in records if r["seq"] > doc["seq"]]
-    dropped = _replay(sim, suffix, salvage=salvage)
-    info = {
-        "snapshot_path": used,
-        "snapshot_sections_rebuilt": list(salvaged),
-        "journal": journal_loss,
-        "replay_dropped": dropped,
-        "records_replayed": len(suffix) - dropped,
-    }
-    return sim, info
 
 
 def _monitor_for(sim: ClusterSimulator) -> IntegrityMonitor:
@@ -167,8 +111,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "replay_dropped": 0,
             }
         else:
-            sim, info = _load_readonly(args.directory, args.salvage)
-            report["load"] = info
+            loaded = load_state(args.directory, args.salvage)
+            sim = loaded.sim
+            report["load"] = {
+                "snapshot_path": loaded.snapshot_path,
+                "snapshot_sections_rebuilt": loaded.sections_rebuilt,
+                "journal": loaded.journal,
+                "replay_dropped": loaded.dropped,
+                "records_replayed": loaded.replayed,
+            }
     except FluxionError as exc:
         report["error"] = str(exc)
         _emit(args.json, report)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..match.writer import planner_owner_index
-from ..sched.simulator import _FAIL, _REPAIR, ClusterSimulator
+from ..sched.simulator import ClusterSimulator
 from .snapshot import LAYER_SECTIONS
 
 __all__ = ["state_fingerprint", "state_diff"]
@@ -71,11 +71,10 @@ def state_fingerprint(sim: ClusterSimulator) -> Dict[str, Any]:
         ]
         jobs[str(job_id)] = record
 
-    events = []
-    for when, kind, eseq, ref, data in sorted(sim._events):
-        if kind in (_FAIL, _REPAIR):
-            ref = graph.vertex(ref).name
-        events.append([when, kind, eseq, ref, data])
+    events = [
+        [when, kind, eseq, sim._event_ref(kind, ref), data]
+        for when, kind, eseq, ref, data in sorted(sim._events)
+    ]
 
     fingerprint = {
         "now": sim.now,

@@ -1,8 +1,8 @@
 """RecoveryManager: glue between a simulator, its journal and its snapshots.
 
-Attach a manager to a simulator and every top-level command (submit, cancel,
-fail, repair, scheduled failures/repairs, reschedule, corrupt, and each
-event-heap dispatch) is appended to the write-ahead journal *before* it
+Attach a manager to a simulator and every top-level command (an entry of
+:data:`~repro.sched.simulator.COMMANDS`, one per public command method and
+one per event-heap pop) is appended to the write-ahead journal *before* it
 mutates state.  The journal holds these commands and nothing else: what a
 command does (allocations, retries, admission and repair decisions) follows
 from the command and the state it ran on.  Snapshots are written on attach,
@@ -10,7 +10,8 @@ on demand (:meth:`RecoveryManager.snapshot`) and every ``snapshot_every``
 journaled commands.
 
 After a crash, :func:`recover` rebuilds a simulator from the newest valid
-snapshot and deterministically re-executes the journal suffix.  Replay pops
+snapshot and deterministically re-executes the journal suffix
+(:func:`load_state`, which fsck also reads a directory with).  Replay pops
 heap events in the same order the dead scheduler did (verified record by
 record), regenerates every effect by re-running the real code paths, drops
 a torn journal tail, and re-attaches a manager so the recovered simulator
@@ -19,17 +20,13 @@ keeps journaling where the dead one stopped.
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-import json
 import os
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..errors import FluxionError, RecoveryError, SnapshotError
-from ..jobspec import parse_jobspec
 from ..obs import WallTimer
-from ..sched.job import CancelReason
-from ..sched.simulator import _FAIL, _REPAIR, ClusterSimulator
+from ..sched.simulator import COMMANDS, ClusterSimulator
 from .journal import Journal, read_journal, read_journal_salvage
 from .snapshot import (
     load_snapshot,
@@ -39,7 +36,7 @@ from .snapshot import (
     write_snapshot,
 )
 
-__all__ = ["RecoveryManager", "recover"]
+__all__ = ["Loaded", "RecoveryManager", "load_state", "recover"]
 
 _JOURNAL_NAME = "journal.wal"
 _SNAPSHOT_PREFIX = "snapshot-"
@@ -205,53 +202,6 @@ class RecoveryManager:
 # ----------------------------------------------------------------------
 # recovery
 # ----------------------------------------------------------------------
-def _fingerprint_digest(sim: ClusterSimulator) -> str:
-    """SHA-256 over the logical state fingerprint (divergence forensics)."""
-    from .diff import state_fingerprint
-
-    payload = json.dumps(
-        state_fingerprint(sim), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _note_divergence(sim: ClusterSimulator) -> None:
-    sim.recovery_stats["replay_divergences"] += 1
-    if sim.obs.enabled:
-        sim.obs.metrics.counter(
-            "replay.divergences", "replayed dispatches not matching journal"
-        ).inc()
-
-
-def _replay_dispatch(sim: ClusterSimulator, record: Dict[str, Any]) -> None:
-    """Re-execute one journaled event dispatch, verifying determinism."""
-    if not sim._events:
-        _note_divergence(sim)
-        raise RecoveryError(
-            f"journal record {record['seq']}: dispatch with an empty "
-            "event heap (replaying state fingerprint "
-            f"sha256:{_fingerprint_digest(sim)})"
-        )
-    when, kind, eseq, ref, data = sim._events[0]
-    ref_name = sim.graph.vertex(ref).name if kind in (_FAIL, _REPAIR) else ref
-    expected = (record["when"], record["kind"], record["ref"], record["data"])
-    observed = (when, kind, ref_name, data)
-    if observed != expected:
-        _note_divergence(sim)
-        raise RecoveryError(
-            f"journal record {record['seq']}: replay divergence — "
-            f"expected (journaled) {expected!r}, observed (heap top) "
-            f"{observed!r}; replaying state fingerprint "
-            f"sha256:{_fingerprint_digest(sim)}"
-        )
-    heapq.heappop(sim._events)
-    sim._applying += 1
-    try:
-        sim._dispatch(when, kind, ref, data)
-    finally:
-        sim._applying -= 1
-
-
 def _replay(
     sim: ClusterSimulator,
     records: List[Dict[str, Any]],
@@ -259,20 +209,29 @@ def _replay(
 ) -> int:
     """Deterministically re-execute the journal suffix on ``sim``.
 
-    The journal holds only commands, and each re-executes; any other
-    record type raises :class:`RecoveryError`.  In ``salvage`` mode the
-    journal may have damage-induced gaps, so the first record that cannot
-    re-execute (replay divergence, missing referent) *stops* replay instead
-    of raising; the record and everything after it are dropped.  Returns the number of
-    records dropped this way (always 0 when not salvaging).
+    Each record is decoded and applied through its entry in
+    :data:`~repro.sched.simulator.COMMANDS`; a record of any other type
+    raises :class:`RecoveryError`.  In ``salvage`` mode the journal may
+    have damage-induced gaps, so the first record that cannot re-execute
+    (replay divergence, missing referent) *stops* replay instead of
+    raising; the record and everything after it are dropped.  Returns the
+    number of records dropped this way (always 0 when not salvaging).
     """
-    by_name = {v.name: v for v in sim.graph.vertices()}
+    vertices = {v.name: v for v in sim.graph.vertices()}
     observed = sim.obs.enabled
-    sim._replaying = True
     try:
         for index, record in enumerate(records):
+            sim._replaying = record["seq"]
             try:
-                _replay_record(sim, record, by_name)
+                command = COMMANDS.get(record["type"])
+                if command is None:
+                    raise RecoveryError(
+                        f"journal record {record['seq']}: unknown type "
+                        f"{record['type']!r}"
+                    )
+                sim._command(
+                    record["type"], *command.decode(sim, record, vertices)
+                )
             except (FluxionError, KeyError):
                 if not salvage:
                     raise
@@ -285,50 +244,72 @@ def _replay(
                     "replay.records", "journal records consumed during replay"
                 ).inc()
     finally:
-        sim._replaying = False
+        sim._replaying = 0
     return 0
 
 
-def _replay_record(
-    sim: ClusterSimulator,
-    record: Dict[str, Any],
-    by_name: Dict[str, Any],
-) -> None:
-    """Re-execute a single journal record (see :func:`_replay`)."""
-    rtype = record["type"]
-    if rtype == "submit":
-        sim.submit(
-            parse_jobspec(record["jobspec"]),
-            at=record["at"],
-            name=record["name"],
-            priority=record["priority"],
-            actual_duration=record["actual_duration"],
-        )
-    elif rtype == "cancel":
-        sim.cancel(
-            sim.jobs[record["job_id"]],
-            reason=CancelReason(record["reason"]),
-        )
-    elif rtype == "sched_fail":
-        sim.schedule_failure(by_name[record["vertex"]], record["at"])
-    elif rtype == "sched_repair":
-        sim.schedule_repair(by_name[record["vertex"]], record["at"])
-    elif rtype == "fail":
-        sim.fail(by_name[record["vertex"]], resubmit=record["resubmit"])
-    elif rtype == "repair":
-        sim.repair(by_name[record["vertex"]])
-    elif rtype == "reschedule":
-        sim.reschedule()
-    elif rtype == "corrupt":
-        sim.inject_corruption(
-            record["kind"], by_name[record["vertex"]], record["salt"]
-        )
-    elif rtype == "dispatch":
-        _replay_dispatch(sim, record)
+@dataclass
+class Loaded:
+    """A simulator :func:`load_state` rebuilt, and what it read to get it."""
+
+    sim: ClusterSimulator
+    snapshot_path: str
+    #: snapshot sections salvage dropped and rebuilt
+    sections_rebuilt: List[str]
+    #: journal loss: ``torn`` and ``crc_skipped`` records, and the
+    #: ``skipped`` ones itemised
+    journal: Dict[str, Any]
+    #: strict read: the length of the journal's valid prefix
+    valid_bytes: int
+    replayed: int
+    dropped: int
+    #: sequence number of the last journal record (the snapshot's if none)
+    last_seq: int
+
+
+def load_state(directory: str, salvage: bool = False) -> Loaded:
+    """Rebuild the simulator ``directory`` holds, modifying no file.
+
+    Loads the newest snapshot that passes checksum verification (falling
+    back to older ones), reads the journal (a torn tail is dropped, not
+    truncated) and replays every record after the snapshot's sequence
+    point.  ``salvage`` as in :func:`recover`.  Raises
+    :class:`SnapshotError` when no snapshot loads.
+    """
+    candidates = _snapshot_files(directory)
+    if not candidates:
+        raise SnapshotError(f"no snapshot found in {directory!r}")
+    errors = []
+    for path in candidates:
+        try:
+            doc, rebuilt = load_snapshot(path), []
+            break
+        except SnapshotError as exc:
+            errors.append(str(exc))
+        if salvage:
+            salvaged = load_snapshot_salvage(path)
+            if salvaged is not None:
+                doc, rebuilt = salvaged
+                break
     else:
-        raise RecoveryError(
-            f"journal record {record['seq']}: unknown type {rtype!r}"
+        raise SnapshotError(
+            f"no valid snapshot in {directory!r}: " + "; ".join(errors)
         )
+    journal_path = os.path.join(directory, _JOURNAL_NAME)
+    if salvage:
+        records, journal = read_journal_salvage(journal_path)
+        valid_bytes = journal["valid_bytes"]
+    else:
+        records, torn, valid_bytes = read_journal(journal_path)
+        journal = {"torn": torn, "crc_skipped": 0, "skipped": []}
+    sim = restore_simulator(doc, salvaged=rebuilt)
+    suffix = [r for r in records if r["seq"] > doc["seq"]]
+    dropped = _replay(sim, suffix, salvage=salvage)
+    return Loaded(
+        sim, path, rebuilt, journal, valid_bytes,
+        replayed=len(suffix) - dropped, dropped=dropped,
+        last_seq=records[-1]["seq"] if records else doc["seq"],
+    )
 
 
 def recover(
@@ -341,98 +322,55 @@ def recover(
 ) -> ClusterSimulator:
     """Rebuild the scheduler from ``directory`` after a crash.
 
-    Loads the newest snapshot that passes checksum verification (falling
-    back to older ones), drops any torn journal tail (truncating the file so
-    future appends are clean), replays every journal record after the
-    snapshot's sequence point, and re-attaches a fresh
+    Rebuilds the simulator with :func:`load_state`, truncates a torn
+    journal tail so future appends are clean, and re-attaches a fresh
     :class:`RecoveryManager` continuing the same journal.  A snapshot of
-    the recovered state is written immediately, so the replayed suffix is
-    never replayed twice and recovery statistics survive further crashes.
-    The returned simulator is event-for-event equivalent to one that never
+    the recovered state is written at once, so the replayed suffix is never
+    replayed twice and recovery statistics survive further crashes.  The
+    returned simulator is event-for-event equivalent to one that never
     crashed.
 
     ``salvage`` turns hard failures into bounded, accounted loss: CRC-bad
     mid-stream journal records are skipped (strict mode raises
     :class:`~repro.errors.JournalCorruptError`), a partially damaged
-    snapshot loads section-by-section (rebuildable sections reconstructed,
-    see :func:`~repro.recovery.snapshot.load_snapshot_salvage`), and replay
-    stops at the first record the damaged prefix makes unreplayable.  The
-    journal is then rewritten empty with a fresh snapshot at the recovered
-    sequence (a strict reader would refuse the damage-induced gaps).  Every
-    loss is tallied in ``recovery_stats`` (``salvage_skipped``,
-    ``salvage_dropped``, ``snapshot_sections_rebuilt``) and, when
-    ``salvage_report`` (a dict) is passed, itemised into it.
+    snapshot loads section-by-section
+    (:func:`~repro.recovery.snapshot.load_snapshot_salvage`), and replay
+    stops at the first record the damage makes unreplayable.  The journal
+    is then rewritten empty, anchored on the fresh snapshot.  Every loss is
+    tallied in ``recovery_stats`` and, when ``salvage_report`` (a dict) is
+    passed, itemised into it.
     """
-    candidates = _snapshot_files(directory)
-    if not candidates:
-        raise SnapshotError(f"no snapshot found in {directory!r}")
-    doc = None
-    salvaged_sections: List[str] = []
-    snapshot_path_used = None
-    errors = []
-    for path in candidates:
-        try:
-            doc = load_snapshot(path)
-            snapshot_path_used = path
-            break
-        except SnapshotError as exc:
-            errors.append(str(exc))
-        if salvage:
-            loaded = load_snapshot_salvage(path)
-            if loaded is not None:
-                doc, salvaged_sections = loaded
-                snapshot_path_used = path
-                break
-    if doc is None:
-        raise SnapshotError(
-            f"no valid snapshot in {directory!r}: " + "; ".join(errors)
-        )
-
-    journal_path = os.path.join(directory, _JOURNAL_NAME)
-    if salvage:
-        records, journal_loss = read_journal_salvage(journal_path)
-        torn = journal_loss["torn"]
-    else:
-        records, torn, valid_bytes = read_journal(journal_path)
-        journal_loss = None
-        if torn and os.path.exists(journal_path):
-            with open(journal_path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-
-    sim = restore_simulator(doc, salvaged=salvaged_sections)
+    loaded = load_state(directory, salvage)
+    sim, torn = loaded.sim, loaded.journal["torn"]
     sim.recovery_stats["recoveries"] += 1
     sim.recovery_stats["torn_records_dropped"] += torn
-
-    suffix = [r for r in records if r["seq"] > doc["seq"]]
-    dropped = _replay(sim, suffix, salvage=salvage)
-
-    last_seq = records[-1]["seq"] if records else doc["seq"]
     if salvage:
-        crc_skipped = journal_loss["crc_skipped"]
+        crc_skipped = loaded.journal["crc_skipped"]
         sim.recovery_stats["salvage_skipped"] += crc_skipped
-        sim.recovery_stats["salvage_dropped"] += dropped
+        sim.recovery_stats["salvage_dropped"] += loaded.dropped
         if salvage_report is not None:
             salvage_report.update(
                 {
-                    "snapshot_path": snapshot_path_used,
-                    "snapshot_sections_rebuilt": list(salvaged_sections),
-                    "journal": journal_loss,
+                    "snapshot_path": loaded.snapshot_path,
+                    "snapshot_sections_rebuilt": list(loaded.sections_rebuilt),
+                    "journal": loaded.journal,
                     "crc_skipped": crc_skipped,
-                    "replay_dropped": dropped,
-                    "last_seq": last_seq,
+                    "replay_dropped": loaded.dropped,
+                    "last_seq": loaded.last_seq,
                 }
             )
-        # A strict reader would refuse the damage-induced sequence gaps, so
-        # the salvaged journal cannot be appended to: restart it empty and
-        # anchor recovery on a fresh snapshot at the recovered sequence.
-        if os.path.exists(journal_path):
-            with open(journal_path, "r+b") as handle:
-                handle.truncate(0)
+    # Drop a torn tail so future appends are clean.  A strict reader would
+    # refuse a salvaged journal's damage-induced sequence gaps, so it
+    # restarts empty, anchored on the fresh snapshot written below.
+    journal_path = os.path.join(directory, _JOURNAL_NAME)
+    if (torn or salvage) and os.path.exists(journal_path):
+        with open(journal_path, "r+b") as handle:
+            handle.truncate(0 if salvage else loaded.valid_bytes)
     manager = RecoveryManager(
         directory,
         snapshot_every=snapshot_every,
         fsync=fsync,
         keep_snapshots=keep_snapshots,
     )
-    manager.attach(sim, initial_snapshot=True, start_seq=last_seq)
+    manager.attach(sim, initial_snapshot=True, start_seq=loaded.last_seq)
     return sim

@@ -31,6 +31,7 @@ from typing import (
 
 from ..errors import FluxionError, RecoveryError, SnapshotError
 from ..match.writer import Allocation, planner_owner_index
+from ..resilience.auditor import InvariantAuditor
 from ..resilience.overload import OverloadConfig
 from ..resilience.retry import RetryPolicy
 from ..resource.jgf import from_jgf, to_jgf
@@ -145,11 +146,10 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
     of this snapshot during recovery.
     """
     owner = planner_owner_index(sim.graph)
-    events = []
-    for when, kind, eseq, ref, data in sorted(sim._events):
-        if kind in (_FAIL, _REPAIR):
-            ref = sim.graph.vertex(ref).name
-        events.append([when, kind, eseq, ref, data])
+    events = [
+        [when, kind, eseq, sim._event_ref(kind, ref), data]
+        for when, kind, eseq, ref, data in sorted(sim._events)
+    ]
     # Completed jobs keep references to already-released allocations (their
     # windows feed the report), so serialise the union of live traverser
     # allocations and everything any job still points at.
@@ -167,7 +167,7 @@ def snapshot_state(sim: ClusterSimulator, seq: int = 0) -> Dict[str, Any]:
             "queue": sim.queue_policy.name,
             "queue_state": sim.queue_policy.export_state(),
             "prune": sim.traverser.prune,
-            "audit": sim.auditor is not None,
+            "audit": False if sim.auditor is None else {"deep": sim.auditor.deep},
         },
         "graph": to_jgf(sim.graph),
         "planners": _planner_states(sim),
@@ -245,6 +245,9 @@ def restore_simulator(
         )
     graph = from_jgf(doc["graph"])
     config = doc["config"]
+    audit = config["audit"]  # a bare bool before the auditor's depth was kept
+    if isinstance(audit, dict):
+        audit = InvariantAuditor(deep=audit["deep"])
     # A snapshot written before a layer existed has no section for it.
     layers = {n: doc[n] for n in LAYER_SECTIONS if doc.get(n) is not None}
     settings: Dict[str, Any] = {}
@@ -260,7 +263,7 @@ def restore_simulator(
         match_policy=config["match_policy"],
         queue=config["queue"],
         prune=config["prune"],
-        audit=config["audit"],
+        audit=audit,
         **settings,
     )
     by_name = {v.name: v for v in graph.vertices()}

@@ -26,13 +26,15 @@ cycle (:mod:`repro.resilience.auditor`).
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import SchedulerError
-from ..jobspec import Jobspec
+from ..errors import RecoveryError, SchedulerError
+from ..jobspec import Jobspec, parse_jobspec
 from ..match import MatchPolicy, Traverser
 from ..obs import Observer, resolve as _resolve_observer
 from ..obs import runtime as _obs_runtime
@@ -40,11 +42,23 @@ from ..resource import ResourceGraph, ResourceVertex
 from .job import CancelReason, Job, JobState
 from .queue import QueuePolicy, make_queue_policy
 
-__all__ = ["ClusterSimulator", "SimulationReport"]
+__all__ = ["COMMANDS", "ClusterSimulator", "Command", "SimulationReport"]
 
 _SUBMIT, _START, _END, _FAIL, _REPAIR, _WALLTIME = 0, 1, 2, 3, 4, 5
 #: states in which a job waits in the queue (RUNNING and beyond never return)
 _QUEUED = (JobState.PENDING, JobState.RESERVED)
+
+
+class Command(NamedTuple):
+    """One journaled command of :data:`COMMANDS`: how it is written, read
+    back and applied."""
+
+    #: ``(sim, *args) -> record fields``
+    encode: Callable[..., Dict[str, Any]]
+    #: ``(sim, record, vertices by name) -> args``
+    decode: Callable[..., tuple]
+    #: ``(sim, *args) -> result``
+    apply: Callable[..., Any]
 
 
 @dataclass
@@ -295,7 +309,8 @@ class ClusterSimulator:
         Run the :class:`~repro.resilience.InvariantAuditor` after every
         scheduling cycle, raising
         :class:`~repro.resilience.InvariantViolation` on corrupt state.
-        Pass ``True`` for a default auditor or an auditor instance.
+        Pass ``True`` for a default auditor or an auditor instance (a
+        snapshot keeps its ``deep`` flag).
     sanitize:
         Activate the :class:`~repro.statcheck.FluxSan` runtime sanitizer for
         this simulator's lifetime (span double-free, exclusivity and
@@ -329,7 +344,7 @@ class ClusterSimulator:
         queue: "QueuePolicy | str" = "conservative",
         prune: bool = True,
         retry_policy: "Optional[RetryPolicy]" = None,
-        audit: bool = False,
+        audit: "bool | InvariantAuditor" = False,
         sanitize: bool = False,
         observe: "Observer | bool | None" = None,
         overload: "OverloadConfig | None" = None,
@@ -380,7 +395,8 @@ class ClusterSimulator:
         # crash; a CrashInjector kills the process at named cut points.
         self.recovery = None
         self._crash_injector = None
-        self._replaying = False
+        #: seq of the journal record being replayed; 0 when running live
+        self._replaying = 0
         self._applying = 0  # >0 while executing a journaled command
         self.recovery_stats = {
             "snapshots_taken": 0,
@@ -443,45 +459,15 @@ class ClusterSimulator:
             raise SchedulerError(
                 f"actual_duration must be >= 1, got {actual_duration}"
             )
-        self._journal(
-            {
-                "type": "submit",
-                "jobspec": jobspec.to_dict(),
-                "at": submit_time,
-                "name": name,
-                "priority": priority,
-                "actual_duration": actual_duration,
-            }
+        return self._command(
+            "submit", jobspec, submit_time, name, priority, actual_duration
         )
-        job = Job(
-            job_id=self._next_job_id,
-            jobspec=jobspec,
-            submit_time=submit_time,
-            name=name or f"job{self._next_job_id}",
-            priority=priority,
-            actual_duration=actual_duration,
-        )
-        self._next_job_id += 1
-        self._register(job)
-        self._push(submit_time, _SUBMIT, job.job_id)
-        self.event_log.append((submit_time, "submit", job.job_id))
-        return job
 
     def cancel(self, job: Job, reason: CancelReason = CancelReason.USER) -> None:
         """Cancel a pending/reserved/running job, releasing its resources."""
         if not job.is_active:
             raise SchedulerError(f"job {job.job_id} is not active")
-        self._journal(
-            {"type": "cancel", "job_id": job.job_id, "reason": reason.value}
-        )
-        for alloc in job.allocations:
-            if alloc.alloc_id in self.traverser.allocations:
-                self.traverser.remove(alloc.alloc_id, self.now)
-            self._started_allocs.discard(alloc.alloc_id)
-        job.allocations.clear()
-        job.cancel_reason = reason
-        job.transition(JobState.CANCELED)
-        self.event_log.append((self.now, "cancel", job.job_id))
+        self._command("cancel", job, reason)
 
     # ------------------------------------------------------------------
     # failures and repairs (resilience layer)
@@ -492,8 +478,7 @@ class ClusterSimulator:
             raise SchedulerError(
                 f"cannot schedule a failure in the past (t={at} < now={self.now})"
             )
-        self._journal({"type": "sched_fail", "vertex": vertex.name, "at": at})
-        self._push(at, _FAIL, vertex.uniq_id)
+        self._command("sched_fail", vertex, at)
 
     def schedule_repair(self, vertex: ResourceVertex, at: int) -> None:
         """Enqueue a repair of ``vertex`` at simulated time ``at``."""
@@ -501,8 +486,7 @@ class ClusterSimulator:
             raise SchedulerError(
                 f"cannot schedule a repair in the past (t={at} < now={self.now})"
             )
-        self._journal({"type": "sched_repair", "vertex": vertex.name, "at": at})
-        self._push(at, _REPAIR, vertex.uniq_id)
+        self._command("sched_repair", vertex, at)
 
     def fail(
         self, vertex: ResourceVertex, resubmit: bool = True
@@ -516,59 +500,20 @@ class ClusterSimulator:
         returning so survivors and retries are placed without waiting for
         the next natural event.  Returns ``(canceled, resubmitted)``.
         """
-        from .failures import affected_jobs
-
         if vertex.status == "down":
             return [], []
-        self._journal(
-            {"type": "fail", "vertex": vertex.name, "resubmit": resubmit}
-        )
-        self._applying += 1
-        try:
-            self.graph.mark_down(vertex)
-            self.failures += 1
-            self._down_since[vertex.uniq_id] = (
-                self.now,
-                self._node_weight(vertex),
-            )
-            self.event_log.append((self.now, "fail", vertex.name))
-            victims = affected_jobs(self, vertex)
-            retries: List[Job] = []
-            for job in victims:
-                retry = self._kill(job, CancelReason.NODE_FAILURE, retry=resubmit)
-                if retry is not None:
-                    retries.append(retry)
-            self._cycle()
-        finally:
-            self._applying -= 1
-        return victims, retries
+        return self._command("fail", vertex, resubmit)
 
     def repair(self, vertex: ResourceVertex) -> None:
         """Return a failed vertex to service and reschedule pending work."""
         if vertex.status == "up":
             return
-        self._journal({"type": "repair", "vertex": vertex.name})
-        self._applying += 1
-        try:
-            self.graph.mark_up(vertex)
-            record = self._down_since.pop(vertex.uniq_id, None)
-            if record is not None:
-                down_at, nodes = record
-                self._downtime.append((vertex.uniq_id, down_at, self.now, nodes))
-            self.event_log.append((self.now, "repair", vertex.name))
-            self._cycle()
-        finally:
-            self._applying -= 1
+        self._command("repair", vertex)
 
     def reschedule(self) -> None:
         """Run one scheduling cycle now (public hook for external changes:
         repairs, graph growth, manual priority adjustments, ...)."""
-        self._journal({"type": "reschedule"})
-        self._applying += 1
-        try:
-            self._cycle()
-        finally:
-            self._applying -= 1
+        self._command("reschedule")
 
     def inject_corruption(
         self, kind: str, vertex: ResourceVertex, salt: int = 0
@@ -584,25 +529,7 @@ class ClusterSimulator:
         :func:`~repro.recovery.integrity.apply_corruption`; returns False
         when the vertex holds no state of the requested kind.
         """
-        from ..recovery.integrity import apply_corruption
-
-        self._journal(
-            {"type": "corrupt", "kind": kind, "vertex": vertex.name,
-             "salt": salt}
-        )
-        self._applying += 1
-        try:
-            applied = apply_corruption(self, vertex, kind, salt)
-            if applied:
-                self.event_log.append((self.now, "corrupt", vertex.name))
-                if self.integrity is not None:
-                    self.integrity.damaged[vertex.uniq_id] = vertex
-                # Run a cycle immediately (like fail()) so the monitor sees
-                # the damage before span releases can mask it.
-                self._cycle()
-        finally:
-            self._applying -= 1
-        return applied
+        return self._command("corrupt", kind, vertex, salt)
 
     # ------------------------------------------------------------------
     # event loop
@@ -626,34 +553,7 @@ class ClusterSimulator:
         if not self._events:
             return None
         when, kind, _, ref, data = self._events[0]
-        self._journal(
-            {
-                "type": "dispatch",
-                "when": when,
-                "kind": kind,
-                "ref": (
-                    self.graph.vertex(ref).name
-                    if kind in (_FAIL, _REPAIR)
-                    else ref
-                ),
-                "data": data,
-            }
-        )
-        heapq.heappop(self._events)
-        self._applying += 1
-        observed = self.obs.enabled
-        if observed:
-            # After the journal write on purpose: tracing is observability,
-            # never part of the write-ahead command stream.
-            self.obs.tracer.begin(
-                "sim.dispatch", "sim", vt=float(when), kind=kind
-            )
-        try:
-            self._dispatch(when, kind, ref, data)
-        finally:
-            if observed:
-                self.obs.tracer.end()
-            self._applying -= 1
+        self._command("dispatch", when, kind, ref, data)
         if self.recovery is not None and not self._replaying:
             self.recovery.after_event(self)
         return when
@@ -711,14 +611,12 @@ class ClusterSimulator:
             journal_replayed=self.recovery_stats["journal_replayed"],
             torn_records_dropped=self.recovery_stats["torn_records_dropped"],
             recoveries=self.recovery_stats["recoveries"],
-            replay_divergences=self.recovery_stats.get(
-                "replay_divergences", 0
-            ),
-            salvage_skipped=self.recovery_stats.get("salvage_skipped", 0),
-            salvage_dropped=self.recovery_stats.get("salvage_dropped", 0),
-            snapshot_sections_rebuilt=self.recovery_stats.get(
-                "snapshot_sections_rebuilt", 0
-            ),
+            replay_divergences=self.recovery_stats["replay_divergences"],
+            salvage_skipped=self.recovery_stats["salvage_skipped"],
+            salvage_dropped=self.recovery_stats["salvage_dropped"],
+            snapshot_sections_rebuilt=self.recovery_stats[
+                "snapshot_sections_rebuilt"
+            ],
             metrics=self.metrics_snapshot() if self.obs.enabled else None,
             provenance=(
                 self.obs.why.export() if self.obs.why.enabled else None
@@ -764,38 +662,171 @@ class ClusterSimulator:
         heapq.heappush(self._events, (when, kind, self._event_seq, ref, data))
         self._event_seq += 1
 
-    def _journal(self, record: dict) -> None:
-        """Append the command ``record`` to the attached write-ahead journal.
+    def _command(self, rtype: str, *args: Any) -> Any:
+        """Journal the command ``rtype`` with ``args``, then apply it.
 
-        Only top-level calls journal: a call nested inside a command
-        (``_applying > 0``) is part of what that command does, and
-        re-executing the command during recovery replay does it again.
-        No-op while replaying (the records being replayed are already on
-        disk).
+        The record is written *before* the command acts (write-ahead), and
+        only by a top-level call: a call nested inside a command
+        (``_applying > 0``) is part of what that command does, and replay
+        re-executes it with the command; a replayed record is already on
+        disk.  A record is encoded only when a journal will write it.
         """
-        if self.recovery is None or self._replaying or self._applying:
-            return
-        self.recovery.record(record)
+        command = COMMANDS[rtype]
+        if self.recovery is not None and not (self._replaying or self._applying):
+            record = command.encode(self, *args)
+            record["type"] = rtype
+            self.recovery.record(record)
+        self._applying += 1
+        try:
+            return command.apply(self, *args)
+        finally:
+            self._applying -= 1
 
     def _crashpoint(self, name: str) -> None:
         """Named crash-injection cut point (see repro.recovery.crash)."""
         if self._crash_injector is not None:
             self._crash_injector.hit(name)
 
+    # -- what each command does (applied through :data:`COMMANDS`) -------
+    def _submit(
+        self,
+        jobspec: Jobspec,
+        at: int,
+        name: str,
+        priority: int,
+        actual_duration: Optional[int],
+    ) -> Job:
+        job = Job(
+            job_id=self._next_job_id,
+            jobspec=jobspec,
+            submit_time=at,
+            name=name or f"job{self._next_job_id}",
+            priority=priority,
+            actual_duration=actual_duration,
+        )
+        self._next_job_id += 1
+        self._register(job)
+        self._push(at, _SUBMIT, job.job_id)
+        self.event_log.append((at, "submit", job.job_id))
+        return job
+
+    def _cancel(self, job: Job, reason: CancelReason) -> None:
+        for alloc in job.allocations:
+            if alloc.alloc_id in self.traverser.allocations:
+                self.traverser.remove(alloc.alloc_id, self.now)
+            self._started_allocs.discard(alloc.alloc_id)
+        job.allocations.clear()
+        job.cancel_reason = reason
+        job.transition(JobState.CANCELED)
+        self.event_log.append((self.now, "cancel", job.job_id))
+
+    def _fail(
+        self, vertex: ResourceVertex, resubmit: bool
+    ) -> Tuple[List[Job], List[Job]]:
+        from .failures import affected_jobs
+
+        self.graph.mark_down(vertex)
+        self.failures += 1
+        self._down_since[vertex.uniq_id] = (self.now, self._node_weight(vertex))
+        self.event_log.append((self.now, "fail", vertex.name))
+        victims = affected_jobs(self, vertex)
+        retries: List[Job] = []
+        for job in victims:
+            retry = self._kill(job, CancelReason.NODE_FAILURE, retry=resubmit)
+            if retry is not None:
+                retries.append(retry)
+        self._cycle()
+        return victims, retries
+
+    def _repair(self, vertex: ResourceVertex) -> None:
+        self.graph.mark_up(vertex)
+        record = self._down_since.pop(vertex.uniq_id, None)
+        if record is not None:
+            down_at, nodes = record
+            self._downtime.append((vertex.uniq_id, down_at, self.now, nodes))
+        self.event_log.append((self.now, "repair", vertex.name))
+        self._cycle()
+
+    def _corrupt(self, kind: str, vertex: ResourceVertex, salt: int) -> bool:
+        from ..recovery.integrity import apply_corruption
+
+        applied = apply_corruption(self, vertex, kind, salt)
+        if applied:
+            self.event_log.append((self.now, "corrupt", vertex.name))
+            if self.integrity is not None:
+                self.integrity.damaged[vertex.uniq_id] = vertex
+            # Run a cycle immediately (like fail()) so the monitor sees
+            # the damage before span releases can mask it.
+            self._cycle()
+        return applied
+
     def _dispatch(self, when: int, kind: int, ref: int, data: Optional[int]) -> None:
-        self.now = max(self.now, when)
-        if kind == _SUBMIT:
-            self._on_submit(self.jobs[ref])
-        elif kind == _START:
-            self._on_start(self.jobs[ref], data)
-        elif kind == _END:
-            self._on_end(self.jobs[ref], data)
-        elif kind == _FAIL:
-            self.fail(self.graph.vertex(ref))
-        elif kind == _REPAIR:
-            self.repair(self.graph.vertex(ref))
-        else:
-            self._on_walltime(self.jobs[ref], data)
+        """Pop the heap top, which must be the event ``(when, kind, ref,
+        data)``, and run it.  Live it is by construction, so only a replayed
+        ``dispatch`` is checked."""
+        if self._replaying:
+            self._check_heap_top(when, kind, ref, data)
+        heapq.heappop(self._events)
+        # Tracing is observability, never part of the command stream, and
+        # a replayed dispatch is not traced.
+        observed = self.obs.enabled and not self._replaying
+        if observed:
+            self.obs.tracer.begin(
+                "sim.dispatch", "sim", vt=float(when), kind=kind
+            )
+        try:
+            self.now = max(self.now, when)
+            if kind == _SUBMIT:
+                self._on_submit(self.jobs[ref])
+            elif kind == _START:
+                self._on_start(self.jobs[ref], data)
+            elif kind == _END:
+                self._on_end(self.jobs[ref], data)
+            elif kind == _FAIL:
+                self.fail(self.graph.vertex(ref))
+            elif kind == _REPAIR:
+                self.repair(self.graph.vertex(ref))
+            else:
+                self._on_walltime(self.jobs[ref], data)
+        finally:
+            if observed:
+                self.obs.tracer.end()
+
+    def _event_ref(self, kind: int, ref: Any) -> Any:
+        """A heap event's ``ref`` as a record holds it: a vertex by name."""
+        return self.graph.vertex(ref).name if kind in (_FAIL, _REPAIR) else ref
+
+    def _check_heap_top(self, when: int, kind: int, ref: Any, data: Any) -> None:
+        """A replayed ``dispatch`` must find its event on top of the heap;
+        otherwise replay has diverged: count it, and raise naming both (as
+        records write them) and the state replayed so far."""
+        top = self._events[0] if self._events else None
+        seen = top and (top[0], top[1], self._event_ref(top[1], top[3]), top[4])
+        expected = (when, kind, self._event_ref(kind, ref), data)
+        if seen == expected:
+            return
+        from ..recovery.diff import state_fingerprint
+
+        self.recovery_stats["replay_divergences"] += 1
+        if self.obs.enabled:
+            self.obs.metrics.counter(
+                "replay.divergences", "replayed dispatches not matching journal"
+            ).inc()
+        state = json.dumps(
+            state_fingerprint(self), sort_keys=True, separators=(",", ":")
+        )
+        digest = hashlib.sha256(state.encode("utf-8")).hexdigest()
+        where = f"journal record {self._replaying}"
+        if top is None:
+            raise RecoveryError(
+                f"{where}: dispatch with an empty event heap (replaying "
+                f"state fingerprint sha256:{digest})"
+            )
+        raise RecoveryError(
+            f"{where}: replay divergence — expected (journaled) "
+            f"{expected!r}, observed (heap top) {seen!r}; replaying state "
+            f"fingerprint sha256:{digest}"
+        )
 
     def _register(self, job: Job) -> None:
         """Add ``job`` to the job table; it joins the queue once due."""
@@ -1044,3 +1075,77 @@ class ClusterSimulator:
         elif self.integrity is not None:
             self.integrity.scrub_cycle()
         self._crashpoint("cycle.post")
+
+
+#: How a record field holds the argument it is named after: argument ->
+#: field, and ``(sim, field, vertices by name)`` -> argument.  A field not
+#: named here holds its argument as it is.
+_CODECS: Dict[str, Tuple[Callable[..., Any], Callable[..., Any]]] = {
+    "vertex": (lambda vertex: vertex.name, lambda sim, name, vs: vs[name]),
+    "jobspec": (lambda spec: spec.to_dict(), lambda sim, d, vs: parse_jobspec(d)),
+    "job_id": (lambda job: job.job_id, lambda sim, job_id, vs: sim.jobs[job_id]),
+    "reason": (lambda reason: reason.value, lambda sim, value, vs: CancelReason(value)),
+}
+
+
+def _fields(*names: str) -> Tuple[Callable[..., Any], Callable[..., Any]]:
+    """``encode`` and ``decode`` for a record whose fields hold the
+    command's arguments in order, each through its :data:`_CODECS` entry."""
+
+    def encode(sim: ClusterSimulator, *args: Any) -> Dict[str, Any]:
+        return {
+            name: _CODECS[name][0](arg) if name in _CODECS else arg
+            for name, arg in zip(names, args)
+        }
+
+    def decode(sim: ClusterSimulator, record: dict, vertices: dict) -> tuple:
+        return tuple(
+            _CODECS[name][1](sim, record[name], vertices)
+            if name in _CODECS else record[name]
+            for name in names
+        )
+
+    return encode, decode
+
+
+#: Every journaled command by record type: the one owner of the record
+#: format.  The public methods check their arguments and call
+#: :meth:`ClusterSimulator._command`, which journals and applies through
+#: the entry; recovery replay decodes a record and applies it through the
+#: same entry.  Records name vertices (``uniq_id`` is not stable across a
+#: restore) and jobs by id.
+COMMANDS: Dict[str, Command] = {
+    "submit": Command(
+        *_fields("jobspec", "at", "name", "priority", "actual_duration"),
+        ClusterSimulator._submit,
+    ),
+    "cancel": Command(*_fields("job_id", "reason"), ClusterSimulator._cancel),
+    "sched_fail": Command(
+        *_fields("vertex", "at"),
+        lambda sim, vertex, at: sim._push(at, _FAIL, vertex.uniq_id),
+    ),
+    "sched_repair": Command(
+        *_fields("vertex", "at"),
+        lambda sim, vertex, at: sim._push(at, _REPAIR, vertex.uniq_id),
+    ),
+    "fail": Command(*_fields("vertex", "resubmit"), ClusterSimulator._fail),
+    "repair": Command(*_fields("vertex"), ClusterSimulator._repair),
+    "reschedule": Command(*_fields(), ClusterSimulator._cycle),
+    "corrupt": Command(
+        *_fields("kind", "vertex", "salt"), ClusterSimulator._corrupt
+    ),
+    # one per event-heap pop: the heap top, a vertex event's ref by name
+    "dispatch": Command(
+        lambda sim, when, kind, ref, data: {
+            "when": when, "kind": kind, "ref": sim._event_ref(kind, ref),
+            "data": data,
+        },
+        lambda sim, r, vertices: (
+            r["when"], r["kind"],
+            vertices[r["ref"]].uniq_id if r["kind"] in (_FAIL, _REPAIR)
+            else r["ref"],
+            r["data"],
+        ),
+        ClusterSimulator._dispatch,
+    ),
+}

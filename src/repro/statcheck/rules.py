@@ -308,11 +308,12 @@ class FloatTimeEqualityRule(LintRule):
 class JournalBeforeMutateRule(LintRule):
     """JRN001: write-ahead discipline in every class that journals.
 
-    In any class that defines ``_journal``, in any file, a method that calls
-    ``self._journal(...)`` may do nothing to its object on a line before the
-    first such call:
+    In any class that defines a journal entry point (:attr:`JOURNAL_CALLS`:
+    ``_command``, which journals a command and applies it, or ``_journal``),
+    in any file, a method that calls one may do nothing to its object on a
+    line before the first such call:
 
-    * no call on ``self`` or ``self.<attr>`` other than ``_journal`` /
+    * no call on ``self`` or ``self.<attr>`` other than the entry points and
       ``_crashpoint``, and no call handed ``self`` or ``self`` state as an
       argument (a callee may mutate, and the rule does not look inside it,
       so a reading helper is refused too);
@@ -331,8 +332,11 @@ class JournalBeforeMutateRule(LintRule):
         "submit", "cancel", "schedule_failure", "schedule_repair",
         "fail", "repair", "reschedule", "step", "inject_corruption",
     }
+    #: the methods that journal: defining one makes a class journaling, and
+    #: calling one is the journal call
+    JOURNAL_CALLS = {"_command", "_journal"}
     #: calls on ``self`` allowed ahead of the journal call
-    _EXEMPT = {"_journal", "_crashpoint"}
+    _EXEMPT = JOURNAL_CALLS | {"_crashpoint"}
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         methods = {
@@ -340,17 +344,18 @@ class JournalBeforeMutateRule(LintRule):
             for stmt in node.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        if "_journal" not in methods:
+        if not self.JOURNAL_CALLS & methods.keys():
             self.generic_visit(node)
             return
         for name, method in methods.items():
-            if name == "_journal":
+            if name in self.JOURNAL_CALLS:
                 continue
             journal_line = min(
                 (
                     sub.lineno
                     for sub in ast.walk(method)
-                    if isinstance(sub, ast.Call) and _self_method(sub) == "_journal"
+                    if isinstance(sub, ast.Call)
+                    and _self_method(sub) in self.JOURNAL_CALLS
                 ),
                 default=None,
             )
@@ -358,8 +363,9 @@ class JournalBeforeMutateRule(LintRule):
                 if name in self.REQUIRED_HANDLERS:
                     self.report(
                         method,
-                        f"command handler {name}() never journals; append the "
-                        "command with self._journal(...) before mutating state",
+                        f"command handler {name}() never journals; send the "
+                        "command through self._command(...) before mutating "
+                        "state",
                     )
                 continue
             early = self._first_effect_before(method, journal_line)

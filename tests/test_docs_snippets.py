@@ -63,6 +63,18 @@ def test_api_doc_workflow_snippet():
     assert result.critical_path_respected()
 
 
+def test_recovery_doc_lists_the_command_table():
+    """docs/recovery.md's journal section lists exactly the record types of
+    the command table, in its order."""
+    from repro.sched.simulator import COMMANDS
+
+    with open(os.path.join(ROOT, "docs", "recovery.md")) as handle:
+        text = handle.read()
+    section = text.split("\n## The write-ahead journal\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert re.findall(r"^- `(\w+)`", section, re.M) == list(COMMANDS)
+
+
 #: a code reference in backticks: ``path.py``, ``path.py::Name[.attr]`` or
 #: ``[module.]Class.attr``
 _REFERENCE = re.compile(

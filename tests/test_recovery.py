@@ -59,6 +59,7 @@ from repro.resilience.chaos import _build_simulator, _submission_plan
 from repro.resource import ResourceGraph
 from repro.resource.jgf import from_jgf, to_jgf
 from repro.sched import ClusterSimulator
+from repro.sched.simulator import COMMANDS
 
 
 # ----------------------------------------------------------------------
@@ -128,12 +129,6 @@ class TestJournal:
         with pytest.raises(JournalCorruptError):
             read_journal(path)
 
-    #: the record types ``_replay_record`` re-executes
-    COMMANDS = {
-        "submit", "cancel", "sched_fail", "sched_repair", "fail", "repair",
-        "reschedule", "corrupt", "dispatch",
-    }
-
     def test_the_journal_holds_commands_only(self, tmp_path):
         # Admission rejections, bookings, retries, quarantines and repairs
         # all happen here; none of them is written.
@@ -147,7 +142,7 @@ class TestJournal:
         assert report.corruption_repaired >= 1
         records, torn, _ = read_journal(str(tmp_path / "journal.wal"))
         assert torn == 0
-        assert {r["type"] for r in records} <= self.COMMANDS
+        assert {r["type"] for r in records} <= set(COMMANDS)
         assert not [r for r in records if "internal" in r]
         assert report.journal_records == len(records)
 
@@ -645,10 +640,67 @@ def test_crash_equivalence_across_an_auto_repair(tmp_path, point, seed):
     assert recovered.integrity.counters == control.integrity.counters
 
 
+def _every_command_run(seed, directory):
+    """overload_chaos_sim plus a corrupt, a direct fail and repair, a
+    reschedule and a cancel: one journal with every record type.  Returns
+    the run's first snapshot, the one taken before its first command."""
+    sim = overload_chaos_sim(seed, recovery_dir=directory,
+                             integrity=IntegrityConfig())
+    (path,) = directory.glob("snapshot-*.json")  # pruned as the run goes
+    first = load_snapshot(str(path))
+    sim.run(until=_CORRUPT_AT)
+    corrupt_a_span(sim, salt=1)
+    node = list(sim.graph.vertices("node"))[-1]
+    sim.fail(node)
+    sim.run(until=_CORRUPT_AT + 100)
+    sim.repair(node)
+    sim.reschedule()
+    sim.cancel(next(j for j in sim.jobs.values() if j.is_active))
+    sim.run()
+    sim.recovery.close()
+    return first
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_journal_round_trips_through_the_command_table(tmp_path, seed):
+    """Each record, decoded and sent through its table entry with the
+    journal on, is written again byte for byte: the table alone knows the
+    record format, both ways."""
+    first = _every_command_run(seed, tmp_path / "run")
+    journal = (tmp_path / "run" / "journal.wal").read_bytes()
+    records, torn, _ = read_journal(str(tmp_path / "run" / "journal.wal"))
+    assert torn == 0 and first["seq"] == 0
+    assert {r["type"] for r in records} == set(COMMANDS)
+    sim = restore_simulator(first)
+    manager = RecoveryManager(str(tmp_path / "again")).attach(sim)
+    vertices = {v.name: v for v in sim.graph.vertices()}
+    for record in records:
+        command = COMMANDS[record["type"]]
+        sim._command(record["type"], *command.decode(sim, record, vertices))
+    manager.close()
+    assert (tmp_path / "again" / "journal.wal").read_bytes() == journal
+
+
 class TestRecoveryPath:
     def test_recover_without_snapshot_raises(self, tmp_path):
         with pytest.raises(SnapshotError):
             recover(str(tmp_path))
+
+    def test_a_deep_auditor_recovers_deep(self, tmp_path):
+        """The snapshot keeps the auditor's depth, so a recovered run still
+        checks ``planner-invariants``."""
+        sim = chaos_sim(0, recovery_dir=tmp_path)
+        sim.run(until=100)
+        sim.recovery.close()
+        assert recover(str(tmp_path)).auditor.deep is True
+
+    def test_a_bare_audit_flag_still_restores(self):
+        """A version-2 snapshot written before the depth was kept."""
+        doc = json.loads(json.dumps(snapshot_state(saturated_sim(audit=True))))
+        doc["config"]["audit"] = True
+        assert restore_simulator(doc).auditor.deep is False
+        doc["config"]["audit"] = False
+        assert restore_simulator(doc).auditor is None
 
     def test_torn_tail_recovers_by_dropping_suffix(self, tmp_path):
         sim = chaos_sim(0, recovery_dir=tmp_path)
@@ -1037,9 +1089,12 @@ MALFORMED_SECTIONS = [
 #: ``allocations.*.spans`` and the planners' ``next_span_id``.  The
 #: head-of-cycle scrub's retirement took ``scrub_every``, ``scrub_budget``
 #: and ``checkpoint_interval`` out of ``integrity.config`` and
-#: ``cycles_seen`` out of ``integrity.state``; nothing else moved.
+#: ``cycles_seen`` out of ``integrity.state``; nothing else moved.  Keeping
+#: the auditor's depth turned ``config.audit`` from ``true`` into
+#: ``{"deep": false}``; with that one value put back the document hashes to
+#: the previous pin, 376a21e6...8480b.
 SNAPSHOT_SHA256 = (
-    "376a21e648b82ba0e6a079990aee7f19e127a8346f858ab6fd4d9fe8dae8480b"
+    "c4fa51812db7f9e47eb30712d6bbc26861cf87d7456b4f6434ed2c30fef7c4e0"
 )
 SPEC_SHA256 = (
     "011d92b25759baaf2e4310aa90216a0270ad2e1c9e43e95d5d345c0747786b3b"

@@ -463,6 +463,43 @@ class TestJRN001:
                            select=["JRN001"])
         assert "step() never journals" in v.message
 
+    #: the simulator's shape: public methods check, then journal and apply
+    #: through the command table's entry point
+    ENTRY_POINT = (
+        "class ClusterSimulator:\n"
+        "    def _command(self, rtype, *args):\n"
+        "        self.recovery.record({'type': rtype})\n"
+        "        return COMMANDS[rtype].apply(self, *args)\n\n"
+        "    def _fail(self, vertex, resubmit):\n"
+        "        self.failures += 1\n\n"
+        "    def fail(self, vertex, resubmit=True):\n"
+        "        if vertex.status == 'down':\n"
+        "            return [], []\n"
+        "        return self._command('fail', vertex, resubmit)\n"
+    )
+
+    def test_entry_point_is_the_journal_call(self):
+        assert rules_hit(self.ENTRY_POINT, "src/repro/sched/simulator.py",
+                         select=["JRN001"]) == []
+
+    def test_mutation_before_the_entry_point_flagged(self):
+        src = self.ENTRY_POINT.replace(
+            "        return self._command(",
+            "        self.failures += 1\n        return self._command(",
+        )
+        (v,) = lint_source(src, "src/repro/sched/simulator.py",
+                           select=["JRN001"])
+        assert v.line == 12 and "mutates self.failures" in v.message
+
+    def test_command_method_that_skips_the_entry_point_flagged(self):
+        src = self.ENTRY_POINT.replace(
+            "        return self._command('fail', vertex, resubmit)\n",
+            "        return self._fail(vertex, resubmit)\n",
+        )
+        (v,) = lint_source(src, "src/repro/sched/simulator.py",
+                           select=["JRN001"])
+        assert "fail() never journals" in v.message
+
 
 # ----------------------------------------------------------------------
 # OBS001 — instrumentation funnels through repro.obs
