@@ -15,6 +15,13 @@ class PlannerError(FluxionError):
     """Raised on invalid Planner operations (bad span bounds, overcommit, ...)."""
 
 
+class PlannerInvariantError(PlannerError, AssertionError):
+    """Raised when a planner's records contradict each other (its tree, time
+    links or span registry): what ``check_invariants`` finds, and a release
+    that meets a missing point.  Also an ``AssertionError``, so a caller that
+    catches that still sees a broken planner."""
+
+
 class SpanNotFoundError(PlannerError, KeyError):
     """Raised when a span id is unknown to a Planner."""
 

@@ -13,11 +13,12 @@ keyed by time, which holds the points from then on (the SP tree):
   ``O(log N + k)``, ``k`` the points inside the window;
 * indexed by remaining resource — each node carrying the lowest and highest
   ``remaining`` of its subtree — it also answers "what is the earliest time
-  the request fits?" by hopping from one free run to the next in
-  ``O(log N)`` each.  The index is switched on by the first such question
-  (most planners are never asked one).  The paper answers it from a second
-  tree keyed by remaining resource (Algorithm 1); that one is kept as a
-  reference in :mod:`repro.baselines.algorithm1`.
+  the request fits?" by hopping from one free run to the next: a few steps
+  along the time links, then one descent, ``O(log N)`` a hop.  The index is
+  switched on by the first such question (most planners are never asked
+  one), and an update refreshes it only as far up as a range changed.  The
+  paper answers it from a second tree keyed by remaining resource
+  (Algorithm 1), kept as a reference in :mod:`repro.baselines.algorithm1`.
 
 The Planner is the building block for per-vertex state tracking, pruning
 filters (through :class:`~repro.planner.multi.PlannerMulti`) and
@@ -29,8 +30,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import PlannerError, SpanNotFoundError
+from ..errors import PlannerError, PlannerInvariantError, SpanNotFoundError
 from ..obs import runtime as _obs_runtime
+from .rbtree import require
 from .span import ScheduledPoint, Span
 from .trees import SPTree
 
@@ -247,13 +249,15 @@ class Planner:
         available for ``duration`` ticks (EarliestAt), or None if never.
 
         A fit starts at ``on_or_after`` or at a scheduled point where
-        availability rises to the request, so the search hops along the
-        calendar: from a candidate start to the first later point that falls
-        short of the request — a fit if that lies a whole ``duration`` away —
-        and from there to the next point that covers it.  Each hop is one
-        ``O(log N)`` descent of the indexed SP tree (built here from the runs
-        if need be).  (The paper's AVAILAT loop takes candidates out of a
-        second tree and puts them back: :mod:`repro.baselines.algorithm1`.)
+        availability rises to the request.  A fit right there is one window
+        check; otherwise the search hops along the calendar of the indexed SP
+        tree (built here from the runs if need be): from a candidate start
+        to the first later point that falls short of the request — a fit if
+        that lies a whole ``duration`` away — and from there to the next
+        point that covers it.  Each hop follows the time links a few points,
+        then descends the index once: ``O(log N)``.  (The paper's AVAILAT
+        loop takes candidates out of a second tree and puts them back:
+        :mod:`repro.baselines.algorithm1`.)
         """
         if duration <= 0:
             raise PlannerError(f"duration must be positive, got {duration}")
@@ -596,7 +600,10 @@ class Planner:
         return self._sp.split_after(governing, time)
 
     def _release(self, point: Optional[ScheduledPoint]) -> None:
-        assert point is not None, "missing scheduled point"
+        if point is None:
+            raise PlannerInvariantError(
+                f"missing scheduled point ({self.resource_type or 'resource'})"
+            )
         point.ref_count -= 1
         if point.ref_count == 0 and point is not self._base_point:
             self._sp.delete_node(point)
@@ -606,28 +613,32 @@ class Planner:
         if self._sp is None:
             runs = self._runs or []
             windows = sorted(record[:3] for record in self._spans.values())
-            assert self._runs != [] and runs == windows, "runs differ from registry"
+            require(self._runs != [] and runs == windows, "runs differ from registry")
             for (_, end, _), (start, _, _) in zip(runs, runs[1:]):
-                assert end <= start, f"runs overlap at t={start}"
-            assert all(0 <= run[2] <= self.total for run in runs)
+                require(end <= start, "runs overlap at t=%s", start)
+            require(all(0 <= run[2] <= self.total for run in runs),
+                    "a run's request is outside [0, %s]", self.total)
             return
         # Red-black and time order, the time links; where the tree is
         # indexed, every node's remaining range against a recomputation.
         self._sp.check_invariants()
         points = list(self._sp)
-        assert points and points[0] is self._base_point
+        require(points and points[0] is self._base_point, "the base point is not first")
         # Recompute in_use at each point from the active spans.
         for point in points:
             expected = sum(
                 request for start, end, request, _ in self._spans.values()
                 if start <= point.key < end
             )
-            assert point.in_use == expected, (
-                f"in_use mismatch at t={point.time}: "
-                f"{point.in_use} != {expected}"
-            )
-            assert point.remaining == self.total - point.in_use
-            assert 0 <= point.in_use <= self.total
+            if point.in_use != expected:
+                raise PlannerInvariantError(
+                    f"in_use mismatch at t={point.time}: {point.in_use} != {expected}"
+                )
+            if point.remaining != self.total - expected or not 0 <= expected <= self.total:
+                raise PlannerInvariantError(
+                    f"remaining {point.remaining} at t={point.time}: total {self.total}"
+                    f", in use {expected}"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -13,8 +13,9 @@ The implementation follows CLRS chapter 13 with a per-tree NIL sentinel.
 Augmentation is expressed as a callback ``augment(node) -> value`` computing
 the node's augmented value from ``node.value`` and the (already up-to-date)
 augmented values of ``node.left`` / ``node.right``.  The tree re-runs the
-callback bottom-up along every path touched by an insert, delete or rotation,
-which preserves the classic ``O(log N)`` bounds for augmented queries.  It
+callback bottom-up along the path an insert or delete touched, up to the
+first node whose value comes out unchanged, and on each rotation, which
+preserves the classic ``O(log N)`` bounds for augmented queries.  It
 can be given at construction or switched on later (:meth:`RBTree.set_augment`);
 a tree without one makes no augmentation call at all.
 
@@ -27,10 +28,18 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Optional
 
+from ..errors import PlannerInvariantError
+
 __all__ = ["RBNode", "RBTree"]
 
 _RED = True
 _BLACK = False
+
+
+def require(ok: bool, message: str, *args: Any) -> None:
+    """Raise :class:`PlannerInvariantError` (``message % args``) unless ``ok``."""
+    if not ok:
+        raise PlannerInvariantError(message % args)
 
 
 class RBNode:
@@ -224,7 +233,7 @@ class RBTree:
             parent.right = z
         self._size += 1
         if self._augment is not None:
-            self._refresh_up(z)
+            self._refresh_up(z, parent)
         if parent.red:
             self._insert_fixup(z)
         elif parent is self.nil:
@@ -239,20 +248,16 @@ class RBTree:
         if z.left is nil:
             x = z.right
             self._transplant(z, z.right)
-            refresh_from = x.parent
         elif z.right is nil:
             x = z.left
             self._transplant(z, z.left)
-            refresh_from = x.parent
         else:
             y = self._subtree_min(z.right)
             y_was_red = y.red
             x = y.right
             if y.parent is z:
                 x.parent = y  # x may be nil; fixup relies on parent pointers
-                refresh_from = y
             else:
-                refresh_from = y.parent
                 self._transplant(y, y.right)
                 y.right = z.right
                 y.right.parent = y
@@ -261,8 +266,9 @@ class RBTree:
             y.left.parent = y
             y.red = z.red
         self._size -= 1
-        if refresh_from is not nil and self._augment is not None:
-            self._refresh_up(refresh_from)
+        if self._augment is not None:
+            # nothing below where x hangs changed; y, moved to z's place, is new
+            self._refresh_up(x.parent, x.parent if y is z else y.parent)
         if not y_was_red:
             self._delete_fixup(x)
         z.left = z.right = z.parent = None  # type: ignore[assignment]
@@ -282,7 +288,8 @@ class RBTree:
         Call after mutating ``node.value`` in a way that changes the augmented
         value but not the key.
         """
-        self._refresh_up(node)
+        if self._augment is not None:
+            self._refresh_up(node, self.nil)
 
     @property
     def augmented(self) -> bool:
@@ -311,11 +318,19 @@ class RBTree:
             x = x.left
         return x
 
-    def _refresh_up(self, node: RBNode) -> None:
-        if self._augment is None:
-            return
-        while node is not self.nil:
-            node.aug = self._augment(node)
+    def _refresh_up(self, node: RBNode, above: RBNode) -> None:
+        """Recompute augmented data from ``node`` up to ``above``, then on up
+        until a value comes out unchanged: the nodes above it see a change
+        below only through that value."""
+        augment, nil = self._augment, self.nil
+        while node is not above:
+            node.aug = augment(node)
+            node = node.parent
+        while node is not nil:
+            aug = augment(node)
+            if aug == node.aug:
+                return
+            node.aug = aug
             node = node.parent
 
     def _left_rotate(self, x: RBNode) -> None:
@@ -445,27 +460,25 @@ class RBTree:
     # invariant checking (used by tests; cheap enough for property tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Verify red-black and BST invariants; raise AssertionError on breakage."""
-        nil = self.nil
-        assert not self.root.red, "root must be black"
-        assert not nil.red, "sentinel must be black"
+        """Verify red-black and BST invariants, and every augmented value
+        against a recomputation; raise PlannerInvariantError on breakage."""
+        nil, augment = self.nil, self._augment
+        require(not self.root.red and not nil.red, "root and sentinel must be black")
 
         def walk(node: RBNode, lo: Any, hi: Any) -> int:
             if node is nil:
                 return 1
-            assert lo is None or node.key > lo, "BST order violated (left)"
-            assert hi is None or node.key < hi, "BST order violated (right)"
-            if node.red:
-                assert not node.left.red and not node.right.red, (
-                    "red node has red child"
-                )
-            lh = walk(node.left, lo, node.key)
-            rh = walk(node.right, node.key, hi)
-            assert lh == rh, "black-height mismatch"
-            if self._augment is not None:
-                assert node.aug == self._augment(node), "stale augmentation"
-            return lh + (0 if node.red else 1)
+            if not ((lo is None or node.key > lo) and (hi is None or node.key < hi)):
+                raise PlannerInvariantError(f"BST order violated at {node.key!r}")
+            if node.red and (node.left.red or node.right.red):
+                raise PlannerInvariantError(f"red node has red child at {node.key!r}")
+            height = walk(node.left, lo, node.key)
+            if height != walk(node.right, node.key, hi):
+                raise PlannerInvariantError(f"black-height mismatch at {node.key!r}")
+            if augment is not None and node.aug != augment(node):
+                raise PlannerInvariantError(f"stale augmentation at {node.key!r}")
+            return height + (0 if node.red else 1)
 
         walk(self.root, None, None)
         count = sum(1 for _ in self)
-        assert count == self._size, f"size mismatch: {count} != {self._size}"
+        require(count == self._size, "size mismatch: %s != %s", count, self._size)

@@ -7,19 +7,21 @@ time-based queries are the tree's own — the state at time *t* is
 ``floor(t)``, and each later point one ``next`` link on, since the tree
 links every point to its neighbours in time on each insert and delete —
 and, once :meth:`SPTree.index` has switched it on, so is an index of
-remaining resource over the same nodes: each node carries the ``(lowest, highest)`` ``remaining`` of its subtree, so the
-earliest later point that covers a request, and the earliest that falls
-short of it, are each one ``O(log N)`` descent.  Those two descents are what
-the earliest-time question (EarliestAt) needs; the paper answers it from a
-second tree keyed by remaining resource (Algorithm 1), kept as a reference
-in :mod:`repro.baselines.algorithm1`.
+remaining resource over the same nodes: each node carries the ``(lowest,
+highest)`` ``remaining`` of its subtree.  The earliest later point that
+covers a request, and the earliest that falls short of it, are what the
+earliest-time question (EarliestAt) alternates: each is a few steps along
+the time links, then one ``O(log N)`` descent of the index (:func:`_walk`).
+The paper answers it from a second tree keyed by remaining resource
+(Algorithm 1), kept as a reference in :mod:`repro.baselines.algorithm1`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .rbtree import RBTree
+from ..errors import PlannerInvariantError
+from .rbtree import RBTree, require
 from .span import ScheduledPoint
 
 __all__ = ["SPTree"]
@@ -86,11 +88,12 @@ class SPTree(RBTree):
         RBTree.check_invariants(self)
         before = None
         for point in self:
-            assert point.prev is before, f"prev link broken at t={point.key}"
-            if before is not None:
-                assert before.next is point, f"next link broken at t={before.key}"
+            if point.prev is not before:
+                raise PlannerInvariantError(f"prev link broken at t={point.key}")
+            if before is not None and before.next is not point:
+                raise PlannerInvariantError(f"next link broken at t={before.key}")
             before = point
-        assert before is None or before.next is None, "next link past the end"
+        require(before is None or before.next is None, "next link past the end")
 
     def split_after(self, node: ScheduledPoint, time: int) -> ScheduledPoint:
         """Link in a new point at ``time``, which lies between ``node`` and
@@ -146,18 +149,32 @@ class SPTree(RBTree):
     ) -> None:
         """One range walk: adjust the points of ``[start, end)`` on the way
         down, recompute ``aug`` of every node visited on the way back up
-        (``O(k + log N)`` for ``k`` points in range)."""
-        if point is self.nil:
-            return
-        time = point.key
-        if start < time:
-            self._shift_indexed(point.left, start, end, delta)
+        (``O(k + log N)`` for ``k`` points in range).  The range is computed
+        inline: this walk is most of a booking on an indexed tree."""
+        nil, time = self.nil, point.key
+        left, right = point.left, point.right
+        if start < time and left is not nil:
+            self._shift_indexed(left, start, end, delta)
         if time < end:
             if start <= time:
                 point.in_use += delta
                 point.remaining -= delta
-            self._shift_indexed(point.right, start, end, delta)
-        point.aug = _remaining_range(point)
+            if right is not nil:
+                self._shift_indexed(right, start, end, delta)
+        lowest = highest = point.remaining
+        if left is not nil:
+            low, high = left.aug
+            if low < lowest:
+                lowest = low
+            if high > highest:
+                highest = high
+        if right is not nil:
+            low, high = right.aug
+            if low < lowest:
+                lowest = low
+            if high > highest:
+                highest = high
+        point.aug = lowest, highest
 
     def first_covering(self, time: int, request: int) -> Optional[ScheduledPoint]:
         """Earliest point at or after ``time`` with ``remaining >= request``
@@ -174,7 +191,7 @@ class SPTree(RBTree):
     ) -> Optional[ScheduledPoint]:
         point = self.ceiling(time)
         if point is not None and (point.remaining >= request) is not covering:
-            point = self._next(point, request, covering)
+            point = _walk(self, point, request, float("inf"), None)[0]
         return point
 
     def earliest_fit(
@@ -186,59 +203,91 @@ class SPTree(RBTree):
         and a point at or before ``at``.
 
         A fit starts at ``at`` or where availability rises to the request, so
-        the search alternates the two descents: the first point that falls
-        short decides the run that starts at the candidate — a fit if it lies
-        a whole ``duration`` away — and the first covering point after that
-        one is the next candidate.  Nothing in between is looked at.
+        :func:`_walk` alternates two searches: the first point that falls
+        short decides the run that starts at the candidate — a fit when it
+        lies a whole ``duration`` away, so that search stops there — and the
+        first covering point after it is the next candidate.
         """
-        step = self._next
-        point = self.floor(at)
-        start = at
-        hops = 0
-        short = point if point.remaining < request else step(point, request, False)
-        while short is not None and short.key < start + duration:
-            point = step(short, request, True)
+        fit, hops = _walk(self, self.floor(at), request, at + duration, duration)
+        return (None if fit is None else max(at, fit.key)), hops
+
+
+def _walk(
+    tree: SPTree, point: ScheduledPoint, request: int, end: float,
+    duration: Optional[int],
+) -> Tuple[Optional[ScheduledPoint], int]:
+    """The earliest-fit walk from ``point``: (the fit's point or None, hops).
+
+    From a covering point, search for the first later short one before
+    ``end``; none means a fit at the last candidate (at first ``point``).
+    From a short point, search for the next covering one, a candidate whose
+    window ends ``duration`` after it; none means no fit.  With no
+    ``duration``, return the first point either search finds.  Most runs
+    are a point or two long, so each search follows up to
+    ``len(tree).bit_length()`` time links, then makes one :func:`_descend`.
+    """
+    reach = tree._size.bit_length()
+    fit = point if duration is not None else None
+    hops = 0
+    while True:
+        if point.remaining >= request:  # the short search
+            steps = reach
+            while True:
+                point = point.next if steps else _descend(tree, point, request, False)
+                if point is None or point.key >= end:
+                    return fit, hops
+                if point.remaining < request:
+                    break
+                steps -= 1
+            if duration is None:
+                return point, hops
+        steps = reach  # the covering search
+        while True:
+            point = point.next if steps else _descend(tree, point, request, True)
             if point is None:
                 return None, hops
-            start = point.key
-            hops += 1
-            short = step(point, request, False)
-        return start, hops
+            if point.remaining >= request:
+                break
+            steps -= 1
+        if duration is None:
+            return point, hops
+        fit, hops, end = point, hops + 1, point.key + duration
 
-    def _next(
-        self, node: ScheduledPoint, request: int, covering: bool
-    ) -> Optional[ScheduledPoint]:
-        """Earliest point after ``node`` that covers ``request``
-        (``covering``) or falls short of it (not ``covering``).
 
-        A subtree holds a covering point iff its highest ``remaining`` covers,
-        a short one iff its lowest does not: both are the one comparison
-        ``(bound >= request) is covering`` on the matching end of ``aug``.
-        Starting from a node rather than the root, the walk costs the
-        logarithm of the distance covered, not of the tree.
-        """
-        nil = self.nil
-        end = 1 if covering else 0
-        while True:
-            child = node.right
-            if child is not nil and (child.aug[end] >= request) is covering:
-                # The answer is the leftmost such point of this subtree.
-                node = child
-                while True:
-                    child = node.left
-                    if child is not nil and (child.aug[end] >= request) is covering:
-                        node = child
-                    elif (node.remaining >= request) is covering:
-                        return node
-                    else:
-                        node = node.right
-            # Nothing below: climb to the first ancestor that lies later.
-            parent = node.parent
-            while parent is not nil and node is parent.right:
-                node = parent
-                parent = node.parent
-            if parent is nil:
-                return None
+def _descend(
+    tree: SPTree, node: ScheduledPoint, request: int, covering: bool
+) -> Optional[ScheduledPoint]:
+    """Earliest point after ``node`` that covers ``request`` (``covering``)
+    or falls short of it (not ``covering``), by the index.
+
+    A subtree holds a covering point iff its highest ``remaining`` covers,
+    a short one iff its lowest does not: both are the one comparison
+    ``(bound >= request) is covering`` on the matching end of ``aug``.
+    Starting from a node rather than the root, the walk costs the
+    logarithm of the distance covered, not of the tree.
+    """
+    nil = tree.nil
+    end = 1 if covering else 0
+    while True:
+        child = node.right
+        if child is not nil and (child.aug[end] >= request) is covering:
+            # The answer is the leftmost such point of this subtree.
+            node = child
+            while True:
+                child = node.left
+                if child is not nil and (child.aug[end] >= request) is covering:
+                    node = child
+                elif (node.remaining >= request) is covering:
+                    return node
+                else:
+                    node = node.right
+        # Nothing below: climb to the first ancestor that lies later.
+        parent = node.parent
+        while parent is not nil and node is parent.right:
             node = parent
-            if (node.remaining >= request) is covering:
-                return node
+            parent = node.parent
+        if parent is nil:
+            return None
+        node = parent
+        if (node.remaining >= request) is covering:
+            return node

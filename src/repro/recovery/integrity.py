@@ -424,7 +424,7 @@ def scan_planners(
         if deep:
             try:
                 planner.check_invariants()
-            except (AssertionError, FluxionError) as exc:
+            except FluxionError as exc:
                 findings.append(Finding(name, "tree-drift", kind, repr(exc)))
     return findings
 

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.errors import PlannerInvariantError
 from repro.grug import tiny_cluster
 from repro.jobspec import nodes_jobspec, simple_node_jobspec
 from repro.recovery import (
@@ -500,3 +501,18 @@ def test_repairs_replay_identically(tmp_path):
     sim.run()
     recovered.run()
     assert recovered.event_log == sim.event_log
+
+
+@pytest.mark.parametrize("salt", range(6))
+def test_a_release_on_a_damaged_planner_raises_the_typed_error(salt):
+    """A cancel that releases a span whose registry window was damaged
+    meets a missing scheduled point: a ``PlannerInvariantError`` (a
+    ``FluxionError``) naming the planner, under ``python -O`` too."""
+    sim = ClusterSimulator(tiny_cluster(2, 4, cores=2))
+    jobs = [sim.submit(simple_node_jobspec(cores=2, duration=100), at=0)
+            for _ in range(3)]
+    sim.run(until=10)
+    assert apply_corruption(sim, sim.graph.vertex_by_name("cluster0"), "span", salt)
+    with pytest.raises(PlannerInvariantError, match=r"missing scheduled point \(x:cluster\)"):
+        for job in jobs:
+            sim.cancel(job)

@@ -224,3 +224,36 @@ def test_property_floor_ceiling_consistent(pairs):
         expected_ceil = min((k for k in keys if k >= probe), default=None)
         assert (floor.key if floor else None) == expected_floor
         assert (ceil.key if ceil else None) == expected_ceil
+
+
+def _subtree_max_value(node):
+    best = node.value
+    for aug in (node.left.aug, node.right.aug):
+        if aug is not None and aug > best:
+            best = aug
+    return best
+
+
+@pytest.mark.parametrize("augment", [_subtree_min_value, _subtree_max_value])
+def test_every_insert_and_delete_leaves_every_aug_right(augment):
+    """An insert or delete refreshes ``aug`` upward only until a value
+    comes out unchanged; with values drawn from a small range that stop is
+    hit often, and ``check_invariants`` after every operation recomputes
+    every node's value against the tree."""
+    rng = random.Random(23)
+    tree = RBTree(augment=augment)
+    alive = {}
+    for _ in range(1500):
+        if alive and rng.random() < 0.45:
+            key = rng.choice(sorted(alive))
+            tree.delete(key)
+            del alive[key]
+        else:
+            key = rng.randrange(400)
+            if key not in alive:
+                alive[key] = rng.randrange(6)
+                tree.insert(key, alive[key])
+        tree.check_invariants()
+        if alive:
+            best = min if augment is _subtree_min_value else max
+            assert tree.root.aug == best(alive.values())

@@ -330,3 +330,139 @@ def test_property_sp_index_descents_match_linear_scan(ops, index_at):
                 short = next((p for p in later if p.remaining < request), None)
                 assert tree.first_covering(time, request) is covering
                 assert tree.first_short(time, request) is short
+
+
+# ----------------------------------------------------------------------
+# the earliest-fit walk: time links first, then one descent
+# ----------------------------------------------------------------------
+def scan_fit(points, at, duration, request):
+    """(fit, hops) by a scan over the points in time order, a hop counted
+    at each covering point after a short one."""
+    later = [p for p in points if p.time > at]
+    before = [p for p in points if p.time <= at]
+    start, hops = at, 0
+    covering = before[-1].remaining >= request
+    for point in later:
+        if covering:
+            if point.time >= start + duration:
+                return start, hops
+            covering = point.remaining >= request
+        elif point.remaining >= request:
+            start, hops, covering = point.time, hops + 1, True
+    return (start if covering else None), hops
+
+
+def run_calendar(rng, size, longest):
+    """``size`` points at times 0, 10, 20, ...: alternating free and busy
+    runs of 1 to ``longest`` points (remaining 5-8 and 0-4: a request of 5
+    is covered by the free runs only)."""
+    specs, free = [], rng.random() < 0.5
+    while len(specs) < size:
+        for _ in range(rng.randint(1, longest)):
+            specs.append((10 * len(specs), rng.randint(5, 8) if free else rng.randint(0, 4)))
+        free = not free
+    return specs[:size]
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Every descent the walk makes: the point it starts from."""
+    from repro.planner import trees
+
+    starts = []
+    descend = trees._descend
+
+    def counted(tree, node, request, covering):
+        starts.append(node)
+        return descend(tree, node, request, covering)
+
+    monkeypatch.setattr(trees, "_descend", counted)
+    return starts
+
+
+@pytest.mark.parametrize("longest", [1, 3, 40])
+def test_earliest_fit_equals_a_scan_and_its_hops(longest, descents):
+    """Runs shorter and longer than the link reach (8, the bit length of
+    200): answers and hops equal a scan over the points.  Only runs longer
+    than the reach make the walk descend."""
+    rng = random.Random(longest)
+    made = 0  # descents on the runs the calendar was drawn with
+    for _ in range(30):
+        points = [ScheduledPoint(t, 8 - r, r) for t, r in run_calendar(rng, 200, longest)]
+        tree = SPTree()
+        for point in points:
+            tree.insert_node(point)
+        tree.index()
+        for _ in range(40):
+            at = rng.randrange(0, 2000)
+            duration = rng.randint(1, 10 * 2 * longest + 20)
+            assert tree.earliest_fit(at, duration, 5) == scan_fit(points, at, duration, 5)
+        made += len(descents)
+        for request in (1, 3, 7, 8, 9):  # runs of other lengths
+            at, duration = rng.randrange(0, 2000), rng.randint(1, 400)
+            want = scan_fit(points, at, duration, request)
+            assert tree.earliest_fit(at, duration, request) == want
+        descents.clear()
+    assert bool(made) is (longest > 8)
+
+
+def test_fig6b_one_long_busy_run_costs_one_descent(descents):
+    """2**14 points, a busy run of 10**4 of them after the first: the
+    covering search follows ``reach`` (15) links into the run, then makes
+    one descent, not one step per point."""
+    size = 2**14
+    tree = SPTree()
+    for t in range(size):
+        tree.insert_node(ScheduledPoint(t, 0, 0 if 1 <= t <= 10**4 else 8))
+    tree.index()
+    reach = size.bit_length()
+    assert tree.earliest_fit(0, 2, 4) == (10**4 + 1, 1)
+    assert len(descents) == 1
+    assert 1 <= descents[0].time <= 1 + reach
+
+
+def test_fig6b_the_short_search_stops_at_the_window_end(descents):
+    """A free run of 10**4 points: the check of a 3-tick window reads the
+    points up to its end, and nothing past it."""
+    tree = SPTree()
+    for t in range(10**4):
+        tree.insert_node(ScheduledPoint(t, 0, 8))
+    tree.index()
+    assert tree.earliest_fit(0, 3, 4) == (0, 0)
+    assert tree.first_short(0, 4) is None
+    assert len(descents) == 1  # first_short's, past the reach: the fit made none
+
+
+def test_random_updates_keep_every_index_entry_right():
+    """Inserts, deletes and range charges on an indexed SP tree, and
+    inserts and removals on an ET tree: ``check_invariants`` after every
+    operation recomputes every node's ``aug``."""
+    rng = random.Random(31)
+    tree, et = SPTree(), ETTree()
+    tree.index()
+    points = {}
+    for _ in range(1200):
+        roll = rng.random()
+        if points and roll < 0.35:
+            point = points.pop(rng.choice(sorted(points)))
+            tree.delete_node(point)
+            et.remove(point)
+        elif points and roll < 0.55:
+            start = rng.randrange(500)
+            delta = rng.randint(-2, 2)
+            for time, point in points.items():
+                if start <= time < start + 40:
+                    et.remove(point)
+            tree.shift(start, start + 40, delta)
+            for time, point in points.items():
+                if start <= time < start + 40:
+                    et.insert(point)
+        else:
+            time = rng.randrange(500)
+            if time not in points:
+                points[time] = ScheduledPoint(time, 0, rng.randint(0, 6))
+                tree.insert_node(points[time])
+                et.insert(points[time])
+        tree.check_invariants()
+        et.check_invariants()
+        _subtree_ranges(tree)

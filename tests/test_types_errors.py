@@ -57,6 +57,19 @@ class TestErrorHierarchy:
         assert issubclass(errors.SpanNotFoundError, KeyError)
         assert issubclass(errors.AllocationNotFoundError, KeyError)
 
+    def test_a_broken_planner_is_a_planner_error_and_an_assertion_error(self):
+        """Callers that catch ``AssertionError`` still see a broken planner."""
+        from repro.planner import Planner
+
+        assert issubclass(errors.PlannerInvariantError, errors.PlannerError)
+        assert issubclass(errors.PlannerInvariantError, AssertionError)
+        planner = Planner(8)
+        planner.add_span(0, 10, 4)
+        planner.add_span(5, 10, 4)
+        planner._sp.find(5).in_use += 1
+        with pytest.raises(errors.PlannerInvariantError, match="in_use mismatch at t=5"):
+            planner.check_invariants()
+
     def test_catch_base_class(self):
         from repro.planner import Planner
 
